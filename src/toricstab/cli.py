@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Q
@@ -483,9 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_directions(argv):
+    # "--v -1,2" would read as an unknown option; "--v=-1,2" is one token
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--v" and re.match(r"-\d", arg):
+            out[-1] = f"--v={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
     if getattr(args, "digits", 1) < 1:
         print("error: --digits must be at least 1", file=sys.stderr)
         return 2

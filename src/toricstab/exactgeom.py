@@ -1,16 +1,25 @@
 """Exact rational linear algebra and desk-scale polyhedral geometry.
 
 Everything in this module is pure and exact: coordinates are
-`fractions.Fraction`, inputs are never mutated, and no floating point is used
-anywhere.  Algorithms favour subset enumeration over asymptotically clever
-alternatives; the intended ambient dimension is small (<= 8).
+`fractions.Fraction` (integers inside the hull kernels), inputs are never
+mutated, and no floating point is used anywhere.  The intended ambient
+dimension is small (<= 8).
+
+One hull carries the combinatorics: a `VPolytope` holds its irredundant
+vertices together with its facets, each facet a supporting half-space and
+the bitmask of the vertices on it.  Built from points, the facets are found
+once in affine-hull coordinates and the vertices are the points that are
+the only common point of the facets through them; built from constraints,
+the incidence is the set of constraints tight at each vertex and the facets
+are the maximal tight sets.  The H-form, the pulling triangulation and the
+face lattice of a weight polytope are all read off this incidence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +62,16 @@ def vneg(u):
 
 def is_zero(u) -> bool:
     return all(a == 0 for a in u)
+
+
+def as_direction(v, d) -> VecQ:
+    """v as a rational direction in Q^d; ValueError when it is zero or of another length."""
+    w = qvec(v)
+    if len(w) != d:
+        raise ValueError(f"direction has length {len(w)}, expected {d}")
+    if is_zero(w):
+        raise ValueError("zero direction")
+    return w
 
 
 def primitive(v) -> IntVec:
@@ -157,24 +176,32 @@ def nullspace(rows, n):
 
 
 def det(rows) -> Q:
-    n = len(rows)
-    work = [[Q(x) for x in row] for row in rows]
-    sign = 1
-    out = Q(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if p is None:
-            return Q(0)
-        if p != c:
-            work[c], work[p] = work[p], work[c]
+    """Exact determinant: rows cleared of denominators, then integer elimination."""
+    ints, scale = [], 1
+    for row in rows:
+        m = math.lcm(*(Q(x).denominator for x in row))
+        ints.append([int(Q(x) * m) for x in row])
+        scale *= m
+    return Q(_int_det(ints), scale)
+
+
+def _int_det(rows) -> int:
+    # fraction-free (Bareiss) elimination: every division is exact
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
             sign = -sign
-        pv = work[c][c]
-        out *= pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return sign * out
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def affine_dim(points) -> int:
@@ -188,12 +215,29 @@ def affine_dim(points) -> int:
 # polytopes
 
 
+class Facet(NamedTuple):
+    """Supporting half-space <normal, u> >= offset and the bitmask of the points on it."""
+
+    normal: IntVec
+    offset: Q
+    members: int
+
+
 @dataclass(frozen=True)
 class VPolytope:
-    """Polytope as an irredundant, lexicographically sorted vertex tuple."""
+    """Polytope as an irredundant, lexicographically sorted vertex tuple.
+
+    `facets` is the hull incidence from the construction that made the
+    polytope (bit i of `members` stands for vertices[i]), sorted by normal
+    and offset; None means it is recomputed from the vertices on demand.  A
+    lower-dimensional polytope has the facets of its affine hull, with
+    normals supported on coordinates that chart that hull.  The field takes
+    no part in equality or hashing.
+    """
 
     vertices: tuple[VecQ, ...]
     dim: int
+    facets: tuple[Facet, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -234,22 +278,62 @@ class Fan:
     cones: tuple[tuple[VecQ, ConeH], ...]
 
 
-def _in_convex_hull(p, points) -> bool:
-    # Caratheodory: p lies in the hull iff some affinely independent subset
-    # of size <= d+1 carries it with nonnegative barycentric weights.
-    pts = [qvec(x) for x in points]
-    p = qvec(p)
-    if not pts:
-        return False
-    d = len(p)
-    for k in range(1, min(len(pts), d + 1) + 1):
-        for subset in itertools.combinations(pts, k):
-            rows = [[subset[j][i] for j in range(k)] for i in range(d)]
-            rows.append([Q(1)] * k)
-            lam = solve_unique(rows, list(p) + [Q(1)])
-            if lam is not None and all(x >= 0 for x in lam):
-                return True
-    return False
+def _point_facets(pts):
+    """Affine dimension and facets of distinct rational points, with point incidence.
+
+    The points are projected onto k coordinates that map their affine hull
+    isomorphically onto Q^k and scaled to integers.  Every k points span a
+    hyperplane (its normal is the vector of signed maximal minors of their
+    differences); it is a facet when no point lies strictly on one side, and
+    subsets already inside a found facet are skipped.  Normals are lifted
+    back with zeros on the other coordinates, so <normal, u> >= offset holds
+    on the polytope in ambient coordinates.
+    """
+    d = len(pts[0])
+    diffs = [vsub(p, pts[0]) for p in pts[1:]]
+    cols = []
+    for c in range(d):
+        if rank([[r[j] for j in cols + [c]] for r in diffs]) > len(cols):
+            cols.append(c)
+    k = len(cols)
+    if k == 0:
+        return 0, ()
+    scale = math.lcm(*(p[c].denominator for p in pts for c in cols))
+    z = [tuple(int(p[c] * scale) for c in cols) for p in pts]
+    found = {}
+    for subset in itertools.combinations(range(len(z)), k):
+        bits = sum(1 << i for i in subset)
+        if any(bits & m == bits for m in found.values()):
+            continue
+        base = z[subset[0]]
+        rows = [[x - y for x, y in zip(z[i], base)] for i in subset[1:]]
+        n = [(-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(k)]
+        if not any(n):
+            continue
+        c = sum(a * b for a, b in zip(n, base))
+        sides = [sum(a * b for a, b in zip(n, u)) - c for u in z]
+        if min(sides) < 0 < max(sides):
+            continue
+        g = math.gcd(*n) * (-1 if min(sides) < 0 else 1)
+        lift = [0] * d
+        for col, a in zip(cols, n):
+            lift[col] = a // g
+        members = sum(1 << i for i, s in enumerate(sides) if s == 0)
+        found[(tuple(lift), Q(c // g, scale))] = members
+    return k, tuple(Facet(n, c, m) for (n, c), m in sorted(found.items()))
+
+
+def _is_vertex(i, facets) -> bool:
+    # the smallest face through point i is the meet of the facets through it
+    meet = -1
+    for f in facets:
+        if f.members >> i & 1:
+            meet &= f.members
+    return meet == 1 << i
+
+
+def _select_bits(mask, keep) -> int:
+    return sum(1 << j for j, i in enumerate(keep) if mask >> i & 1)
 
 
 def vpolytope(points) -> VPolytope:
@@ -260,8 +344,14 @@ def vpolytope(points) -> VPolytope:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("dimension mismatch")
-    ext = [p for p in pts if not _in_convex_hull(p, [q for q in pts if q != p])]
-    return VPolytope(tuple(sorted(ext)), affine_dim(ext))
+    k, facets = _point_facets(pts)
+    keep = [i for i in range(len(pts)) if _is_vertex(i, facets)] if k else [0]
+    facets = tuple(f._replace(members=_select_bits(f.members, keep)) for f in facets)
+    return VPolytope(tuple(pts[i] for i in keep), k, facets)
+
+
+def _facets(p: VPolytope) -> tuple[Facet, ...]:
+    return p.facets if p.facets is not None else _point_facets(list(p.vertices))[1]
 
 
 def _recession_cone(h: HPolytope) -> ConeH:
@@ -290,29 +380,24 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     if not cands:
         raise ValueError("infeasible")
     verts = tuple(sorted(cands))
-    return VPolytope(verts, affine_dim(verts))
+    dim = affine_dim(verts)
+    if dim < d:
+        return VPolytope(verts, dim)
+    # a redundant constraint is tight on a proper subset of some facet's vertices
+    tight = {(n, c): sum(1 << i for i, u in enumerate(verts) if dot(n, u) == c) for n, c in cons}
+    facets = tuple(
+        Facet(n, c, t)
+        for (n, c), t in sorted(tight.items())
+        if not any(t & o == t != o for o in tight.values())
+    )
+    return VPolytope(verts, dim, facets)
 
 
 def facets_from_vertices(p: VPolytope) -> HPolytope:
     """Irredundant facet description of a full-dimensional polytope."""
-    d = p.ambient_dim
-    if p.dim != d:
+    if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    verts = p.vertices
-    facets = set()
-    for subset in itertools.combinations(verts, d):
-        diffs = [vsub(u, subset[0]) for u in subset[1:]]
-        ns = nullspace(diffs, d)
-        if len(ns) != 1:
-            continue
-        n = primitive(ns[0])
-        c = dot(n, subset[0])
-        sides = [dot(n, u) - c for u in verts]
-        if all(s >= 0 for s in sides):
-            facets.add((n, c))
-        elif all(s <= 0 for s in sides):
-            facets.add((vneg(n), -c))
-    return HPolytope(tuple(sorted(facets)))
+    return HPolytope(tuple((f.normal, f.offset) for f in _facets(p)))
 
 
 def normal_fan(p: VPolytope) -> Fan:
@@ -438,48 +523,42 @@ def dual_polytope(rays, coeffs=None):
     return h, v
 
 
-def _triangulate_indices(pts, apex_index=None):
-    # pts: vertex list of a full-dimensional polytope in R^k; returns index simplices
-    k = len(pts[0])
-    if len(pts) == k + 1:
-        return [tuple(range(len(pts)))]
-    if apex_index is None:
-        apex_index = min(range(len(pts)), key=lambda i: pts[i])
-    apex = pts[apex_index]
-    poly = VPolytope(tuple(sorted(pts)), k)
-    h = facets_from_vertices(poly)
+def _pull(face, k, apex, facet_sets):
+    """Pulling triangulation of a k-dimensional face (vertex bitmask) from apex.
+
+    The facets of a face K are the maximal proper nonempty sets K & G over
+    the polytope's facets G, so the recursion needs no hull of its own.
+    """
+    if face.bit_count() == k + 1:
+        return [face]
+    cuts = {face & g for g in facet_sets} - {0, face}
     out = []
-    for n, c in h.constraints:
-        if dot(n, apex) == c:
+    for r in sorted(cuts):
+        if r >> apex & 1 or any(r & o == r != o for o in cuts):
             continue
-        face_ids = [i for i in range(len(pts)) if dot(n, pts[i]) == c]
-        face_pts = [pts[i] for i in face_ids]
-        o = min(face_pts)
-        basis = []
-        for u in face_pts:
-            dvec = vsub(u, o)
-            if not is_zero(dvec) and rank(basis + [list(dvec)]) > len(basis):
-                basis.append(list(dvec))
-        mapped = []
-        for u in face_pts:
-            y = solve_unique([[basis[j][i] for j in range(len(basis))] for i in range(k)], list(vsub(u, o)))
-            mapped.append(y)
-        for simplex in _triangulate_indices(mapped):
-            out.append(tuple(face_ids[j] for j in simplex) + (apex_index,))
+        sub_apex = (r & -r).bit_length() - 1
+        out += [s | 1 << apex for s in _pull(r, k - 1, sub_apex, facet_sets)]
     return out
 
 
 def triangulate(p: VPolytope, apex_index=None):
-    """Fan triangulation coned from the lexicographically smallest vertex.
+    """Pulling triangulation coned from the lexicographically smallest vertex.
 
     Returns a list of d-simplices (vertex tuples) whose interiors are
-    disjoint and whose union is the polytope.  A different cone apex may be
-    selected by index; the default is deterministic.
+    disjoint and whose union is the polytope: the apex is coned over the
+    facets not containing it, each triangulated in turn from its own first
+    vertex.  A different top-level apex may be selected by index; the default
+    is deterministic.
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    simplices = _triangulate_indices(list(p.vertices), apex_index)
-    return [tuple(p.vertices[i] for i in s) for s in simplices]
+    verts = p.vertices
+    if apex_index is None:
+        apex_index = min(range(len(verts)), key=verts.__getitem__)
+    apex_index = range(len(verts))[apex_index]
+    facet_sets = [f.members for f in _facets(p)]
+    simplices = _pull((1 << len(verts)) - 1, p.dim, apex_index, facet_sets)
+    return [tuple(u for i, u in enumerate(verts) if s >> i & 1) for s in simplices]
 
 
 def simplex_volume(simplex) -> Q:

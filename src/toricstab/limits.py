@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .exactgeom import (
     ConeH,
     VPolytope,
-    affine_dim,
+    as_direction,
     dot,
-    facets_from_vertices,
     is_zero,
-    nullspace,
     primitive,
     qvec,
-    rank,
-    solve_unique,
     vpolytope,
     vsub,
 )
@@ -63,77 +58,35 @@ class WeightPolytope:
     faces: tuple[frozenset[int], ...]
 
 
-def _affine_members(indices, weights, face_pts):
-    # indices whose weight lies in the affine hull of face_pts
-    o = face_pts[0]
-    basis = []
-    for u in face_pts[1:]:
-        dvec = vsub(qvec(u), qvec(o))
-        if not is_zero(dvec) and rank(basis + [list(dvec)]) > len(basis):
-            basis.append(list(dvec))
-    out = set()
-    d = len(o)
-    for i in indices:
-        w = weights[i]
-        if not basis:
-            if tuple(w) == tuple(o):
-                out.add(i)
-            continue
-        cols = [[basis[j][k] for j in range(len(basis))] for k in range(d)]
-        if solve_unique(cols, list(vsub(qvec(w), qvec(o)))) is not None:
-            out.add(i)
-    return frozenset(out)
-
-
 def weight_polytope(w: WeightedPoint) -> WeightPolytope:
-    """Weight polytope and its faces, each face given by its member index set."""
+    """Weight polytope and its faces, each face given by its member index set.
+
+    The facets' member sets are the supported indices on each facet of the
+    hull; every other proper face is an intersection of facets.
+    """
     sup = sorted(w.support)
-    pts = [qvec(w.weights[i]) for i in sup]
-    poly = vpolytope(pts)
-    full = frozenset(sup)
-    faces = {full}
-    if len(poly.vertices) >= 2:
-        d = poly.ambient_dim
-        if poly.dim == d:
-            mapped = list(poly.vertices)
-            coords = {u: u for u in poly.vertices}
-        else:
-            # work in exact coordinates on the affine hull
-            o = poly.vertices[0]
-            basis = []
-            for u in poly.vertices[1:]:
-                dvec = vsub(u, o)
-                if not is_zero(dvec) and rank(basis + [list(dvec)]) > len(basis):
-                    basis.append(list(dvec))
-            cols = [[basis[j][k] for j in range(len(basis))] for k in range(d)]
-            mapped = [solve_unique(cols, list(vsub(u, o))) for u in poly.vertices]
-            coords = dict(zip(poly.vertices, mapped))
-        hull = VPolytope(tuple(sorted(mapped)), poly.dim)
-        facet_sets = []
-        for n, c in facets_from_vertices(hull).constraints:
-            on_hull = [u for u in poly.vertices if dot(n, coords[u]) == c]
-            members = _affine_members(sup, w.weights, on_hull)
-            facet_sets.append(members)
-        frontier = set(facet_sets)
-        faces |= frontier
-        while frontier:
-            nxt = set()
-            for f, g in itertools.product(frontier, facet_sets):
-                meet = f & g
-                if meet and meet not in faces:
-                    # intersections of faces with facets stay faces
-                    nxt.add(meet)
-            faces |= nxt
-            frontier = nxt
+    poly = vpolytope([w.weights[i] for i in sup])
+    facet_sets = [
+        frozenset(i for i in sup if dot(f.normal, w.weights[i]) == f.offset) for f in poly.facets
+    ]
+    frontier = set(facet_sets)
+    faces = {frozenset(sup)} | frontier
+    while frontier:
+        nxt = set()
+        for f, g in itertools.product(frontier, facet_sets):
+            meet = f & g
+            if meet and meet not in faces:
+                # intersections of faces with facets stay faces
+                nxt.add(meet)
+        faces |= nxt
+        frontier = nxt
     ordered = tuple(sorted(faces, key=lambda f: (len(f), sorted(f))))
     return WeightPolytope(w, poly, ordered)
 
 
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:
     """Support of the limit under t -> 0 along v: the argmin of <u_i, v> on the support."""
-    v = qvec(v)
-    if is_zero(v):
-        raise ValueError("zero direction")
+    v = as_direction(v, len(w.weights[0]))
     vals = {i: dot(w.weights[i], v) for i in w.support}
     best = min(vals.values())
     return WeightedPoint(w.weights, frozenset(i for i, val in vals.items() if val == best))
@@ -141,9 +94,7 @@ def limit_point(w: WeightedPoint, v) -> WeightedPoint:
 
 def is_fixed(w: WeightedPoint, v) -> bool:
     """True when the pairing is constant on the support, i.e. the limit is w itself."""
-    v = qvec(v)
-    if is_zero(v):
-        raise ValueError("zero direction")
+    v = as_direction(v, len(w.weights[0]))
     vals = [dot(w.weights[i], v) for i in w.support]
     return all(x == vals[0] for x in vals)
 

@@ -1,6 +1,6 @@
 """Exact continuous moments of a rational polytope and lattice-point series.
 
-Continuous moments (volume, barycenter, covariance) come from a fan
+Continuous moments (volume, barycenter, covariance) come from the pulling
 triangulation and closed-form simplex integrals, all in exact rational
 arithmetic.  The lattice series counts integer points of dilates and
 accumulates pairing sums in exact integer arithmetic; the scan runs over a
@@ -19,13 +19,12 @@ import numpy as np
 from .exactgeom import (
     HPolytope,
     VPolytope,
+    as_direction,
     dot,
     facets_from_vertices,
-    qvec,
     simplex_volume,
     triangulate,
     vadd,
-    vsub,
 )
 
 
@@ -136,9 +135,7 @@ def is_positive_definite(matrix) -> bool:
 
 def support_min(p: VPolytope, v) -> Q:
     """min_{u in P} <u, v>, attained at a vertex."""
-    v = qvec(v)
-    if all(x == 0 for x in v):
-        raise ValueError("zero direction")
+    v = as_direction(v, p.ambient_dim)
     return min(dot(u, v) for u in p.vertices)
 
 
@@ -226,9 +223,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    v = qvec(v)
-    if all(x == 0 for x in v):
-        raise ValueError("zero direction")
+    v = as_direction(v, p.ambient_dim)
     if any(x.denominator != 1 for x in v):
         raise ValueError("direction must be an integer vector")
     vi = tuple(int(x) for x in v)

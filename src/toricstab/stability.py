@@ -17,12 +17,11 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
-    dot,
+    as_direction,
     dual_polytope,
     facets_from_vertices,
     normal_fan,
     primitive,
-    qvec,
     vertices_from_facets,
     vpolytope,
 )
@@ -126,10 +125,8 @@ class StabilityContext:
         return vert_rows, dv, b_row, db, cov_rows, dc
 
 
-def _clear_direction(v):
-    w = qvec(v)
-    if all(x == 0 for x in w):
-        raise ValueError("zero direction")
+def _clear_direction(v, d):
+    w = as_direction(v, d)
     mult = math.lcm(*(x.denominator for x in w))
     return tuple(int(x * mult) for x in w), mult
 
@@ -167,13 +164,13 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
 
 def futaki(ctx: StabilityContext, v) -> Q:
     """Fut(v) = -<b, v> for the barycenter b; linear in v."""
-    w, mult = _clear_direction(v)
+    w, mult = _clear_direction(v, ctx.dim)
     _, _, b_row, db, _, _ = ctx._fast
     return Q(-sum(a * x for a, x in zip(b_row, w)), db * mult)
 
 
 def support_pairing_min(ctx: StabilityContext, v) -> Q:
-    w, mult = _clear_direction(v)
+    w, mult = _clear_direction(v, ctx.dim)
     vert_rows, dv, _, _, _, _ = ctx._fast
     best = min(sum(a * x for a, x in zip(u, w)) for u in vert_rows)
     return Q(best, dv * mult)
@@ -186,7 +183,7 @@ def min_norm(ctx: StabilityContext, v) -> Q:
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
-    w, mult = _clear_direction(v)
+    w, mult = _clear_direction(v, ctx.dim)
     _, _, _, _, cov_rows, dc = ctx._fast
     acc = 0
     for i, wi in enumerate(w):

@@ -1,0 +1,88 @@
+"""Reference hull routines for the tests: slow, independent subset enumeration.
+
+`in_convex_hull` is Caratheodory's test, one exact solve for each subset of
+at most d+1 points; `facets_by_subsets` tries every d-subset of vertices as
+a facet hyperplane; `faces_by_subsets` builds a weight polytope's face
+lattice from the two in exact coordinates on the affine hull.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+from toricstab.exactgeom import (
+    dot,
+    is_zero,
+    nullspace,
+    primitive,
+    qvec,
+    rank,
+    solve_unique,
+    vneg,
+    vsub,
+)
+
+
+def in_convex_hull(p, points) -> bool:
+    """p lies in the hull iff some affinely independent subset of size <= d+1
+    carries it with nonnegative barycentric weights."""
+    pts = [qvec(x) for x in points]
+    p = qvec(p)
+    d = len(p)
+    for k in range(1, min(len(pts), d + 1) + 1):
+        for subset in itertools.combinations(pts, k):
+            rows = [[subset[j][i] for j in range(k)] for i in range(d)]
+            rows.append([Q(1)] * k)
+            lam = solve_unique(rows, list(p) + [Q(1)])
+            if lam is not None and all(x >= 0 for x in lam):
+                return True
+    return False
+
+
+def hull_vertices(points):
+    """Sorted extreme points: the distinct points outside the hull of the others."""
+    pts = sorted({qvec(p) for p in points})
+    return tuple(p for p in pts if not in_convex_hull(p, [q for q in pts if q != p]))
+
+
+def facets_by_subsets(verts):
+    """Set of (primitive inward normal, offset) of a full-dimensional vertex set."""
+    d = len(verts[0])
+    facets = set()
+    for subset in itertools.combinations(verts, d):
+        ns = nullspace([vsub(u, subset[0]) for u in subset[1:]], d)
+        if len(ns) != 1:
+            continue
+        n = primitive(ns[0])
+        c = dot(n, subset[0])
+        sides = [dot(n, u) - c for u in verts]
+        if all(s >= 0 for s in sides):
+            facets.add((n, c))
+        elif all(s <= 0 for s in sides):
+            facets.add((vneg(n), -c))
+    return facets
+
+
+def affine_coordinates(points, frame):
+    """Coordinates of points in a basis of the affine hull of frame, based at frame[0]."""
+    o = qvec(frame[0])
+    basis = []
+    for u in frame[1:]:
+        dvec = vsub(qvec(u), o)
+        if not is_zero(dvec) and rank(basis + [list(dvec)]) > len(basis):
+            basis.append(list(dvec))
+    cols = [[b[i] for b in basis] for i in range(len(o))]
+    return [solve_unique(cols, list(vsub(qvec(p), o))) for p in points]
+
+
+def faces_by_subsets(weights, support):
+    """Member sets of all faces of the hull of the supported weights."""
+    sup = sorted(support)
+    verts = hull_vertices([weights[i] for i in sup])
+    faces = {frozenset(sup)}
+    if len(verts) < 2:
+        return faces
+    coords = dict(zip(sup, affine_coordinates([weights[i] for i in sup], verts)))
+    for n, c in facets_by_subsets(affine_coordinates(verts, verts)):
+        facet = frozenset(i for i in sup if dot(n, coords[i]) == c)
+        faces |= {g & facet for g in faces}
+    return faces - {frozenset()}

@@ -287,6 +287,26 @@ def test_bad_direction_exits_two(tmp_path, capsys):
     assert code == 2 and "field v" in err
 
 
+@pytest.mark.parametrize("command", ["limits", "report", "oracle"])
+def test_direction_with_leading_minus(tmp_path, capsys, command):
+    path = write_doc(tmp_path, "in.json", TRIANGLE_POINT if command == "limits" else P112_DOC)
+    extra = ["--mmax", "6"] if command == "oracle" else []
+    code, spaced, _ = run(capsys, command, path, "--v", "-1,2", *extra)
+    assert code == 0
+    code, joined, _ = run(capsys, command, path, "--v=-1,2", *extra)
+    assert code == 0
+    assert spaced == joined and '"-1,2"' in spaced
+
+
+@pytest.mark.parametrize("v", ["1,0", "1,0,0,0"])
+def test_report_direction_length_exits_two(tmp_path, capsys, v):
+    doc = {"name": "p1112", "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -2]]}
+    path = write_doc(tmp_path, "p1112.json", doc)
+    code, out, err = run(capsys, "report", path, "--v", v)
+    assert code == 2 and out == ""
+    assert f"direction has length {len(v.split(','))}, expected 3" in err
+
+
 def test_input_source_conflicts(tmp_path, capsys):
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     code, _, err = run(capsys, "report", path, "--corpus")

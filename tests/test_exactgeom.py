@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_rng, rand_rational
+from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices
 from toricstab.exactgeom import (
     ConeH,
     HPolytope,
+    affine_dim,
     cone_relint_contains,
     dot,
     dual_polytope,
@@ -25,6 +27,7 @@ from toricstab.exactgeom import (
     vertices_from_facets,
     vpolytope,
 )
+from toricstab.limits import weight_polytope, weighted_point
 from toricstab.moments import volume
 
 P2_VERTS = ((-1, -1), (-1, 2), (2, -1))
@@ -163,6 +166,48 @@ def test_enumeration_round_trip(d, npts, count):
         p = random_polytope(rng, d, npts)
         again = vertices_from_facets(facets_from_vertices(p))
         assert set(again.vertices) == set(p.vertices)
+
+
+def random_point_set(rng, d):
+    """Integer points with duplicates and points inside the hull; about a
+    quarter of the sets lie on one line, another quarter on one hyperplane."""
+    n = rng.randint(1, min(d + 4, 7))
+    pts = [tuple(2 * rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+    shape = rng.choice(["generic", "generic", "collinear", "coplanar"])
+    if shape == "collinear":
+        step = tuple(rng.randint(-2, 2) for _ in range(d))
+        pts = [tuple(x + 2 * t * y for x, y in zip(pts[0], step)) for t in range(-2, n - 2)]
+    elif shape == "coplanar" and d >= 2:
+        form = [rng.randint(-1, 1) for _ in range(d - 1)]
+        pts = [p[:-1] + (sum(a * x for a, x in zip(form, p)),) for p in pts]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(pts), rng.choice(pts)
+        pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+    pts += rng.sample(pts, rng.randint(0, min(2, len(pts))))
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hull_matches_reference_oracles(d):
+    rng = fresh_rng(f"hull-oracle-{d}")
+    dims = set()
+    for _ in range(40 if d < 4 else 20):
+        pts = random_point_set(rng, d)
+        den = rng.randint(1, 3)
+        qpts = [tuple(Q(x, den) for x in u) for u in pts]
+        p = vpolytope(qpts)
+        assert p.vertices == hull_vertices(qpts)
+        assert p.dim == affine_dim(qpts)
+        dims.add(p.dim)
+        if p.dim == d:
+            assert set(facets_from_vertices(p).constraints) == facets_by_subsets(p.vertices)
+        support = rng.sample(range(len(pts)), rng.randint(1, len(pts)))
+        faces = weight_polytope(weighted_point(pts, support)).faces
+        assert len(set(faces)) == len(faces)
+        assert set(faces) == faces_by_subsets(pts, support)
+    # points, segments, and every lower-dimensional hull occur
+    assert dims == set(range(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +399,43 @@ def test_triangulate_hexagon_matches_shoelace():
     assert sum(simplex_volume(t) for t in tris) == shoelace(ordered) == volume(p) == 3
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def test_triangulate_cube_from_every_apex():
+    # pulling a 0/1 cube from any vertex gives d! unimodular simplices
+    cube = vpolytope(itertools.product((0, 1), repeat=4))
+    for apex in range(len(cube.vertices)):
+        simplices = triangulate(cube, apex_index=apex)
+        assert len(simplices) == 24
+        assert all(simplex_volume(t) == Q(1, 24) for t in simplices)
+
+
+def test_triangulate_lattice_polytopes_5d():
+    # in 5D two facets of a 4-face can meet in a lower face with five
+    # vertices; only the maximal cuts are ridges, or a degenerate simplex
+    # would join the triangulation
+    rng = fresh_rng("tri-5d")
+    for _ in range(20):
+        p = vpolytope([tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(9)])
+        if p.dim < 5:
+            continue
+        vol = volume(p)
+        for apex in range(len(p.vertices)):
+            simplices = triangulate(p, apex_index=apex)
+            assert all(simplex_volume(t) > 0 for t in simplices)
+            assert sum(simplex_volume(t) for t in simplices) == vol
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_triangulation_volume_additivity(d):
     rng = fresh_rng(f"triadd-{d}")
     for _ in range(25):
         p = random_polytope(rng, d, 7)
-        assert sum(simplex_volume(t) for t in triangulate(p)) == volume(p)
-        # apex choice must not change the total
-        assert sum(simplex_volume(t) for t in triangulate(p, apex_index=1)) == volume(p)
+        vol = volume(p)
+        assert sum(simplex_volume(t) for t in triangulate(p)) == vol
+        # every apex gives full-dimensional simplices through it with the same total
+        for apex, u in enumerate(p.vertices):
+            simplices = triangulate(p, apex_index=apex)
+            assert all(u in t and simplex_volume(t) > 0 for t in simplices)
+            assert sum(simplex_volume(t) for t in simplices) == vol
 
 
 def test_simplex_volume_unit():

@@ -19,6 +19,7 @@ from toricstab.moments import (
     support_min,
     volume,
 )
+from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
 
 SQUARE = vpolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 P2 = vpolytope([(-1, -1), (2, -1), (-1, 2)])
@@ -76,6 +77,39 @@ def test_moments_triangulation_independent():
             assert other.barycenter == base.barycenter
             assert other.covariance == base.covariance
             assert other.volume == base.volume
+
+
+def _unit(d, i, s=1):
+    return tuple(s if j == i else 0 for j in range(d))
+
+
+APEX_FANS = {
+    "p1^4+1100": [_unit(4, i, s) for i in range(4) for s in (1, -1)] + [(1, 1, 0, 0)],
+    "p1xp11112": [_unit(5, 0), _unit(5, 0, -1)]
+    + [_unit(5, i) for i in range(1, 5)]
+    + [(0, -1, -1, -1, -2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(APEX_FANS))
+def test_moment_data_same_for_every_apex(name):
+    ctx = context_from_rays(APEX_FANS[name], name=name)
+    for apex in range(len(ctx.vpoly.vertices)):
+        assert moment_data(ctx.vpoly, apex_index=apex) == ctx.moments
+    # the hull built from the vertices alone gives the same moments
+    assert context_from_vertices(ctx.vpoly.vertices).moments == ctx.moments
+
+
+def test_redundant_half_space_drops_out():
+    # the box [0,1] x [0,2] x [0,3]; x + y >= 0 touches it only on the edge x = y = 0
+    box = [(_unit(3, i), 0) for i in range(3)] + [(_unit(3, i, -1), -(i + 1)) for i in range(3)]
+    ctx = context_from_constraints(box + [((1, 1, 0), 0)])
+    assert ctx.hpoly == context_from_constraints(box).hpoly
+    assert len(ctx.hpoly.constraints) == len(ctx.vpoly.facets) == 6
+    assert ctx.moments.volume == 6
+    assert ctx.moments.barycenter == (Q(1, 2), 1, Q(3, 2))
+    for apex in range(len(ctx.vpoly.vertices)):
+        assert moment_data(ctx.vpoly, apex_index=apex) == ctx.moments
 
 
 def test_covariance_positive_definite_on_corpus(contexts):

@@ -161,6 +161,15 @@ def test_zero_direction_rejected():
             fn(P112, (0, 0))
 
 
+def test_direction_length_checked(contexts):
+    ctx = contexts["p1112"]
+    for fn in (futaki, min_norm, l2_norm_sq, mu, mu_prime_trunc, support_pairing_min):
+        with pytest.raises(ValueError, match="direction has length 2, expected 3"):
+            fn(ctx, (1, 0))
+        with pytest.raises(ValueError, match="direction has length 4, expected 3"):
+            fn(ctx, (1, 0, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # ordering
 
