@@ -3,7 +3,7 @@
 Commands parse JSON input documents, run the exact library, and emit JSON
 documents whose rational values are "p/q" strings; decimal fields are
 display-only annotations.  Output is deterministic: byte-identical across
-runs and worker-thread counts.  Exit codes: 0 success, 2 invalid input,
+runs and --threads settings.  Exit codes: 0 success, 2 invalid input,
 3 internal certificate failure.
 """
 
@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Q
 
 from . import corpus as corpus_mod
@@ -131,6 +130,12 @@ def parse_int_vector(xs, field: str):
     return tuple(out)
 
 
+def parse_list(xs, field: str) -> list:
+    if not isinstance(xs, list) or not xs:
+        raise ValueError(f"field {field}: expected a nonempty list")
+    return xs
+
+
 def parse_direction(text: str, field: str = "v"):
     try:
         return tuple(int(p.strip()) for p in text.split(","))
@@ -155,10 +160,10 @@ def context_from_doc(doc) -> StabilityContext:
     if not isinstance(name, str) or not name:
         raise ValueError("field name: required nonempty string")
     if "rays" in doc:
-        rays = [parse_int_vector(r, "rays") for r in doc["rays"]]
+        rays = [parse_int_vector(r, "rays") for r in parse_list(doc["rays"], "rays")]
         coeffs = None
         if doc.get("coeffs") is not None:
-            coeffs = [parse_rational(c, "coeffs") for c in doc["coeffs"]]
+            coeffs = [parse_rational(c, "coeffs") for c in parse_list(doc["coeffs"], "coeffs")]
         return context_from_rays(rays, coeffs, name=name)
     if "moment_polytope" in doc:
         body = doc["moment_polytope"]
@@ -166,12 +171,13 @@ def context_from_doc(doc) -> StabilityContext:
             raise ValueError("field moment_polytope: expected an object")
         if "vertices" in body:
             pts = [
-                [parse_rational(x, "vertices") for x in row] for row in body["vertices"]
+                [parse_rational(x, "vertices") for x in parse_list(row, "vertices")]
+                for row in parse_list(body["vertices"], "vertices")
             ]
             return context_from_vertices(pts, name=name)
         if "constraints" in body:
             cons = []
-            for row in body["constraints"]:
+            for row in parse_list(body["constraints"], "constraints"):
                 if not isinstance(row, dict):
                     raise ValueError("field constraints: expected objects")
                 cons.append(
@@ -289,9 +295,8 @@ def destab_doc(ctx: StabilityContext, digits: int):
     return doc
 
 
-def stratum_table(contexts, digits: int, threads: int):
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        reports = list(pool.map(optimal_destabilizer, contexts))
+def stratum_table(contexts, digits: int):
+    reports = list(map(optimal_destabilizer, contexts))
     groups = {}
     for ctx, report in zip(contexts, reports):
         key = (report.m1, report.m2_sign, report.m2_sq)
@@ -415,7 +420,9 @@ def cmd_destabilize(args) -> int:
 
 def cmd_stratify(args) -> int:
     contexts = gather_contexts(args)
-    emit(stratum_table(contexts, args.digits, args.threads), args.out)
+    # --threads is accepted and ignored: the exact arithmetic is pure Python,
+    # so a thread pool gains nothing under the GIL
+    emit(stratum_table(contexts, args.digits), args.out)
     return 0
 
 
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stratify", help="group inputs by exact optimal invariant value")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("oracle", help="lattice-point series and extrapolation")

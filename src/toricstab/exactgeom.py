@@ -229,7 +229,7 @@ class VPolytope:
 
     `facets` is the hull incidence from the construction that made the
     polytope (bit i of `members` stands for vertices[i]), sorted by normal
-    and offset; None means it is recomputed from the vertices on demand.  A
+    and offset; when it is not given it is computed from the vertices.  A
     lower-dimensional polytope has the facets of its affine hull, with
     normals supported on coordinates that chart that hull.  The field takes
     no part in equality or hashing.
@@ -237,7 +237,11 @@ class VPolytope:
 
     vertices: tuple[VecQ, ...]
     dim: int
-    facets: tuple[Facet, ...] | None = field(default=None, compare=False, repr=False)
+    facets: tuple[Facet, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.facets is None:
+            object.__setattr__(self, "facets", _point_facets(list(self.vertices))[1])
 
     @property
     def ambient_dim(self) -> int:
@@ -350,10 +354,6 @@ def vpolytope(points) -> VPolytope:
     return VPolytope(tuple(pts[i] for i in keep), k, facets)
 
 
-def _facets(p: VPolytope) -> tuple[Facet, ...]:
-    return p.facets if p.facets is not None else _point_facets(list(p.vertices))[1]
-
-
 def _recession_cone(h: HPolytope) -> ConeH:
     # {u : <u, n_i> >= 0} written with <=-normals -n_i
     d = h.ambient_dim
@@ -397,7 +397,7 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
     """Irredundant facet description of a full-dimensional polytope."""
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    return HPolytope(tuple((f.normal, f.offset) for f in _facets(p)))
+    return HPolytope(tuple((f.normal, f.offset) for f in p.facets))
 
 
 def normal_fan(p: VPolytope) -> Fan:
@@ -412,7 +412,7 @@ def normal_fan(p: VPolytope) -> Fan:
     return Fan(tuple(cones))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def extreme_rays(c: ConeH) -> ConeGenerators:
     """Primitive extreme-ray generators of a cone, plus a lineality basis.
 
@@ -556,7 +556,7 @@ def triangulate(p: VPolytope, apex_index=None):
     if apex_index is None:
         apex_index = min(range(len(verts)), key=verts.__getitem__)
     apex_index = range(len(verts))[apex_index]
-    facet_sets = [f.members for f in _facets(p)]
+    facet_sets = [f.members for f in p.facets]
     simplices = _pull((1 << len(verts)) - 1, p.dim, apex_index, facet_sets)
     return [tuple(u for i, u in enumerate(verts) if s >> i & 1) for s in simplices]
 

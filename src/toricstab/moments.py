@@ -59,11 +59,6 @@ class ExtrapolationResult:
     q_residuals: tuple[Q, ...]
 
 
-def volume(p: VPolytope) -> Q:
-    """Exact Lebesgue volume of a full-dimensional polytope."""
-    return sum((simplex_volume(s) for s in triangulate(p)), Q(0))
-
-
 def _simplex_raw_moments(simplex):
     # integral of u over a simplex: vol * centroid;
     # integral of u u^T:  vol / ((d+1)(d+2)) * (sum_i v_i v_i^T + s s^T), s = sum_i v_i
@@ -85,7 +80,8 @@ def _simplex_raw_moments(simplex):
     return vol, first, second
 
 
-def _aggregate_moments(p: VPolytope, apex_index=None):
+def moment_data(p: VPolytope, apex_index=None) -> MomentData:
+    """Volume, barycenter and covariance summed over one pulling triangulation."""
     d = p.ambient_dim
     vol = Q(0)
     first = tuple(Q(0) for _ in range(d))
@@ -97,29 +93,24 @@ def _aggregate_moments(p: VPolytope, apex_index=None):
         for i in range(d):
             for j in range(d):
                 second[i][j] += ss[i][j]
-    return vol, first, second
+    b = tuple(x / vol for x in first)
+    cov = tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
+    return MomentData(vol, b, cov)
+
+
+def volume(p: VPolytope) -> Q:
+    """Exact Lebesgue volume of a full-dimensional polytope."""
+    return moment_data(p).volume
 
 
 def barycenter(p: VPolytope) -> tuple[Q, ...]:
     """Volume-normalized first moment."""
-    vol, first, _ = _aggregate_moments(p)
-    return tuple(x / vol for x in first)
+    return moment_data(p).barycenter
 
 
 def covariance(p: VPolytope):
     """Recentred second moment matrix (integral of (u-b)(u-b)^T, volume-normalized)."""
-    vol, first, second = _aggregate_moments(p)
-    b = tuple(x / vol for x in first)
-    d = p.ambient_dim
-    return tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
-
-
-def moment_data(p: VPolytope, apex_index=None) -> MomentData:
-    vol, first, second = _aggregate_moments(p, apex_index)
-    b = tuple(x / vol for x in first)
-    d = p.ambient_dim
-    cov = tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
-    return MomentData(vol, b, cov)
+    return moment_data(p).covariance
 
 
 def is_positive_definite(matrix) -> bool:

@@ -1,12 +1,16 @@
 """Two-stage lexicographic minimization of the stability invariant.
 
-Stage 1 minimizes the first invariant over each maximal cone of the normal
-fan, where it is linear-fractional with positive denominator, so the minimum
-over a cone is attained on its extreme rays.  Stage 2 restricts to the cone
-where stage 1 is attained, slices by <b, v> = 1 (the first invariant is
-constant there) and minimizes the positive definite quadratic form v^T Cov v
-by exhaustive active-set enumeration with exact KKT solves.  Strict
-convexity makes the optimum unique; every certificate below is exact.
+Everything is read off the facets of the moment polytope P.  The normal
+cone at a vertex is generated by the primitive inward normals of the facets
+through it, and on each such cone the first invariant is linear-fractional
+with positive denominator, so stage 1 is a minimum over the facet normals.
+The cone where that minimum m1 is attained is the normal cone of the face
+of P through c = (1 + 1/m1) b, generated by the normals of the facets tight
+at c.  Stage 2 slices that cone by <b, v> = 1 (the first invariant is
+constant there) and minimizes the positive definite quadratic form
+v^T Cov v over nonnegative combinations of its generators, by exhaustive
+active-set enumeration with exact KKT solves.  Strict convexity makes the
+optimum unique; every certificate below is exact.
 """
 
 from __future__ import annotations
@@ -15,19 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .exactgeom import (
-    ConeH,
-    cone_is_trivial,
-    dot,
-    extreme_rays,
-    is_zero,
-    primitive,
-    rank,
-    solve_unique,
-    vneg,
-    vscale,
-    vsub,
-)
+from .exactgeom import ConeH, IntVec, dot, is_zero, primitive, solve_unique, vneg, vscale, vsub
 from .moments import is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, futaki, min_norm, mu, verdict
 
@@ -45,8 +37,11 @@ class Stage1Result:
 
 @dataclass(frozen=True)
 class SigmaOne:
+    """The minimizer cone of stage 1 in H-form, with its generating rays."""
+
     cone: ConeH
     m1: Q
+    rays: tuple[IntVec, ...]
 
 
 @dataclass(frozen=True)
@@ -69,36 +64,28 @@ class DestabReport:
 def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     """Global minimum of the first invariant over all nonzero one-parameter subgroups.
 
-    Candidates are the extreme rays of every maximal normal-fan cone (plus
-    both signs of any lineality directions); on each cone the invariant is
-    linear-fractional with positive denominator, so this set is exhaustive.
+    The maximal cones of the normal fan are the normal cones at the vertices,
+    each generated by the inward normals of the facets through its vertex;
+    the invariant is linear-fractional with positive denominator on each
+    cone, so the facet normals are an exhaustive candidate set.
     """
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
+    facets = ctx.vpoly.facets
+    vals = [futaki(ctx, f.normal) / min_norm(ctx, f.normal) for f in facets]
     per_cone = []
-    best = None
-    witnesses = set()
-    for vertex, cone in ctx.fan.cones:
-        gens = extreme_rays(cone)
-        dirs = list(gens.rays)
-        for l in gens.lineality:
-            dirs.extend((l, vneg(l)))
-        if not dirs:
-            raise CertificateError("normal-fan cone without directions")
-        vals = [(futaki(ctx, w) / min_norm(ctx, w), w) for w in dirs]
-        cone_min = min(v for v, _ in vals)
-        per_cone.append((vertex, cone_min))
-        for val, w in vals:
-            if best is None or val < best:
-                best = val
-                witnesses = {w}
-            elif val == best:
-                witnesses.add(w)
+    for i, vertex in enumerate(ctx.vpoly.vertices):
+        through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
+        if len(through) < ctx.dim:
+            raise CertificateError(f"vertex {vertex} lies on fewer than {ctx.dim} facets")
+        per_cone.append((vertex, min(through)))
+    best = min(vals)
     if best >= 0:
         raise CertificateError("stage 1 found no destabilizing direction")
     if ctx.zero_interior and best <= -1:
         raise CertificateError("stage 1 minimum out of range")
-    return Stage1Result(best, tuple(sorted(witnesses)), tuple(sorted(per_cone)))
+    witnesses = sorted({f.normal for f, val in zip(facets, vals) if val == best})
+    return Stage1Result(best, tuple(witnesses), tuple(sorted(per_cone)))
 
 
 def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
@@ -107,7 +94,9 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     With g(v) = Fut(v) - m1 ||v||_m = max_j [-(1+m1)<b,v> + m1 <u_j,v>] over
     vertices u_j (m1 < 0 turns the scaled minimum into a maximum), the cone
     is {v : (1+m1)<b,v> - m1 <u_j,v> >= 0 for all j}, and g vanishes exactly
-    on it.
+    on it.  Dividing by -m1, that is {v : <u_j - c, v> >= 0} with
+    c = (1 + 1/m1) b, the normal cone of the face of P through c when c lies
+    on the boundary of P; its rays are the normals of the facets tight at c.
     """
     m1 = Q(m1)
     if m1 >= 0:
@@ -120,68 +109,57 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
             continue
         normals.add(primitive(vneg(w)))
     cone = ConeH(tuple(sorted(normals)), ctx.dim)
-    if cone_is_trivial(cone):
-        raise CertificateError("inconsistent M1")
-    return SigmaOne(cone, m1)
-
-
-def _kkt_candidate(cov2, b, active, d):
-    # unknowns: v (d), lambda, mu_w (len(active)); rows: stationarity, slice, active
-    na = len(active)
-    size = d + 1 + na
-    rows = []
-    for i in range(d):
-        row = [Q(0)] * size
-        for k in range(d):
-            row[k] = cov2[i][k]
-        row[d] = b[i]
-        for j, a in enumerate(active):
-            row[d + 1 + j] = Q(a[i])
-        rows.append(row)
-    rows.append(list(b) + [Q(0)] * (1 + na))
-    for a in active:
-        rows.append([Q(x) for x in a] + [Q(0)] * (1 + na))
-    rhs = [Q(0)] * d + [Q(1)] + [Q(0)] * na
-    sol = solve_unique(rows, rhs)
-    if sol is None:
-        return None
-    return sol[:d], sol[d + 1 :]
+    c = vscale(1 + 1 / m1, b)
+    slack = [(dot(f.normal, c) - f.offset, f.normal) for f in ctx.vpoly.facets]
+    if min(s for s, _ in slack) < 0:
+        raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
+    rays = tuple(sorted(n for s, n in slack if s == 0))
+    if not rays:
+        raise CertificateError("inconsistent M1: (1 + 1/m1) b lies inside P")
+    return SigmaOne(cone, m1, rays)
 
 
 def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     """Unique minimizer of v^T Cov v on {v in sigma1 : <b, v> = 1}.
 
-    Active-set enumeration: every constraint subset that is linearly
-    independent together with b yields one exact KKT solve; a solve with
-    nonnegative multipliers and a primal-feasible point is the optimum of
-    the strictly convex program.  All candidates found must agree.
+    Active-set enumeration over v = sum of lambda_g g for the rays g of
+    sigma1: every linearly independent subset S of at most d rays yields one
+    exact solve of [Gram_S, -b_S; b_S^T, 0] (Gram_S = S^T Cov S, b_S the
+    pairings <b, g>).  A solve with lambda >= 0 whose y = Cov v - (v^T Cov v) b
+    pairs nonnegatively with every ray is the optimum of the strictly convex
+    program.  All candidates found must agree.
     """
     cov = ctx.moments.covariance
     if not is_positive_definite(cov):
         raise CertificateError("covariance not positive definite")
     b = ctx.moments.barycenter
     d = ctx.dim
-    cov2 = [[2 * x for x in row] for row in cov]
-    cons = sigma1.cone.normals
+    rays = sigma1.rays
+    cov_rays = [tuple(dot(row, g) for row in cov) for g in rays]
+    gram = [[dot(g, cg) for cg in cov_rays] for g in rays]
+    b_rays = [dot(b, g) for g in rays]
     found = []
-    for size in range(0, d):
-        for subset in itertools.combinations(cons, size):
-            if rank([list(b)] + [list(a) for a in subset]) != size + 1:
+    for size in range(1, min(d, len(rays)) + 1):
+        for subset in itertools.combinations(range(len(rays)), size):
+            rows = [[gram[i][j] for j in subset] + [-b_rays[i]] for i in subset]
+            rows.append([b_rays[j] for j in subset] + [Q(0)])
+            sol = solve_unique(rows, [Q(0)] * size + [Q(1)])
+            if sol is None or any(lam < 0 for lam in sol[:size]):
                 continue
-            cand = _kkt_candidate(cov2, b, subset, d)
-            if cand is None:
+            lam = dict(zip(subset, sol))
+            # <y, g> for y = Cov v - (v^T Cov v) b, in the ray coordinates of v
+            cov_v_g = [sum(lam[i] * gram[k][i] for i in subset) for k in range(len(rays))]
+            quad = sum(lam[i] * cov_v_g[i] for i in subset)
+            if any(cv < quad * bg for cv, bg in zip(cov_v_g, b_rays)):
                 continue
-            v, mults = cand
-            if any(m < 0 for m in mults):
-                continue
-            if any(dot(a, v) > 0 for a in cons):
-                continue
-            found.append(v)
+            found.append(tuple(sum(lam[i] * rays[i][k] for i in subset) for k in range(d)))
     if not found:
         raise CertificateError("infeasible slice")
     if any(v != found[0] for v in found[1:]):
         raise CertificateError("stage 2 optimum not unique")
     v_star = found[0]
+    if not sigma1.cone.contains(v_star):
+        raise CertificateError("stage 2 optimum outside the H-form of sigma1")
     value = mu(ctx, v_star)
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
@@ -197,6 +175,8 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
     for w in stage1.witness_rays:
         if not sigma1.cone.contains(w):
             raise CertificateError("witness ray outside sigma1")
+    if set(stage1.witness_rays) != set(sigma1.rays):
+        raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
     v_star, value = minimize_mu2_on_cone(ctx, sigma1)
     if value.mu2_sign != -1:
         raise CertificateError("optimal direction is not destabilizing")

@@ -153,9 +153,18 @@ def context_from_vertices(points, name=None) -> StabilityContext:
     return _build(vp, facets_from_vertices(vp), name=name)
 
 
+def _primitive_constraint(n, c):
+    # <n, u> >= c rescaled by the same positive factor that makes n primitive
+    p = primitive(n)
+    i = next(i for i, x in enumerate(p) if x)
+    return p, Q(c) * p[i] / Q(n[i])
+
+
 def context_from_constraints(constraints, name=None) -> StabilityContext:
     """Context of a polytope given by half-space constraints (normal, offset)."""
-    cons = tuple(sorted((primitive(n), Q(c)) for n, c in constraints))
+    cons = tuple(sorted(_primitive_constraint(n, c) for n, c in constraints))
+    if len({len(n) for n, _ in cons}) != 1:
+        raise ValueError("constraint normals need one common length")
     vp = vertices_from_facets(HPolytope(cons))
     if vp.dim != vp.ambient_dim:
         raise ValueError("not full-dimensional")

@@ -1,0 +1,97 @@
+"""Reference optimizer for the tests: the normal fan, cone by cone, and the H-form.
+
+`stage1_by_fan` takes the extreme rays of every maximal cone of the normal
+fan as stage-1 candidates; `sigma1_by_vertices` writes the minimizer cone
+with one constraint per vertex and rejects it when it is {0};
+`stage2_by_constraints` enumerates active sets of those constraints
+together with the slice <b, v> = 1, one exact KKT solve each.  All three
+are slow and independent of the facet incidence the library reads.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+from toricstab.exactgeom import (
+    ConeH,
+    cone_is_trivial,
+    dot,
+    extreme_rays,
+    is_zero,
+    primitive,
+    rank,
+    solve_unique,
+    vneg,
+    vscale,
+    vsub,
+)
+from toricstab.optimizer import Stage1Result
+from toricstab.stability import futaki, min_norm, mu
+
+
+def stage1_by_fan(ctx) -> Stage1Result:
+    per_cone = []
+    best = None
+    witnesses = set()
+    for vertex, cone in ctx.fan.cones:
+        gens = extreme_rays(cone)
+        dirs = list(gens.rays)
+        for l in gens.lineality:
+            dirs.extend((l, vneg(l)))
+        assert dirs, "normal-fan cone without directions"
+        vals = [(futaki(ctx, w) / min_norm(ctx, w), w) for w in dirs]
+        per_cone.append((vertex, min(v for v, _ in vals)))
+        for val, w in vals:
+            if best is None or val < best:
+                best = val
+                witnesses = {w}
+            elif val == best:
+                witnesses.add(w)
+    return Stage1Result(best, tuple(sorted(witnesses)), tuple(sorted(per_cone)))
+
+
+def sigma1_by_vertices(ctx, m1) -> ConeH:
+    b = ctx.moments.barycenter
+    normals = set()
+    for u in ctx.vpoly.vertices:
+        w = vsub(vscale(1 + m1, b), vscale(m1, u))
+        if not is_zero(w):
+            normals.add(primitive(vneg(w)))
+    cone = ConeH(tuple(sorted(normals)), ctx.dim)
+    assert not cone_is_trivial(cone), "inconsistent M1"
+    return cone
+
+
+def _kkt_candidate(cov2, b, active, d):
+    # unknowns: v (d), lambda, mu_w (len(active)); rows: stationarity, slice, active
+    na = len(active)
+    rows = []
+    for i in range(d):
+        rows.append(list(cov2[i]) + [b[i]] + [Q(a[i]) for a in active])
+    rows.append(list(b) + [Q(0)] * (1 + na))
+    for a in active:
+        rows.append([Q(x) for x in a] + [Q(0)] * (1 + na))
+    sol = solve_unique(rows, [Q(0)] * d + [Q(1)] + [Q(0)] * na)
+    if sol is None:
+        return None
+    return sol[:d], sol[d + 1 :]
+
+
+def stage2_by_constraints(ctx, cone: ConeH):
+    """Unique minimizer of v^T Cov v on {v in cone : <b, v> = 1} and its invariant."""
+    b = ctx.moments.barycenter
+    d = ctx.dim
+    cov2 = [[2 * x for x in row] for row in ctx.moments.covariance]
+    found = set()
+    for size in range(d):
+        for subset in itertools.combinations(cone.normals, size):
+            if rank([list(b)] + [list(a) for a in subset]) != size + 1:
+                continue
+            cand = _kkt_candidate(cov2, b, subset, d)
+            if cand is None:
+                continue
+            v, mults = cand
+            if all(m >= 0 for m in mults) and cone.contains(v):
+                found.add(v)
+    assert len(found) == 1, f"{len(found)} stage-2 optima"
+    v_star = found.pop()
+    return v_star, mu(ctx, v_star)

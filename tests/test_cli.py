@@ -315,6 +315,24 @@ def test_input_source_conflicts(tmp_path, capsys):
     assert code == 2 and "no inputs" in err
 
 
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("rays", {"rays": 5}),
+        ("coeffs", {"rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": 5}),
+        ("constraints", {"moment_polytope": {"constraints": 5}}),
+        ("vertices", {"moment_polytope": {"vertices": [[0, 0], [1, 0], 5]}}),
+        ("vertices", {"moment_polytope": {"vertices": "0,0"}}),
+    ],
+)
+def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
+    path = write_doc(tmp_path, "bad.json", {"name": "bad", **doc})
+    code, out, err = run(capsys, "report", path)
+    assert code == 2 and out == ""
+    assert f"field {field}:" in err
+    assert "Traceback" not in err
+
+
 def test_all_bad_files_are_reported(tmp_path, capsys):
     bad1 = write_doc(tmp_path, "bad1.json", {"rays": [[1, 0]]})
     bad2 = str(tmp_path / "missing.json")

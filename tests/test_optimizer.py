@@ -1,20 +1,31 @@
 """Two-stage minimization: ray candidates, minimizer cone, exact QP."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
+from optimizer_oracle import sigma1_by_vertices, stage1_by_fan, stage2_by_constraints
 from toricstab.corpus import corpus_context
-from toricstab.exactgeom import ConeH, dot, primitive
+from toricstab.exactgeom import ConeH, VPolytope, dot, primitive
 from toricstab.optimizer import (
+    CertificateError,
     SigmaOne,
     build_sigma1,
     minimize_mu1,
     minimize_mu2_on_cone,
     optimal_destabilizer,
 )
-from toricstab.stability import futaki, log_discrepancy_S, min_norm, mu
+from toricstab.stability import (
+    context_from_rays,
+    context_from_vertices,
+    futaki,
+    log_discrepancy_S,
+    min_norm,
+    mu,
+    verdict,
+)
 
 # every entry was pinned by an exhaustive sweep over primitive directions
 # (infinity-norm bound 20 in the plane, 8 in space) with exact comparisons
@@ -52,6 +63,21 @@ def test_stage1_steeper_triangle():
     assert minimize_mu1(corpus_context("p113")).m1 == Q(-2, 5)
 
 
+def test_stage1_rejects_vertex_on_too_few_facets():
+    ctx = corpus_context("p112")
+    vp = ctx.vpoly
+    broken = replace(ctx, vpoly=VPolytope(vp.vertices, vp.dim, vp.facets[1:]))
+    with pytest.raises(CertificateError, match="fewer than 2 facets"):
+        minimize_mu1(broken)
+
+
+def test_polytope_without_stored_facets():
+    # a VPolytope made from vertices alone computes its facets itself
+    ctx = corpus_context("p112")
+    bare = replace(ctx, vpoly=VPolytope(ctx.vpoly.vertices, ctx.vpoly.dim))
+    assert optimal_destabilizer(bare) == optimal_destabilizer(ctx)
+
+
 def test_stage1_rejects_semistable():
     with pytest.raises(ValueError, match="semistable"):
         minimize_mu1(corpus_context("p2"))
@@ -85,6 +111,17 @@ def test_sigma1_weighted_triangle():
 def test_sigma1_rejects_nonnegative_level():
     with pytest.raises(ValueError):
         build_sigma1(corpus_context("p112"), Q(0))
+
+
+def test_sigma1_rejects_inconsistent_level():
+    # m1 = -1/4 puts c = (1 + 1/m1) b at the vertex (-1, 1) of P; any other
+    # level moves c off the boundary
+    ctx = corpus_context("p112")
+    assert build_sigma1(ctx, Q(-1, 4)).rays == ((-1, -2), (1, 0))
+    with pytest.raises(CertificateError, match="inconsistent M1.*outside P"):
+        build_sigma1(ctx, Q(-1, 5))
+    with pytest.raises(CertificateError, match="inconsistent M1.*inside P"):
+        build_sigma1(ctx, Q(-1, 2))
 
 
 def test_sigma1_level_set_characterization(unstable_names, contexts):
@@ -146,16 +183,26 @@ def test_stage2_single_ray_cone():
     # to 1, so the optimum must be that point
     ctx = corpus_context("p112")
     ray_cone = ConeH(((0, 1), (0, -1), (-1, 0)), 2)
-    v_star, value = minimize_mu2_on_cone(ctx, SigmaOne(ray_cone, Q(-1, 4)))
+    v_star, value = minimize_mu2_on_cone(ctx, SigmaOne(ray_cone, Q(-1, 4), ((1, 0),)))
     assert v_star == (Q(3), Q(0))
     assert value.mu1 == Q(-1, 4)
+
+
+def test_stage2_rejects_rays_outside_the_cone():
+    # the ray (0, -1) reaches the stage-1 level set but leaves the H-form
+    ctx = corpus_context("p112")
+    ray_cone = ConeH(((0, 1), (0, -1), (-1, 0)), 2)
+    with pytest.raises(CertificateError, match="H-form"):
+        minimize_mu2_on_cone(ctx, SigmaOne(ray_cone, Q(-1, 4), ((0, -1),)))
 
 
 def test_stage2_constraint_order_irrelevant():
     ctx = corpus_context("p112")
     sigma = build_sigma1(ctx, Q(-1, 4))
     base, _ = minimize_mu2_on_cone(ctx, sigma)
-    flipped = SigmaOne(ConeH(tuple(reversed(sigma.cone.normals)), 2), sigma.m1)
+    flipped = SigmaOne(
+        ConeH(tuple(reversed(sigma.cone.normals)), 2), sigma.m1, tuple(reversed(sigma.rays))
+    )
     again, _ = minimize_mu2_on_cone(ctx, flipped)
     assert again == base
 
@@ -188,9 +235,85 @@ def test_destabilizer_frozen_corpus_values(contexts):
         assert mu(contexts[name], report.v_star_primitive) == report.m_mu, name
 
 
+def test_destabilizer_rejects_witnesses_off_sigma1_rays(monkeypatch):
+    import toricstab.optimizer as opt
+
+    real = opt.build_sigma1
+
+    def one_ray_short(ctx, m1):
+        sigma = real(ctx, m1)
+        return replace(sigma, rays=sigma.rays[1:])
+
+    monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
+    with pytest.raises(CertificateError, match="witness rays differ"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
 def test_destabilizer_witnesses_live_in_sigma1(unstable_names, contexts):
     for name in unstable_names:
         report = optimal_destabilizer(contexts[name])
         for w in report.stage1.witness_rays:
             assert report.sigma1.cone.contains(w)
             assert mu(contexts[name], w).mu1 == report.m1
+
+
+# ---------------------------------------------------------------------------
+# agreement with the normal-fan / H-form reference optimizer
+
+
+def _unit(d, i, s=1):
+    return tuple(s if j == i else 0 for j in range(d))
+
+
+# the unstable entries of the benchmark's scaling ladder whose reference run is cheap
+LADDER = {
+    **{f"p11m{m}": ((1, 0), (0, 1), (-1, -m)) for m in (2, 3, 5, 8, 13, 21)},
+    "p1^3+110": tuple(_unit(3, i, s) for i in range(3) for s in (1, -1)) + ((1, 1, 0),),
+    "p1^3+111": tuple(_unit(3, i, s) for i in range(3) for s in (1, -1)) + ((1, 1, 1),),
+    "p11112": tuple(_unit(4, i) for i in range(4)) + ((-1, -1, -1, -2),),
+    "bl-p4-1100": tuple(_unit(4, i) for i in range(4)) + ((-1, -1, -1, -1), (1, 1, 0, 0)),
+}
+
+
+def _seeded_vertex_contexts(count=40):
+    rng = fresh_rng("optimizer-oracle")
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 3
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + rng.randint(2, 4))]
+        try:
+            ctx = context_from_vertices(pts, name=f"seeded-{len(out)}")
+        except ValueError:
+            continue
+        if verdict(ctx) == "unstable":
+            out.append(ctx)
+    return out
+
+
+def _assert_matches_oracle(ctx):
+    report = optimal_destabilizer(ctx)
+    stage1 = stage1_by_fan(ctx)
+    assert report.stage1 == stage1, ctx.name
+    cone = sigma1_by_vertices(ctx, stage1.m1)
+    assert report.sigma1.cone == cone, ctx.name
+    v_star, value = stage2_by_constraints(ctx, cone)
+    assert report.v_star_rational == v_star, ctx.name
+    assert report.m_mu == value, ctx.name
+    assert set(report.stage1.witness_rays) == set(report.sigma1.rays), ctx.name
+
+
+def test_matches_oracle_on_corpus(unstable_names, contexts):
+    for name in unstable_names:
+        _assert_matches_oracle(contexts[name])
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_matches_oracle_on_ladder(name):
+    _assert_matches_oracle(context_from_rays(LADDER[name], name=name))
+
+
+def test_matches_oracle_on_seeded_polytopes():
+    contexts = _seeded_vertex_contexts()
+    assert {ctx.dim for ctx in contexts} == {2, 3, 4}
+    for ctx in contexts:
+        _assert_matches_oracle(ctx)

@@ -45,6 +45,21 @@ def test_context_builders_agree():
     assert by_verts.moments == P112.moments == by_cons.moments
 
 
+def test_non_primitive_constraint_keeps_its_half_space():
+    # (-2, 0) with offset -2 is x <= 1, the same half-space as (-1, 0) with offset -1
+    square = [((1, 0), Q(0)), ((0, 1), Q(0)), ((0, -1), Q(-1))]
+    scaled = context_from_constraints(square + [((-2, 0), Q(-2))])
+    plain = context_from_constraints(square + [((-1, 0), Q(-1))])
+    assert scaled.vpoly == plain.vpoly == SQUARE.vpoly
+    assert scaled.moments == plain.moments == SQUARE.moments
+    assert scaled.hpoly == plain.hpoly
+
+
+def test_constraints_of_mixed_length_are_rejected():
+    with pytest.raises(ValueError, match="one common length"):
+        context_from_constraints([((1,), Q(0)), ((-1, 0), Q(-1))])
+
+
 def test_context_requires_full_dimension():
     with pytest.raises(ValueError, match="not full-dimensional"):
         context_from_vertices([(0, 0), (1, 1)])
