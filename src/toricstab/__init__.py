@@ -55,7 +55,6 @@ from .stability import (
     UNSTABLE,
     StabilityContext,
     StabilityValue,
-    TruncatedInvariant,
     context_from_constraints,
     context_from_rays,
     context_from_vertices,

@@ -136,6 +136,12 @@ def parse_list(xs, field: str) -> list:
     return xs
 
 
+def same_length(rows, field: str) -> list:
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"field {field}: expected vectors of one common length")
+    return rows
+
+
 def parse_direction(text: str, field: str = "v"):
     try:
         return tuple(int(p.strip()) for p in text.split(","))
@@ -160,10 +166,14 @@ def context_from_doc(doc) -> StabilityContext:
     if not isinstance(name, str) or not name:
         raise ValueError("field name: required nonempty string")
     if "rays" in doc:
-        rays = [parse_int_vector(r, "rays") for r in parse_list(doc["rays"], "rays")]
+        rays = same_length(
+            [parse_int_vector(r, "rays") for r in parse_list(doc["rays"], "rays")], "rays"
+        )
         coeffs = None
         if doc.get("coeffs") is not None:
             coeffs = [parse_rational(c, "coeffs") for c in parse_list(doc["coeffs"], "coeffs")]
+            if len(coeffs) != len(rays):
+                raise ValueError("field coeffs: one coefficient per ray required")
         return context_from_rays(rays, coeffs, name=name)
     if "moment_polytope" in doc:
         body = doc["moment_polytope"]
@@ -174,18 +184,17 @@ def context_from_doc(doc) -> StabilityContext:
                 [parse_rational(x, "vertices") for x in parse_list(row, "vertices")]
                 for row in parse_list(body["vertices"], "vertices")
             ]
-            return context_from_vertices(pts, name=name)
+            return context_from_vertices(same_length(pts, "vertices"), name=name)
         if "constraints" in body:
             cons = []
             for row in parse_list(body["constraints"], "constraints"):
                 if not isinstance(row, dict):
                     raise ValueError("field constraints: expected objects")
-                cons.append(
-                    (
-                        parse_int_vector(row.get("normal"), "constraints.normal"),
-                        parse_rational(row.get("offset"), "constraints.offset"),
-                    )
-                )
+                normal = parse_int_vector(row.get("normal"), "constraints.normal")
+                if not any(normal):
+                    raise ValueError("field constraints.normal: expected a nonzero vector")
+                cons.append((normal, parse_rational(row.get("offset"), "constraints.offset")))
+            same_length([n for n, _ in cons], "constraints.normal")
             return context_from_constraints(cons, name=name)
         raise ValueError("field moment_polytope: needs vertices or constraints")
     raise ValueError("field rays or moment_polytope: required")
@@ -197,7 +206,7 @@ def weighted_point_from_doc(doc):
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         raise ValueError("field weights: expected a nonempty list of lattice vectors")
-    ws = [parse_int_vector(w, "weights") for w in weights]
+    ws = same_length([parse_int_vector(w, "weights") for w in weights], "weights")
     support = doc.get("support")
     if support is not None:
         support = [

@@ -5,6 +5,12 @@ Everything in this module is pure and exact: coordinates are
 mutated, and no floating point is used anywhere.  The intended ambient
 dimension is small (<= 8).
 
+One elimination kernel does the linear algebra: `_reduce` is fraction-free
+Gauss-Jordan elimination (Bareiss) on Python ints, and `solve_unique`,
+`rank`, `nullspace` and `det` clear each row's denominators once and read
+their answers off its reduced rows.  The hull's chart coordinates and facet
+normals come from the same kernel.
+
 One hull carries the combinatorics: a `VPolytope` holds its irredundant
 vertices together with its facets, each facet a supporting half-space and
 the bitmask of the vertices on it.  Built from points, the facets are found
@@ -13,6 +19,8 @@ the only common point of the facets through them; built from constraints,
 the incidence is the set of constraints tight at each vertex and the facets
 are the maximal tight sets.  The H-form, the pulling triangulation and the
 face lattice of a weight polytope are all read off this incidence.
+Boundedness is read off the hull too: {u : <u, n_i> >= c_i} is bounded
+exactly when the origin is interior to the hull of the normals n_i.
 """
 
 from __future__ import annotations
@@ -92,116 +100,85 @@ def is_primitive_lattice(v) -> bool:
     return math.gcd(*(abs(int(x)) for x in w)) == 1
 
 
-def solve_unique(a, b):
-    """Solve A x = b exactly; None unless a solution exists and is unique."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Q(x) for x in row] + [Q(bi)] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
+def _reduce(rows, stop=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+
+    Columns are scanned left to right up to `stop` (all by default); a pivot
+    is the first nonzero entry at or below the current row, swapped up.  Each
+    step replaces every other row by (pivot * row - entry * pivot row) / the
+    previous pivot.  Every entry is then a minor of the input, so the division
+    is exact and the entries stay integers.  On return rows[i] has the common
+    pivot D in column pivots[i] and zero in the other pivot columns, and the
+    rows past the pivots vanish on the scanned columns.  Returns (pivots, D,
+    sign), sign being the parity of the swaps: a square matrix of full rank
+    has determinant sign * D.
+    """
+    m = len(rows)
+    n = (len(rows[0]) if rows else 0) if stop is None else stop
+    pivots, prev, sign = [], 1, 1
     for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        r = len(pivots)
+        p = next((i for i in range(r, m) if rows[i][c]), None)
         if p is None:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
         for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(pivots) < n:
+        prev = pv
+    return pivots, prev, sign
+
+
+def _cleared(row):
+    """Integer row: a rational row times the lcm of its denominators, and that lcm."""
+    m = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row], m
+
+
+def solve_unique(a, b):
+    """Solve A x = b exactly; None unless a solution exists and is unique."""
+    n = len(a[0]) if a else 0
+    rows = [_cleared([*row, bi])[0] for row, bi in zip(a, b)]
+    pivots, dd, _ = _reduce(rows, n)
+    if len(pivots) < n or any(row[n] for row in rows[n:]):
         return None
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Q(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return tuple(x)
+    return tuple(Q(row[n], dd) for row in rows[:n])
 
 
 def rank(rows) -> int:
-    work = [[Q(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    n = len(work[0])
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(r + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return r
+    return len(_reduce([_cleared(row)[0] for row in rows])[0])
 
 
 def nullspace(rows, n):
     """Basis of {x in Q^n : A x = 0}."""
-    work = [[Q(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    work = [_cleared(row)[0] for row in rows]
+    pivots, dd, _ = _reduce(work, n)
     basis = []
-    for fc in free:
-        vec = [Q(0)] * n
-        vec[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc]
-        basis.append(tuple(vec))
+    for fc in range(n):
+        if fc not in pivots:
+            vec = [Q(0)] * n
+            vec[fc] = Q(1)
+            for row, pc in zip(work, pivots):
+                vec[pc] = Q(-row[fc], dd)
+            basis.append(tuple(vec))
     return basis
 
 
 def det(rows) -> Q:
-    """Exact determinant: rows cleared of denominators, then integer elimination."""
+    """Exact determinant of a square matrix: rows cleared of denominators, then eliminated."""
     ints, scale = [], 1
     for row in rows:
-        m = math.lcm(*(Q(x).denominator for x in row))
-        ints.append([int(Q(x) * m) for x in row])
+        r, m = _cleared(row)
+        ints.append(r)
         scale *= m
-    return Q(_int_det(ints), scale)
-
-
-def _int_det(rows) -> int:
-    # fraction-free (Bareiss) elimination: every division is exact
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    pivots, dd, sign = _reduce(ints)
+    return Q(sign * dd, scale) if len(pivots) == len(ints) else Q(0)
 
 
 def affine_dim(points) -> int:
@@ -294,11 +271,7 @@ def _point_facets(pts):
     on the polytope in ambient coordinates.
     """
     d = len(pts[0])
-    diffs = [vsub(p, pts[0]) for p in pts[1:]]
-    cols = []
-    for c in range(d):
-        if rank([[r[j] for j in cols + [c]] for r in diffs]) > len(cols):
-            cols.append(c)
+    cols = _reduce([_cleared(vsub(p, pts[0]))[0] for p in pts[1:]], d)[0]
     k = len(cols)
     if k == 0:
         return 0, ()
@@ -311,9 +284,15 @@ def _point_facets(pts):
             continue
         base = z[subset[0]]
         rows = [[x - y for x, y in zip(z[i], base)] for i in subset[1:]]
-        n = [(-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(k)]
-        if not any(n):
+        pivots, dd, _ = _reduce(rows)
+        if len(pivots) < k - 1:
             continue
+        # the kernel of the k-1 difference rows, in integers
+        free = next(j for j in range(k) if j not in pivots)
+        n = [0] * k
+        n[free] = dd
+        for r, j in zip(rows, pivots):
+            n[j] = -r[free]
         c = sum(a * b for a, b in zip(n, base))
         sides = [sum(a * b for a, b in zip(n, u)) - c for u in z]
         if min(sides) < 0 < max(sides):
@@ -354,19 +333,28 @@ def vpolytope(points) -> VPolytope:
     return VPolytope(tuple(pts[i] for i in keep), k, facets)
 
 
-def _recession_cone(h: HPolytope) -> ConeH:
-    # {u : <u, n_i> >= 0} written with <=-normals -n_i
-    d = h.ambient_dim
-    normals = sorted({primitive(vneg(n)) for n, _ in h.constraints})
-    return ConeH(tuple(normals), d)
+def positively_spanning(vectors) -> bool:
+    """Whether the vectors' nonnegative combinations are all of Q^d.
+
+    That holds exactly when the origin is interior to their hull: the hull is
+    full-dimensional and every facet <n, u> >= c has c < 0.
+    """
+    p = vpolytope(vectors)
+    return p.dim == p.ambient_dim and all(f.offset < 0 for f in p.facets)
 
 
 def vertices_from_facets(h: HPolytope) -> VPolytope:
-    """Vertices of a bounded H-polytope by d-subset constraint intersections."""
+    """Vertices of a bounded H-polytope by d-subset constraint intersections.
+
+    {u : <u, n_i> >= c_i} is bounded exactly when the normals n_i positively
+    span, which is checked first.
+    """
     cons = h.constraints
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError("ambient dimension too large")
+    if not positively_spanning([n for n, _ in cons]):
+        raise ValueError("unbounded polytope")
     cands = set()
     for subset in itertools.combinations(cons, d):
         sol = solve_unique([list(n) for n, _ in subset], [c for _, c in subset])
@@ -374,9 +362,6 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
             continue
         if all(dot(n, sol) >= c for n, c in cons):
             cands.add(sol)
-    gens = extreme_rays(_recession_cone(h))
-    if gens.rays or gens.lineality:
-        raise ValueError("unbounded polytope")
     if not cands:
         raise ValueError("infeasible")
     verts = tuple(sorted(cands))
@@ -470,11 +455,6 @@ def cone_relint_contains(c: ConeH, v) -> bool:
     return True
 
 
-def cone_is_trivial(c: ConeH) -> bool:
-    gens = extreme_rays(c)
-    return not gens.rays and not gens.lineality
-
-
 # ---------------------------------------------------------------------------
 # Fano dual polytopes and triangulation
 
@@ -509,15 +489,14 @@ def dual_polytope(rays, coeffs=None):
             raise ValueError("coefficient must be >= 0")
         if c >= 1:
             raise ValueError("coefficient must be < 1")
-    polar = ConeH(tuple(sorted({primitive(vneg(r)) for r in rays})), d)
-    if not cone_is_trivial(polar):
-        raise ValueError("degenerate fan")
     ints = [tuple(int(x) for x in r) for r in rays]
     h = HPolytope(tuple(sorted((n, c - 1) for n, c in zip(ints, coeffs))))
     try:
         v = vertices_from_facets(h)
     except ValueError as exc:
-        raise ValueError("not a Fano configuration") from exc
+        # unbounded exactly when the rays do not positively span
+        msg = "degenerate fan" if str(exc) == "unbounded polytope" else "not a Fano configuration"
+        raise ValueError(msg) from exc
     if v.dim != d:
         raise ValueError("not a Fano configuration")
     return h, v

@@ -20,6 +20,7 @@ from .exactgeom import (
     HPolytope,
     VPolytope,
     as_direction,
+    det,
     dot,
     facets_from_vertices,
     simplex_volume,
@@ -115,8 +116,6 @@ def covariance(p: VPolytope):
 
 def is_positive_definite(matrix) -> bool:
     """Leading-principal-minor test for a symmetric rational matrix."""
-    from .exactgeom import det
-
     n = len(matrix)
     for k in range(1, n + 1):
         if det([row[:k] for row in matrix[:k]]) <= 0:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, total_ordering
+from typing import NamedTuple
 
 from .exactgeom import (
     Fan,
@@ -66,28 +67,15 @@ class StabilityValue:
         return hash((self.mu1, self.mu2_sign, self.mu2_sq))
 
 
-@total_ordering
-@dataclass(frozen=True)
-class TruncatedInvariant:
-    """First-order coefficients (c0, c1) of the blended invariant, c1 = c1_sign*sqrt(c1_sq)."""
+class _Cleared(NamedTuple):
+    """Integer-cleared copies for hot loops: vertices, barycenter, covariance and their lcms."""
 
-    c0: Q
-    c1_sign: int
-    c1_sq: Q
-
-    def _cmp(self, other):
-        if self.c0 != other.c0:
-            return -1 if self.c0 < other.c0 else 1
-        return _sq_cmp(self.c1_sign, self.c1_sq, other.c1_sign, other.c1_sq)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedInvariant) and self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __hash__(self):
-        return hash((self.c0, self.c1_sign, self.c1_sq))
+    verts: tuple[tuple[int, ...], ...]
+    dv: int
+    b: tuple[int, ...]
+    db: int
+    cov: tuple[tuple[int, ...], ...]
+    dc: int
 
 
 @dataclass(frozen=True)
@@ -111,8 +99,7 @@ class StabilityContext:
         return all(c < 0 for _, c in self.hpoly.constraints)
 
     @cached_property
-    def _fast(self):
-        # integer-cleared copies for hot loops: verts/D, b_num/b_den, cov_num/cov_den
+    def _fast(self) -> _Cleared:
         verts = self.vpoly.vertices
         dv = math.lcm(*(x.denominator for u in verts for x in u))
         vert_rows = tuple(tuple(int(x * dv) for x in u) for u in verts)
@@ -122,7 +109,7 @@ class StabilityContext:
         cov = self.moments.covariance
         dc = math.lcm(*(x.denominator for row in cov for x in row))
         cov_rows = tuple(tuple(int(x * dc) for x in row) for row in cov)
-        return vert_rows, dv, b_row, db, cov_rows, dc
+        return _Cleared(vert_rows, dv, b_row, db, cov_rows, dc)
 
 
 def _clear_direction(v, d):
@@ -174,15 +161,15 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
 def futaki(ctx: StabilityContext, v) -> Q:
     """Fut(v) = -<b, v> for the barycenter b; linear in v."""
     w, mult = _clear_direction(v, ctx.dim)
-    _, _, b_row, db, _, _ = ctx._fast
-    return Q(-sum(a * x for a, x in zip(b_row, w)), db * mult)
+    fast = ctx._fast
+    return Q(-sum(a * x for a, x in zip(fast.b, w)), fast.db * mult)
 
 
 def support_pairing_min(ctx: StabilityContext, v) -> Q:
     w, mult = _clear_direction(v, ctx.dim)
-    vert_rows, dv, _, _, _, _ = ctx._fast
-    best = min(sum(a * x for a, x in zip(u, w)) for u in vert_rows)
-    return Q(best, dv * mult)
+    fast = ctx._fast
+    best = min(sum(a * x for a, x in zip(u, w)) for u in fast.verts)
+    return Q(best, fast.dv * mult)
 
 
 def min_norm(ctx: StabilityContext, v) -> Q:
@@ -193,12 +180,12 @@ def min_norm(ctx: StabilityContext, v) -> Q:
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
     w, mult = _clear_direction(v, ctx.dim)
-    _, _, _, _, cov_rows, dc = ctx._fast
+    fast = ctx._fast
     acc = 0
     for i, wi in enumerate(w):
         if wi:
-            acc += wi * sum(cij * wj for cij, wj in zip(cov_rows[i], w))
-    return Q(acc, dc * mult * mult)
+            acc += wi * sum(cij * wj for cij, wj in zip(fast.cov[i], w))
+    return Q(acc, fast.dc * mult * mult)
 
 
 def mu(ctx: StabilityContext, v) -> StabilityValue:
@@ -222,15 +209,16 @@ def verdict(ctx: StabilityContext) -> str:
     return SEMISTABLE if all(x == 0 for x in ctx.moments.barycenter) else UNSTABLE
 
 
-def mu_prime_trunc(ctx: StabilityContext, v) -> TruncatedInvariant:
-    """Order <= 1 coefficients of Fut/(||.||_m + eps ||.||_2) around eps = 0.
+def mu_prime_trunc(ctx: StabilityContext, v) -> StabilityValue:
+    """Order <= 1 coefficients (c0, c1) of Fut/(||.||_m + eps ||.||_2) around eps = 0.
 
     c0 = mu1(v) and c1 = -mu1(v) * ||v||_2 / ||v||_m; both are invariant
-    under positive rescaling of v, and c1 is carried as a signed square.
+    under positive rescaling of v.  They are returned as the pair
+    (mu1, mu2) = (c0, c1), c1 carried as a signed square.
     """
     f = futaki(ctx, v)
     mn = min_norm(ctx, v)
     q = l2_norm_sq(ctx, v)
     c0 = f / mn
     sign = (f < 0) - (f > 0)
-    return TruncatedInvariant(c0, sign, c0 * c0 * q / (mn * mn))
+    return StabilityValue(c0, sign, c0 * c0 * q / (mn * mn))

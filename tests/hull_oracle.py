@@ -9,17 +9,8 @@ lattice from the two in exact coordinates on the affine hull.
 import itertools
 from fractions import Fraction as Q
 
-from toricstab.exactgeom import (
-    dot,
-    is_zero,
-    nullspace,
-    primitive,
-    qvec,
-    rank,
-    solve_unique,
-    vneg,
-    vsub,
-)
+from linalg_oracle import nullspace, rank, solve_unique
+from toricstab.exactgeom import dot, is_zero, primitive, qvec, vneg, vsub
 
 
 def in_convex_hull(p, points) -> bool:

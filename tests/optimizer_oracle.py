@@ -6,26 +6,30 @@ with one constraint per vertex and rejects it when it is {0};
 `stage2_by_constraints` enumerates active sets of those constraints
 together with the slice <b, v> = 1, one exact KKT solve each.  All three
 are slow and independent of the facet incidence the library reads.
+`cone_is_trivial` asks the extreme rays of a cone whether it is {0}.
 """
 
 import itertools
 from fractions import Fraction as Q
 
+from linalg_oracle import rank, solve_unique
 from toricstab.exactgeom import (
     ConeH,
-    cone_is_trivial,
     dot,
     extreme_rays,
     is_zero,
     primitive,
-    rank,
-    solve_unique,
     vneg,
     vscale,
     vsub,
 )
 from toricstab.optimizer import Stage1Result
 from toricstab.stability import futaki, min_norm, mu
+
+
+def cone_is_trivial(c: ConeH) -> bool:
+    gens = extreme_rays(c)
+    return not gens.rays and not gens.lineality
 
 
 def stage1_by_fan(ctx) -> Stage1Result:

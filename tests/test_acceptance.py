@@ -187,9 +187,9 @@ def test_truncated_invariant_equivalence(contexts, unstable_names):
         ctx = contexts[name]
         report = optimal_destabilizer(ctx)
         t_star = mu_prime_trunc(ctx, report.v_star_primitive)
-        assert t_star.c0 == report.m1, name
+        assert t_star.mu1 == report.m1, name
         # on the slice the square of the first-order term is m1^4 Q(v)
-        assert t_star.c1_sq == report.m1**4 * l2_norm_sq(ctx, report.v_star_rational), name
+        assert t_star.mu2_sq == report.m1**4 * l2_norm_sq(ctx, report.v_star_rational), name
         candidates = set()
         for _, cone in ctx.fan.cones:
             candidates.update(extreme_rays(cone).rays)

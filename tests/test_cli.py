@@ -323,11 +323,25 @@ def test_input_source_conflicts(tmp_path, capsys):
         ("constraints", {"moment_polytope": {"constraints": 5}}),
         ("vertices", {"moment_polytope": {"vertices": [[0, 0], [1, 0], 5]}}),
         ("vertices", {"moment_polytope": {"vertices": "0,0"}}),
+        (
+            "constraints.normal",
+            {"moment_polytope": {"constraints": [{"normal": [0, 0], "offset": 0}]}},
+        ),
+        (
+            "constraints.normal",
+            {"moment_polytope": {"constraints": [{"normal": [1, 0], "offset": 0},
+                                                 {"normal": [0, 1, 0], "offset": 0}]}},
+        ),
+        ("vertices", {"moment_polytope": {"vertices": [[0, 0], [1, 0, 0], [0, 1]]}}),
+        ("rays", {"rays": [[1, 0], [0, 1, 0], [-1, -1]]}),
+        ("coeffs", {"rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": [0, 0]}),
+        ("weights", {"weights": [[0, 0], [1, 0, 0]]}),
     ],
 )
 def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
     path = write_doc(tmp_path, "bad.json", {"name": "bad", **doc})
-    code, out, err = run(capsys, "report", path)
+    argv = ["limits", path, "--v", "1,0"] if "weights" in doc else ["report", path]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"field {field}:" in err
     assert "Traceback" not in err

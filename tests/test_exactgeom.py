@@ -7,22 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle
 from conftest import fresh_rng, rand_rational
 from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices
+from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import (
     ConeH,
     HPolytope,
     affine_dim,
     cone_relint_contains,
+    det,
     dot,
     dual_polytope,
     extreme_rays,
     facets_from_vertices,
     is_primitive_lattice,
     normal_fan,
+    nullspace,
+    positively_spanning,
     primitive,
     rank,
     simplex_volume,
+    solve_unique,
     triangulate,
     vertices_from_facets,
     vpolytope,
@@ -65,7 +71,87 @@ def test_primitive_scale_invariance(vec, c):
 
 
 # ---------------------------------------------------------------------------
+# linear algebra kernel
+
+
+def random_matrix(rng):
+    """Rows and width of an m x n rational matrix, m and n in 0..6, mixing ints and Fractions;
+    a third of them rank-deficient (rows combined from fewer base rows), some
+    with a zero column."""
+    m, n = rng.randint(0, 6), rng.randint(0, 6)
+
+    def entry():
+        return rng.randint(-5, 5) if rng.random() < 0.3 else rand_rational(rng)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.35:
+        base = rows[: rng.randint(1, m)]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n)] for _ in range(m)
+        ]
+    if n and rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return rows, n
+
+
+def test_kernel_matches_fraction_oracle():
+    rng = fresh_rng("linalg-kernel")
+    kinds = set()
+    for _ in range(3000):
+        a, n = random_matrix(rng)
+        m = len(a)
+        r = rank(a)
+        kinds.add((m == 0, m == n, r < min(m, n)))
+        assert r == linalg_oracle.rank(a)
+        assert nullspace(a, n) == linalg_oracle.nullspace(a, n)
+        if rng.random() < 0.5 and m:
+            x = [rand_rational(rng) for _ in range(n)]
+            b = [sum(Q(u) * v for u, v in zip(row, x)) for row in a]
+        else:
+            b = [rand_rational(rng) for _ in range(m)]
+        assert solve_unique(a, b) == linalg_oracle.solve_unique(a, b)
+        if m == n:
+            assert det(a) == linalg_oracle.det(a)
+    # empty, square and rectangular matrices occur, the nonempty ones of deficient rank too
+    assert kinds == {(True, True, False), (True, False, False)} | {
+        (False, sq, low) for sq in (True, False) for low in (True, False)
+    }
+
+
+def test_det_sign_follows_row_swaps():
+    rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    assert det(rows) == 1
+    assert det([rows[1], rows[0], rows[2]]) == -1
+    assert det([[Q(1, 2), 0], [0, Q(-2, 3)]]) == Q(-1, 3)
+
+
+# ---------------------------------------------------------------------------
 # fan input duality
+
+
+def random_vector_set(rng, d):
+    """Small integer vectors, sometimes with the origin among them; about a
+    quarter of the sets lie in a hyperplane through the origin."""
+    vs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 4))]
+    if d > 1 and rng.random() < 0.25:
+        form = [rng.randint(-1, 1) for _ in range(d - 1)]
+        vs = [v[:-1] + (sum(a * x for a, x in zip(form, v)),) for v in vs]
+    return vs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_positively_spanning_matches_polar_cone(d):
+    rng = fresh_rng(f"positively-spanning-{d}")
+    seen = set()
+    for _ in range(60 if d < 5 else 30):
+        vs = random_vector_set(rng, d)
+        polar = ConeH(tuple(sorted({primitive([-x for x in v]) for v in vs if any(v)})), d)
+        expected = cone_is_trivial(polar)
+        assert positively_spanning(vs) == expected, vs
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_dual_polytope_plane():

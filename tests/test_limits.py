@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
-from toricstab.exactgeom import cone_is_trivial, cone_relint_contains, extreme_rays
+from optimizer_oracle import cone_is_trivial
+from toricstab.exactgeom import cone_relint_contains, extreme_rays
 from toricstab.limits import (
     face_limit,
     face_of_direction,

@@ -12,7 +12,6 @@ from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
     StabilityValue,
-    TruncatedInvariant,
     _sq_cmp,
     context_from_constraints,
     context_from_rays,
@@ -250,16 +249,16 @@ def test_truncated_invariant_examples():
     rng = fresh_rng("trunc-p2")
     for _ in range(10):
         v = rand_nonzero_ivec(rng, 2)
-        assert mu_prime_trunc(P2, v) == TruncatedInvariant(Q(0), 0, Q(0))
+        assert mu_prime_trunc(P2, v) == StabilityValue(Q(0), 0, Q(0))
     t = mu_prime_trunc(P112, (0, -1))
-    assert t.c0 == Q(-1, 4)
-    assert t.c1_sign == 1
-    assert t.c1_sq == Q(1, 128)  # (1/4 * sqrt(2/9) / (4/3))^2
+    assert t.mu1 == Q(-1, 4)
+    assert t.mu2_sign == 1
+    assert t.mu2_sq == Q(1, 128)  # (1/4 * sqrt(2/9) / (4/3))^2
     assert mu_prime_trunc(P112, (0, -3)) == t
 
 
 def test_truncated_invariant_ordering():
-    lo = TruncatedInvariant(Q(-1, 2), 1, Q(1, 8))
-    hi = TruncatedInvariant(Q(-1, 4), 1, Q(1, 128))
+    lo = StabilityValue(Q(-1, 2), 1, Q(1, 8))
+    hi = StabilityValue(Q(-1, 4), 1, Q(1, 128))
     assert lo < hi
-    assert TruncatedInvariant(Q(-1, 4), 1, Q(1, 64)) > hi
+    assert StabilityValue(Q(-1, 4), 1, Q(1, 64)) > hi
