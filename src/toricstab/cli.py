@@ -209,11 +209,9 @@ def weighted_point_from_doc(doc):
     ws = same_length([parse_int_vector(w, "weights") for w in weights], "weights")
     support = doc.get("support")
     if support is not None:
-        support = [
-            x for x in (parse_int_vector(support, "support") if support else ())
-        ]
-        if not support:
-            raise ValueError("field support: must be nonempty when given")
+        support = parse_int_vector(support, "support")
+        if any(not 0 <= i < len(ws) for i in support):
+            raise ValueError(f"field support: expected indices in 0..{len(ws) - 1}")
     return weighted_point(ws, support)
 
 

@@ -15,12 +15,15 @@ One hull carries the combinatorics: a `VPolytope` holds its irredundant
 vertices together with its facets, each facet a supporting half-space and
 the bitmask of the vertices on it.  Built from points, the facets are found
 once in affine-hull coordinates and the vertices are the points that are
-the only common point of the facets through them; built from constraints,
-the incidence is the set of constraints tight at each vertex and the facets
-are the maximal tight sets.  The H-form, the pulling triangulation and the
-face lattice of a weight polytope are all read off this incidence.
-Boundedness is read off the hull too: {u : <u, n_i> >= c_i} is bounded
-exactly when the origin is interior to the hull of the normals n_i.
+the only common point of the facets through them.  Built from constraints
+<n_i, u> >= c_i, the same hull runs in one more dimension, on the origin,
+e_t and the points (n_i, -c_i): by polarity its facets through the origin
+are the vertices of the polytope, their members the constraints tight
+there, and the facets are the maximal tight sets; boundedness, feasibility
+and full dimension are read off the same facets.  The H-form, the pulling
+triangulation and the face lattice of a weight polytope are all read off
+this incidence.  The hull refuses inputs whose subset count is over
+`HULL_BUDGET`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ VecQ = tuple[Q, ...]
 IntVec = tuple[int, ...]
 
 MAX_DIM = 8
+# most subsets one hull may enumerate: about 25 s at the 0.1 ms per 6D subset
+# measured on one core of a 2-vCPU x86-64 host, CPython 3.11
+HULL_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +281,9 @@ def _point_facets(pts):
     k = len(cols)
     if k == 0:
         return 0, ()
+    count = math.comb(len(pts), k)
+    if count > HULL_BUDGET:
+        raise ValueError(f"hull of {len(pts)} points in {k}D: {count} subsets exceeds budget")
     scale = math.lcm(*(p[c].denominator for p in pts for c in cols))
     z = [tuple(int(p[c] * scale) for c in cols) for p in pts]
     found = {}
@@ -333,49 +342,42 @@ def vpolytope(points) -> VPolytope:
     return VPolytope(tuple(pts[i] for i in keep), k, facets)
 
 
-def positively_spanning(vectors) -> bool:
-    """Whether the vectors' nonnegative combinations are all of Q^d.
-
-    That holds exactly when the origin is interior to their hull: the hull is
-    full-dimensional and every facet <n, u> >= c has c < 0.
-    """
-    p = vpolytope(vectors)
-    return p.dim == p.ambient_dim and all(f.offset < 0 for f in p.facets)
-
-
 def vertices_from_facets(h: HPolytope) -> VPolytope:
-    """Vertices of a bounded H-polytope by d-subset constraint intersections.
+    """Vertices and facets of a bounded, full-dimensional H-polytope, off one hull.
 
-    {u : <u, n_i> >= c_i} is bounded exactly when the normals n_i positively
-    span, which is checked first.
+    P = {u : <n_i, u> >= c_i} is the slice t = 1 of the cone
+    C = {(u, t) : <n_i, u> >= c_i t, t >= 0}, whose extreme rays are the
+    primitive inward normals (x, s) of the facets through 0 of the hull of 0,
+    e_t and the points (n_i, -c_i).  A ray with s = 0, or a hull that is not
+    full-dimensional, is a direction of recession; no facet through 0 means
+    C = {0}; 0 not a vertex means C, and so P, is lower-dimensional.
+    Otherwise the vertices of P are the points x/s, and the constraints
+    tight at each are the members of its facet.
     """
-    cons = h.constraints
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError("ambient dimension too large")
-    if not positively_spanning([n for n, _ in cons]):
+    cons = sorted(set(h.constraints))
+    m = len(cons)
+    pts = [(0,) * (d + 1), (0,) * d + (1,)] + [(*n, -c) for n, c in cons]
+    k, hull = _point_facets(pts)
+    rays = [f for f in hull if f.members & 1]
+    if k <= d or any(f.normal[d] == 0 for f in rays):
         raise ValueError("unbounded polytope")
-    cands = set()
-    for subset in itertools.combinations(cons, d):
-        sol = solve_unique([list(n) for n, _ in subset], [c for _, c in subset])
-        if sol is None:
-            continue
-        if all(dot(n, sol) >= c for n, c in cons):
-            cands.add(sol)
-    if not cands:
+    if not rays:
         raise ValueError("infeasible")
-    verts = tuple(sorted(cands))
-    dim = affine_dim(verts)
-    if dim < d:
-        return VPolytope(verts, dim)
-    # a redundant constraint is tight on a proper subset of some facet's vertices
-    tight = {(n, c): sum(1 << i for i, u in enumerate(verts) if dot(n, u) == c) for n, c in cons}
-    facets = tuple(
-        Facet(n, c, t)
-        for (n, c), t in sorted(tight.items())
-        if not any(t & o == t != o for o in tight.values())
+    if not _is_vertex(0, hull):
+        raise ValueError("not full-dimensional")
+    incidence = sorted(
+        (tuple(Q(x, f.normal[d]) for x in f.normal[:d]), f.members >> 2) for f in rays
     )
-    return VPolytope(verts, dim, facets)
+    verts = tuple(u for u, _ in incidence)
+    # a redundant constraint is tight on a proper subset of some facet's vertices
+    tight = [sum(1 << i for i, (_, t) in enumerate(incidence) if t >> j & 1) for j in range(m)]
+    facets = tuple(
+        Facet(n, c, t) for (n, c), t in zip(cons, tight) if not any(t & o == t != o for o in tight)
+    )
+    return VPolytope(verts, d, facets)
 
 
 def facets_from_vertices(p: VPolytope) -> HPolytope:
@@ -385,16 +387,20 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
     return HPolytope(tuple((f.normal, f.offset) for f in p.facets))
 
 
+def normal_cone(face, points) -> ConeH:
+    """Cone {v : <u, v> <= <w, v> for u in face, w in points}, face nonempty.
+
+    For a face of the hull of the points it is the face's normal cone.
+    """
+    normals = {primitive(vsub(u, w)) for u in face for w in points if u != w}
+    return ConeH(tuple(sorted(normals)), len(face[0]))
+
+
 def normal_fan(p: VPolytope) -> Fan:
     """Maximal cones sigma_u = {v : <u, v> <= <u', v> for all vertices u'}."""
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    d = p.ambient_dim
-    cones = []
-    for u in p.vertices:
-        normals = sorted({primitive(vsub(u, w)) for w in p.vertices if w != u})
-        cones.append((u, ConeH(tuple(normals), d)))
-    return Fan(tuple(cones))
+    return Fan(tuple((u, normal_cone([u], p.vertices)) for u in p.vertices))
 
 
 @lru_cache(maxsize=256)
@@ -491,15 +497,14 @@ def dual_polytope(rays, coeffs=None):
             raise ValueError("coefficient must be < 1")
     ints = [tuple(int(x) for x in r) for r in rays]
     h = HPolytope(tuple(sorted((n, c - 1) for n, c in zip(ints, coeffs))))
+    # every offset is negative, so the origin is interior: P is nonempty and
+    # full-dimensional, and unbounded exactly when the rays do not positively span
     try:
-        v = vertices_from_facets(h)
+        return h, vertices_from_facets(h)
     except ValueError as exc:
-        # unbounded exactly when the rays do not positively span
-        msg = "degenerate fan" if str(exc) == "unbounded polytope" else "not a Fano configuration"
-        raise ValueError(msg) from exc
-    if v.dim != d:
-        raise ValueError("not a Fano configuration")
-    return h, v
+        if str(exc) != "unbounded polytope":
+            raise
+        raise ValueError("degenerate fan") from exc
 
 
 def _pull(face, k, apex, facet_sets):

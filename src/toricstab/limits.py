@@ -12,17 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactgeom import (
-    ConeH,
-    VPolytope,
-    as_direction,
-    dot,
-    is_zero,
-    primitive,
-    qvec,
-    vpolytope,
-    vsub,
-)
+from .exactgeom import ConeH, VPolytope, as_direction, dot, normal_cone, vpolytope
 
 
 @dataclass(frozen=True)
@@ -108,15 +98,9 @@ def _require_face(q: WeightPolytope, face) -> frozenset[int]:
 
 def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
     """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope."""
+    ws = q.point.weights
     f = _require_face(q, face)
-    sup = sorted(q.point.support)
-    normals = set()
-    for i in f:
-        for j in sup:
-            diff = vsub(qvec(q.point.weights[i]), qvec(q.point.weights[j]))
-            if not is_zero(diff):
-                normals.add(primitive(diff))
-    return ConeH(tuple(sorted(normals)), len(q.point.weights[0]))
+    return normal_cone([ws[i] for i in sorted(f)], [ws[j] for j in q.point.support])
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:

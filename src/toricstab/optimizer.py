@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .exactgeom import ConeH, IntVec, dot, is_zero, primitive, solve_unique, vneg, vscale, vsub
+from .exactgeom import ConeH, IntVec, dot, normal_cone, primitive, solve_unique, vscale
 from .moments import is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, futaki, min_norm, mu, verdict
 
@@ -101,15 +101,8 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     m1 = Q(m1)
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
-    b = ctx.moments.barycenter
-    normals = set()
-    for u in ctx.vpoly.vertices:
-        w = vsub(vscale(1 + m1, b), vscale(m1, u))
-        if is_zero(w):
-            continue
-        normals.add(primitive(vneg(w)))
-    cone = ConeH(tuple(sorted(normals)), ctx.dim)
-    c = vscale(1 + 1 / m1, b)
+    c = vscale(1 + 1 / m1, ctx.moments.barycenter)
+    cone = normal_cone([c], ctx.vpoly.vertices)
     slack = [(dot(f.normal, c) - f.offset, f.normal) for f in ctx.vpoly.facets]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")

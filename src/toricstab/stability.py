@@ -119,8 +119,6 @@ def _clear_direction(v, d):
 
 
 def _build(vp, hp, rays=None, coeffs=None, name=None) -> StabilityContext:
-    if vp.dim != vp.ambient_dim:
-        raise ValueError("not full-dimensional")
     return StabilityContext(vp, hp, moment_data(vp), normal_fan(vp), rays, coeffs, name)
 
 
@@ -135,8 +133,6 @@ def context_from_rays(rays, coeffs=None, name=None) -> StabilityContext:
 def context_from_vertices(points, name=None) -> StabilityContext:
     """Context of a polytope given by (possibly redundant) rational points."""
     vp = vpolytope(points)
-    if vp.dim != vp.ambient_dim:
-        raise ValueError("not full-dimensional")
     return _build(vp, facets_from_vertices(vp), name=name)
 
 
@@ -153,8 +149,6 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
     if len({len(n) for n, _ in cons}) != 1:
         raise ValueError("constraint normals need one common length")
     vp = vertices_from_facets(HPolytope(cons))
-    if vp.dim != vp.ambient_dim:
-        raise ValueError("not full-dimensional")
     return _build(vp, facets_from_vertices(vp), name=name)
 
 

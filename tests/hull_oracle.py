@@ -3,14 +3,17 @@
 `in_convex_hull` is Caratheodory's test, one exact solve for each subset of
 at most d+1 points; `facets_by_subsets` tries every d-subset of vertices as
 a facet hyperplane; `faces_by_subsets` builds a weight polytope's face
-lattice from the two in exact coordinates on the affine hull.
+lattice from the two in exact coordinates on the affine hull;
+`vertices_by_subsets` solves every d-subset of constraints and keeps the
+feasible solutions, boundedness asked of the recession cone's extreme rays.
 """
 
 import itertools
 from fractions import Fraction as Q
 
 from linalg_oracle import nullspace, rank, solve_unique
-from toricstab.exactgeom import dot, is_zero, primitive, qvec, vneg, vsub
+from optimizer_oracle import cone_is_trivial
+from toricstab.exactgeom import ConeH, Facet, VPolytope, dot, is_zero, primitive, qvec, vneg, vsub
 
 
 def in_convex_hull(p, points) -> bool:
@@ -77,3 +80,30 @@ def faces_by_subsets(weights, support):
         facet = frozenset(i for i in sup if dot(n, coords[i]) == c)
         faces |= {g & facet for g in faces}
     return faces - {frozenset()}
+
+
+def vertices_by_subsets(h):
+    """Vertices and facets of an H-polytope; a lower-dimensional one comes back
+    with its dimension and no facets."""
+    cons = h.constraints
+    d = h.ambient_dim
+    if not cone_is_trivial(ConeH(tuple(sorted({vneg(n) for n, _ in cons})), d)):
+        raise ValueError("unbounded polytope")
+    cands = set()
+    for subset in itertools.combinations(cons, d):
+        sol = solve_unique([list(n) for n, _ in subset], [c for _, c in subset])
+        if sol is not None and all(dot(n, sol) >= c for n, c in cons):
+            cands.add(sol)
+    if not cands:
+        raise ValueError("infeasible")
+    verts = tuple(sorted(cands))
+    dim = rank([vsub(u, verts[0]) for u in verts[1:]]) if len(verts) > 1 else 0
+    if dim < d:
+        return VPolytope(verts, dim, ())
+    tight = {(n, c): sum(1 << i for i, u in enumerate(verts) if dot(n, u) == c) for n, c in cons}
+    facets = tuple(
+        Facet(n, c, t)
+        for (n, c), t in sorted(tight.items())
+        if not any(t & o == t != o for o in tight.values())
+    )
+    return VPolytope(verts, dim, facets)

@@ -1,12 +1,17 @@
 """Command surface: documents, rendering, exit codes, determinism."""
 
 import json
+import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import toricstab
 from toricstab.cli import main
 from toricstab.optimizer import CertificateError
 
@@ -336,6 +341,8 @@ def test_input_source_conflicts(tmp_path, capsys):
         ("rays", {"rays": [[1, 0], [0, 1, 0], [-1, -1]]}),
         ("coeffs", {"rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": [0, 0]}),
         ("weights", {"weights": [[0, 0], [1, 0, 0]]}),
+        ("support", {"weights": [[0, 0], [1, 0], [0, 1]], "support": [0, 5]}),
+        ("support", {"weights": [[0, 0], [1, 0], [0, 1]], "support": [-1]}),
     ],
 )
 def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
@@ -344,6 +351,19 @@ def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"field {field}:" in err
+    assert "Traceback" not in err
+
+
+def test_hull_over_budget_exits_two(tmp_path, capsys):
+    # C(60, 6) subsets would take hours; the hull refuses before enumerating
+    rng = random.Random("toricstab:budget")
+    pts = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(60)]
+    path = write_doc(tmp_path, "big.json", {"name": "big", "moment_polytope": {"vertices": pts}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "50063860 subsets exceeds budget" in err
     assert "Traceback" not in err
 
 
@@ -376,10 +396,15 @@ def test_certificate_failure_exits_three(tmp_path, capsys, monkeypatch):
 
 def test_module_entry_point(tmp_path):
     path = write_doc(tmp_path, "p112.json", P112_DOC)
+    # the child imports the same toricstab as this process, however it was found
+    src = str(Path(toricstab.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "toricstab", "destabilize", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["delta"] == "3/4"

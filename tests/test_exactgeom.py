@@ -1,6 +1,7 @@
 """Exact geometry kernel: duality, enumeration, fans, cones, triangulation."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
-from conftest import fresh_rng, rand_rational
-from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices
+from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
+from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices, vertices_by_subsets
 from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import (
     ConeH,
@@ -24,13 +25,14 @@ from toricstab.exactgeom import (
     is_primitive_lattice,
     normal_fan,
     nullspace,
-    positively_spanning,
     primitive,
     rank,
     simplex_volume,
     solve_unique,
     triangulate,
+    vadd,
     vertices_from_facets,
+    vneg,
     vpolytope,
 )
 from toricstab.limits import weight_polytope, weighted_point
@@ -142,15 +144,23 @@ def random_vector_set(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_positively_spanning_matches_polar_cone(d):
+def test_unbounded_exactly_when_polar_cone_nontrivial(d):
+    # offsets -1 put the origin inside, so unboundedness is the only failure
     rng = fresh_rng(f"positively-spanning-{d}")
     seen = set()
     for _ in range(60 if d < 5 else 30):
-        vs = random_vector_set(rng, d)
-        polar = ConeH(tuple(sorted({primitive([-x for x in v]) for v in vs if any(v)})), d)
-        expected = cone_is_trivial(polar)
-        assert positively_spanning(vs) == expected, vs
-        seen.add(expected)
+        vs = [v for v in random_vector_set(rng, d) if any(v)]
+        if not vs:
+            continue
+        polar = ConeH(tuple(sorted({primitive([-x for x in v]) for v in vs})), d)
+        bounded = cone_is_trivial(polar)
+        h = HPolytope(tuple(sorted({(primitive(v), Q(-1)) for v in vs})))
+        if bounded:
+            assert vertices_from_facets(h).dim == d, vs
+        else:
+            with pytest.raises(ValueError, match="^unbounded polytope$"):
+                vertices_from_facets(h)
+        seen.add(bounded)
     assert seen == {True, False}
 
 
@@ -209,6 +219,10 @@ def test_vertices_from_facets_degenerate():
         )
     with pytest.raises(ValueError, match="unbounded"):
         vertices_from_facets(HPolytope((((1, 0), Q(0)), ((0, 1), Q(0)))))
+    # a segment in the plane: 0 <= x <= 1 and y = 0
+    segment = (((1, 0), Q(0)), ((-1, 0), Q(-1)), ((0, 1), Q(0)), ((0, -1), Q(0)))
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        vertices_from_facets(HPolytope(segment))
 
 
 def test_facets_from_vertices_square():
@@ -252,6 +266,76 @@ def test_enumeration_round_trip(d, npts, count):
         p = random_polytope(rng, d, npts)
         again = vertices_from_facets(facets_from_vertices(p))
         assert set(again.vertices) == set(p.vertices)
+
+
+def random_hpolytope(rng, d):
+    """Constraints around a random point p with slacks 0..2 (so p may be a
+    vertex and the origin inside, on or outside P) or with random offsets,
+    then redundant, repeated, contradicting or equality-pair constraints."""
+    normals = [primitive(rand_nonzero_ivec(rng, d, 2)) for _ in range(rng.randint(1, d + 1))]
+    p = rng.choice([(0,) * d, tuple(rng.randint(-2, 2) for _ in range(d))])
+    if rng.random() < 0.2:
+        cons = [(n, Q(rng.randint(-6, 6), rng.randint(1, 2))) for n in normals]
+    else:
+        cons = [(n, dot(n, p) - Q(rng.randint(0, 4), 2)) for n in normals]
+    # a simplex around p, u_i >= p_i - 2 and sum(u) <= sum(p) + 2, bounds most sets
+    if rng.random() < 0.8:
+        cons += [(tuple(int(j == i) for j in range(d)), Q(p[i] - 2)) for i in range(d)]
+        cons.append(((-1,) * d, Q(-sum(p) - 2)))
+    for _ in range(rng.randint(0, 2)):
+        (n1, c1), (n2, c2) = rng.choice(cons), rng.choice(cons)
+        kind = rng.choice(["sum", "looser", "repeat", "cut", "equality"])
+        s = vadd(n1, n2)
+        if kind == "sum" and any(s):
+            g = math.gcd(*s)
+            cons.append((primitive(s), (c1 + c2) / g))
+        elif kind == "looser":
+            cons.append((n1, c1 - 1))
+        elif kind == "repeat":
+            cons.append((n1, c1))
+        elif kind == "cut":
+            cons.append((vneg(n1), -c1 - Q(rng.randint(-1, 1), 2)))
+        elif kind == "equality":
+            cons.append((vneg(n1), -c1))
+    rng.shuffle(cons)
+    return HPolytope(tuple(cons))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("d,count", [(1, 300), (2, 300), (3, 250), (4, 150)])
+def test_vertices_from_facets_matches_oracle(d, count):
+    rng = fresh_rng(f"hpolytope-oracle-{d}")
+    seen = set()
+    for _ in range(count):
+        h = random_hpolytope(rng, d)
+        want, want_err = outcome(vertices_by_subsets, h)
+        got, err = outcome(vertices_from_facets, h)
+        if want is not None and want.dim < d:
+            # lower-dimensional, e.g. cut by an equality pair
+            want_err = "not full-dimensional"
+        if want_err is not None:
+            assert (got, err) == (None, want_err), h
+            seen.add(want_err)
+            continue
+        assert err is None, h
+        assert got.vertices == want.vertices and got.dim == d, h
+        assert got.facets == want.facets, h
+        origin = min(-c for _, c in h.constraints)
+        seen.add("origin " + ("inside" if origin > 0 else "on" if origin == 0 else "outside"))
+    assert seen == {
+        "unbounded polytope",
+        "infeasible",
+        "not full-dimensional",
+        "origin inside",
+        "origin on",
+        "origin outside",
+    }
 
 
 def random_point_set(rng, d):
