@@ -23,7 +23,8 @@ there, and the facets are the maximal tight sets; boundedness, feasibility
 and full dimension are read off the same facets.  The H-form, the pulling
 triangulation and the face lattice of a weight polytope are all read off
 this incidence.  The hull refuses inputs whose subset count is over
-`HULL_BUDGET`.
+`HULL_BUDGET`; from constraints it scans only the subsets through the
+origin.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class Fan:
     cones: tuple[tuple[VecQ, ConeH], ...]
 
 
-def _point_facets(pts):
+def _point_facets(pts, through_first=False):
     """Affine dimension and facets of distinct rational points, with point incidence.
 
     The points are projected onto k coordinates that map their affine hull
@@ -274,20 +275,24 @@ def _point_facets(pts):
     differences); it is a facet when no point lies strictly on one side, and
     subsets already inside a found facet are skipped.  Normals are lifted
     back with zeros on the other coordinates, so <normal, u> >= offset holds
-    on the polytope in ambient coordinates.
+    on the polytope in ambient coordinates.  With `through_first` only the
+    subsets holding pts[0] are scanned, which finds exactly the facets
+    through it.  More than `HULL_BUDGET` subsets to scan is a ValueError.
     """
     d = len(pts[0])
     cols = _reduce([_cleared(vsub(p, pts[0]))[0] for p in pts[1:]], d)[0]
     k = len(cols)
     if k == 0:
         return 0, ()
-    count = math.comb(len(pts), k)
+    head = (0,) if through_first else ()
+    count = math.comb(len(pts) - len(head), k - len(head))
     if count > HULL_BUDGET:
-        raise ValueError(f"hull of {len(pts)} points in {k}D: {count} subsets exceeds budget")
+        raise ValueError(f"hull needs {count} subsets, exceeds budget of {HULL_BUDGET}")
     scale = math.lcm(*(p[c].denominator for p in pts for c in cols))
     z = [tuple(int(p[c] * scale) for c in cols) for p in pts]
     found = {}
-    for subset in itertools.combinations(range(len(z)), k):
+    for rest in itertools.combinations(range(len(head), len(z)), k - len(head)):
+        subset = head + rest
         bits = sum(1 << i for i in subset)
         if any(bits & m == bits for m in found.values()):
             continue
@@ -360,13 +365,12 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     cons = sorted(set(h.constraints))
     m = len(cons)
     pts = [(0,) * (d + 1), (0,) * d + (1,)] + [(*n, -c) for n, c in cons]
-    k, hull = _point_facets(pts)
-    rays = [f for f in hull if f.members & 1]
+    k, rays = _point_facets(pts, through_first=True)
     if k <= d or any(f.normal[d] == 0 for f in rays):
         raise ValueError("unbounded polytope")
     if not rays:
         raise ValueError("infeasible")
-    if not _is_vertex(0, hull):
+    if not _is_vertex(0, rays):
         raise ValueError("not full-dimensional")
     incidence = sorted(
         (tuple(Q(x, f.normal[d]) for x in f.normal[:d]), f.members >> 2) for f in rays

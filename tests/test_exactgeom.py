@@ -250,6 +250,29 @@ def test_facets_from_vertices_needs_full_dimension():
         facets_from_vertices(vpolytope([(0, 0), (1, 1)]))
 
 
+def test_polygon_with_many_edges_round_trips():
+    # 111 points on a parabola: 111 irredundant constraints, one hull through the origin
+    verts = tuple(sorted(qtuple(i, i * i) for i in range(-55, 56)))
+    h = facets_from_vertices(vpolytope(verts))
+    assert len(h.constraints) == 111
+    assert vertices_from_facets(h).vertices == verts
+
+
+def test_fan_with_many_rays_builds():
+    # 30 of the 32 roots of B4: C(31, 4) subsets through the origin, where all
+    # subsets of the lifted hull would be C(32, 5), over the budget
+    rays = [
+        r
+        for r in itertools.product((-1, 0, 1), repeat=4)
+        if 1 <= sum(map(abs, r)) <= 2 and r not in ((0, 0, 1, 1), (0, 0, -1, -1))
+    ]
+    h, v = dual_polytope(rays)
+    assert len(h.constraints) == 30 and v.dim == 4
+    assert facets_from_vertices(vpolytope(v.vertices)).constraints == tuple(
+        (f.normal, f.offset) for f in v.facets
+    )
+
+
 def random_polytope(rng, d, npts):
     while True:
         pts = [tuple(rand_rational(rng, den_max=4, num_max=6) for _ in range(d))
