@@ -42,6 +42,9 @@ from .stability import (
 )
 
 SCOPE = "torus-equivariant"
+# a decimal of a value below 10^300 then stays under CPython's 4300-digit
+# limit on int-to-str conversion
+MAX_DIGITS = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +404,18 @@ def limits_doc(point, v):
 # commands
 
 
+def write_text(path, text, flag):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+
+
 def emit(doc, out_path):
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out_path, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -441,8 +451,7 @@ def cmd_oracle(args) -> int:
     ctx = contexts[0]
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(oracle_dump_text(doc, args.digits))
+        write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
     emit(doc, args.out)
     return 0
 
@@ -512,8 +521,8 @@ def _attach_directions(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "digits", 1) < 1:
-        print("error: --digits must be at least 1", file=sys.stderr)
+    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
+        print(f"error: --digits must be between 1 and {MAX_DIGITS}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

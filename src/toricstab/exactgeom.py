@@ -94,9 +94,8 @@ def primitive(v) -> IntVec:
     w = qvec(v)
     if is_zero(w):
         raise ValueError("zero vector has no primitive form")
-    mult = math.lcm(*(x.denominator for x in w))
-    ints = [int(x * mult) for x in w]
-    g = math.gcd(*(abs(i) for i in ints))
+    (ints,), _ = _scaled([w])
+    g = math.gcd(*ints)
     return tuple(i // g for i in ints)
 
 
@@ -142,16 +141,16 @@ def _reduce(rows, stop=None):
     return pivots, prev, sign
 
 
-def _cleared(row):
-    """Integer row: a rational row times the lcm of its denominators, and that lcm."""
-    m = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row], m
+def _scaled(points):
+    """Integer points: rational or int points times the lcm r of all their denominators, and r."""
+    r = math.lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (r // x.denominator) for x in p) for p in points], r
 
 
 def solve_unique(a, b):
     """Solve A x = b exactly; None unless a solution exists and is unique."""
     n = len(a[0]) if a else 0
-    rows = [_cleared([*row, bi])[0] for row, bi in zip(a, b)]
+    rows = _scaled([(*row, bi) for row, bi in zip(a, b)])[0]
     pivots, dd, _ = _reduce(rows, n)
     if len(pivots) < n or any(row[n] for row in rows[n:]):
         return None
@@ -159,12 +158,12 @@ def solve_unique(a, b):
 
 
 def rank(rows) -> int:
-    return len(_reduce([_cleared(row)[0] for row in rows])[0])
+    return len(_reduce(_scaled(rows)[0])[0])
 
 
 def nullspace(rows, n):
     """Basis of {x in Q^n : A x = 0}."""
-    work = [_cleared(row)[0] for row in rows]
+    work = _scaled(rows)[0]
     pivots, dd, _ = _reduce(work, n)
     basis = []
     for fc in range(n):
@@ -178,14 +177,10 @@ def nullspace(rows, n):
 
 
 def det(rows) -> Q:
-    """Exact determinant of a square matrix: rows cleared of denominators, then eliminated."""
-    ints, scale = [], 1
-    for row in rows:
-        r, m = _cleared(row)
-        ints.append(r)
-        scale *= m
+    """Exact determinant of a square matrix A: det(r A) / r^n, with r A integral."""
+    ints, r = _scaled(rows)
     pivots, dd, sign = _reduce(ints)
-    return Q(sign * dd, scale) if len(pivots) == len(ints) else Q(0)
+    return Q(sign * dd, r ** len(ints)) if len(pivots) == len(ints) else Q(0)
 
 
 def affine_dim(points) -> int:
@@ -280,7 +275,7 @@ def _point_facets(pts, through_first=False):
     through it.  More than `HULL_BUDGET` subsets to scan is a ValueError.
     """
     d = len(pts[0])
-    cols = _reduce([_cleared(vsub(p, pts[0]))[0] for p in pts[1:]], d)[0]
+    cols = _reduce(_scaled([vsub(p, pts[0]) for p in pts[1:]])[0], d)[0]
     k = len(cols)
     if k == 0:
         return 0, ()
@@ -288,8 +283,7 @@ def _point_facets(pts, through_first=False):
     count = math.comb(len(pts) - len(head), k - len(head))
     if count > HULL_BUDGET:
         raise ValueError(f"hull needs {count} subsets, exceeds budget of {HULL_BUDGET}")
-    scale = math.lcm(*(p[c].denominator for p in pts for c in cols))
-    z = [tuple(int(p[c] * scale) for c in cols) for p in pts]
+    z, scale = _scaled([[p[c] for c in cols] for p in pts])
     found = {}
     for rest in itertools.combinations(range(len(head), len(z)), k - len(head)):
         subset = head + rest
@@ -394,10 +388,15 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
 def normal_cone(face, points) -> ConeH:
     """Cone {v : <u, v> <= <w, v> for u in face, w in points}, face nonempty.
 
-    For a face of the hull of the points it is the face's normal cone.
+    For a face of the hull of the points it is the face's normal cone.  The
+    points are scaled to integers once; each normal is then an integer
+    difference divided by its gcd.
     """
-    normals = {primitive(vsub(u, w)) for u in face for w in points if u != w}
-    return ConeH(tuple(sorted(normals)), len(face[0]))
+    z = _scaled([*face, *points])[0]
+    diffs = {vsub(u, w) for u in z[: len(face)] for w in z[len(face) :]}
+    diffs.discard((0,) * len(z[0]))
+    normals = {tuple(x // g for x in v) for v in diffs for g in [math.gcd(*v)]}
+    return ConeH(tuple(sorted(normals)), len(z[0]))
 
 
 def normal_fan(p: VPolytope) -> Fan:
@@ -529,6 +528,17 @@ def _pull(face, k, apex, facet_sets):
     return out
 
 
+def _triangulation(p: VPolytope, apex_index):
+    """The simplices of `triangulate` as vertex bitmasks."""
+    if p.dim != p.ambient_dim:
+        raise ValueError("not full-dimensional")
+    n = len(p.vertices)
+    if apex_index is None:
+        apex_index = min(range(n), key=p.vertices.__getitem__)
+    apex_index = range(n)[apex_index]
+    return _pull((1 << n) - 1, p.dim, apex_index, [f.members for f in p.facets])
+
+
 def triangulate(p: VPolytope, apex_index=None):
     """Pulling triangulation coned from the lexicographically smallest vertex.
 
@@ -538,18 +548,6 @@ def triangulate(p: VPolytope, apex_index=None):
     vertex.  A different top-level apex may be selected by index; the default
     is deterministic.
     """
-    if p.dim != p.ambient_dim:
-        raise ValueError("not full-dimensional")
     verts = p.vertices
-    if apex_index is None:
-        apex_index = min(range(len(verts)), key=verts.__getitem__)
-    apex_index = range(len(verts))[apex_index]
-    facet_sets = [f.members for f in p.facets]
-    simplices = _pull((1 << len(verts)) - 1, p.dim, apex_index, facet_sets)
+    simplices = _triangulation(p, apex_index)
     return [tuple(u for i, u in enumerate(verts) if s >> i & 1) for s in simplices]
-
-
-def simplex_volume(simplex) -> Q:
-    d = len(simplex[0])
-    m = [vsub(v, simplex[0]) for v in simplex[1:]]
-    return abs(det(m)) / math.factorial(d)

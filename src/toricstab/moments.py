@@ -1,10 +1,13 @@
 """Exact continuous moments of a rational polytope and lattice-point series.
 
 Continuous moments (volume, barycenter, covariance) come from the pulling
-triangulation and closed-form simplex integrals, all in exact rational
-arithmetic.  The lattice series counts integer points of dilates and
-accumulates pairing sums in exact integer arithmetic; the scan runs over a
-bounding box of all axes but one, with the last axis summed in closed form.
+triangulation and closed-form simplex integrals.  The vertices are scaled
+once by the lcm r of their denominators, so r P is a lattice polytope and
+every simplex adds integer sums (its determinant, its vertex sum and its
+second-moment matrix); one `Fraction` per output entry divides at the end.
+The lattice series counts integer points of dilates and accumulates
+pairing sums in exact integer arithmetic; the scan runs over a bounding box
+of all axes but one, with the last axis summed in closed form.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import numpy as np
 from .exactgeom import (
     HPolytope,
     VPolytope,
+    _reduce,
+    _scaled,
+    _triangulation,
     as_direction,
     det,
     dot,
     facets_from_vertices,
-    simplex_volume,
-    triangulate,
-    vadd,
 )
 
 
@@ -60,43 +63,36 @@ class ExtrapolationResult:
     q_residuals: tuple[Q, ...]
 
 
-def _simplex_raw_moments(simplex):
-    # integral of u over a simplex: vol * centroid;
-    # integral of u u^T:  vol / ((d+1)(d+2)) * (sum_i v_i v_i^T + s s^T), s = sum_i v_i
-    d = len(simplex[0])
-    vol = simplex_volume(simplex)
-    s = simplex[0]
-    for v in simplex[1:]:
-        s = vadd(s, v)
-    first = tuple(vol * x / (d + 1) for x in s)
-    scale = vol / ((d + 1) * (d + 2))
-    second = [[Q(0)] * d for _ in range(d)]
-    for v in simplex:
-        for i in range(d):
-            for j in range(d):
-                second[i][j] += v[i] * v[j]
-    for i in range(d):
-        for j in range(d):
-            second[i][j] = scale * (second[i][j] + s[i] * s[j])
-    return vol, first, second
-
-
 def moment_data(p: VPolytope, apex_index=None) -> MomentData:
-    """Volume, barycenter and covariance summed over one pulling triangulation."""
+    """Volume, barycenter and covariance summed over one pulling triangulation.
+
+    With r = `denominator_lcm(p)` the scaled vertices z = r u are integers.  A
+    simplex with D = |det| of its edge vectors and vertex sum s adds D to
+    vol, D s to first and D (sum of z z^T + s s^T) to the upper triangle of
+    second; then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
+    Cov = second / ((d+1)(d+2) r^2 vol) - b b^T.
+    """
     d = p.ambient_dim
-    vol = Q(0)
-    first = tuple(Q(0) for _ in range(d))
-    second = [[Q(0)] * d for _ in range(d)]
-    for simplex in triangulate(p, apex_index):
-        sv, sf, ss = _simplex_raw_moments(simplex)
-        vol += sv
-        first = vadd(first, sf)
+    z, r = _scaled(p.vertices)
+    vol, first = 0, [0] * d
+    second = [[0] * d for _ in range(d)]
+    for mask in _triangulation(p, apex_index):
+        simplex = [u for i, u in enumerate(z) if mask >> i & 1]
+        base = simplex[0]
+        dd = abs(_reduce([[x - y for x, y in zip(u, base)] for u in simplex[1:]])[1])
+        s = [sum(col) for col in zip(*simplex)]
+        vol += dd
         for i in range(d):
-            for j in range(d):
-                second[i][j] += ss[i][j]
-    b = tuple(x / vol for x in first)
-    cov = tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
-    return MomentData(vol, b, cov)
+            first[i] += dd * s[i]
+            for j in range(i, d):
+                second[i][j] += dd * (sum(u[i] * u[j] for u in simplex) + s[i] * s[j])
+    b = tuple(Q(x, (d + 1) * r * vol) for x in first)
+    den = (d + 1) * (d + 2) * r * r * vol
+    cov = tuple(
+        tuple(Q(second[min(i, j)][max(i, j)], den) - b[i] * b[j] for j in range(d))
+        for i in range(d)
+    )
+    return MomentData(Q(vol, math.factorial(d) * r**d), b, cov)
 
 
 def volume(p: VPolytope) -> Q:

@@ -8,7 +8,6 @@ exact rational square so comparisons never round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, total_ordering
@@ -18,6 +17,7 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
+    _scaled,
     as_direction,
     dual_polytope,
     facets_from_vertices,
@@ -100,22 +100,15 @@ class StabilityContext:
 
     @cached_property
     def _fast(self) -> _Cleared:
-        verts = self.vpoly.vertices
-        dv = math.lcm(*(x.denominator for u in verts for x in u))
-        vert_rows = tuple(tuple(int(x * dv) for x in u) for u in verts)
-        b = self.moments.barycenter
-        db = math.lcm(*(x.denominator for x in b))
-        b_row = tuple(int(x * db) for x in b)
-        cov = self.moments.covariance
-        dc = math.lcm(*(x.denominator for row in cov for x in row))
-        cov_rows = tuple(tuple(int(x * dc) for x in row) for row in cov)
-        return _Cleared(vert_rows, dv, b_row, db, cov_rows, dc)
+        vert_rows, dv = _scaled(self.vpoly.vertices)
+        (b_row,), db = _scaled([self.moments.barycenter])
+        cov_rows, dc = _scaled(self.moments.covariance)
+        return _Cleared(tuple(vert_rows), dv, b_row, db, tuple(cov_rows), dc)
 
 
 def _clear_direction(v, d):
-    w = as_direction(v, d)
-    mult = math.lcm(*(x.denominator for x in w))
-    return tuple(int(x * mult) for x in w), mult
+    (w,), mult = _scaled([as_direction(v, d)])
+    return w, mult
 
 
 def _build(vp, hp, rays=None, coeffs=None, name=None) -> StabilityContext:

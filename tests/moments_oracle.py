@@ -1,0 +1,59 @@
+"""Reference continuous moments for the tests: simplex integrals in `Fraction`.
+
+Each simplex of the pulling triangulation (as vertex tuples) contributes its
+volume, its first moment and its raw second moment, each summed as an exact
+rational; the determinant is the `Fraction` elimination of `linalg_oracle`,
+so none of the integer sums in `toricstab.moments` is shared.
+"""
+
+import math
+from fractions import Fraction as Q
+
+import linalg_oracle
+from toricstab.exactgeom import triangulate, vadd, vsub
+from toricstab.moments import MomentData
+
+
+def simplex_volume(simplex) -> Q:
+    d = len(simplex[0])
+    m = [vsub(v, simplex[0]) for v in simplex[1:]]
+    return abs(linalg_oracle.det(m)) / math.factorial(d)
+
+
+def simplex_raw_moments(simplex):
+    # integral of u over a simplex: vol * centroid;
+    # integral of u u^T:  vol / ((d+1)(d+2)) * (sum_i v_i v_i^T + s s^T), s = sum_i v_i
+    d = len(simplex[0])
+    vol = simplex_volume(simplex)
+    s = simplex[0]
+    for v in simplex[1:]:
+        s = vadd(s, v)
+    first = tuple(vol * x / (d + 1) for x in s)
+    scale = vol / ((d + 1) * (d + 2))
+    second = [[Q(0)] * d for _ in range(d)]
+    for v in simplex:
+        for i in range(d):
+            for j in range(d):
+                second[i][j] += v[i] * v[j]
+    for i in range(d):
+        for j in range(d):
+            second[i][j] = scale * (second[i][j] + s[i] * s[j])
+    return vol, first, second
+
+
+def moment_data(p, apex_index=None) -> MomentData:
+    """Volume, barycenter and covariance summed over one pulling triangulation."""
+    d = p.ambient_dim
+    vol = Q(0)
+    first = tuple(Q(0) for _ in range(d))
+    second = [[Q(0)] * d for _ in range(d)]
+    for simplex in triangulate(p, apex_index):
+        sv, sf, ss = simplex_raw_moments(simplex)
+        vol += sv
+        first = vadd(first, sf)
+        for i in range(d):
+            for j in range(d):
+                second[i][j] += ss[i][j]
+    b = tuple(x / vol for x in first)
+    cov = tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
+    return MomentData(vol, b, cov)

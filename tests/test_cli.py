@@ -378,6 +378,30 @@ def test_digits_must_be_positive(tmp_path, capsys):
     assert code == 2 and "--digits" in err
 
 
+def test_digits_upper_bound(tmp_path, capsys):
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    code, out, err = run(capsys, "report", path, "--v", "1,0", "--digits", "4000")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["directions"][0]["mu1_decimal"].split(".")[1]) == 4000
+    code, out, err = run(capsys, "report", path, "--v", "1,0", "--digits", "4001")
+    assert code == 2 and out == ""
+    assert "--digits must be between 1 and 4000" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, flag):
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    target = str(tmp_path / "missing" / "x")
+    argv = ["oracle", path, "--v", "1,0", "--mmax", "6", flag, target]
+    if flag == "--out":
+        argv = ["destabilize", path, "--out", target]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"cannot write {flag} {target}" in err
+    assert "Traceback" not in err
+
+
 def test_certificate_failure_exits_three(tmp_path, capsys, monkeypatch):
     import toricstab.cli as cli_mod
 

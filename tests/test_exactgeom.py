@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import linalg_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices, vertices_by_subsets
+from moments_oracle import simplex_volume
 from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import (
     ConeH,
@@ -23,17 +24,18 @@ from toricstab.exactgeom import (
     extreme_rays,
     facets_from_vertices,
     is_primitive_lattice,
+    normal_cone,
     normal_fan,
     nullspace,
     primitive,
     rank,
-    simplex_volume,
     solve_unique,
     triangulate,
     vadd,
     vertices_from_facets,
     vneg,
     vpolytope,
+    vsub,
 )
 from toricstab.limits import weight_polytope, weighted_point
 from toricstab.moments import volume
@@ -434,6 +436,27 @@ def test_normal_fan_weighted_triangle_membership():
     assert by_vertex[qtuple(-1, 1)].contains((0, -1))
     assert not by_vertex[qtuple(-1, -1)].contains((0, -1))
     assert not by_vertex[qtuple(3, -1)].contains((0, -1))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_normal_cone_matches_primitive_differences(kind):
+    rng = fresh_rng(f"normal-cone-{kind}")
+
+    def coord():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-8, 8)
+        return rand_rational(rng)
+
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        pool = [tuple(coord() for _ in range(d)) for _ in range(rng.randint(1, 6))]
+        # points and face drawn with repetition from a small pool
+        points = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+        face = [rng.choice(points) for _ in range(rng.randint(1, 3))]
+        expected = {primitive(vsub(u, w)) for u in face for w in points if u != w}
+        cone = normal_cone(face, points)
+        assert cone == ConeH(tuple(sorted(expected)), d)
+        assert all(type(x) is int for a in cone.normals for x in a)
 
 
 @pytest.mark.parametrize("verts", [P2_VERTS, P112_VERTS, ((0, 0), (1, 0), (0, 1), (1, 1))])

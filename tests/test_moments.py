@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import moments_oracle
 from conftest import fresh_rng, rand_nonzero_ivec
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
@@ -98,6 +99,57 @@ def test_moment_data_same_for_every_apex(name):
         assert moment_data(ctx.vpoly, apex_index=apex) == ctx.moments
     # the hull built from the vertices alone gives the same moments
     assert context_from_vertices(ctx.vpoly.vertices).moments == ctx.moments
+
+
+def _cube(d):
+    return [_unit(d, i, s) for i in range(d) for s in (1, -1)]
+
+
+# the benchmark's scaling ladder
+LADDER = {
+    **{f"p11m{m}": [(1, 0), (0, 1), (-1, -m)] for m in (2, 3, 5, 8, 13, 21)},
+    **{f"p1^{d}": _cube(d) for d in (2, 3, 4)},
+    "p1^3+110": _cube(3) + [(1, 1, 0)],
+    "p1^3+111": _cube(3) + [(1, 1, 1)],
+    "p11112": [_unit(4, i) for i in range(4)] + [(-1, -1, -1, -2)],
+    "bl-p4-1100": [_unit(4, i) for i in range(4)] + [(-1, -1, -1, -1), (1, 1, 0, 0)],
+    "p1xp3+0110": [_unit(4, 0), _unit(4, 0, -1), _unit(4, 1), _unit(4, 2), _unit(4, 3)]
+    + [(0, -1, -1, -1), (0, 1, 1, 0)],
+    **APEX_FANS,
+}
+
+
+def _rational_polytope(rng, d):
+    # one or two vertex denominators in 2..6 per polytope, so r varies
+    dens = rng.sample(range(2, 7), rng.randint(1, 2))
+    while True:
+        npts = d + 1 + rng.randint(0, 3)
+        pts = [
+            tuple(Q(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)) for _ in range(npts)
+        ]
+        p = vpolytope(pts)
+        if p.dim == d:
+            return p
+
+
+@pytest.mark.parametrize("d,count", [(1, 30), (2, 60), (3, 40), (4, 30), (5, 15)])
+def test_moment_data_matches_oracle(d, count):
+    rng = fresh_rng(f"moments-oracle-{d}")
+    lcms = set()
+    for _ in range(count):
+        p = _rational_polytope(rng, d)
+        lcms.add(denominator_lcm(p))
+        for apex in range(len(p.vertices)):
+            assert moment_data(p, apex_index=apex) == moments_oracle.moment_data(p, apex)
+    # the scale r = denominator_lcm takes several values besides 1
+    assert len(lcms - {1}) >= 3
+
+
+def test_moment_data_matches_oracle_on_ladder_and_corpus(contexts):
+    ladder = {name: context_from_rays(rays, name=name) for name, rays in LADDER.items()}
+    assert len(ladder) == 16
+    for ctx in [*ladder.values(), *contexts.values()]:
+        assert ctx.moments == moments_oracle.moment_data(ctx.vpoly), ctx.name
 
 
 def test_redundant_half_space_drops_out():
