@@ -6,43 +6,40 @@ mutated, and no floating point is used anywhere.  The intended ambient
 dimension is small (<= 8).
 
 One elimination kernel does the linear algebra: `_reduce` is fraction-free
-Gauss-Jordan elimination (Bareiss) on Python ints, and `solve_unique`,
-`rank`, `nullspace` and `det` clear each row's denominators once and read
-their answers off its reduced rows.  The hull's chart coordinates and facet
-normals come from the same kernel.
+Gauss-Jordan elimination (Bareiss) on Python ints, under `solve_unique`,
+`rank`, `det` and the hull's chart coordinates.
 
-One hull carries the combinatorics: a `VPolytope` holds its irredundant
-vertices together with its facets, each facet a supporting half-space and
-the bitmask of the vertices on it.  Built from points, the facets are found
-once in affine-hull coordinates and the vertices are the points that are
-the only common point of the facets through them.  Built from constraints
-<n_i, u> >= c_i, the same hull runs in one more dimension, on the origin,
-e_t and the points (n_i, -c_i): by polarity its facets through the origin
-are the vertices of the polytope, their members the constraints tight
-there, and the facets are the maximal tight sets; boundedness, feasibility
-and full dimension are read off the same facets.  The H-form, the pulling
-triangulation and the face lattice of a weight polytope are all read off
-this incidence.  The hull refuses inputs whose subset count is over
-`HULL_BUDGET`; from constraints it scans only the subsets through the
-origin.
+One enumeration carries the combinatorics: `_cone_rays`, the double
+description method, gives the extreme rays of a cone {x : A x >= 0}, each
+with the bitmask of the rows tight on it, and its lineality.  The facets of
+conv(p_j) are the rays (a, b) of {<a, p_j> + b >= 0} in coordinates of the
+affine hull, their members the points on them.  The vertices of
+{<n_i, u> >= c_i} are the rays (x, s) of {<n_i, x> >= c_i s, s >= 0}, read
+as x/s, with the constraints tight at each; boundedness, feasibility and
+full dimension are read off the same rays.  `extreme_rays` of a `ConeH`
+are its rays modulo its lineality.  A `VPolytope` carries the vertex-facet
+incidence, from which the H-form, the pulling triangulation and the face
+lattice of a weight polytope are read.  More than `HULL_BUDGET` candidate
+ray pairs, summed over the rows, is refused.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
 from typing import NamedTuple
 
 VecQ = tuple[Q, ...]
 IntVec = tuple[int, ...]
 
 MAX_DIM = 8
-# most subsets one hull may enumerate: about 25 s at the 0.1 ms per 6D subset
-# measured on one core of a 2-vCPU x86-64 host, CPython 3.11
-HULL_BUDGET = 200_000
+# most candidate ray pairs one hull may test, summed over its rows: about 2 s
+# at the 4-5 million pairs per second measured on one core of a 2-vCPU
+# x86-64 host, CPython 3.11
+HULL_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +158,6 @@ def rank(rows) -> int:
     return len(_reduce(_scaled(rows)[0])[0])
 
 
-def nullspace(rows, n):
-    """Basis of {x in Q^n : A x = 0}."""
-    work = _scaled(rows)[0]
-    pivots, dd, _ = _reduce(work, n)
-    basis = []
-    for fc in range(n):
-        if fc not in pivots:
-            vec = [Q(0)] * n
-            vec[fc] = Q(1)
-            for row, pc in zip(work, pivots):
-                vec[pc] = Q(-row[fc], dd)
-            basis.append(tuple(vec))
-    return basis
-
-
 def det(rows) -> Q:
     """Exact determinant of a square matrix A: det(r A) / r^n, with r A integral."""
     ints, r = _scaled(rows)
@@ -261,57 +243,101 @@ class Fan:
     cones: tuple[tuple[VecQ, ConeH], ...]
 
 
-def _point_facets(pts, through_first=False):
+def _primitive_int(v) -> IntVec:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _cone_rays(rows, n):
+    """Extreme rays and lineality basis of {x in Q^n : <r, x> >= 0 for r in rows}.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996) from the n unit lines, one row at a time in the given
+    order (callers sort; reversed and shuffled orders measured no better).
+    A row nonzero on a line makes that line, oriented into the half-space, a
+    ray and moves the other lines and the rays onto the row's hyperplane
+    along it.  Otherwise the rays on the wrong side go, and each adjacent
+    pair across the hyperplane leaves its positive combination on it.  Two
+    rays are adjacent when no third ray is tight on all rows tight on both;
+    those rows then number at least n - #lines - 2, which filters most pairs
+    first.  Rays are primitive integer vectors, unique modulo the lineality,
+    each with the bitmask of its tight rows (bit i for rows[i]).  Over
+    `HULL_BUDGET` candidate pairs in all is a ValueError.
+    """
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays, pairs = [], 0
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        vals = [sum(map(operator.mul, r, x)) for x in lines]
+        j = next((j for j, v in enumerate(vals) if v), None)
+        if j is not None:
+            # a line leaves the lineality: it becomes the one ray off the hyperplane
+            a, line = vals.pop(j), lines.pop(j)
+            if a < 0:
+                a, line = -a, vneg(line)
+            lines = [_primitive_int([a * x - v * y for x, y in zip(l, line)])
+                     for l, v in zip(lines, vals)]
+            rays = [(_primitive_int([a * x - v * y for x, y in zip(ray, line)]), t | bit)
+                    for ray, t in rays for v in [sum(map(operator.mul, r, ray))]]
+            rays.append((line, bit - 1))  # tight on every earlier row, as lines are
+            continue
+        pos, neg, keep = [], [], []
+        for ray, t in rays:
+            v = sum(map(operator.mul, r, ray))
+            if v > 0:
+                pos.append((ray, t, v))
+                keep.append((ray, t))
+            elif v < 0:
+                neg.append((ray, t, v))
+            else:
+                keep.append((ray, t | bit))
+        pairs += len(pos) * len(neg)
+        if pairs > HULL_BUDGET:
+            raise ValueError(
+                f"hull needs at least {pairs} ray pairs, exceeds budget of {HULL_BUDGET}"
+            )
+        need = n - len(lines) - 2
+        tights = [t for _, t in rays]
+        for p, tp, vp in pos:
+            cands = [(q, tq, vq) for q, tq, vq in neg if (tp & tq).bit_count() >= need]
+            if not cands:
+                continue
+            # a third ray tight on all rows common to p and q shares at least `need` with p
+            near = [t for t in tights if (t & tp).bit_count() >= need]
+            for q, tq, vq in cands:
+                z = tp & tq
+                if sum(z & t == z for t in near) == 2:
+                    w = [vp * y - vq * x for x, y in zip(p, q)]
+                    keep.append((_primitive_int(w), z | bit))
+        rays = keep
+    return rays, lines
+
+
+def _point_facets(pts):
     """Affine dimension and facets of distinct rational points, with point incidence.
 
     The points are projected onto k coordinates that map their affine hull
-    isomorphically onto Q^k and scaled to integers.  Every k points span a
-    hyperplane (its normal is the vector of signed maximal minors of their
-    differences); it is a facet when no point lies strictly on one side, and
-    subsets already inside a found facet are skipped.  Normals are lifted
-    back with zeros on the other coordinates, so <normal, u> >= offset holds
-    on the polytope in ambient coordinates.  With `through_first` only the
-    subsets holding pts[0] are scanned, which finds exactly the facets
-    through it.  More than `HULL_BUDGET` subsets to scan is a ValueError.
+    isomorphically onto Q^k and scaled to integers z_j.  The facets are the
+    extreme rays (a, b) of the pointed cone {(a, b) : <a, z_j> + b >= 0},
+    with the points on each as the rows tight on it.  Normals are lifted back
+    with zeros on the other coordinates, so <normal, u> >= offset holds on
+    the polytope in ambient coordinates.
     """
     d = len(pts[0])
     cols = _reduce(_scaled([vsub(p, pts[0]) for p in pts[1:]])[0], d)[0]
     k = len(cols)
     if k == 0:
         return 0, ()
-    head = (0,) if through_first else ()
-    count = math.comb(len(pts) - len(head), k - len(head))
-    if count > HULL_BUDGET:
-        raise ValueError(f"hull needs {count} subsets, exceeds budget of {HULL_BUDGET}")
     z, scale = _scaled([[p[c] for c in cols] for p in pts])
-    found = {}
-    for rest in itertools.combinations(range(len(head), len(z)), k - len(head)):
-        subset = head + rest
-        bits = sum(1 << i for i in subset)
-        if any(bits & m == bits for m in found.values()):
-            continue
-        base = z[subset[0]]
-        rows = [[x - y for x, y in zip(z[i], base)] for i in subset[1:]]
-        pivots, dd, _ = _reduce(rows)
-        if len(pivots) < k - 1:
-            continue
-        # the kernel of the k-1 difference rows, in integers
-        free = next(j for j in range(k) if j not in pivots)
-        n = [0] * k
-        n[free] = dd
-        for r, j in zip(rows, pivots):
-            n[j] = -r[free]
-        c = sum(a * b for a, b in zip(n, base))
-        sides = [sum(a * b for a, b in zip(n, u)) - c for u in z]
-        if min(sides) < 0 < max(sides):
-            continue
-        g = math.gcd(*n) * (-1 if min(sides) < 0 else 1)
+    rays, _ = _cone_rays([(*u, 1) for u in z], k + 1)
+    facets = []
+    for (*a, b), members in rays:
+        g = math.gcd(*a)
         lift = [0] * d
-        for col, a in zip(cols, n):
-            lift[col] = a // g
-        members = sum(1 << i for i, s in enumerate(sides) if s == 0)
-        found[(tuple(lift), Q(c // g, scale))] = members
-    return k, tuple(Facet(n, c, m) for (n, c), m in sorted(found.items()))
+        for col, x in zip(cols, a):
+            lift[col] = x // g
+        facets.append(Facet(tuple(lift), Q(-b, g * scale), members))
+    return k, tuple(sorted(facets))
 
 
 def _is_vertex(i, facets) -> bool:
@@ -342,33 +368,30 @@ def vpolytope(points) -> VPolytope:
 
 
 def vertices_from_facets(h: HPolytope) -> VPolytope:
-    """Vertices and facets of a bounded, full-dimensional H-polytope, off one hull.
+    """Vertices and facets of a bounded, full-dimensional H-polytope, off one cone.
 
     P = {u : <n_i, u> >= c_i} is the slice t = 1 of the cone
-    C = {(u, t) : <n_i, u> >= c_i t, t >= 0}, whose extreme rays are the
-    primitive inward normals (x, s) of the facets through 0 of the hull of 0,
-    e_t and the points (n_i, -c_i).  A ray with s = 0, or a hull that is not
-    full-dimensional, is a direction of recession; no facet through 0 means
-    C = {0}; 0 not a vertex means C, and so P, is lower-dimensional.
-    Otherwise the vertices of P are the points x/s, and the constraints
-    tight at each are the members of its facet.
+    C = {(u, t) : <n_i, u> >= c_i t, t >= 0}.  A line of C, or an extreme
+    ray (x, s) with s = 0, is a direction of recession; no ray at all means
+    C = {0}; a constraint tight on every ray is an implicit equality, so C,
+    and with it P, is lower-dimensional.  Otherwise the vertices of P are the
+    points x/s, and the constraints tight at each are the rows tight on its
+    ray.
     """
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError("ambient dimension too large")
     cons = sorted(set(h.constraints))
     m = len(cons)
-    pts = [(0,) * (d + 1), (0,) * d + (1,)] + [(*n, -c) for n, c in cons]
-    k, rays = _point_facets(pts, through_first=True)
-    if k <= d or any(f.normal[d] == 0 for f in rays):
+    rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
+    rays, lines = _cone_rays(rows, d + 1)
+    if lines or any(x[d] == 0 for x, _ in rays):
         raise ValueError("unbounded polytope")
     if not rays:
         raise ValueError("infeasible")
-    if not _is_vertex(0, rays):
+    if functools.reduce(operator.and_, (t for _, t in rays)):
         raise ValueError("not full-dimensional")
-    incidence = sorted(
-        (tuple(Q(x, f.normal[d]) for x in f.normal[:d]), f.members >> 2) for f in rays
-    )
+    incidence = sorted((tuple(Q(a, x[d]) for a in x[:d]), t) for x, t in rays)
     verts = tuple(u for u, _ in incidence)
     # a redundant constraint is tight on a proper subset of some facet's vertices
     tight = [sum(1 << i for i, (_, t) in enumerate(incidence) if t >> j & 1) for j in range(m)]
@@ -395,7 +418,7 @@ def normal_cone(face, points) -> ConeH:
     z = _scaled([*face, *points])[0]
     diffs = {vsub(u, w) for u in z[: len(face)] for w in z[len(face) :]}
     diffs.discard((0,) * len(z[0]))
-    normals = {tuple(x // g for x in v) for v in diffs for g in [math.gcd(*v)]}
+    normals = {_primitive_int(v) for v in diffs}
     return ConeH(tuple(sorted(normals)), len(z[0]))
 
 
@@ -406,46 +429,18 @@ def normal_fan(p: VPolytope) -> Fan:
     return Fan(tuple((u, normal_cone([u], p.vertices)) for u in p.vertices))
 
 
-@lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)
 def extreme_rays(c: ConeH) -> ConeGenerators:
-    """Primitive extreme-ray generators of a cone, plus a lineality basis.
+    """Primitive extreme-ray generators of the cone {v : <a, v> <= 0}, plus a lineality basis.
 
-    The cone is {v : <a, v> <= 0}.  The lineality space is quotiented out
-    first, extreme rays of the pointed quotient are found by enumerating
-    (k-1)-subsets of constraints, and the result is lifted back.  For the
-    full space (no constraints) the answer is no rays and the standard basis
-    as lineality.
+    Both come from one double description.  The rays are unique modulo the
+    lineality space; on a cone with lineality a ray's representative is the
+    one the elimination left, not a canonical choice.  For the full space
+    (no constraints) the answer is no rays and the standard basis as
+    lineality.
     """
-    d = c.dim
-    lin = nullspace(c.normals, d)
-    lin_prims = tuple(sorted(primitive(l) for l in lin))
-    # complement of the lineality inside the standard basis
-    comp = []
-    base = [list(l) for l in lin]
-    for j in range(d):
-        e = [Q(0)] * d
-        e[j] = Q(1)
-        if rank(base + [e]) > len(base):
-            base.append(e)
-            comp.append(tuple(e))
-    k = len(comp)
-    if k == 0:
-        return ConeGenerators((), lin_prims)
-    # nonzero normals stay nonzero in quotient coordinates: they kill lin already
-    reduced = sorted({tuple(dot(a, e) for e in comp) for a in c.normals} - {tuple([Q(0)] * k)})
-    rays = set()
-    for subset in itertools.combinations(reduced, k - 1):
-        ns = nullspace(list(subset), k)
-        if len(ns) != 1:
-            continue
-        w = ns[0]
-        for cand in (w, vneg(w)):
-            if all(dot(row, cand) <= 0 for row in reduced):
-                lift = [Q(0)] * d
-                for coef, e in zip(cand, comp):
-                    lift = [x + coef * y for x, y in zip(lift, e)]
-                rays.add(primitive(lift))
-    return ConeGenerators(tuple(sorted(rays)), lin_prims)
+    rays, lines = _cone_rays(_scaled([vneg(a) for a in c.normals])[0], c.dim)
+    return ConeGenerators(tuple(sorted(x for x, _ in rays)), tuple(sorted(lines)))
 
 
 def cone_relint_contains(c: ConeH, v) -> bool:

@@ -5,15 +5,27 @@ at most d+1 points; `facets_by_subsets` tries every d-subset of vertices as
 a facet hyperplane; `faces_by_subsets` builds a weight polytope's face
 lattice from the two in exact coordinates on the affine hull;
 `vertices_by_subsets` solves every d-subset of constraints and keeps the
-feasible solutions, boundedness asked of the recession cone's extreme rays.
+feasible solutions, boundedness asked of the recession cone's extreme rays;
+`extreme_rays_by_subsets` finds those rays on the quotient by the lineality
+space, one kernel per (k-1)-subset of normals.
 """
 
 import itertools
 from fractions import Fraction as Q
 
 from linalg_oracle import nullspace, rank, solve_unique
-from optimizer_oracle import cone_is_trivial
-from toricstab.exactgeom import ConeH, Facet, VPolytope, dot, is_zero, primitive, qvec, vneg, vsub
+from toricstab.exactgeom import (
+    ConeGenerators,
+    ConeH,
+    Facet,
+    VPolytope,
+    dot,
+    is_zero,
+    primitive,
+    qvec,
+    vneg,
+    vsub,
+)
 
 
 def in_convex_hull(p, points) -> bool:
@@ -87,7 +99,8 @@ def vertices_by_subsets(h):
     with its dimension and no facets."""
     cons = h.constraints
     d = h.ambient_dim
-    if not cone_is_trivial(ConeH(tuple(sorted({vneg(n) for n, _ in cons})), d)):
+    recession = extreme_rays_by_subsets(ConeH(tuple(sorted({vneg(n) for n, _ in cons})), d))
+    if recession.rays or recession.lineality:
         raise ValueError("unbounded polytope")
     cands = set()
     for subset in itertools.combinations(cons, d):
@@ -107,3 +120,37 @@ def vertices_by_subsets(h):
         if not any(t & o == t != o for o in tight.values())
     )
     return VPolytope(verts, dim, facets)
+
+
+def extreme_rays_by_subsets(c: ConeH) -> ConeGenerators:
+    """Primitive extreme rays and a lineality basis of {v : <a, v> <= 0}.
+
+    The lineality space is the kernel of the normals; unit vectors complete
+    a basis of it, and the cone is the lineality plus its part on their
+    span.  There every ray spans the kernel of some k-1 of the normals, in
+    the k complement coordinates, and satisfies all of them.
+    """
+    d = c.dim
+    lin = nullspace(c.normals, d)
+    comp, base = [], [list(l) for l in lin]
+    for j in range(d):
+        e = [Q(int(i == j)) for i in range(d)]
+        if rank(base + [e]) > len(base):
+            base.append(e)
+            comp.append(j)
+    lin_prims = tuple(sorted(primitive(l) for l in lin))
+    if not comp:
+        return ConeGenerators((), lin_prims)
+    reduced = sorted({tuple(a[j] for j in comp) for a in c.normals} - {(0,) * len(comp)})
+    rays = set()
+    for subset in itertools.combinations(reduced, len(comp) - 1):
+        ns = nullspace(list(subset), len(comp))
+        if len(ns) != 1:
+            continue
+        for cand in (ns[0], vneg(ns[0])):
+            if all(dot(row, cand) <= 0 for row in reduced):
+                lift = [Q(0)] * d
+                for j, x in zip(comp, cand):
+                    lift[j] = x
+                rays.add(primitive(lift))
+    return ConeGenerators(tuple(sorted(rays)), lin_prims)

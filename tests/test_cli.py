@@ -1,6 +1,9 @@
 """Command surface: documents, rendering, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -9,6 +12,8 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricstab
 from toricstab.cli import main
@@ -354,14 +359,72 @@ def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
 
 
 def test_hull_over_budget_exits_two(tmp_path, capsys):
-    # C(60, 6) subsets would take hours; the hull refuses before enumerating
+    # 40 random points in 8D have 9433 facets and need about 7e7 ray pairs;
+    # the hull refuses at the first row that takes the sum over the budget
     rng = random.Random("toricstab:budget")
-    pts = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(60)]
+    pts = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(40)]
     path = write_doc(tmp_path, "big.json", {"name": "big", "moment_polytope": {"vertices": pts}})
     code, out, err = run(capsys, "report", path)
     assert code == 2 and out == ""
-    assert "hull needs 50063860 subsets, exceeds budget" in err
+    assert "hull needs at least 12968643 ray pairs, exceeds budget of 10000000" in err
     assert "Traceback" not in err
+
+
+@st.composite
+def fuzz_invocations(draw):
+    """A command line and a small document reaching one hull entry: fan rays with
+    optional coefficients, moment-polytope vertices or constraints, or weights
+    with an optional support; dimension at most 4 and at most 8 entries.  Half
+    the vector lists are closed up by minus their sum and made primitive, so
+    that complete fans and bounded polytopes occur as well as every error."""
+    d = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    rational = st.integers(-4, 4).map(f"{{}}/{den}".format)
+    v = ",".join(map(str, draw(vector)))
+    vectors = draw(st.lists(vector, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        vectors.append([-sum(c) for c in zip(*vectors)])
+        vectors = sorted({tuple(x // g for x in u) for u in vectors if (g := math.gcd(*u))})
+    kind = draw(st.sampled_from(["rays", "vertices", "constraints", "weights"]))
+    if kind == "weights":
+        doc = {"weights": vectors}
+        if vectors and draw(st.booleans()):
+            index = st.integers(0, len(vectors) - 1)
+            doc["support"] = draw(st.lists(index, min_size=1, max_size=len(vectors)))
+        return ["limits", "--v", v], doc
+    if kind == "rays":
+        doc = {"name": "fuzz", "rays": vectors}
+        if draw(st.booleans()):
+            coeffs = st.lists(rational, min_size=len(vectors), max_size=len(vectors))
+            doc["coeffs"] = draw(coeffs)
+    elif kind == "vertices":
+        rows = st.lists(st.lists(rational, min_size=d, max_size=d), min_size=1, max_size=8)
+        doc = {"name": "fuzz", "moment_polytope": {"vertices": draw(rows)}}
+    else:
+        # mostly negative offsets, which put the origin inside
+        offset = st.integers(-4, 1).map(f"{{}}/{den}".format)
+        offsets = draw(st.lists(offset, min_size=len(vectors), max_size=len(vectors)))
+        rows = [{"normal": u, "offset": c} for u, c in zip(vectors, offsets)]
+        doc = {"name": "fuzz", "moment_polytope": {"constraints": rows}}
+    commands = [["report", "--v", v], ["destabilize"], ["oracle", "--v", v, "--mmax", "3"]]
+    return draw(st.sampled_from(commands)), doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_invocations())
+def test_cli_fuzz_exits_zero_or_two(tmp_path_factory, invocation):
+    (command, *flags), doc = invocation
+    path = write_doc(tmp_path_factory.mktemp("fuzz"), "doc.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, path, *flags])
+    assert code in (0, 2), (invocation, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_all_bad_files_are_reported(tmp_path, capsys):

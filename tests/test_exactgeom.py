@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
-from hull_oracle import faces_by_subsets, facets_by_subsets, hull_vertices, vertices_by_subsets
+from hull_oracle import (
+    extreme_rays_by_subsets,
+    faces_by_subsets,
+    facets_by_subsets,
+    hull_vertices,
+    vertices_by_subsets,
+)
 from moments_oracle import simplex_volume
-from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import (
     ConeH,
     HPolytope,
@@ -26,7 +31,6 @@ from toricstab.exactgeom import (
     is_primitive_lattice,
     normal_cone,
     normal_fan,
-    nullspace,
     primitive,
     rank,
     solve_unique,
@@ -109,7 +113,6 @@ def test_kernel_matches_fraction_oracle():
         r = rank(a)
         kinds.add((m == 0, m == n, r < min(m, n)))
         assert r == linalg_oracle.rank(a)
-        assert nullspace(a, n) == linalg_oracle.nullspace(a, n)
         if rng.random() < 0.5 and m:
             x = [rand_rational(rng) for _ in range(n)]
             b = [sum(Q(u) * v for u, v in zip(row, x)) for row in a]
@@ -155,7 +158,8 @@ def test_unbounded_exactly_when_polar_cone_nontrivial(d):
         if not vs:
             continue
         polar = ConeH(tuple(sorted({primitive([-x for x in v]) for v in vs})), d)
-        bounded = cone_is_trivial(polar)
+        recession = extreme_rays_by_subsets(polar)
+        bounded = not (recession.rays or recession.lineality)
         h = HPolytope(tuple(sorted({(primitive(v), Q(-1)) for v in vs})))
         if bounded:
             assert vertices_from_facets(h).dim == d, vs
@@ -261,8 +265,7 @@ def test_polygon_with_many_edges_round_trips():
 
 
 def test_fan_with_many_rays_builds():
-    # 30 of the 32 roots of B4: C(31, 4) subsets through the origin, where all
-    # subsets of the lifted hull would be C(32, 5), over the budget
+    # 30 of the 32 roots of B4: 30 constraints in 4D, 26 vertices
     rays = [
         r
         for r in itertools.product((-1, 0, 1), repeat=4)
@@ -405,6 +408,32 @@ def test_hull_matches_reference_oracles(d):
     assert dims == set(range(d + 1))
 
 
+def gale_facets(n, d):
+    """Facets of the cyclic polytope C(n, d) by Gale's evenness condition: the
+    d-subsets S of 0..n-1 with an even number of members between any two
+    non-members (Ziegler, Lectures on Polytopes, section 0)."""
+    out = set()
+    for s in itertools.combinations(range(n), d):
+        gaps = [i for i in range(n) if i not in s]
+        if all(sum(i < x < j for x in s) % 2 == 0 for i, j in zip(gaps, gaps[1:])):
+            out.add(frozenset(s))
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(12, 4), (16, 5), (20, 6)])
+def test_cyclic_polytope_facets_obey_gale_evenness(n, d):
+    # points on the moment curve, vertex i at t = i; C(20, 6) has 800 facets
+    p = vpolytope([[t**k for k in range(1, d + 1)] for t in range(n)])
+    assert p.dim == d and p.vertices == tuple(qtuple(*(t**k for k in range(1, d + 1)))
+                                             for t in range(n))
+    members = {frozenset(i for i in range(n) if f.members >> i & 1) for f in p.facets}
+    assert len(members) == len(p.facets)
+    assert members == gale_facets(n, d)
+    if n < 20:
+        again = vertices_from_facets(facets_from_vertices(p))
+        assert again.vertices == p.vertices and again.facets == p.facets
+
+
 # ---------------------------------------------------------------------------
 # normal fan
 
@@ -526,6 +555,49 @@ def test_extreme_rays_halfplane():
     assert len(gens.lineality) == 1
     assert primitive(gens.lineality[0]) in {(1, 0), (-1, 0)}
     assert set(gens.rays) == {(0, -1)}
+
+
+def random_cone(rng, d):
+    """Up to 7 small normals; in about half of the cones they span a proper
+    subspace, so the cone has lineality, and some hold a pair a, -a."""
+    span = rng.randint(1, d - 1) if rng.random() < 0.5 else d
+    base = [rand_nonzero_ivec(rng, d, 2) for _ in range(span)]
+    normals = set()
+    for _ in range(rng.randint(0, 7)):
+        v = tuple(sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(d))
+        if any(v):
+            normals.add(primitive(v))
+            if rng.random() < 0.1:
+                normals.add(vneg(primitive(v)))
+    return ConeH(tuple(sorted(normals)), d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_extreme_rays_match_subset_oracle(d):
+    rng = fresh_rng(f"extreme-rays-oracle-{d}")
+    seen = set()
+    for _ in range(60):
+        cone = random_cone(rng, d)
+        got, want = extreme_rays(cone), extreme_rays_by_subsets(cone)
+        lin = [list(l) for l in got.lineality]
+        seen.add((bool(lin), bool(got.rays)))
+        if not lin:
+            assert got == want, cone
+            continue
+        # the same lineality space, and the same rays modulo it
+        assert len(lin) == len(want.lineality) == rank(lin + [list(l) for l in want.lineality])
+        assert all(dot(a, l) == 0 for a in cone.normals for l in got.lineality)
+        assert len(got.rays) == len(want.rays), cone
+        for ray in got.rays:
+            assert cone.contains(ray)
+            same = [
+                w for w in want.rays
+                if rank(lin + [list(ray), list(w)]) == len(lin) + 1
+                and any(dot(a, ray) < 0 and dot(a, w) < 0 for a in cone.normals)
+            ]
+            assert len(same) == 1, cone
+    # pointed cones, and cones with lineality with and without rays, occur
+    assert seen >= {(False, True), (True, True), (True, False)}
 
 
 def conic_member(target, gens, d):
