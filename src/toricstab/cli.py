@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import corpus as corpus_mod
-from .exactgeom import dot
+from .exactgeom import as_direction, dot
 from .limits import (
     face_of_direction,
     is_fixed,
@@ -150,6 +150,16 @@ def parse_direction(text: str, field: str = "v"):
         return tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
         raise ValueError(f"field {field}: expected comma-separated integers") from None
+
+
+def checked_direction(v, dim: int, entry=None):
+    """v if it is a direction of length dim, else an error naming --v and the entry."""
+    try:
+        as_direction(v, dim)
+    except ValueError as exc:
+        where = f" on {entry}" if entry else ""
+        raise ValueError(f"--v {ivec_str(v)}{where}: {exc}") from None
+    return v
 
 
 def load_doc(path: str):
@@ -327,7 +337,10 @@ def stratum_table(contexts, digits: int):
 
 
 def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
-    series = lattice_series(ctx.vpoly, v, m_max)
+    try:
+        series = lattice_series(ctx.vpoly, v, m_max)
+    except ValueError as exc:
+        raise ValueError(f"--mmax {m_max}: {exc}") from None
     result = extrapolate(series)
     b = ctx.moments.barycenter
     f0_target = dot(b, [Q(x) for x in v])
@@ -423,7 +436,10 @@ def emit(doc, out_path):
 def cmd_report(args) -> int:
     contexts = gather_contexts(args)
     directions = [parse_direction(t) for t in args.v or []]
-    docs = [report_doc(ctx, directions, args.digits) for ctx in contexts]
+    docs = [
+        report_doc(ctx, [checked_direction(v, ctx.dim, ctx.name) for v in directions], args.digits)
+        for ctx in contexts
+    ]
     emit(docs[0] if len(docs) == 1 else {"entries": docs}, args.out)
     return 0
 
@@ -447,8 +463,8 @@ def cmd_oracle(args) -> int:
     contexts = gather_contexts(args)
     if len(contexts) != 1:
         raise ValueError("oracle takes exactly one input")
-    v = parse_direction(args.v)
     ctx = contexts[0]
+    v = checked_direction(parse_direction(args.v), ctx.dim, ctx.name)
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:
         write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
@@ -458,7 +474,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_limits(args) -> int:
     point = weighted_point_from_doc(load_doc(args.input))
-    v = parse_direction(args.v)
+    v = checked_direction(parse_direction(args.v), len(point.weights[0]))
     emit(limits_doc(point, v), args.out)
     return 0
 

@@ -215,7 +215,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     vi = tuple(int(x) for x in v)
     r = denominator_lcm(p)
     if m_max < 3 * r:
-        raise ValueError("insufficient series length")
+        raise ValueError(f"insufficient series length: m_max must be at least 3r = {3 * r}")
     h = facets_from_vertices(p)
     d = p.ambient_dim
     # scan along the axis with the largest vertex-coordinate range

@@ -3,25 +3,23 @@
 Everything is read off the facets of the moment polytope P.  The normal
 cone at a vertex is generated by the primitive inward normals of the facets
 through it, and on each such cone the first invariant is linear-fractional
-with positive denominator, so stage 1 is a minimum over the facet normals.
-The cone where that minimum m1 is attained is the normal cone of the face
-of P through c = (1 + 1/m1) b, generated by the normals of the facets tight
-at c.  Stage 2 slices that cone by <b, v> = 1 (the first invariant is
-constant there) and minimizes the positive definite quadratic form
-v^T Cov v over nonnegative combinations of its generators, by exhaustive
-active-set enumeration with exact KKT solves.  Strict convexity makes the
+with positive denominator, so stage 1 is a minimum over the facet normals,
+each read off its facet's offset.  The cone where that minimum m1 is
+attained is the normal cone of the face of P through c = (1 + 1/m1) b,
+generated by the normals g of the facets tight at c.  Its slice by
+<b, v> = 1 is the polytope conv(g / <b, g>), and stage 2 is the point of
+that slice nearest to 0 in the Cov norm.  Strict convexity makes the
 optimum unique; every certificate below is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .exactgeom import ConeH, IntVec, dot, normal_cone, primitive, solve_unique, vscale
 from .moments import is_positive_definite
-from .stability import SEMISTABLE, StabilityContext, StabilityValue, futaki, min_norm, mu, verdict
+from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
 
 class CertificateError(RuntimeError):
@@ -67,12 +65,14 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     The maximal cones of the normal fan are the normal cones at the vertices,
     each generated by the inward normals of the facets through its vertex;
     the invariant is linear-fractional with positive denominator on each
-    cone, so the facet normals are an exhaustive candidate set.
+    cone, so the facet normals are an exhaustive candidate set.  At a facet
+    normal n, Fut(n) = -<b, n> and ||n||_m = <b, n> - offset.
     """
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
     facets = ctx.vpoly.facets
-    vals = [futaki(ctx, f.normal) / min_norm(ctx, f.normal) for f in facets]
+    pairings = [dot(ctx.moments.barycenter, f.normal) for f in facets]
+    vals = [-bn / (bn - f.offset) for f, bn in zip(facets, pairings)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
         through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
@@ -112,45 +112,57 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     return SigmaOne(cone, m1, rays)
 
 
+def _nearest(gram) -> dict[int, Q]:
+    """Weights of the point x of conv(p_i) nearest to 0, from gram[i][j] = <p_i, p_j>.
+
+    Wolfe's walk (Math. Programming 11, 1976): a point with <x, p_j> < <x, x>
+    joins the corral, x moves toward the corral's affine minimizer, and a
+    point whose weight reaches 0 is dropped.  <x, x> falls with each corral,
+    so the walk ends, on the certificate <x, p_j> >= <x, x> for every j.
+    """
+    n = len(gram)
+    weights = {min(range(n), key=lambda i: gram[i][i]): Q(1)}
+    while True:
+        gx = [sum(w * row[i] for i, w in weights.items()) for row in gram]
+        xx = sum(w * gx[i] for i, w in weights.items())
+        j = min(range(n), key=gx.__getitem__)
+        if gx[j] >= xx:
+            return weights
+        weights[j] = Q(0)
+        while True:
+            corral = sorted(weights)
+            k = len(corral)
+            # affine minimizer: Gram_S alpha = lambda 1, sum(alpha) = 1
+            rows = [[gram[i][l] for l in corral] + [-1] for i in corral] + [[1] * k + [0]]
+            sol = solve_unique(rows, [0] * k + [1])
+            if sol is None:
+                raise CertificateError("singular corral in stage 2")
+            alpha = dict(zip(corral, sol))
+            if all(a > 0 for a in alpha.values()):
+                weights = alpha
+                break
+            t = min(weights[i] / (weights[i] - alpha[i]) for i in corral if alpha[i] <= 0)
+            weights = {i: (1 - t) * weights[i] + t * alpha[i] for i in corral}
+            weights = {i: w for i, w in weights.items() if w > 0}
+
+
 def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     """Unique minimizer of v^T Cov v on {v in sigma1 : <b, v> = 1}.
 
-    Active-set enumeration over v = sum of lambda_g g for the rays g of
-    sigma1: every linearly independent subset S of at most d rays yields one
-    exact solve of [Gram_S, -b_S; b_S^T, 0] (Gram_S = S^T Cov S, b_S the
-    pairings <b, g>).  A solve with lambda >= 0 whose y = Cov v - (v^T Cov v) b
-    pairs nonnegatively with every ray is the optimum of the strictly convex
-    program.  All candidates found must agree.
+    Every ray g of sigma1 pairs positively with b, so the slice is the
+    polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
+    in the Cov norm.
     """
     cov = ctx.moments.covariance
     if not is_positive_definite(cov):
         raise CertificateError("covariance not positive definite")
-    b = ctx.moments.barycenter
-    d = ctx.dim
-    rays = sigma1.rays
-    cov_rays = [tuple(dot(row, g) for row in cov) for g in rays]
-    gram = [[dot(g, cg) for cg in cov_rays] for g in rays]
-    b_rays = [dot(b, g) for g in rays]
-    found = []
-    for size in range(1, min(d, len(rays)) + 1):
-        for subset in itertools.combinations(range(len(rays)), size):
-            rows = [[gram[i][j] for j in subset] + [-b_rays[i]] for i in subset]
-            rows.append([b_rays[j] for j in subset] + [Q(0)])
-            sol = solve_unique(rows, [Q(0)] * size + [Q(1)])
-            if sol is None or any(lam < 0 for lam in sol[:size]):
-                continue
-            lam = dict(zip(subset, sol))
-            # <y, g> for y = Cov v - (v^T Cov v) b, in the ray coordinates of v
-            cov_v_g = [sum(lam[i] * gram[k][i] for i in subset) for k in range(len(rays))]
-            quad = sum(lam[i] * cov_v_g[i] for i in subset)
-            if any(cv < quad * bg for cv, bg in zip(cov_v_g, b_rays)):
-                continue
-            found.append(tuple(sum(lam[i] * rays[i][k] for i in subset) for k in range(d)))
-    if not found:
-        raise CertificateError("infeasible slice")
-    if any(v != found[0] for v in found[1:]):
-        raise CertificateError("stage 2 optimum not unique")
-    v_star = found[0]
+    pairings = [dot(ctx.moments.barycenter, g) for g in sigma1.rays]
+    if min(pairings) <= 0:
+        raise CertificateError("a ray of sigma1 pairs non-positively with b")
+    points = [vscale(1 / bg, g) for g, bg in zip(sigma1.rays, pairings)]
+    cov_points = [tuple(dot(row, p) for row in cov) for p in points]
+    weights = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
+    v_star = tuple(sum(w * points[i][k] for i, w in weights.items()) for k in range(ctx.dim))
     if not sigma1.cone.contains(v_star):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
     value = mu(ctx, v_star)
@@ -163,16 +175,19 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
     """Verdict plus, when unstable, the unique optimal destabilizing direction."""
     if verdict(ctx) == SEMISTABLE:
         return DestabReport(SEMISTABLE, Q(0), 0, Q(0), Q(1))
-    stage1 = minimize_mu1(ctx)
-    sigma1 = build_sigma1(ctx, stage1.m1)
-    for w in stage1.witness_rays:
-        if not sigma1.cone.contains(w):
-            raise CertificateError("witness ray outside sigma1")
-    if set(stage1.witness_rays) != set(sigma1.rays):
-        raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
-    v_star, value = minimize_mu2_on_cone(ctx, sigma1)
-    if value.mu2_sign != -1:
-        raise CertificateError("optimal direction is not destabilizing")
+    try:
+        stage1 = minimize_mu1(ctx)
+        sigma1 = build_sigma1(ctx, stage1.m1)
+        for w in stage1.witness_rays:
+            if not sigma1.cone.contains(w):
+                raise CertificateError("witness ray outside sigma1")
+        if set(stage1.witness_rays) != set(sigma1.rays):
+            raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
+        v_star, value = minimize_mu2_on_cone(ctx, sigma1)
+        if value.mu2_sign != -1:
+            raise CertificateError("optimal direction is not destabilizing")
+    except CertificateError as exc:
+        raise CertificateError(f"{ctx.name}: {exc}") from exc
     return DestabReport(
         "unstable",
         stage1.m1,

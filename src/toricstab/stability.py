@@ -1,24 +1,24 @@
 """Stability invariants of torus-invariant log Fano data.
 
 The context bundles a full-dimensional moment polytope with its exact
-moments and normal fan.  All invariants are either exact rationals or, for
-the square-root-valued second invariant, carried as a sign together with an
-exact rational square so comparisons never round.
+moments and normal fan.  Every invariant is a `Fraction` dot product with
+the barycenter, the covariance or the vertices; the square-root-valued
+second invariant is carried as a sign together with an exact rational
+square so comparisons never round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property, total_ordering
-from typing import NamedTuple
+from functools import total_ordering
 
 from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
-    _scaled,
     as_direction,
+    dot,
     dual_polytope,
     facets_from_vertices,
     normal_fan,
@@ -26,7 +26,7 @@ from .exactgeom import (
     vertices_from_facets,
     vpolytope,
 )
-from .moments import MomentData, moment_data
+from .moments import MomentData, moment_data, support_min
 
 SEMISTABLE = "semistable"
 UNSTABLE = "unstable"
@@ -67,17 +67,6 @@ class StabilityValue:
         return hash((self.mu1, self.mu2_sign, self.mu2_sq))
 
 
-class _Cleared(NamedTuple):
-    """Integer-cleared copies for hot loops: vertices, barycenter, covariance and their lcms."""
-
-    verts: tuple[tuple[int, ...], ...]
-    dv: int
-    b: tuple[int, ...]
-    db: int
-    cov: tuple[tuple[int, ...], ...]
-    dc: int
-
-
 @dataclass(frozen=True)
 class StabilityContext:
     """Moment polytope with precomputed moments, facets and normal fan."""
@@ -97,18 +86,6 @@ class StabilityContext:
     @property
     def zero_interior(self) -> bool:
         return all(c < 0 for _, c in self.hpoly.constraints)
-
-    @cached_property
-    def _fast(self) -> _Cleared:
-        vert_rows, dv = _scaled(self.vpoly.vertices)
-        (b_row,), db = _scaled([self.moments.barycenter])
-        cov_rows, dc = _scaled(self.moments.covariance)
-        return _Cleared(tuple(vert_rows), dv, b_row, db, tuple(cov_rows), dc)
-
-
-def _clear_direction(v, d):
-    (w,), mult = _scaled([as_direction(v, d)])
-    return w, mult
 
 
 def _build(vp, hp, rays=None, coeffs=None, name=None) -> StabilityContext:
@@ -147,16 +124,11 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
 
 def futaki(ctx: StabilityContext, v) -> Q:
     """Fut(v) = -<b, v> for the barycenter b; linear in v."""
-    w, mult = _clear_direction(v, ctx.dim)
-    fast = ctx._fast
-    return Q(-sum(a * x for a, x in zip(fast.b, w)), fast.db * mult)
+    return -dot(ctx.moments.barycenter, as_direction(v, ctx.dim))
 
 
 def support_pairing_min(ctx: StabilityContext, v) -> Q:
-    w, mult = _clear_direction(v, ctx.dim)
-    fast = ctx._fast
-    best = min(sum(a * x for a, x in zip(u, w)) for u in fast.verts)
-    return Q(best, fast.dv * mult)
+    return support_min(ctx.vpoly, v)
 
 
 def min_norm(ctx: StabilityContext, v) -> Q:
@@ -166,13 +138,8 @@ def min_norm(ctx: StabilityContext, v) -> Q:
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
-    w, mult = _clear_direction(v, ctx.dim)
-    fast = ctx._fast
-    acc = 0
-    for i, wi in enumerate(w):
-        if wi:
-            acc += wi * sum(cij * wj for cij, wj in zip(fast.cov[i], w))
-    return Q(acc, fast.dc * mult * mult)
+    w = as_direction(v, ctx.dim)
+    return dot(w, [dot(row, w) for row in ctx.moments.covariance])
 
 
 def mu(ctx: StabilityContext, v) -> StabilityValue:

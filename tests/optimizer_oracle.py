@@ -6,6 +6,8 @@ with one constraint per vertex and rejects it when it is {0};
 `stage2_by_constraints` enumerates active sets of those constraints
 together with the slice <b, v> = 1, one exact KKT solve each.  All three
 are slow and independent of the facet incidence the library reads.
+`stage2_by_ray_subsets` is the library's former stage 2: one exact KKT
+solve on every linearly independent subset of at most d rays of sigma1.
 `cone_is_trivial` asks the extreme rays of a cone whether it is {0}.
 """
 
@@ -23,7 +25,8 @@ from toricstab.exactgeom import (
     vscale,
     vsub,
 )
-from toricstab.optimizer import Stage1Result
+from toricstab.moments import is_positive_definite
+from toricstab.optimizer import CertificateError, SigmaOne, Stage1Result
 from toricstab.stability import futaki, min_norm, mu
 
 
@@ -99,3 +102,50 @@ def stage2_by_constraints(ctx, cone: ConeH):
     assert len(found) == 1, f"{len(found)} stage-2 optima"
     v_star = found.pop()
     return v_star, mu(ctx, v_star)
+
+
+def stage2_by_ray_subsets(ctx, sigma1: SigmaOne):
+    """Unique minimizer of v^T Cov v on {v in sigma1 : <b, v> = 1}.
+
+    Active-set enumeration over v = sum of lambda_g g for the rays g of
+    sigma1: every linearly independent subset S of at most d rays yields one
+    exact solve of [Gram_S, -b_S; b_S^T, 0] (Gram_S = S^T Cov S, b_S the
+    pairings <b, g>).  A solve with lambda >= 0 whose y = Cov v - (v^T Cov v) b
+    pairs nonnegatively with every ray is the optimum of the strictly convex
+    program.  All candidates found must agree.
+    """
+    cov = ctx.moments.covariance
+    if not is_positive_definite(cov):
+        raise CertificateError("covariance not positive definite")
+    b = ctx.moments.barycenter
+    d = ctx.dim
+    rays = sigma1.rays
+    cov_rays = [tuple(dot(row, g) for row in cov) for g in rays]
+    gram = [[dot(g, cg) for cg in cov_rays] for g in rays]
+    b_rays = [dot(b, g) for g in rays]
+    found = []
+    for size in range(1, min(d, len(rays)) + 1):
+        for subset in itertools.combinations(range(len(rays)), size):
+            rows = [[gram[i][j] for j in subset] + [-b_rays[i]] for i in subset]
+            rows.append([b_rays[j] for j in subset] + [Q(0)])
+            sol = solve_unique(rows, [Q(0)] * size + [Q(1)])
+            if sol is None or any(lam < 0 for lam in sol[:size]):
+                continue
+            lam = dict(zip(subset, sol))
+            # <y, g> for y = Cov v - (v^T Cov v) b, in the ray coordinates of v
+            cov_v_g = [sum(lam[i] * gram[k][i] for i in subset) for k in range(len(rays))]
+            quad = sum(lam[i] * cov_v_g[i] for i in subset)
+            if any(cv < quad * bg for cv, bg in zip(cov_v_g, b_rays)):
+                continue
+            found.append(tuple(sum(lam[i] * rays[i][k] for i in subset) for k in range(d)))
+    if not found:
+        raise CertificateError("infeasible slice")
+    if any(v != found[0] for v in found[1:]):
+        raise CertificateError("stage 2 optimum not unique")
+    v_star = found[0]
+    if not sigma1.cone.contains(v_star):
+        raise CertificateError("stage 2 optimum outside the H-form of sigma1")
+    value = mu(ctx, v_star)
+    if value.mu1 != sigma1.m1:
+        raise CertificateError("stage 2 left the stage-1 level set")
+    return v_star, value

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -239,8 +240,10 @@ def test_oracle_input_validation(tmp_path, capsys):
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     code, _, err = run(capsys, "oracle", path, "--v", "0,0", "--mmax", "9")
     assert code == 2 and "zero direction" in err
+    assert "error: --v 0,0 on p2: zero direction" in err
     code, _, err = run(capsys, "oracle", path, "--v", "1,0", "--mmax", "2")
     assert code == 2 and "insufficient series length" in err
+    assert "error: --mmax 2: insufficient series length: m_max must be at least 3r = 3" in err
     other = write_doc(tmp_path, "other.json", P112_DOC)
     code, _, err = run(capsys, "oracle", path, other, "--v", "1,0", "--mmax", "9")
     assert code == 2 and "exactly one input" in err
@@ -276,6 +279,7 @@ def test_limits_zero_direction(tmp_path, capsys):
     path = write_doc(tmp_path, "w.json", TRIANGLE_POINT)
     code, _, err = run(capsys, "limits", path, "--v", "0,0")
     assert code == 2 and "zero direction" in err
+    assert "error: --v 0,0: zero direction" in err
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,14 @@ def test_report_direction_length_exits_two(tmp_path, capsys, v):
     code, out, err = run(capsys, "report", path, "--v", v)
     assert code == 2 and out == ""
     assert f"direction has length {len(v.split(','))}, expected 3" in err
+    assert f"error: --v {v} on p1112: direction" in err
+
+
+def test_report_corpus_direction_names_the_entry(capsys):
+    # the corpus mixes 2D and 3D entries, so any direction misfits one of them
+    code, out, err = run(capsys, "report", "--corpus", "--v", "1,0")
+    assert code == 2 and out == ""
+    assert "error: --v 1,0 on p1112: direction has length 2, expected 3" in err
 
 
 def test_input_source_conflicts(tmp_path, capsys):
@@ -476,6 +488,23 @@ def test_certificate_failure_exits_three(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "destabilize", path)
     assert code == 3
     assert "internal certificate failure" in err
+
+
+def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
+    import toricstab.optimizer as opt
+
+    real = opt.build_sigma1
+
+    def one_ray_short(ctx, m1):
+        sigma = real(ctx, m1)
+        return replace(sigma, rays=sigma.rays[1:])
+
+    monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
+    path = write_doc(tmp_path, "p112.json", P112_DOC)
+    code, out, err = run(capsys, "destabilize", path)
+    assert code == 3 and out == ""
+    assert "internal certificate failure: p112: stage-1 witness rays differ" in err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point(tmp_path):

@@ -1,12 +1,20 @@
 """Two-stage minimization: ray candidates, minimizer cone, exact QP."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+import toricstab.optimizer as opt
 from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
-from optimizer_oracle import sigma1_by_vertices, stage1_by_fan, stage2_by_constraints
+from linalg_oracle import solve_unique as oracle_solve
+from optimizer_oracle import (
+    sigma1_by_vertices,
+    stage1_by_fan,
+    stage2_by_constraints,
+    stage2_by_ray_subsets,
+)
 from toricstab.corpus import corpus_context
 from toricstab.exactgeom import ConeH, VPolytope, dot, primitive
 from toricstab.optimizer import (
@@ -207,6 +215,88 @@ def test_stage2_constraint_order_irrelevant():
     assert again == base
 
 
+def test_stage2_rejects_ray_pairing_nonpositively_with_b():
+    # <b, (0, 1)> = -1/3: the slice <b, v> = 1 misses that ray
+    ctx = corpus_context("p112")
+    sigma = build_sigma1(ctx, Q(-1, 4))
+    with pytest.raises(CertificateError, match="a ray of sigma1 pairs non-positively"):
+        minimize_mu2_on_cone(ctx, replace(sigma, rays=((0, 1),)))
+
+
+def test_stage2_rejects_singular_corral(monkeypatch):
+    # the optimum of p112 is interior to its two-ray slice, so a corral solve happens
+    ctx = corpus_context("p112")
+    sigma = build_sigma1(ctx, Q(-1, 4))
+    monkeypatch.setattr(opt, "solve_unique", lambda a, b: None)
+    with pytest.raises(CertificateError, match="singular corral"):
+        minimize_mu2_on_cone(ctx, sigma)
+
+
+def _random_metric(rng, d):
+    a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    return [[dot(a[i], a[j]) + (i == j) for j in range(d)] for i in range(d)]
+
+
+def _nearest_by_subsets(gram, d):
+    """Every nearest point, as its pairings with the points: affine minimizers of
+    the subsets of at most d + 1 points that lie in their hull and pass the certificate."""
+    n = len(gram)
+    found = set()
+    for size in range(1, min(n, d + 1) + 1):
+        for subset in itertools.combinations(range(n), size):
+            rows = [[gram[i][j] for j in subset] + [-1] for i in subset] + [[1] * size + [0]]
+            sol = oracle_solve(rows, [0] * size + [1])
+            if sol is None or any(a < 0 for a in sol[:size]):
+                continue
+            gx = tuple(sum(a * gram[k][i] for a, i in zip(sol, subset)) for k in range(n))
+            if all(x >= sol[size] for x in gx):
+                found.add(gx)
+    return found
+
+
+def test_nearest_matches_subset_enumeration(monkeypatch):
+    # random rational points in 2-5D, shifted off the origin, under random
+    # positive definite metrics; Wolfe's walk must agree with brute force, visit
+    # corrals of strictly falling norm, and drop points on the way often enough
+    # that the minor cycle is exercised
+    real = opt.solve_unique
+    solves = []
+
+    def recording(a, b):
+        sol = real(a, b)
+        solves.append(sol)
+        assert len(solves) <= limit, "walk does not terminate"
+        return sol
+
+    monkeypatch.setattr(opt, "solve_unique", recording)
+    rng = fresh_rng("nearest")
+    cases = drops = 0
+    for d in range(2, 6):
+        for _ in range(20):
+            n = rng.randint(2, d + 4)
+            metric = _random_metric(rng, d)
+            shift = (rng.randint(2, 6),) + (0,) * (d - 1)
+            pts = [
+                tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) + x for x in shift) for _ in range(n)
+            ]
+            mpts = [[dot(row, p) for row in metric] for p in pts]
+            gram = [[dot(p, mq) for mq in mpts] for p in pts]
+            solves.clear()
+            limit = n * 2**n
+            weights = opt._nearest(gram)
+            assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
+            gx = tuple(sum(w * gram[k][i] for i, w in weights.items()) for k in range(n))
+            assert _nearest_by_subsets(gram, d) == {gx}
+            # a solve with all weights positive is the next corral's minimizer
+            norms = [sol[-1] for sol in solves if all(a > 0 for a in sol[:-1])]
+            assert all(b < a for a, b in zip(norms, norms[1:]))
+            # without drops each solve has one more point than the one before
+            sizes = [len(sol) for sol in solves]
+            drops += any(b <= a for a, b in zip(sizes, sizes[1:]))
+            cases += 1
+    assert drops >= cases // 10
+
+
 # ---------------------------------------------------------------------------
 # full reports
 
@@ -299,6 +389,7 @@ def _assert_matches_oracle(ctx):
     v_star, value = stage2_by_constraints(ctx, cone)
     assert report.v_star_rational == v_star, ctx.name
     assert report.m_mu == value, ctx.name
+    assert stage2_by_ray_subsets(ctx, report.sigma1) == (v_star, value), ctx.name
     assert set(report.stage1.witness_rays) == set(report.sigma1.rays), ctx.name
 
 
@@ -317,3 +408,31 @@ def test_matches_oracle_on_seeded_polytopes():
     assert {ctx.dim for ctx in contexts} == {2, 3, 4}
     for ctx in contexts:
         _assert_matches_oracle(ctx)
+
+
+# ---------------------------------------------------------------------------
+# a pyramid over a lattice ball: sigma1 is the normal cone at the apex, with
+# one ray per facet of the ball, which once cost sum_{k <= 4} C(#rays, k) solves
+
+
+def _ball_pyramid(r2):
+    r = range(-3, 4)
+    base = [(x, y, z, -1) for x in r for y in r for z in r if x * x + y * y + z * z <= r2]
+    return base + [(0, 0, 0, 2)]
+
+
+def test_pyramid_over_ball_of_radius_3():
+    ctx = context_from_vertices(_ball_pyramid(9), name="ball-pyramid-9")
+    assert len(ctx.vpoly.vertices) == 31
+    report = optimal_destabilizer(ctx)
+    assert len(report.sigma1.rays) == 56
+    # the symmetries of the base fix only the axis
+    assert report.v_star_primitive == (0, 0, 0, -1)
+
+
+def test_pyramid_over_ball_of_radius_sqrt6_matches_oracle():
+    ctx = context_from_vertices(_ball_pyramid(6), name="ball-pyramid-6")
+    report = optimal_destabilizer(ctx)
+    assert len(report.sigma1.rays) == 26
+    v_star, value = stage2_by_constraints(ctx, report.sigma1.cone)
+    assert (report.v_star_rational, report.m_mu) == (v_star, value)
