@@ -36,7 +36,6 @@ from .stability import (
     futaki,
     l2_norm_sq,
     log_discrepancy_S,
-    min_norm,
     mu,
     verdict,
 )
@@ -45,6 +44,10 @@ SCOPE = "torus-equivariant"
 # a decimal of a value below 10^300 then stays under CPython's 4300-digit
 # limit on int-to-str conversion
 MAX_DIGITS = 4000
+# ASCII digits only: Fraction and int also read exponents, underscores and
+# non-ASCII digits, and an exponent like 1e100000000 takes unbounded time
+RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ def parse_rational(s, field: str) -> Q:
     try:
         if isinstance(s, int):
             return Q(s)
-        if isinstance(s, str):
+        if isinstance(s, str) and RATIONAL.fullmatch(s.strip()):
             return Q(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -146,10 +149,13 @@ def same_length(rows, field: str) -> list:
 
 
 def parse_direction(text: str, field: str = "v"):
+    parts = [p.strip() for p in text.split(",")]
     try:
-        return tuple(int(p.strip()) for p in text.split(","))
+        if all(INTEGER.fullmatch(p) for p in parts):
+            return tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"field {field}: expected comma-separated integers") from None
+        pass
+    raise ValueError(f"field {field}: expected comma-separated integers")
 
 
 def checked_direction(v, dim: int, entry=None):
@@ -272,7 +278,7 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
             {
                 "v": ivec_str(v),
                 "futaki": rat_str(futaki(ctx, v)),
-                "min_norm": rat_str(min_norm(ctx, v)),
+                "min_norm": rat_str(s),
                 "l2_norm_sq": rat_str(l2_norm_sq(ctx, v)),
                 "A": rat_str(a),
                 "S": rat_str(s),

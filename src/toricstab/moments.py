@@ -7,7 +7,9 @@ every simplex adds integer sums (its determinant, its vertex sum and its
 second-moment matrix); one `Fraction` per output entry divides at the end.
 The lattice series counts integer points of dilates and accumulates
 pairing sums in exact integer arithmetic; the scan runs over a bounding box
-of all axes but one, with the last axis summed in closed form.
+of all axes but one, with the last axis summed in closed form.  numpy is
+imported only when this lattice-point counter runs (`lattice_series`), so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import NamedTuple
-
-import numpy as np
 
 from .exactgeom import (
     HPolytope,
@@ -142,6 +142,8 @@ def _cells_for_dilate(h: HPolytope, verts, m, scan, vi):
     intervals are already removed.  Arithmetic is integer-exact: int64 when a
     conservative magnitude bound fits, Python ints otherwise.
     """
+    import numpy as np
+
     d = h.ambient_dim
     cons = []
     for n, c in h.constraints:
@@ -207,6 +209,8 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     over integer points u, and the minimum of <u, v>.  The direction v must
     be a nonzero integer vector; m_max must be at least 3r.
     """
+    import numpy as np
+
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
     v = as_direction(v, p.ambient_dim)

@@ -145,7 +145,7 @@ def l2_norm_sq(ctx: StabilityContext, v) -> Q:
 def mu(ctx: StabilityContext, v) -> StabilityValue:
     """The invariant pair (Fut/||.||_m, Fut/||.||_2), second entry as signed square."""
     f = futaki(ctx, v)
-    mn = min_norm(ctx, v)
+    mn = -f - support_min(ctx.vpoly, v)
     q = l2_norm_sq(ctx, v)
     sign = (f > 0) - (f < 0)
     return StabilityValue(f / mn, sign, f * f / q)
@@ -153,9 +153,8 @@ def mu(ctx: StabilityContext, v) -> StabilityValue:
 
 def log_discrepancy_S(ctx: StabilityContext, v):
     """(A, S) = (-min pairing, minimum norm); A - S = Fut identically."""
-    a = -support_pairing_min(ctx, v)
-    s = min_norm(ctx, v)
-    return a, s
+    a = -support_min(ctx.vpoly, v)
+    return a, a - futaki(ctx, v)
 
 
 def verdict(ctx: StabilityContext) -> str:
@@ -171,7 +170,7 @@ def mu_prime_trunc(ctx: StabilityContext, v) -> StabilityValue:
     (mu1, mu2) = (c0, c1), c1 carried as a signed square.
     """
     f = futaki(ctx, v)
-    mn = min_norm(ctx, v)
+    mn = -f - support_min(ctx.vpoly, v)
     q = l2_norm_sq(ctx, v)
     c0 = f / mn
     sign = (f < 0) - (f > 0)

@@ -300,6 +300,49 @@ def test_bad_direction_exits_two(tmp_path, capsys):
     assert code == 2 and "field v" in err
 
 
+@pytest.mark.parametrize("v", ["1_0,1", "\u0661,1", "1e2,1"])
+def test_direction_accepts_only_ascii_integers(tmp_path, capsys, v):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    code, out, err = run(capsys, "report", path, "--v", v)
+    assert code == 2 and out == ""
+    assert "error: field v: expected comma-separated integers" in err
+
+
+RATIONAL_DOCS = {
+    "coeffs": lambda x: {"rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": [x, "0", "0"]},
+    "vertices": lambda x: {"moment_polytope": {"vertices": [[x, "0"], ["1", "0"], ["0", "1"]]}},
+    "constraints.offset": lambda x: {
+        "moment_polytope": {"constraints": [{"normal": [1, 0], "offset": x}]}
+    },
+}
+
+
+@pytest.mark.parametrize("text", ["1e100000000", "1e5000", "1_0", "\u0661", ".5", "1/2/3"])
+@pytest.mark.parametrize("field", sorted(RATIONAL_DOCS))
+def test_rational_accepts_only_ascii_fractions_and_decimals(tmp_path, capsys, field, text):
+    # an exponent is refused before Fraction expands it: 1e100000000 ran
+    # for minutes, and 1e5000 failed on the interpreter's int-size limit
+    path = write_doc(tmp_path, "bad.json", {"name": "bad", **RATIONAL_DOCS[field](text)})
+    code, out, err = run(capsys, "report", path)
+    assert code == 2 and out == ""
+    assert f"field {field}: expected a rational like 'p/q', got {text!r}" in err
+
+
+def test_rational_decimals_and_fractions_read_alike(tmp_path, capsys):
+    outs = []
+    for vertices in (
+        [["-0.5", "-1"], ["1.25", "0"], ["0", "1"]],
+        [["-1/2", "-1"], ["5/4", "0"], ["0", "1"]],
+        [[" -0.50 ", "-1"], ["+1.25", "-0"], ["0/3", 1]],
+    ):
+        doc = {"name": "t", "moment_polytope": {"vertices": vertices}}
+        code, out, _ = run(capsys, "report", write_doc(tmp_path, "t.json", doc))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 @pytest.mark.parametrize("command", ["limits", "report", "oracle"])
 def test_direction_with_leading_minus(tmp_path, capsys, command):
     path = write_doc(tmp_path, "in.json", TRIANGLE_POINT if command == "limits" else P112_DOC)
@@ -505,6 +548,33 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == ""
     assert "internal certificate failure: p112: stage-1 witness rays differ" in err
     assert "Traceback" not in err
+
+
+def test_only_the_lattice_scan_imports_numpy(tmp_path):
+    doc = write_doc(tmp_path, "p112.json", P112_DOC)
+    point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
+    script = f"""
+import contextlib, io, sys
+import toricstab, toricstab.cli
+commands = [
+    ["report", "--corpus"],
+    ["destabilize", "--corpus"],
+    ["stratify", "--corpus"],
+    ["limits", {point!r}, "--v", "1,1"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert toricstab.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert toricstab.cli.main(["oracle", {doc!r}, "--v", "0,-1", "--mmax", "6"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = str(Path(toricstab.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path):
