@@ -116,7 +116,7 @@ def render_m_mu(report: DestabReport, digits: int):
 
 def parse_rational(s, field: str) -> Q:
     try:
-        if isinstance(s, int):
+        if isinstance(s, int) and not isinstance(s, bool):
             return Q(s)
         if isinstance(s, str) and RATIONAL.fullmatch(s.strip()):
             return Q(s)
@@ -169,9 +169,16 @@ def checked_direction(v, dim: int, entry=None):
 
 
 def load_doc(path: str):
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"input {path}: integer literal longer than {limit} digits") from None
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=integer)
     except OSError as exc:
         raise ValueError(f"cannot read input {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

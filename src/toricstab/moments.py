@@ -5,11 +5,14 @@ triangulation and closed-form simplex integrals.  The vertices are scaled
 once by the lcm r of their denominators, so r P is a lattice polytope and
 every simplex adds integer sums (its determinant, its vertex sum and its
 second-moment matrix); one `Fraction` per output entry divides at the end.
-The lattice series counts integer points of dilates and accumulates
-pairing sums in exact integer arithmetic; the scan runs over a bounding box
-of all axes but one, with the last axis summed in closed form.  numpy is
-imported only when this lattice-point counter runs (`lattice_series`), so
-importing the package does not load it.
+The lattice series sums 1, <u, v> and <u, v>^2 over the integer points of
+the dilates t r P.  By the weighted Ehrhart theorem these sums are
+polynomials in t of degrees d, d+1 and d+2, so only the first d+4 dilates
+are counted: a scan over a bounding box of all axes but one, with the last
+axis summed in closed form.  A zero difference of one order above each
+degree certifies the polynomials, and integer additions along the last
+diagonal of each difference table give every later row.  numpy is imported
+only by that scan, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ from .exactgeom import (
     dot,
     facets_from_vertices,
 )
+
+
+# Bounds on a lattice series, checked before anything is allocated: its rows
+# (m_max // r) and the prefix-box cells of its scanned dilates.
+MAX_SERIES_ROWS = 20_000
+MAX_SCAN_CELLS = 1_000_000
+
+
+class CertificateError(RuntimeError):
+    """An exact internal consistency check failed; results must not be trusted."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +143,14 @@ def denominator_lcm(p: VPolytope) -> int:
     return math.lcm(*(x.denominator for u in p.vertices for x in u))
 
 
-def _int_ceil_div(a, b):
-    # b > 0
-    return -((-a) // b)
+def _vertex_box(verts, m):
+    """Integer bounds [lo, hi] of every coordinate over m * conv(verts)."""
+    lo_box, hi_box = [], []
+    for k in range(len(verts[0])):
+        vals = [m * u[k] for u in verts]
+        lo_box.append(math.ceil(min(vals)))
+        hi_box.append(math.floor(max(vals)))
+    return lo_box, hi_box
 
 
 def _cells_for_dilate(h: HPolytope, verts, m, scan, vi):
@@ -149,11 +167,7 @@ def _cells_for_dilate(h: HPolytope, verts, m, scan, vi):
     for n, c in h.constraints:
         q = c.denominator
         cons.append((tuple(int(x) * q for x in n), m * c.numerator))
-    lo_box, hi_box = [], []
-    for k in range(d):
-        vals = [m * u[k] for u in verts]
-        lo_box.append(math.ceil(min(vals)))
-        hi_box.append(math.floor(max(vals)))
+    lo_box, hi_box = _vertex_box(verts, m)
     axes = [k for k in range(d) if k != scan]
     cmax = max(1, *(max(abs(lo_box[k]), abs(hi_box[k])) for k in range(d)))
     vbound = sum(abs(x) for x in vi) * cmax + 1
@@ -206,8 +220,12 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     """Exact lattice-point sums of the dilates m * P for m in {r, 2r, ..., m_max}.
 
     Per dilate: the point count, the sum and the sum of squares of <u, v>
-    over integer points u, and the minimum of <u, v>.  The direction v must
-    be a nonzero integer vector; m_max must be at least 3r.
+    over integer points u, and the minimum of <u, v>, which is m times the
+    support minimum.  The three sums are counted on the first min(T, d+4)
+    dilates, T = m_max // r; past those each continues its difference table
+    as a polynomial in m / r of degree d, d+1 or d+2, certified by a zero
+    difference of the next order (else `CertificateError`).  The direction
+    v must be a nonzero integer vector; m_max must be at least 3r.
     """
     import numpy as np
 
@@ -220,17 +238,27 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     r = denominator_lcm(p)
     if m_max < 3 * r:
         raise ValueError(f"insufficient series length: m_max must be at least 3r = {3 * r}")
-    h = facets_from_vertices(p)
     d = p.ambient_dim
+    t_max = m_max // r
+    if t_max > MAX_SERIES_ROWS:
+        raise ValueError(f"{t_max} rows exceed the limit of {MAX_SERIES_ROWS} rows")
+    scanned = min(t_max, d + 4)
     # scan along the axis with the largest vertex-coordinate range
     ranges = []
     for k in range(d):
         vals = [u[k] for u in p.vertices]
         ranges.append(max(vals) - min(vals))
     scan = max(range(d), key=lambda k: ranges[k])
-    rows = []
-    for m in range(r, m_max + 1, r):
-        axes, prefix, lo, hi = _cells_for_dilate(h, p.vertices, m, scan, vi)
+    cells = 0
+    for t in range(1, scanned + 1):
+        lo_box, hi_box = _vertex_box(p.vertices, t * r)
+        cells += math.prod(hi_box[k] - lo_box[k] + 1 for k in range(d) if k != scan)
+    if cells > MAX_SCAN_CELLS:
+        raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")
+    h = facets_from_vertices(p)
+    sums = []
+    for t in range(1, scanned + 1):
+        axes, prefix, lo, hi = _cells_for_dilate(h, p.vertices, t * r, scan, vi)
         if lo.size == 0:
             raise ValueError("empty dilate")
         count = hi - lo + 1
@@ -247,15 +275,43 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
         n_pts = int(count.sum())
         w = int((count * cpre).sum()) + vs * int(s1.sum())
         q = int((count * cpre * cpre).sum()) + 2 * vs * int((cpre * s1).sum()) + vs * vs * int(s2.sum())
-        if vs > 0:
-            lam_cells = cpre + vs * lo
-        elif vs < 0:
-            lam_cells = cpre + vs * hi
-        else:
-            lam_cells = cpre
-        lam = int(lam_cells.min())
-        rows.append(SeriesRow(m, n_pts, w, q, lam))
+        sums.append((n_pts, w, q))
+    columns = [
+        _polynomial_column(column, degree, t_max, name)
+        for column, degree, name in zip(
+            zip(*sums), (d, d + 1, d + 2), ("count", "weight_sum", "weight_sq_sum")
+        )
+    ]
+    lam = support_min(p, v)
+    rows = [
+        SeriesRow(t * r, n_pts, w, q, int(t * r * lam))
+        for t, n_pts, w, q in zip(range(1, t_max + 1), *columns)
+    ]
     return LatticeSeries(r, tuple(rows))
+
+
+def _polynomial_column(column, degree, length, name):
+    """column continued to length entries as a polynomial of the given degree.
+
+    The counted entries must have zero differences of order degree + 1; each
+    new entry adds along the last diagonal of the difference table.
+    """
+    out = list(column)
+    if len(out) == length:
+        return out
+    table = [out]
+    for _ in range(degree + 1):
+        table.append([b - a for a, b in zip(table[-1], table[-1][1:])])
+    if any(table[-1]):
+        raise CertificateError(
+            f"lattice series: differences of order {degree + 1} of {name} are not zero"
+        )
+    diag = [row[-1] for row in table[:-1]]
+    while len(out) < length:
+        for j in reversed(range(degree)):
+            diag[j] += diag[j + 1]
+        out.append(diag[0])
+    return out
 
 
 def extrapolate(series: LatticeSeries) -> ExtrapolationResult:

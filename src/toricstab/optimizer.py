@@ -18,12 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .exactgeom import ConeH, IntVec, dot, normal_cone, primitive, solve_unique, vscale
-from .moments import is_positive_definite
+from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
-
-
-class CertificateError(RuntimeError):
-    """An exact internal consistency check failed; results must not be trusted."""
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,26 @@ def test_rational_accepts_only_ascii_fractions_and_decimals(tmp_path, capsys, fi
     assert f"field {field}: expected a rational like 'p/q', got {text!r}" in err
 
 
+@pytest.mark.parametrize("field", sorted(RATIONAL_DOCS))
+def test_rational_refuses_json_booleans(tmp_path, capsys, field):
+    # bool is a subclass of int, so true would otherwise read as 1
+    path = write_doc(tmp_path, "bad.json", {"name": "bad", **RATIONAL_DOCS[field](True)})
+    code, out, err = run(capsys, "report", path)
+    assert code == 2 and out == ""
+    assert f"field {field}: expected a rational like 'p/q', got True" in err
+
+
+def test_integer_literal_over_the_digit_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    coeffs = "1" * 4400 + ", 0, 0"
+    path.write_text(f'{{"name": "x", "rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": [{coeffs}]}}')
+    for argv in (["report", str(path)], ["limits", str(path), "--v", "1,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"input {path}: integer literal longer than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
 def test_rational_decimals_and_fractions_read_alike(tmp_path, capsys):
     outs = []
     for vertices in (
@@ -422,6 +442,25 @@ def test_hull_over_budget_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "report", path)
     assert code == 2 and out == ""
     assert "hull needs at least 12968643 ray pairs, exceeds budget of 10000000" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_rows_over_the_limit_exit_two(tmp_path, capsys):
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    code, out, err = run(capsys, "oracle", path, "--v", "1,0", "--mmax", "1000000000")
+    assert code == 2 and out == ""
+    assert "error: --mmax 1000000000: 1000000000 rows exceed the limit of 20000 rows" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_scan_over_the_cell_limit_exits_two(tmp_path, capsys):
+    # the prefix boxes of the dilates 1, 2 and 3 of [0,300]^3 hold
+    # 301^2 + 601^2 + 901^2 cells; nothing is allocated before the refusal
+    cube = [[x, y, z] for x in (0, 300) for y in (0, 300) for z in (0, 300)]
+    path = write_doc(tmp_path, "cube.json", {"name": "cube", "moment_polytope": {"vertices": cube}})
+    code, out, err = run(capsys, "oracle", path, "--v", "1,1,1", "--mmax", "3")
+    assert code == 2 and out == ""
+    assert "error: --mmax 3: scan needs 1263603 prefix cells, over the limit of 1000000" in err
     assert "Traceback" not in err
 
 

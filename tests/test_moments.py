@@ -246,6 +246,71 @@ def test_series_matches_brute_force_random():
         assert [tuple(row) for row in s.rows] == brute_rows(p, v, [r, 2 * r, 3 * r, 4 * r])
 
 
+@pytest.mark.parametrize("d,low,high", [(2, -3, 3), (3, -1, 1), (4, 0, 1)])
+def test_series_rows_past_the_counted_dilates_match_brute_force(d, low, high):
+    # only the first d+4 dilates are counted and every later row comes from
+    # the difference tables, so compare up to (d+8) r; the vertex numerators
+    # stay small because the brute force visits the whole box
+    rng = fresh_rng(f"series-extended-{d}")
+    for den in (1, 2, 3):
+        while True:
+            pts = [tuple(Q(rng.randint(low, high), den) for _ in range(d)) for _ in range(d + 2)]
+            p = vpolytope(pts)
+            if p.dim == d:
+                break
+        r = denominator_lcm(p)
+        ms = [t * r for t in range(1, d + 9)]
+        v = rand_nonzero_ivec(rng, d, 4)
+        if den == 2:
+            v = tuple(x * 10**12 + rng.randint(-9, 9) for x in v)
+        s = lattice_series(p, v, ms[-1])
+        assert [tuple(row) for row in s.rows] == brute_rows(p, v, ms), (pts, v)
+
+
+def test_series_counts_only_the_first_d_plus_4_dilates(monkeypatch, contexts):
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._cells_for_dilate
+    seen = []
+
+    def record(h, verts, m, axis, vi):
+        seen.append(m)
+        return scan(h, verts, m, axis, vi)
+
+    monkeypatch.setattr(moments_mod, "_cells_for_dilate", record)
+    p1112 = contexts["p1112"].vpoly
+    for p, v, m_max, scanned in (
+        (P112, (2, -3), 40, [1, 2, 3, 4, 5, 6]),
+        (P112, (2, -3), 5, [1, 2, 3, 4, 5]),
+        (p1112, (1, 1, 1), 60, [2, 4, 6, 8, 10, 12, 14]),
+    ):
+        seen.clear()
+        assert len(lattice_series(p, v, m_max).rows) == m_max // denominator_lcm(p)
+        assert seen == scanned
+
+
+def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._cells_for_dilate
+
+    def one_cell_short(h, verts, m, axis, vi):
+        axes, prefix, lo, hi = scan(h, verts, m, axis, vi)
+        if m == 3:
+            hi = hi.copy()
+            hi[0] -= 1
+        return axes, prefix, lo, hi
+
+    monkeypatch.setattr(moments_mod, "_cells_for_dilate", one_cell_short)
+    # up to d+4 = 6 dilates every row is counted and nothing is extended
+    assert lattice_series(P2, (1, 0), 6).rows[2].count == 54
+    with pytest.raises(
+        moments_mod.CertificateError,
+        match="^lattice series: differences of order 3 of count are not zero$",
+    ):
+        lattice_series(P2, (1, 0), 7)
+
+
 def test_series_big_direction_uses_exact_integers():
     # huge components force the arbitrary-precision path; results must scale
     big = 10**12
