@@ -31,14 +31,11 @@ from .moments import (
     ExtrapolationResult,
     LatticeSeries,
     MomentData,
-    barycenter,
-    covariance,
     extrapolate,
     is_positive_definite,
     lattice_series,
     moment_data,
     support_min,
-    volume,
 )
 from .optimizer import (
     CertificateError,

@@ -354,6 +354,8 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
         series = lattice_series(ctx.vpoly, v, m_max)
     except ValueError as exc:
         raise ValueError(f"--mmax {m_max}: {exc}") from None
+    except CertificateError as exc:
+        raise CertificateError(f"{ctx.name}: {exc}") from exc
     result = extrapolate(series)
     b = ctx.moments.barycenter
     f0_target = dot(b, [Q(x) for x in v])

@@ -40,6 +40,9 @@ MAX_DIM = 8
 # at the 4-5 million pairs per second measured on one core of a 2-vCPU
 # x86-64 host, CPython 3.11
 HULL_BUDGET = 10_000_000
+# most simplices one pulling triangulation may produce: about 1 s of
+# `moment_data` at the 9 500 7D simplices per second measured on the same host
+SIMPLEX_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +513,7 @@ def _pull(face, k, apex, facet_sets):
 
     The facets of a face K are the maximal proper nonempty sets K & G over
     the polytope's facets G, so the recursion needs no hull of its own.
+    More than `SIMPLEX_BUDGET` simplices is a ValueError.
     """
     if face.bit_count() == k + 1:
         return [face]
@@ -520,6 +524,11 @@ def _pull(face, k, apex, facet_sets):
             continue
         sub_apex = (r & -r).bit_length() - 1
         out += [s | 1 << apex for s in _pull(r, k - 1, sub_apex, facet_sets)]
+        if len(out) > SIMPLEX_BUDGET:
+            raise ValueError(
+                f"triangulation needs at least {len(out)} simplices, "
+                f"exceeds budget of {SIMPLEX_BUDGET}"
+            )
     return out
 
 

@@ -8,16 +8,18 @@ second-moment matrix); one `Fraction` per output entry divides at the end.
 The lattice series sums 1, <u, v> and <u, v>^2 over the integer points of
 the dilates t r P.  By the weighted Ehrhart theorem these sums are
 polynomials in t of degrees d, d+1 and d+2, so only the first d+4 dilates
-are counted: a scan over a bounding box of all axes but one, with the last
-axis summed in closed form.  A zero difference of one order above each
-degree certifies the polynomials, and integer additions along the last
-diagonal of each difference table give every later row.  numpy is imported
-only by that scan, so importing the package does not load it.
+are counted: a walk on Python ints over a bounding box of all axes but one,
+with the last axis summed in closed form, in memory that does not grow
+with the box.  A zero difference of one order above each degree certifies
+the polynomials, and integer additions along the last diagonal of each
+difference table give every later row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import NamedTuple
@@ -35,8 +37,11 @@ from .exactgeom import (
 )
 
 
-# Bounds on a lattice series, checked before anything is allocated: its rows
-# (m_max // r) and the prefix-box cells of its scanned dilates.
+# Bounds on a lattice series, checked before any point is counted: its rows
+# (m_max // r) and the prefix-box cells of its scanned dilates.  The cells
+# bound time: near the limit the 4D box [-4, 5]^4 at m_max 8 takes 2.0 s and
+# the 3D octahedron of radius 40 at m_max 7 takes 1.3 s, at 16 MiB peak
+# RSS, on one core of a 2-vCPU x86-64 host, CPython 3.11.
 MAX_SERIES_ROWS = 20_000
 MAX_SCAN_CELLS = 1_000_000
 
@@ -108,21 +113,6 @@ def moment_data(p: VPolytope, apex_index=None) -> MomentData:
     return MomentData(Q(vol, math.factorial(d) * r**d), b, cov)
 
 
-def volume(p: VPolytope) -> Q:
-    """Exact Lebesgue volume of a full-dimensional polytope."""
-    return moment_data(p).volume
-
-
-def barycenter(p: VPolytope) -> tuple[Q, ...]:
-    """Volume-normalized first moment."""
-    return moment_data(p).barycenter
-
-
-def covariance(p: VPolytope):
-    """Recentred second moment matrix (integral of (u-b)(u-b)^T, volume-normalized)."""
-    return moment_data(p).covariance
-
-
 def is_positive_definite(matrix) -> bool:
     """Leading-principal-minor test for a symmetric rational matrix."""
     n = len(matrix)
@@ -153,67 +143,48 @@ def _vertex_box(verts, m):
     return lo_box, hi_box
 
 
-def _cells_for_dilate(h: HPolytope, verts, m, scan, vi):
-    """Integer interval [lo, hi] of the scan axis over the prefix box of m * P.
+def _dilate_sums(h: HPolytope, verts, m, scan, vi):
+    """Count, sum and square sum of <u, vi> over the integer points u of m * P.
 
-    Returns (axes, prefix_columns, lo, hi) as numpy arrays; cells with empty
-    intervals are already removed.  Arithmetic is integer-exact: int64 when a
-    conservative magnitude bound fits, Python ints otherwise.
+    The prefix box (the vertex box of m * P on every axis but `scan`) is
+    walked with its last axis innermost: for each cell of the other axes,
+    every constraint gives one column of scan-axis bounds along that axis,
+    and the columns' max and min cut each prefix cell's interval [lo, hi] of
+    the scan axis, which is summed in closed form.  Everything is a Python
+    int, so no magnitude can overflow.
     """
-    import numpy as np
-
-    d = h.ambient_dim
+    lo_box, hi_box = _vertex_box(verts, m)
+    axes = [k for k in range(len(vi)) if k != scan]
+    ranges = [range(lo_box[k], hi_box[k] + 1) for k in axes]
+    # in one dimension the prefix is empty: a single inner step at 0
+    inner, last = (ranges.pop(), axes.pop()) if axes else (range(1), scan)
     cons = []
     for n, c in h.constraints:
-        q = c.denominator
-        cons.append((tuple(int(x) * q for x in n), m * c.numerator))
-    lo_box, hi_box = _vertex_box(verts, m)
-    axes = [k for k in range(d) if k != scan]
-    cmax = max(1, *(max(abs(lo_box[k]), abs(hi_box[k])) for k in range(d)))
-    vbound = sum(abs(x) for x in vi) * cmax + 1
-    conbound = max(sum(abs(x) for x in n) * cmax + abs(rhs) for n, rhs in cons)
-    box_cells = 1
-    for k in axes:
-        box_cells *= max(1, hi_box[k] - lo_box[k] + 1)
-    percell = 8 * (2 * cmax + 2) * (vbound * vbound + 1)
-    big = max(conbound * 4, box_cells * percell)
-    obj = big >= 2**62
-    dt = object if obj else np.int64
-    if axes:
-        if obj:
-            axis_arrays = [
-                np.array(list(range(lo_box[k], hi_box[k] + 1)), dtype=object) for k in axes
-            ]
-        else:
-            axis_arrays = [np.arange(lo_box[k], hi_box[k] + 1, dtype=np.int64) for k in axes]
-        grids = np.meshgrid(*axis_arrays, indexing="ij")
-        prefix = [g.ravel() for g in grids]
-        ncells = prefix[0].size
-    else:
-        prefix = []
-        ncells = 1
-    lo = np.full(ncells, lo_box[scan], dtype=dt)
-    hi = np.full(ncells, hi_box[scan], dtype=dt)
-    ok = np.ones(ncells, dtype=bool)
-    for n, rhs in cons:
-        s = n[scan]
-        pre = np.zeros(ncells, dtype=dt)
-        for coef, col in zip((n[k] for k in axes), prefix):
-            if coef:
-                pre = pre + coef * col
-        resid = rhs - pre
-        if s > 0:
-            lo = np.maximum(lo, -((-resid) // s))
-        elif s < 0:
-            hi = np.minimum(hi, resid // s)
-        else:
-            ok &= pre >= rhs
-    ok &= lo <= hi
-    if not ok.all():
-        prefix = [col[ok] for col in prefix]
-        lo = lo[ok]
-        hi = hi[ok]
-    return axes, prefix, lo, hi
+        n = [int(x) * c.denominator for x in n]  # n . u >= m c in integers
+        cons.append((n[scan], n[last], [n[k] for k in axes], m * c.numerator))
+    vs, vl, vo = vi[scan], vi[last], [vi[k] for k in axes]
+    count = w = q = 0
+    for x in itertools.product(*ranges):
+        # at inner value y a constraint reads s * (scan value) >= res - a y
+        los, his = [[lo_box[scan]] * len(inner)], [[hi_box[scan]] * len(inner)]
+        for s, a, no, rhs in cons:
+            res = rhs - sum(map(operator.mul, no, x))
+            if s > 0:
+                los.append([-((a * y - res) // s) for y in inner])
+            elif s < 0:
+                his.append([(res - a * y) // s for y in inner])
+            else:  # parallel to the scan axis: empties the cells it cuts off
+                his.append([hi_box[scan] if a * y >= res else lo_box[scan] - 1 for y in inner])
+        c0 = sum(map(operator.mul, vo, x))
+        for y, lo, hi in zip(inner, map(max, *los), map(min, *his)):
+            if lo <= hi:
+                c, k = c0 + vl * y, hi - lo + 1
+                s1 = (lo + hi) * k // 2
+                s2 = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+                count += k
+                w += k * c + vs * s1
+                q += k * c * c + 2 * vs * c * s1 + vs * vs * s2
+    return count, w, q
 
 
 def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
@@ -227,8 +198,6 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     difference of the next order (else `CertificateError`).  The direction
     v must be a nonzero integer vector; m_max must be at least 3r.
     """
-    import numpy as np
-
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
     v = as_direction(v, p.ambient_dim)
@@ -256,26 +225,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     if cells > MAX_SCAN_CELLS:
         raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")
     h = facets_from_vertices(p)
-    sums = []
-    for t in range(1, scanned + 1):
-        axes, prefix, lo, hi = _cells_for_dilate(h, p.vertices, t * r, scan, vi)
-        if lo.size == 0:
-            raise ValueError("empty dilate")
-        count = hi - lo + 1
-        s1 = (lo + hi) * count // 2
-        hi2 = hi * (hi + 1) * (2 * hi + 1) // 6
-        lom = lo - 1
-        lo2 = lom * (lom + 1) * (2 * lom + 1) // 6
-        s2 = hi2 - lo2
-        cpre = np.zeros(lo.shape, dtype=lo.dtype)
-        for coef, col in zip((vi[k] for k in axes), prefix):
-            if coef:
-                cpre = cpre + coef * col
-        vs = vi[scan]
-        n_pts = int(count.sum())
-        w = int((count * cpre).sum()) + vs * int(s1.sum())
-        q = int((count * cpre * cpre).sum()) + 2 * vs * int((cpre * s1).sum()) + vs * vs * int(s2.sum())
-        sums.append((n_pts, w, q))
+    sums = [_dilate_sums(h, p.vertices, t * r, scan, vi) for t in range(1, scanned + 1)]
     columns = [
         _polynomial_column(column, degree, t_max, name)
         for column, degree, name in zip(
@@ -317,25 +267,26 @@ def _polynomial_column(column, degree, length, name):
 def extrapolate(series: LatticeSeries) -> ExtrapolationResult:
     """Two-point Richardson extrapolation of the normalized series.
 
-    F0 is estimated from w_m / (m N_m) and Q0 from q_m / (m^2 N_m); each
-    consecutive row pair eliminates the 1/m term, the last pair gives the
-    estimate, and successive estimate differences are reported as residuals.
+    F0 is estimated from f_m = w_m / (m N_m) and Q0 from g_m = q_m / (m^2 N_m).
+    Consecutive rows m' < m are r apart, so eliminating the 1/m term of a
+    pair leaves (m f_m - m' f_m') / r = (w_m / N_m - w_m' / N_m') / r, one
+    `Fraction` per pair, and the same with q_m / (m N_m) for Q0.  The last
+    pair gives the estimate, and successive estimate differences are
+    reported as residuals.
     """
-    rows = series.rows
+    rows, r = series.rows, series.r
     if len(rows) < 3:
         raise ValueError("insufficient series length")
-    f = [Q(row.weight_sum, row.m * row.count) for row in rows]
-    g = [Q(row.weight_sq_sum, row.m * row.m * row.count) for row in rows]
-    ms = [row.m for row in rows]
-
-    def richardson(vals):
-        return [
-            (ms[i] * vals[i] - ms[i - 1] * vals[i - 1]) / (ms[i] - ms[i - 1])
-            for i in range(1, len(vals))
-        ]
-
-    ef = richardson(f)
-    eg = richardson(g)
-    res_f = tuple(ef[i] - ef[i - 1] for i in range(1, len(ef)))
-    res_g = tuple(eg[i] - eg[i - 1] for i in range(1, len(eg)))
+    pairs = list(zip(rows, rows[1:]))
+    ef = [
+        Q(b.weight_sum * a.count - a.weight_sum * b.count, r * a.count * b.count)
+        for a, b in pairs
+    ]
+    eg = [
+        Q(b.weight_sq_sum * a.m * a.count - a.weight_sq_sum * b.m * b.count,
+          r * a.m * a.count * b.m * b.count)
+        for a, b in pairs
+    ]
+    res_f = tuple(y - x for x, y in zip(ef, ef[1:]))
+    res_g = tuple(y - x for x, y in zip(eg, eg[1:]))
     return ExtrapolationResult(ef[-1], eg[-1], res_f, res_g)

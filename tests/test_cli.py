@@ -445,6 +445,18 @@ def test_hull_over_budget_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_triangulation_over_budget_exits_two(tmp_path, capsys):
+    # the product of four hexagon fans: 24 rays in 8D, 1296 vertices and
+    # 645 120 pulling simplices, refused long before the last one
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    rays = [[0] * (2 * k) + list(r) + [0] * (6 - 2 * k) for k in range(4) for r in hexagon]
+    path = write_doc(tmp_path, "hex4.json", {"name": "hex4", "rays": rays})
+    code, out, err = run(capsys, "report", path)
+    assert code == 2 and out == ""
+    assert "triangulation needs at least 11520 simplices, exceeds budget of 10000" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_rows_over_the_limit_exit_two(tmp_path, capsys):
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     code, out, err = run(capsys, "oracle", path, "--v", "1,0", "--mmax", "1000000000")
@@ -589,7 +601,24 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_only_the_lattice_scan_imports_numpy(tmp_path):
+def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._dilate_sums
+
+    def one_point_short(h, verts, m, axis, vi):
+        n, w, q = scan(h, verts, m, axis, vi)
+        return (n - 1, w, q) if m == 3 else (n, w, q)
+
+    monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
+    path = write_doc(tmp_path, "p112.json", P112_DOC)
+    code, out, err = run(capsys, "oracle", path, "--v", "0,-1", "--mmax", "20")
+    assert code == 3 and out == ""
+    assert "internal certificate failure: p112: lattice series: differences of order" in err
+    assert "Traceback" not in err
+
+
+def test_no_command_imports_numpy(tmp_path):
     doc = write_doc(tmp_path, "p112.json", P112_DOC)
     point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
     script = f"""
@@ -600,14 +629,12 @@ commands = [
     ["destabilize", "--corpus"],
     ["stratify", "--corpus"],
     ["limits", {point!r}, "--v", "1,1"],
+    ["oracle", {doc!r}, "--v", "0,-1", "--mmax", "6"],
 ]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert toricstab.cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert toricstab.cli.main(["oracle", {doc!r}, "--v", "0,-1", "--mmax", "6"]) == 0
-assert "numpy" in sys.modules
 """
     src = str(Path(toricstab.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]

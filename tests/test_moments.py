@@ -10,15 +10,12 @@ import moments_oracle
 from conftest import fresh_rng, rand_nonzero_ivec
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
-    barycenter,
-    covariance,
     denominator_lcm,
     extrapolate,
     is_positive_definite,
     lattice_series,
     moment_data,
     support_min,
-    volume,
 )
 from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
 
@@ -28,19 +25,19 @@ P112 = vpolytope([(-1, -1), (-1, 1), (3, -1)])
 
 
 def test_volume_examples():
-    assert volume(SQUARE) == 1
-    assert volume(P112) == 4
-    assert volume(P2) == Q(9, 2)
+    assert moment_data(SQUARE).volume == 1
+    assert moment_data(P112).volume == 4
+    assert moment_data(P2).volume == Q(9, 2)
 
 
 def test_barycenter_examples():
-    assert barycenter(P2) == (0, 0)
-    assert barycenter(P112) == (Q(1, 3), Q(-1, 3))
-    assert barycenter(SQUARE) == (Q(1, 2), Q(1, 2))
+    assert moment_data(P2).barycenter == (0, 0)
+    assert moment_data(P112).barycenter == (Q(1, 3), Q(-1, 3))
+    assert moment_data(SQUARE).barycenter == (Q(1, 2), Q(1, 2))
 
 
 def test_covariance_square():
-    assert covariance(SQUARE) == ((Q(1, 12), Q(0)), (Q(0), Q(1, 12)))
+    assert moment_data(SQUARE).covariance == ((Q(1, 12), Q(0)), (Q(0), Q(1, 12)))
 
 
 def test_covariance_interval():
@@ -53,7 +50,7 @@ def test_covariance_interval():
 
 
 def test_covariance_weighted_triangle_exact():
-    assert covariance(P112) == ((Q(8, 9), Q(-2, 9)), (Q(-2, 9), Q(2, 9)))
+    assert moment_data(P112).covariance == ((Q(8, 9), Q(-2, 9)), (Q(-2, 9), Q(2, 9)))
 
 
 def test_covariance_weighted_triangle_monte_carlo():
@@ -270,14 +267,14 @@ def test_series_rows_past_the_counted_dilates_match_brute_force(d, low, high):
 def test_series_counts_only_the_first_d_plus_4_dilates(monkeypatch, contexts):
     import toricstab.moments as moments_mod
 
-    scan = moments_mod._cells_for_dilate
+    scan = moments_mod._dilate_sums
     seen = []
 
     def record(h, verts, m, axis, vi):
         seen.append(m)
         return scan(h, verts, m, axis, vi)
 
-    monkeypatch.setattr(moments_mod, "_cells_for_dilate", record)
+    monkeypatch.setattr(moments_mod, "_dilate_sums", record)
     p1112 = contexts["p1112"].vpoly
     for p, v, m_max, scanned in (
         (P112, (2, -3), 40, [1, 2, 3, 4, 5, 6]),
@@ -292,16 +289,13 @@ def test_series_counts_only_the_first_d_plus_4_dilates(monkeypatch, contexts):
 def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
     import toricstab.moments as moments_mod
 
-    scan = moments_mod._cells_for_dilate
+    scan = moments_mod._dilate_sums
 
-    def one_cell_short(h, verts, m, axis, vi):
-        axes, prefix, lo, hi = scan(h, verts, m, axis, vi)
-        if m == 3:
-            hi = hi.copy()
-            hi[0] -= 1
-        return axes, prefix, lo, hi
+    def one_point_short(h, verts, m, axis, vi):
+        n, w, q = scan(h, verts, m, axis, vi)
+        return (n - 1, w, q) if m == 3 else (n, w, q)
 
-    monkeypatch.setattr(moments_mod, "_cells_for_dilate", one_cell_short)
+    monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
     # up to d+4 = 6 dilates every row is counted and nothing is extended
     assert lattice_series(P2, (1, 0), 6).rows[2].count == 54
     with pytest.raises(
