@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import NamedTuple
 
@@ -187,8 +186,13 @@ class Facet(NamedTuple):
     members: int
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class _VFields(NamedTuple):
+    vertices: tuple[VecQ, ...]
+    dim: int
+    facets: tuple[Facet, ...] = None
+
+
+class VPolytope(_VFields):
     """Polytope as an irredundant, lexicographically sorted vertex tuple.
 
     `facets` is the hull incidence from the construction that made the
@@ -199,32 +203,43 @@ class VPolytope:
     no part in equality or hashing.
     """
 
-    vertices: tuple[VecQ, ...]
-    dim: int
-    facets: tuple[Facet, ...] = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.facets is None:
-            object.__setattr__(self, "facets", _point_facets(list(self.vertices))[1])
+    def __new__(cls, vertices, dim, facets=None):
+        if facets is None:
+            facets = _point_facets(list(vertices))[1]
+        return super().__new__(cls, vertices, dim, facets)
+
+    def __eq__(self, other):
+        return isinstance(other, VPolytope) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"VPolytope(vertices={self.vertices!r}, dim={self.dim!r})"
 
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(NamedTuple):
     """Intersection of half-spaces <u, normal> >= offset with primitive integral normals."""
 
     constraints: tuple[tuple[IntVec, Q], ...]
 
     @property
     def ambient_dim(self) -> int:
+        if not self.constraints:
+            raise ValueError("empty constraint list: a polytope needs at least one constraint")
         return len(self.constraints[0][0])
 
 
-@dataclass(frozen=True)
-class ConeH:
+class ConeH(NamedTuple):
     """Closed convex cone {v : <a, v> <= 0 for each normal a}; contains 0."""
 
     normals: tuple[IntVec, ...]
@@ -239,8 +254,7 @@ class ConeGenerators(NamedTuple):
     lineality: tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Maximal cones of a normal fan, each tagged by its generating vertex."""
 
     cones: tuple[tuple[VecQ, ConeH], ...]

@@ -10,13 +10,12 @@ lands on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactgeom import ConeH, VPolytope, as_direction, dot, normal_cone, vpolytope
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
+class WeightedPoint(NamedTuple):
     weights: tuple[tuple[int, ...], ...]
     support: frozenset[int]
 
@@ -39,8 +38,7 @@ def weighted_point(weights, support=None) -> WeightedPoint:
     return WeightedPoint(ws, sup)
 
 
-@dataclass(frozen=True)
-class WeightPolytope:
+class WeightPolytope(NamedTuple):
     """Hull of the supported weights with the full face lattice by member indices."""
 
     point: WeightedPoint

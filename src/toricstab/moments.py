@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import NamedTuple
 
@@ -50,8 +49,7 @@ class CertificateError(RuntimeError):
     """An exact internal consistency check failed; results must not be trusted."""
 
 
-@dataclass(frozen=True)
-class MomentData:
+class MomentData(NamedTuple):
     """Volume, barycenter and recentred second moment of a full-dimensional polytope."""
 
     volume: Q
@@ -67,14 +65,12 @@ class SeriesRow(NamedTuple):
     weight_min: int
 
 
-@dataclass(frozen=True)
-class LatticeSeries:
+class LatticeSeries(NamedTuple):
     r: int
     rows: tuple[SeriesRow, ...]
 
 
-@dataclass(frozen=True)
-class ExtrapolationResult:
+class ExtrapolationResult(NamedTuple):
     F0_est: Q
     Q0_est: Q
     residuals: tuple[Q, ...]

@@ -14,23 +14,21 @@ optimum unique; every certificate below is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from .exactgeom import ConeH, IntVec, dot, normal_cone, primitive, solve_unique, vscale
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
 
-@dataclass(frozen=True)
-class Stage1Result:
+class Stage1Result(NamedTuple):
     m1: Q
     witness_rays: tuple[tuple[int, ...], ...]
     per_cone_minima: tuple[tuple[tuple[Q, ...], Q], ...]
 
 
-@dataclass(frozen=True)
-class SigmaOne:
+class SigmaOne(NamedTuple):
     """The minimizer cone of stage 1 in H-form, with its generating rays."""
 
     cone: ConeH
@@ -38,8 +36,7 @@ class SigmaOne:
     rays: tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class DestabReport:
+class DestabReport(NamedTuple):
     verdict: str
     m1: Q
     m2_sign: int

@@ -9,9 +9,8 @@ square so comparisons never round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import total_ordering
+from typing import NamedTuple
 
 from .exactgeom import (
     Fan,
@@ -43,10 +42,13 @@ def _sq_cmp(s1, q1, s2, q2):
     return -1 if q1 > q2 else 1
 
 
-@total_ordering
-@dataclass(frozen=True)
-class StabilityValue:
-    """The pair (mu1, mu2) with mu2 = mu2_sign * sqrt(mu2_sq), ordered lexicographically."""
+class StabilityValue(NamedTuple):
+    """The pair (mu1, mu2) with mu2 = mu2_sign * sqrt(mu2_sq), ordered lexicographically.
+
+    All six comparisons go through `_cmp`: the ones `tuple` supplies would
+    compare the raw fields.  With mu2_sign 0, mu2_sq takes no part in
+    equality or hashing.
+    """
 
     mu1: Q
     mu2_sign: int
@@ -60,15 +62,26 @@ class StabilityValue:
     def __eq__(self, other):
         return isinstance(other, StabilityValue) and self._cmp(other) == 0
 
+    def __ne__(self, other):
+        return not self == other
+
     def __lt__(self, other):
         return self._cmp(other) < 0
 
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
     def __hash__(self):
-        return hash((self.mu1, self.mu2_sign, self.mu2_sq))
+        return hash((self.mu1, self.mu2_sign, self.mu2_sq if self.mu2_sign else 0))
 
 
-@dataclass(frozen=True)
-class StabilityContext:
+class StabilityContext(NamedTuple):
     """Moment polytope with precomputed moments, facets and normal fan."""
 
     vpoly: VPolytope

@@ -8,7 +8,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -533,6 +532,48 @@ def test_cli_fuzz_exits_zero_or_two(tmp_path_factory, invocation):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
+SCHEMA_KEYS = ["name", "rays", "coeffs", "moment_polytope", "vertices", "constraints",
+               "weights", "support", "normal", "offset"]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5)
+    | st.sampled_from(["p", "1", "-1/2", "0/1", "1/0", "2.5", "\u0661"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+ANY_DOCUMENTS = st.dictionaries(st.sampled_from(SCHEMA_KEYS), JSON_VALUES, max_size=4) | JSON_VALUES
+DIRECTION_TEXT = st.text(max_size=10) | st.lists(st.integers(-3, 3), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["report", "destabilize", "stratify", "oracle", "limits"]),
+    ANY_DOCUMENTS,
+    DIRECTION_TEXT,
+)
+def test_cli_fuzz_any_json_shape(tmp_path_factory, command, doc, v):
+    path = write_doc(tmp_path_factory.mktemp("shape"), "doc.json", doc)
+    flags = {"report": ["--v", v], "oracle": ["--v", v, "--mmax", "3"], "limits": ["--v", v]}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, path, *flags.get(command, [])])
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 2), (command, doc, v, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+
+
 def test_all_bad_files_are_reported(tmp_path, capsys):
     bad1 = write_doc(tmp_path, "bad1.json", {"rays": [[1, 0]]})
     bad2 = str(tmp_path / "missing.json")
@@ -591,7 +632,7 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
 
     def one_ray_short(ctx, m1):
         sigma = real(ctx, m1)
-        return replace(sigma, rays=sigma.rays[1:])
+        return sigma._replace(rays=sigma.rays[1:])
 
     monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
@@ -640,6 +681,31 @@ assert "numpy" not in sys.modules
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    # -S keeps site packages from importing the module before toricstab does
+    doc = write_doc(tmp_path, "p112.json", P112_DOC)
+    point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
+    src = str(Path(toricstab.__file__).parents[1])
+    script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import toricstab.cli
+commands = [
+    ["report", {doc!r}, "--v", "0,-1"],
+    ["destabilize", "--corpus"],
+    ["stratify", "--corpus"],
+    ["oracle", {doc!r}, "--v", "0,-1", "--mmax", "6"],
+    ["limits", {point!r}, "--v", "1,1"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert toricstab.cli.main(argv) == 0, argv
+assert "dataclasses" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -21,6 +21,7 @@ from moments_oracle import simplex_volume
 from toricstab.exactgeom import (
     ConeH,
     HPolytope,
+    VPolytope,
     affine_dim,
     cone_relint_contains,
     det,
@@ -229,6 +230,28 @@ def test_vertices_from_facets_degenerate():
     segment = (((1, 0), Q(0)), ((-1, 0), Q(-1)), ((0, 1), Q(0)), ((0, -1), Q(0)))
     with pytest.raises(ValueError, match="not full-dimensional"):
         vertices_from_facets(HPolytope(segment))
+
+
+def test_vertices_from_facets_rejects_empty_constraints():
+    with pytest.raises(ValueError, match="empty constraint list"):
+        vertices_from_facets(HPolytope(()))
+
+
+def test_vpolytope_computes_its_facets():
+    p = vpolytope([(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)])
+    bare = VPolytope(p.vertices, p.dim)
+    assert bare.facets == p.facets and len(bare.facets) == 4
+    assert facets_from_vertices(bare) == facets_from_vertices(p)
+
+
+def test_vpolytope_equality_and_hash_ignore_facets():
+    p = vpolytope(P112_VERTS)
+    stale = VPolytope(p.vertices, p.dim, p.facets[1:])
+    assert stale == p and not stale != p
+    assert hash(stale) == hash(p) and len({stale, p}) == 1
+    assert p._replace(facets=()) == p
+    assert vpolytope(P2_VERTS) != p
+    assert p != tuple(p)
 
 
 def test_facets_from_vertices_square():

@@ -1,7 +1,6 @@
 """Two-stage minimization: ray candidates, minimizer cone, exact QP."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -74,7 +73,7 @@ def test_stage1_steeper_triangle():
 def test_stage1_rejects_vertex_on_too_few_facets():
     ctx = corpus_context("p112")
     vp = ctx.vpoly
-    broken = replace(ctx, vpoly=VPolytope(vp.vertices, vp.dim, vp.facets[1:]))
+    broken = ctx._replace(vpoly=VPolytope(vp.vertices, vp.dim, vp.facets[1:]))
     with pytest.raises(CertificateError, match="fewer than 2 facets"):
         minimize_mu1(broken)
 
@@ -82,7 +81,7 @@ def test_stage1_rejects_vertex_on_too_few_facets():
 def test_polytope_without_stored_facets():
     # a VPolytope made from vertices alone computes its facets itself
     ctx = corpus_context("p112")
-    bare = replace(ctx, vpoly=VPolytope(ctx.vpoly.vertices, ctx.vpoly.dim))
+    bare = ctx._replace(vpoly=VPolytope(ctx.vpoly.vertices, ctx.vpoly.dim))
     assert optimal_destabilizer(bare) == optimal_destabilizer(ctx)
 
 
@@ -220,7 +219,7 @@ def test_stage2_rejects_ray_pairing_nonpositively_with_b():
     ctx = corpus_context("p112")
     sigma = build_sigma1(ctx, Q(-1, 4))
     with pytest.raises(CertificateError, match="a ray of sigma1 pairs non-positively"):
-        minimize_mu2_on_cone(ctx, replace(sigma, rays=((0, 1),)))
+        minimize_mu2_on_cone(ctx, sigma._replace(rays=((0, 1),)))
 
 
 def test_stage2_rejects_singular_corral(monkeypatch):
@@ -332,7 +331,7 @@ def test_destabilizer_rejects_witnesses_off_sigma1_rays(monkeypatch):
 
     def one_ray_short(ctx, m1):
         sigma = real(ctx, m1)
-        return replace(sigma, rays=sigma.rays[1:])
+        return sigma._replace(rays=sigma.rays[1:])
 
     monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
     with pytest.raises(CertificateError, match="witness rays differ"):

@@ -11,6 +11,7 @@ from conftest import fresh_rng, rand_nonzero_ivec, run_quasi_convexity
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
+    StabilityContext,
     StabilityValue,
     _sq_cmp,
     context_from_constraints,
@@ -64,6 +65,50 @@ def test_context_requires_full_dimension():
         context_from_vertices([(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="not full-dimensional"):
         context_from_constraints([((1, 1), Q(0)), ((-1, -1), Q(0)), ((1, 0), Q(-1)), ((-1, 0), Q(-1))])
+
+
+def test_context_fields_in_order():
+    ctx = context_from_rays([(1, 0), (0, 1), (-1, -2)], name="p112")
+    again = StabilityContext(
+        ctx.vpoly, ctx.hpoly, ctx.moments, ctx.fan, ((1, 0), (0, 1), (-1, -2)), (Q(0),) * 3, "p112"
+    )
+    assert again == ctx
+
+
+def test_result_records_keep_their_fields():
+    # positional construction relies on these names, this order and these defaults
+    import toricstab.exactgeom as g
+    import toricstab.limits as lim
+    import toricstab.moments as m
+    import toricstab.optimizer as opt
+
+    fields = {
+        g.VPolytope: ("vertices", "dim", "facets"),
+        g.HPolytope: ("constraints",),
+        g.ConeH: ("normals", "dim"),
+        g.Fan: ("cones",),
+        lim.WeightedPoint: ("weights", "support"),
+        lim.WeightPolytope: ("point", "polytope", "faces"),
+        m.MomentData: ("volume", "barycenter", "covariance"),
+        m.LatticeSeries: ("r", "rows"),
+        m.ExtrapolationResult: ("F0_est", "Q0_est", "residuals", "q_residuals"),
+        opt.Stage1Result: ("m1", "witness_rays", "per_cone_minima"),
+        opt.SigmaOne: ("cone", "m1", "rays"),
+        opt.DestabReport: (
+            "verdict", "m1", "m2_sign", "m2_sq", "delta",
+            "v_star_rational", "v_star_primitive", "sigma1", "stage1",
+        ),
+        StabilityValue: ("mu1", "mu2_sign", "mu2_sq"),
+        StabilityContext: ("vpoly", "hpoly", "moments", "fan", "rays", "coeffs", "name"),
+    }
+    optional = {
+        g.VPolytope: ("facets",),
+        opt.DestabReport: ("v_star_rational", "v_star_primitive", "sigma1", "stage1"),
+        StabilityContext: ("rays", "coeffs", "name"),
+    }
+    for cls, names in fields.items():
+        assert cls._fields == names, cls
+        assert cls._field_defaults == dict.fromkeys(optional.get(cls, ())), cls
 
 
 def test_zero_interior_flag():
@@ -205,6 +250,38 @@ def test_stability_value_lexicographic():
     assert a < b < c
     assert sorted([c, a, b]) == [a, b, c]
     assert StabilityValue(Q(0), 0, Q(0)) > c
+
+
+def _random_value(rng):
+    # few mu1 values and squares, so ties in mu1 and equal squares of both signs recur
+    mu1 = Q(rng.randint(-2, 0), rng.randint(1, 2))
+    sign = rng.choice((-1, 0, 1))
+    return StabilityValue(mu1, sign, Q(rng.randint(1, 4), rng.randint(1, 2)))
+
+
+def test_stability_value_order_matches_exact_reals():
+    # sign * sqrt(sq) is increasing in sign * sq, so (mu1, sign * sq) orders the pairs
+    rng = fresh_rng("stability-value-order")
+    values = [_random_value(rng) for _ in range(40)]
+    for a in values:
+        for b in values:
+            ka = (a.mu1, a.mu2_sign * a.mu2_sq)
+            kb = (b.mu1, b.mu2_sign * b.mu2_sq)
+            assert (a == b, a != b) == (ka == kb, ka != kb), (a, b)
+            assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb), (a, b)
+    assert sorted(values) == sorted(values, key=lambda x: (x.mu1, x.mu2_sign * x.mu2_sq))
+
+
+def test_stability_value_hash_follows_equality():
+    a, b = StabilityValue(Q(0), 0, Q(5)), StabilityValue(Q(0), 0, Q(0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    rng = fresh_rng("stability-value-hash")
+    values = [_random_value(rng) for _ in range(40)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert StabilityValue(Q(0), 1, Q(1)) != StabilityValue(Q(0), -1, Q(1))
 
 
 def test_comparator_matches_high_precision_floats():
