@@ -18,9 +18,9 @@ affine hull, their members the points on them.  The vertices of
 as x/s, with the constraints tight at each; boundedness, feasibility and
 full dimension are read off the same rays.  `extreme_rays` of a `ConeH`
 are its rays modulo its lineality.  A `VPolytope` carries the vertex-facet
-incidence, from which the H-form, the pulling triangulation and the face
-lattice of a weight polytope are read.  More than `HULL_BUDGET` candidate
-ray pairs, summed over the rows, is refused.
+incidence, off which the H-form, the pulling triangulation, the edges of the
+normal fan and the face lattice of a weight polytope are read.  More than
+`HULL_BUDGET` candidate ray pairs, summed over the rows, is refused.
 """
 
 from __future__ import annotations
@@ -440,10 +440,25 @@ def normal_cone(face, points) -> ConeH:
 
 
 def normal_fan(p: VPolytope) -> Fan:
-    """Maximal cones sigma_u = {v : <u, v> <= <u', v> for all vertices u'}."""
+    """Maximal cones sigma_u = {v : <u, v> <= <u', v> for all vertices u'}.
+
+    A face is the meet of the facets through it, so u and w span an edge when
+    the facets through both meet in {u, w}; the primitive edge directions
+    u - w cut out sigma_u, as `normal_cone([u], vertices)` does, irredundantly.
+    """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    return Fan(tuple((u, normal_cone([u], p.vertices)) for u in p.vertices))
+    z, n = _scaled(p.vertices)[0], len(p.vertices)
+    edges = [[] for _ in range(n)]
+    for i in range(n):
+        through = [f.members for f in p.facets if f.members >> i & 1]
+        for j in range(i + 1, n):
+            # the meet of no facets is the whole polytope
+            meet = functools.reduce(operator.and_, [m for m in through if m >> j & 1], (1 << n) - 1)
+            if meet == 1 << i | 1 << j:
+                edges[i].append(_primitive_int(vsub(z[i], z[j])))
+                edges[j].append(vneg(edges[i][-1]))
+    return Fan(tuple((u, ConeH(tuple(sorted(e)), p.dim)) for u, e in zip(p.vertices, edges)))
 
 
 @functools.lru_cache(maxsize=256)

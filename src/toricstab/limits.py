@@ -89,7 +89,7 @@ def is_fixed(w: WeightedPoint, v) -> bool:
 
 def _require_face(q: WeightPolytope, face) -> frozenset[int]:
     f = frozenset(int(i) for i in face)
-    if f not in set(q.faces):
+    if f not in q.faces:
         raise ValueError("not a face")
     return f
 
@@ -110,6 +110,6 @@ def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
 def face_of_direction(q: WeightPolytope, v) -> frozenset[int]:
     """Member set of the face where <., v> is minimized; always one of q.faces."""
     lim = limit_point(q.point, v)
-    if lim.support not in set(q.faces):
+    if lim.support not in q.faces:
         raise ValueError("argmin set is not a recorded face")
     return lim.support

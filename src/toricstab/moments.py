@@ -30,7 +30,6 @@ from .exactgeom import (
     _scaled,
     _triangulation,
     as_direction,
-    det,
     dot,
     facets_from_vertices,
 )
@@ -84,7 +83,8 @@ def moment_data(p: VPolytope, apex_index=None) -> MomentData:
     simplex with D = |det| of its edge vectors and vertex sum s adds D to
     vol, D s to first and D (sum of z z^T + s s^T) to the upper triangle of
     second; then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
-    Cov = second / ((d+1)(d+2) r^2 vol) - b b^T.
+    Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
+    ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
     """
     d = p.ambient_dim
     z, r = _scaled(p.vertices)
@@ -101,20 +101,27 @@ def moment_data(p: VPolytope, apex_index=None) -> MomentData:
             for j in range(i, d):
                 second[i][j] += dd * (sum(u[i] * u[j] for u in simplex) + s[i] * s[j])
     b = tuple(Q(x, (d + 1) * r * vol) for x in first)
-    den = (d + 1) * (d + 2) * r * r * vol
-    cov = tuple(
-        tuple(Q(second[min(i, j)][max(i, j)], den) - b[i] * b[j] for j in range(d))
-        for i in range(d)
-    )
-    return MomentData(Q(vol, math.factorial(d) * r**d), b, cov)
+    den = (d + 1) ** 2 * (d + 2) * (r * vol) ** 2
+    cov = [[None] * d for _ in range(d)]
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        cov[i][j] = cov[j][i] = Q(second[i][j] * (d + 1) * vol - (d + 2) * first[i] * first[j], den)
+    return MomentData(Q(vol, math.factorial(d) * r**d), b, tuple(map(tuple, cov)))
 
 
 def is_positive_definite(matrix) -> bool:
-    """Leading-principal-minor test for a symmetric rational matrix."""
-    n = len(matrix)
-    for k in range(1, n + 1):
-        if det([row[:k] for row in matrix[:k]]) <= 0:
+    """Sylvester's criterion for a symmetric rational matrix, in one elimination.
+
+    Fraction-free elimination of the integer-scaled matrix without row swaps
+    has the k-th leading principal minor, up to a positive factor, as pivot k.
+    """
+    rows, prev = _scaled(matrix)[0], 1
+    for k, top in enumerate(rows):
+        if top[k] <= 0:
             return False
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k]
+            rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[k]
     return True
 
 

@@ -8,16 +8,18 @@ each read off its facet's offset.  The cone where that minimum m1 is
 attained is the normal cone of the face of P through c = (1 + 1/m1) b,
 generated by the normals g of the facets tight at c.  Its slice by
 <b, v> = 1 is the polytope conv(g / <b, g>), and stage 2 is the point of
-that slice nearest to 0 in the Cov norm.  Strict convexity makes the
-optimum unique; every certificate below is exact.
+that slice nearest to 0 in the Cov norm, found by Wolfe's walk on integer
+multiples of those points under an integer multiple of Cov.  Strict
+convexity makes the optimum unique; every certificate below is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, IntVec, dot, normal_cone, primitive, solve_unique, vscale
+from .exactgeom import ConeH, IntVec, _scaled, dot, normal_cone, primitive, solve_unique, vscale
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
@@ -144,18 +146,23 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
 
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
-    in the Cov norm.
+    in the Cov norm.  With C = D Cov and B = E b integral and L the lcm of
+    the <B, g>, each such point is E / L times the integer p_g = L g / <B, g>;
+    the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
+    which leaves the weights of the walk unchanged.
     """
-    cov = ctx.moments.covariance
+    cov, b = ctx.moments.covariance, ctx.moments.barycenter
     if not is_positive_definite(cov):
         raise CertificateError("covariance not positive definite")
-    pairings = [dot(ctx.moments.barycenter, g) for g in sigma1.rays]
-    if min(pairings) <= 0:
+    (bb,), e = _scaled([b])
+    beta = [dot(bb, g) for g in sigma1.rays]
+    if min(beta) <= 0:
         raise CertificateError("a ray of sigma1 pairs non-positively with b")
-    points = [vscale(1 / bg, g) for g, bg in zip(sigma1.rays, pairings)]
-    cov_points = [tuple(dot(row, p) for row in cov) for p in points]
+    c, lcm = _scaled(cov)[0], math.lcm(*beta)
+    points = [vscale(lcm // bg, g) for g, bg in zip(sigma1.rays, beta)]
+    cov_points = [tuple(dot(row, p) for row in c) for p in points]
     weights = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
-    v_star = tuple(sum(w * points[i][k] for i, w in weights.items()) for k in range(ctx.dim))
+    v_star = tuple(e * sum(w * col[i] for i, w in weights.items()) / lcm for col in zip(*points))
     if not sigma1.cone.contains(v_star):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
     value = mu(ctx, v_star)

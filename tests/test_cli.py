@@ -1,6 +1,7 @@
 """Command surface: documents, rendering, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,24 @@ def test_stratify_corpus_thread_count_is_invisible(tmp_path, capsys):
         assert code == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1]
+
+
+# sha256 of the stdout of each corpus-wide command, as perfbench/refs/cli.json
+# records it: a change meant to keep every result must keep every byte
+CORPUS_STDOUT_SHA256 = {
+    ("destabilize", "--corpus"): "7e44eb0c313add4084fc5063d043ee14da224b2093b32e052a667dd35932a83d",
+    ("stratify", "--corpus", "--threads", "2"): (
+        "fbf9375b59e3b0cd436801584ecbd844bd8a6299360a05a8dcec80dc7506f619"
+    ),
+    ("report", "--corpus"): "b76aa31b6405d69e7180563dcd256879f7aa6a41e305953c3da43d661d95c75a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CORPUS_STDOUT_SHA256), ids=" ".join)
+def test_corpus_documents_are_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,57 @@ def test_normal_fan_weighted_triangle_membership():
     assert not by_vertex[qtuple(3, -1)].contains((0, -1))
 
 
+def _cross_polytope(d):
+    return [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def _pyramid(base, height):
+    apex = tuple(Q(1, 2) for _ in base[0]) + (height,)
+    return [(*u, 0) for u in base] + [apex]
+
+
+# non-simple polytopes: vertices on more than d facets, and vertex pairs that
+# share a facet without spanning an edge (the diagonals of the square base and
+# of the cube's faces)
+NON_SIMPLE = {
+    "octahedron": _cross_polytope(3),
+    "cross-polytope-4d": _cross_polytope(4),
+    "square-pyramid": _pyramid(list(itertools.product((0, 1), repeat=2)), 2),
+    "cube-pyramid": _pyramid(list(itertools.product((0, 1), repeat=3)), 3),
+}
+
+
+def _seeded_polytopes():
+    rng = fresh_rng("normal-fan-incidence")
+    out = list(NON_SIMPLE.values())
+    for d in range(2, 6):
+        while len(out) < 4 + 6 * (d - 1):
+            pts = [tuple(rand_rational(rng, 3, 4) for _ in range(d)) for _ in range(d + 4)]
+            if affine_dim(pts) == d:
+                out.append(pts)
+    return out
+
+
+def test_normal_fan_cones_are_cut_by_edges():
+    # the edge oracle is independent of the incidence: {u, w} is an edge exactly
+    # when the facet normals tight at both, from subset enumeration, have rank d - 1
+    for pts in _seeded_polytopes():
+        p = vpolytope(pts)
+        d = p.dim
+        facets = facets_by_subsets(p.vertices)
+        fan = normal_fan(p)
+        assert [u for u, _ in fan.cones] == list(p.vertices)
+        for u, cone in fan.cones:
+            edges = set()
+            for w in p.vertices:
+                tight = [n for n, c in facets if dot(n, u) == c == dot(n, w)]
+                if w != u and linalg_oracle.rank(tight) == d - 1:
+                    edges.add(primitive(vsub(u, w)))
+            assert cone.dim == d
+            assert sorted(cone.normals) == sorted(edges), (pts, u)
+            assert extreme_rays(cone) == extreme_rays(normal_cone([u], p.vertices))
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
 def test_normal_cone_matches_primitive_differences(kind):
     rng = fresh_rng(f"normal-cone-{kind}")

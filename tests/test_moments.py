@@ -6,8 +6,9 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import linalg_oracle
 import moments_oracle
-from conftest import fresh_rng, rand_nonzero_ivec
+from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
     denominator_lcm,
@@ -171,6 +172,62 @@ def test_covariance_positive_definite_on_corpus(contexts):
         assert minor > 0
         if ctx.dim >= 2:
             assert cov[0][0] * cov[1][1] - cov[0][1] * cov[1][0] > 0
+
+
+def _congruent(a, diag):
+    """A^T diag(diag) A, A given as rows."""
+    n = len(a[0])
+    return [[sum(dk * r[i] * r[j] for dk, r in zip(diag, a)) for j in range(n)] for i in range(n)]
+
+
+def _random_rows(rng, k, n):
+    return [[rand_rational(rng, 3, 4) for _ in range(n)] for _ in range(k)]
+
+
+def _sylvester(m):
+    return all(linalg_oracle.det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
+
+
+@pytest.mark.parametrize(
+    "kind", ["definite", "singular", "negative", "indefinite", "zero-corner", "symmetric"]
+)
+def test_positive_definite_matches_sylvester(kind):
+    # seeded symmetric rational 1-5D matrices; every kind but the last has a
+    # known answer: A^T D A with A invertible and D > 0 diagonal is definite,
+    # with A of rank < n singular semidefinite, with D < 0 negative definite
+    # and with D of both signs indefinite; a zero (1,1) entry is never definite
+    rng = fresh_rng(f"positive-definite-{kind}")
+    answers = set()
+    for _ in range(60):
+        n = rng.randint(2 if kind == "indefinite" else 1, 5)
+        a = _random_rows(rng, n, n)
+        while linalg_oracle.rank(a) < n:
+            a = _random_rows(rng, n, n)
+        diag = [Q(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n)]
+        if kind == "definite":
+            m = _congruent(a, diag)
+        elif kind == "singular":
+            k = rng.randint(0, n - 1)
+            m = _congruent(_random_rows(rng, k, n), diag) if k else [[Q(0)] * n] * n
+        elif kind == "negative":
+            m = _congruent(a, [-x for x in diag])
+        elif kind == "indefinite":
+            i = rng.randrange(n)
+            m = _congruent(a, [-x if j == i else x for j, x in enumerate(diag)])
+        else:
+            m = _random_rows(rng, n, n)
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if kind == "zero-corner" or rng.random() < 0.5:
+                # diagonally dominant, so definite but for the corner
+                m = [[x + (i == j) * 5 * n for j, x in enumerate(row)] for i, row in enumerate(m)]
+            if kind == "zero-corner":
+                m[0][0] = Q(0)
+        expected = _sylvester(m)
+        if kind != "symmetric":
+            assert expected == (kind == "definite"), m
+        assert is_positive_definite(m) == expected, m
+        answers.add(expected)
+    assert answers == ({True, False} if kind == "symmetric" else {kind == "definite"})
 
 
 def test_support_min_examples():
