@@ -6,7 +6,6 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
-    cone_relint_contains,
     dual_polytope,
     extreme_rays,
     facets_from_vertices,

@@ -27,9 +27,10 @@ from .limits import (
     weighted_point,
 )
 from .moments import extrapolate, lattice_series
-from .optimizer import CertificateError, DestabReport, optimal_destabilizer
+from .optimizer import CertificateError, optimal_destabilizer
 from .stability import (
     StabilityContext,
+    StabilityValue,
     context_from_constraints,
     context_from_rays,
     context_from_vertices,
@@ -106,8 +107,8 @@ def render_m2(sign: int, square, digits: int):
     }
 
 
-def render_m_mu(report: DestabReport, digits: int):
-    return [rat_str(report.m1), render_m2(report.m2_sign, report.m2_sq, digits)]
+def render_value(value: StabilityValue, digits: int):
+    return [rat_str(value.mu1), render_m2(value.mu2_sign, value.mu2_sq, digits)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def destab_doc(ctx: StabilityContext, digits: int):
         "verdict": report.verdict,
         "delta": rat_str(report.delta),
         "delta_decimal": dec_str(report.delta, digits),
-        "M_mu": render_m_mu(report, digits),
+        "M_mu": render_value(report.m_mu, digits),
         "v_star_rational": None,
         "v_star_primitive": None,
     }
@@ -329,23 +330,13 @@ def destab_doc(ctx: StabilityContext, digits: int):
 
 
 def stratum_table(contexts, digits: int):
-    reports = list(map(optimal_destabilizer, contexts))
     groups = {}
-    for ctx, report in zip(contexts, reports):
-        key = (report.m1, report.m2_sign, report.m2_sq)
-        groups.setdefault(key, (report.m_mu, []))[1].append(ctx.name)
-    ordered = sorted(groups.values(), key=lambda pair: pair[0], reverse=True)
-    strata = []
-    for value, members in ordered:
-        strata.append(
-            {
-                "M_mu": [
-                    rat_str(value.mu1),
-                    render_m2(value.mu2_sign, value.mu2_sq, digits),
-                ],
-                "members": sorted(members),
-            }
-        )
+    for ctx in contexts:
+        groups.setdefault(optimal_destabilizer(ctx).m_mu, []).append(ctx.name)
+    strata = [
+        {"M_mu": render_value(value, digits), "members": sorted(groups[value])}
+        for value in sorted(groups, reverse=True)
+    ]
     return {"scope": SCOPE, "count": len(contexts), "strata": strata}
 
 

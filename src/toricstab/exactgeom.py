@@ -2,12 +2,12 @@
 
 Everything in this module is pure and exact: coordinates are
 `fractions.Fraction` (integers inside the hull kernels), inputs are never
-mutated, and no floating point is used anywhere.  The intended ambient
-dimension is small (<= 8).
+mutated, and no floating point is used anywhere.  `vpolytope` and
+`vertices_from_facets` refuse an ambient dimension above `MAX_DIM` (8).
 
 One elimination kernel does the linear algebra: `_reduce` is fraction-free
 Gauss-Jordan elimination (Bareiss) on Python ints, under `solve_unique`,
-`rank`, `det` and the hull's chart coordinates.
+`rank` and the hull's chart coordinates.
 
 One enumeration carries the combinatorics: `_cone_rays`, the double
 description method, gives the extreme rays of a cone {x : A x >= 0}, each
@@ -56,10 +56,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u, v):
@@ -114,21 +110,17 @@ def _reduce(rows, stop=None):
     previous pivot.  Every entry is then a minor of the input, so the division
     is exact and the entries stay integers.  On return rows[i] has the common
     pivot D in column pivots[i] and zero in the other pivot columns, and the
-    rows past the pivots vanish on the scanned columns.  Returns (pivots, D,
-    sign), sign being the parity of the swaps: a square matrix of full rank
-    has determinant sign * D.
+    rows past the pivots vanish on the scanned columns.  Returns (pivots, D).
     """
     m = len(rows)
     n = (len(rows[0]) if rows else 0) if stop is None else stop
-    pivots, prev, sign = [], 1, 1
+    pivots, prev = [], 1
     for c in range(n):
         r = len(pivots)
         p = next((i for i in range(r, m) if rows[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
+        rows[r], rows[p] = rows[p], rows[r]
         top = rows[r]
         pv = top[c]
         for i in range(m):
@@ -137,7 +129,7 @@ def _reduce(rows, stop=None):
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
         pivots.append(c)
         prev = pv
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def _scaled(points):
@@ -150,7 +142,7 @@ def solve_unique(a, b):
     """Solve A x = b exactly; None unless a solution exists and is unique."""
     n = len(a[0]) if a else 0
     rows = _scaled([(*row, bi) for row, bi in zip(a, b)])[0]
-    pivots, dd, _ = _reduce(rows, n)
+    pivots, dd = _reduce(rows, n)
     if len(pivots) < n or any(row[n] for row in rows[n:]):
         return None
     return tuple(Q(row[n], dd) for row in rows[:n])
@@ -158,13 +150,6 @@ def solve_unique(a, b):
 
 def rank(rows) -> int:
     return len(_reduce(_scaled(rows)[0])[0])
-
-
-def det(rows) -> Q:
-    """Exact determinant of a square matrix A: det(r A) / r^n, with r A integral."""
-    ints, r = _scaled(rows)
-    pivots, dd, sign = _reduce(ints)
-    return Q(sign * dd, r ** len(ints)) if len(pivots) == len(ints) else Q(0)
 
 
 def affine_dim(points) -> int:
@@ -378,6 +363,8 @@ def vpolytope(points) -> VPolytope:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("dimension mismatch")
+    if d > MAX_DIM:
+        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     k, facets = _point_facets(pts)
     keep = [i for i in range(len(pts)) if _is_vertex(i, facets)] if k else [0]
     facets = tuple(f._replace(members=_select_bits(f.members, keep)) for f in facets)
@@ -397,7 +384,7 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     """
     d = h.ambient_dim
     if d > MAX_DIM:
-        raise ValueError("ambient dimension too large")
+        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     cons = sorted(set(h.constraints))
     m = len(cons)
     rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
@@ -475,22 +462,6 @@ def extreme_rays(c: ConeH) -> ConeGenerators:
     return ConeGenerators(tuple(sorted(x for x, _ in rays)), tuple(sorted(lines)))
 
 
-def cone_relint_contains(c: ConeH, v) -> bool:
-    """Exact membership of v in the relative interior of the cone."""
-    if not c.contains(v):
-        return False
-    gens = extreme_rays(c)
-    pts = list(gens.rays) + [g for l in gens.lineality for g in (l, vneg(l))]
-    for a in c.normals:
-        implicit = all(dot(a, g) == 0 for g in pts)
-        if implicit:
-            if dot(a, v) != 0:
-                return False
-        elif dot(a, v) >= 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Fano dual polytopes and triangulation
 
@@ -506,8 +477,6 @@ def dual_polytope(rays, coeffs=None):
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
-    if d > MAX_DIM:
-        raise ValueError("ambient dimension too large")
     for r in rays:
         if len(r) != d:
             raise ValueError("dimension mismatch")

@@ -81,10 +81,8 @@ def limit_point(w: WeightedPoint, v) -> WeightedPoint:
 
 
 def is_fixed(w: WeightedPoint, v) -> bool:
-    """True when the pairing is constant on the support, i.e. the limit is w itself."""
-    v = as_direction(v, len(w.weights[0]))
-    vals = [dot(w.weights[i], v) for i in w.support]
-    return all(x == vals[0] for x in vals)
+    """True when the pairing is constant on the support: every index attains the minimum."""
+    return limit_point(w, v).support == w.support
 
 
 def _require_face(q: WeightPolytope, face) -> frozenset[int]:

@@ -31,54 +31,42 @@ SEMISTABLE = "semistable"
 UNSTABLE = "unstable"
 
 
-def _sq_cmp(s1, q1, s2, q2):
-    """Compare sign*sqrt(square) values exactly: -1, 0 or 1."""
-    if s1 != s2:
-        return -1 if s1 < s2 else 1
-    if s1 == 0 or q1 == q2:
-        return 0
-    if s1 > 0:
-        return -1 if q1 < q2 else 1
-    return -1 if q1 > q2 else 1
-
-
 class StabilityValue(NamedTuple):
     """The pair (mu1, mu2) with mu2 = mu2_sign * sqrt(mu2_sq), ordered lexicographically.
 
-    All six comparisons go through `_cmp`: the ones `tuple` supplies would
-    compare the raw fields.  With mu2_sign 0, mu2_sq takes no part in
-    equality or hashing.
+    All six comparisons and the hash go through `_key`, (mu1, mu2_sign *
+    mu2_sq), not through the raw fields as `tuple`'s would: sign * sqrt(sq)
+    is increasing in sign * sq, so the key orders and identifies the exact
+    values.
     """
 
     mu1: Q
     mu2_sign: int
     mu2_sq: Q
 
-    def _cmp(self, other):
-        if self.mu1 != other.mu1:
-            return -1 if self.mu1 < other.mu1 else 1
-        return _sq_cmp(self.mu2_sign, self.mu2_sq, other.mu2_sign, other.mu2_sq)
+    def _key(self):
+        return self.mu1, self.mu2_sign * self.mu2_sq
 
     def __eq__(self, other):
-        return isinstance(other, StabilityValue) and self._cmp(other) == 0
+        return isinstance(other, StabilityValue) and self._key() == other._key()
 
     def __ne__(self, other):
         return not self == other
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._key() < other._key()
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._key() <= other._key()
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._key() > other._key()
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._key() >= other._key()
 
     def __hash__(self):
-        return hash((self.mu1, self.mu2_sign, self.mu2_sq if self.mu2_sign else 0))
+        return hash(self._key())
 
 
 class StabilityContext(NamedTuple):
@@ -140,13 +128,9 @@ def futaki(ctx: StabilityContext, v) -> Q:
     return -dot(ctx.moments.barycenter, as_direction(v, ctx.dim))
 
 
-def support_pairing_min(ctx: StabilityContext, v) -> Q:
-    return support_min(ctx.vpoly, v)
-
-
 def min_norm(ctx: StabilityContext, v) -> Q:
     """||v||_m = <b, v> - min_{u in P} <u, v>; positive for v != 0."""
-    return -futaki(ctx, v) - support_pairing_min(ctx, v)
+    return -futaki(ctx, v) - support_min(ctx.vpoly, v)
 
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:

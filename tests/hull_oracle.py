@@ -7,7 +7,9 @@ lattice from the two in exact coordinates on the affine hull;
 `vertices_by_subsets` solves every d-subset of constraints and keeps the
 feasible solutions, boundedness asked of the recession cone's extreme rays;
 `extreme_rays_by_subsets` finds those rays on the quotient by the lineality
-space, one kernel per (k-1)-subset of normals.
+space, one kernel per (k-1)-subset of normals.  `cone_relint_contains` tests
+relative-interior membership against the implicit equalities, which it
+reads off the cone's `extreme_rays`.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from toricstab.exactgeom import (
     Facet,
     VPolytope,
     dot,
+    extreme_rays,
     is_zero,
     primitive,
     qvec,
@@ -42,6 +45,22 @@ def in_convex_hull(p, points) -> bool:
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
+
+
+def cone_relint_contains(c: ConeH, v) -> bool:
+    """Exact membership of v in the relative interior of the cone."""
+    if not c.contains(v):
+        return False
+    gens = extreme_rays(c)
+    pts = list(gens.rays) + [g for l in gens.lineality for g in (l, vneg(l))]
+    for a in c.normals:
+        implicit = all(dot(a, g) == 0 for g in pts)
+        if implicit:
+            if dot(a, v) != 0:
+                return False
+        elif dot(a, v) >= 0:
+            return False
+    return True
 
 
 def hull_vertices(points):

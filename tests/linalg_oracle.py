@@ -9,6 +9,10 @@ they do not share the kernel they check.
 from fractions import Fraction as Q
 
 
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
 def solve_unique(a, b):
     """Solve A x = b exactly; None unless a solution exists and is unique."""
     m = len(a)

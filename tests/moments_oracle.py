@@ -10,7 +10,8 @@ import math
 from fractions import Fraction as Q
 
 import linalg_oracle
-from toricstab.exactgeom import triangulate, vadd, vsub
+from linalg_oracle import vadd
+from toricstab.exactgeom import triangulate, vsub
 from toricstab.moments import MomentData
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -200,22 +201,34 @@ def test_stratify_corpus_thread_count_is_invisible(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# sha256 of the stdout of each corpus-wide command, as perfbench/refs/cli.json
-# records it: a change meant to keep every result must keep every byte
-CORPUS_STDOUT_SHA256 = {
+# sha256 of the stdout of each command, as perfbench/refs/cli.json records it,
+# {name} standing for an input document: a change meant to keep every result
+# must keep every byte
+CLI_STDOUT_SHA256 = {
     ("destabilize", "--corpus"): "7e44eb0c313add4084fc5063d043ee14da224b2093b32e052a667dd35932a83d",
     ("stratify", "--corpus", "--threads", "2"): (
         "fbf9375b59e3b0cd436801584ecbd844bd8a6299360a05a8dcec80dc7506f619"
     ),
     ("report", "--corpus"): "b76aa31b6405d69e7180563dcd256879f7aa6a41e305953c3da43d661d95c75a",
+    ("limits", "{readme-point}", "--v", "1,1"): (
+        "47141679989e185348f8e60c1c7da40d1b839bcb959bc319f21fcbd4dc6d4824"
+    ),
+    ("oracle", "{p112}", "--v", "0,-1", "--mmax", "60"): (
+        "ddbee27c430f81e17c6a9afe6c5ce8e56b8286cb4fd123b15027c0192ba00fd3"
+    ),
 }
+CLI_DOCS = {"readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]}, "p112": P112_DOC}
 
 
-@pytest.mark.parametrize("argv", sorted(CORPUS_STDOUT_SHA256), ids=" ".join)
-def test_corpus_documents_are_byte_identical(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+@pytest.mark.parametrize("argv", sorted(CLI_STDOUT_SHA256), ids=" ".join)
+def test_corpus_documents_are_byte_identical(tmp_path, capsys, argv):
+    files = [
+        write_doc(tmp_path, f"{a[1:-1]}.json", CLI_DOCS[a[1:-1]]) if a.startswith("{") else a
+        for a in argv
+    ]
+    code, out, _ = run(capsys, *files)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +486,42 @@ def test_triangulation_over_budget_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "triangulation needs at least 11520 simplices, exceeds budget of 10000" in err
     assert "Traceback" not in err
+
+
+def _cross_polytope(d):
+    return [[s * (j == i) for j in range(d)] for i in range(d) for s in (1, -1)]
+
+
+def _projective_space_rays(d):
+    return [[int(j == i) for j in range(d)] for i in range(d)] + [[-1] * d]
+
+
+# the 9D cross-polytope as vertices and as its 512 facets, P^9 and a 9D weighted point
+CROSS9_FACETS = [{"normal": list(n), "offset": -1} for n in itertools.product((1, -1), repeat=9)]
+NINE_D_DOCS = {
+    "vertices": ("report", {"name": "x9", "moment_polytope": {"vertices": _cross_polytope(9)}}),
+    "constraints": ("report", {"name": "x9", "moment_polytope": {"constraints": CROSS9_FACETS}}),
+    "rays": ("report", {"name": "p9", "rays": _projective_space_rays(9)}),
+    "weights": ("limits", {"weights": _cross_polytope(9)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NINE_D_DOCS))
+def test_nine_dimensions_exit_two_in_every_form(tmp_path, capsys, kind):
+    command, doc = NINE_D_DOCS[kind]
+    path = write_doc(tmp_path, "nine.json", doc)
+    argv = [command, path] + (["--v", ",".join("1" * 9)] if command == "limits" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "ambient dimension 9 exceeds the limit of 8" in err
+    assert "Traceback" not in err
+
+
+def test_eight_dimensions_are_accepted(tmp_path, capsys):
+    path = write_doc(tmp_path, "p8.json", {"name": "p8", "rays": _projective_space_rays(8)})
+    code, out, _ = run(capsys, "report", path)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "semistable"
 
 
 def test_oracle_rows_over_the_limit_exit_two(tmp_path, capsys):

@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 import linalg_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from hull_oracle import (
+    cone_relint_contains,
     extreme_rays_by_subsets,
     faces_by_subsets,
     facets_by_subsets,
     hull_vertices,
     vertices_by_subsets,
 )
+from linalg_oracle import vadd
 from moments_oracle import simplex_volume
 from toricstab.exactgeom import (
     ConeH,
     HPolytope,
     VPolytope,
     affine_dim,
-    cone_relint_contains,
-    det,
     dot,
     dual_polytope,
     extreme_rays,
@@ -36,7 +36,6 @@ from toricstab.exactgeom import (
     rank,
     solve_unique,
     triangulate,
-    vadd,
     vertices_from_facets,
     vneg,
     vpolytope,
@@ -120,19 +119,10 @@ def test_kernel_matches_fraction_oracle():
         else:
             b = [rand_rational(rng) for _ in range(m)]
         assert solve_unique(a, b) == linalg_oracle.solve_unique(a, b)
-        if m == n:
-            assert det(a) == linalg_oracle.det(a)
     # empty, square and rectangular matrices occur, the nonempty ones of deficient rank too
     assert kinds == {(True, True, False), (True, False, False)} | {
         (False, sq, low) for sq in (True, False) for low in (True, False)
     }
-
-
-def test_det_sign_follows_row_swaps():
-    rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert det(rows) == 1
-    assert det([rows[1], rows[0], rows[2]]) == -1
-    assert det([[Q(1, 2), 0], [0, Q(-2, 3)]]) == Q(-1, 3)
 
 
 # ---------------------------------------------------------------------------

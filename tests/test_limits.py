@@ -5,8 +5,9 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
+from hull_oracle import cone_relint_contains
 from optimizer_oracle import cone_is_trivial
-from toricstab.exactgeom import cone_relint_contains, extreme_rays
+from toricstab.exactgeom import extreme_rays
 from toricstab.limits import (
     face_limit,
     face_of_direction,

@@ -13,7 +13,6 @@ from toricstab.stability import (
     UNSTABLE,
     StabilityContext,
     StabilityValue,
-    _sq_cmp,
     context_from_constraints,
     context_from_rays,
     context_from_vertices,
@@ -23,9 +22,9 @@ from toricstab.stability import (
     min_norm,
     mu,
     mu_prime_trunc,
-    support_pairing_min,
     verdict,
 )
+from toricstab.moments import support_min
 
 P112 = context_from_rays([(1, 0), (0, 1), (-1, -2)], name="p112")
 P2 = context_from_rays([(1, 0), (0, 1), (-1, -1)], name="p2")
@@ -146,7 +145,7 @@ def test_min_norm_examples():
     assert min_norm(P112, (0, -1)) == Q(4, 3)
     assert min_norm(P112, (1, 0)) == Q(4, 3)
     assert min_norm(P2, (1, 0)) == 1
-    assert support_pairing_min(P112, (0, -1)) == -1
+    assert support_min(P112.vpoly, (0, -1)) == -1
 
 
 def test_min_norm_positive_and_convex():
@@ -222,7 +221,11 @@ def test_zero_direction_rejected():
 
 def test_direction_length_checked(contexts):
     ctx = contexts["p1112"]
-    for fn in (futaki, min_norm, l2_norm_sq, mu, mu_prime_trunc, support_pairing_min):
+
+    def pairing_min(c, v):
+        return support_min(c.vpoly, v)
+
+    for fn in (futaki, min_norm, l2_norm_sq, mu, mu_prime_trunc, pairing_min):
         with pytest.raises(ValueError, match="direction has length 2, expected 3"):
             fn(ctx, (1, 0))
         with pytest.raises(ValueError, match="direction has length 4, expected 3"):
@@ -233,14 +236,28 @@ def test_direction_length_checked(contexts):
 # ordering
 
 
+def _mu2(sign, square):
+    return StabilityValue(Q(0), sign, square)
+
+
 def test_signed_square_comparator_cases():
     # sign dominates; among negatives a larger square is smaller
-    assert _sq_cmp(-1, Q(4), -1, Q(1)) == -1
-    assert _sq_cmp(-1, Q(1), -1, Q(4)) == 1
-    assert _sq_cmp(1, Q(1), 1, Q(4)) == -1
-    assert _sq_cmp(-1, Q(9), 0, Q(0)) == -1
-    assert _sq_cmp(0, Q(0), 1, Q(9)) == -1
-    assert _sq_cmp(-1, Q(2), -1, Q(2)) == 0
+    assert _mu2(-1, Q(4)) < _mu2(-1, Q(1))
+    assert _mu2(-1, Q(1)) > _mu2(-1, Q(4))
+    assert _mu2(1, Q(1)) < _mu2(1, Q(4))
+    assert _mu2(-1, Q(9)) < _mu2(0, Q(0))
+    assert _mu2(0, Q(0)) < _mu2(1, Q(9))
+    assert _mu2(-1, Q(2)) == _mu2(-1, Q(2))
+
+
+def test_signed_zero_square_is_the_zero_value():
+    # sign * sqrt(0) is 0 whatever the sign, so the three values are one
+    for mu1 in (Q(-1, 3), Q(0)):
+        zero = StabilityValue(mu1, 0, Q(0))
+        for sign in (-1, 1):
+            value = StabilityValue(mu1, sign, Q(0))
+            assert value == zero and hash(value) == hash(zero), (mu1, sign)
+            assert value <= zero <= value and not value < zero
 
 
 def test_stability_value_lexicographic():
@@ -298,18 +315,18 @@ def test_comparator_matches_high_precision_floats():
     for _ in range(1000):
         f1, q1 = rng.choice(pool)
         f2, q2 = rng.choice(pool)
-        exact = _sq_cmp(-1, f1 * f1 / q1, -1, f2 * f2 / q2)
+        a, b = _mu2(-1, f1 * f1 / q1), _mu2(-1, f2 * f2 / q2)
         x1 = mpmath.mpf(f1.numerator) / f1.denominator / mpmath.sqrt(
             mpmath.mpf(q1.numerator) / q1.denominator
         )
         x2 = mpmath.mpf(f2.numerator) / f2.denominator / mpmath.sqrt(
             mpmath.mpf(q2.numerator) / q2.denominator
         )
-        if exact == 0:
+        if a == b:
             assert abs(x1 - x2) < mpmath.mpf("1e-40")
         else:
             assert abs(x1 - x2) > mpmath.mpf("1e-45")
-            assert (x1 < x2) == (exact < 0)
+            assert (x1 < x2) == (a < b)
 
 
 def test_quasi_convexity_sampled():
