@@ -17,11 +17,9 @@ import sys
 from fractions import Fraction as Q
 
 from . import corpus as corpus_mod
-from .exactgeom import as_direction, dot
+from .exactgeom import as_direction
 from .limits import (
     face_of_direction,
-    is_fixed,
-    limit_point,
     normal_cone_of_face,
     weight_polytope,
     weighted_point,
@@ -70,8 +68,6 @@ def dec_str(x, digits: int) -> str:
     if rem2 > scaled.denominator or (rem2 == scaled.denominator and n % 2 == 1):
         n += 1
     s = str(n).rjust(digits + 1, "0")
-    if digits == 0:
-        return f"{sign}{s}"
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
@@ -85,7 +81,7 @@ def sqrt_dec_str(sign: int, square, digits: int) -> str:
     if Q(n * n + (n + 1) * (n + 1), 2) <= scaled:
         n += 1
     s = str(n).rjust(digits + 1, "0")
-    body = s if digits == 0 else f"{s[:-digits]}.{s[-digits:]}"
+    body = f"{s[:-digits]}.{s[-digits:]}"
     return ("-" if sign < 0 else "") + body
 
 
@@ -348,8 +344,7 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
     except CertificateError as exc:
         raise CertificateError(f"{ctx.name}: {exc}") from exc
     result = extrapolate(series)
-    b = ctx.moments.barycenter
-    f0_target = dot(b, [Q(x) for x in v])
+    f0_target = -futaki(ctx, v)
     q0_target = l2_norm_sq(ctx, v) + f0_target * f0_target
     rows = []
     for row in series.rows:
@@ -405,15 +400,14 @@ def oracle_dump_text(doc, digits: int) -> str:
 
 def limits_doc(point, v):
     q = weight_polytope(point)
-    lim = limit_point(point, v)
     face = face_of_direction(q, v)
     cone = normal_cone_of_face(q, face)
     return {
         "weights": [ivec_str(w) for w in point.weights],
         "support": sorted(point.support),
         "v": ivec_str(v),
-        "fixed": is_fixed(point, v),
-        "limit_support": sorted(lim.support),
+        "fixed": face == point.support,
+        "limit_support": sorted(face),
         "faces": [sorted(f) for f in q.faces],
         "sigma_F": {"normals": [ivec_str(a) for a in cone.normals]},
     }
@@ -543,7 +537,7 @@ def _attach_directions(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
-    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
+    if not 1 <= args.digits <= MAX_DIGITS:
         print(f"error: --digits must be between 1 and {MAX_DIGITS}", file=sys.stderr)
         return 2
     try:

@@ -6,11 +6,11 @@ once by the lcm r of their denominators, so r P is a lattice polytope and
 every simplex adds integer sums (its determinant, its vertex sum and its
 second-moment matrix); one `Fraction` per output entry divides at the end.
 The lattice series sums 1, <u, v> and <u, v>^2 over the integer points of
-the dilates t r P.  By the weighted Ehrhart theorem these sums are
-polynomials in t of degrees d, d+1 and d+2, so only the first d+4 dilates
-are counted: a walk on Python ints over a bounding box of all axes but one,
-with the last axis summed in closed form, in memory that does not grow
-with the box.  A zero difference of one order above each degree certifies
+the dilates t Z of Z = r P, whose box, facet offsets and minimum weight
+are t times those of Z, all integers.  By the weighted Ehrhart theorem the
+sums are polynomials in t of degrees d, d+1 and d+2, so only the first
+d+4 dilates are counted: a walk on Python ints over the box of all axes
+but one, with the last axis summed in closed form.  A zero difference of one order above each degree certifies
 the polynomials, and integer additions along the last diagonal of each
 difference table give every later row.
 """
@@ -24,14 +24,12 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 from .exactgeom import (
-    HPolytope,
     VPolytope,
     _reduce,
     _scaled,
     _triangulation,
     as_direction,
     dot,
-    facets_from_vertices,
 )
 
 
@@ -79,10 +77,10 @@ class ExtrapolationResult(NamedTuple):
 def moment_data(p: VPolytope, apex_index=None) -> MomentData:
     """Volume, barycenter and covariance summed over one pulling triangulation.
 
-    With r = `denominator_lcm(p)` the scaled vertices z = r u are integers.  A
-    simplex with D = |det| of its edge vectors and vertex sum s adds D to
-    vol, D s to first and D (sum of z z^T + s s^T) to the upper triangle of
-    second; then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
+    With r the lcm of the vertex denominators the scaled vertices z = r u are
+    integers.  A simplex with D = |det| of its edge vectors and vertex sum s
+    adds D to vol, D s to first and D (sum of z z^T + s s^T) to the upper
+    triangle of second; then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
     Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
     ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
     """
@@ -131,45 +129,29 @@ def support_min(p: VPolytope, v) -> Q:
     return min(dot(u, v) for u in p.vertices)
 
 
-def denominator_lcm(p: VPolytope) -> int:
-    """Smallest r >= 1 with r * P a lattice polytope."""
-    return math.lcm(*(x.denominator for u in p.vertices for x in u))
-
-
-def _vertex_box(verts, m):
-    """Integer bounds [lo, hi] of every coordinate over m * conv(verts)."""
-    lo_box, hi_box = [], []
-    for k in range(len(verts[0])):
-        vals = [m * u[k] for u in verts]
-        lo_box.append(math.ceil(min(vals)))
-        hi_box.append(math.floor(max(vals)))
-    return lo_box, hi_box
-
-
-def _dilate_sums(h: HPolytope, verts, m, scan, vi):
+def _dilate_sums(box, cons, m, scan, vi):
     """Count, sum and square sum of <u, vi> over the integer points u of m * P.
 
-    The prefix box (the vertex box of m * P on every axis but `scan`) is
-    walked with its last axis innermost: for each cell of the other axes,
-    every constraint gives one column of scan-axis bounds along that axis,
-    and the columns' max and min cut each prefix cell's interval [lo, hi] of
-    the scan axis, which is summed in closed form.  Everything is a Python
-    int, so no magnitude can overflow.
+    `box` holds the integer range of every axis over m * P, and `cons` each
+    facet <n, u> >= c of P over the common denominator r as the integer pair
+    (r n, r c), so m * P is cut out by <r n, u> >= m r c.  The prefix box
+    (every axis but `scan`) is walked with its last axis innermost: for each
+    cell of the other axes, every constraint gives one column of scan-axis
+    bounds along that axis, and the columns' max and min cut each prefix
+    cell's interval [lo, hi] of the scan axis, which is summed in closed
+    form.  Everything is a Python int, so no magnitude can overflow.
     """
-    lo_box, hi_box = _vertex_box(verts, m)
     axes = [k for k in range(len(vi)) if k != scan]
-    ranges = [range(lo_box[k], hi_box[k] + 1) for k in axes]
+    ranges = [box[k] for k in axes]
     # in one dimension the prefix is empty: a single inner step at 0
     inner, last = (ranges.pop(), axes.pop()) if axes else (range(1), scan)
-    cons = []
-    for n, c in h.constraints:
-        n = [int(x) * c.denominator for x in n]  # n . u >= m c in integers
-        cons.append((n[scan], n[last], [n[k] for k in axes], m * c.numerator))
+    cons = [(n[scan], n[last], [n[k] for k in axes], m * o) for n, o in cons]
+    bottom, top = box[scan][0], box[scan][-1]
     vs, vl, vo = vi[scan], vi[last], [vi[k] for k in axes]
     count = w = q = 0
     for x in itertools.product(*ranges):
         # at inner value y a constraint reads s * (scan value) >= res - a y
-        los, his = [[lo_box[scan]] * len(inner)], [[hi_box[scan]] * len(inner)]
+        los, his = [[bottom] * len(inner)], [[top] * len(inner)]
         for s, a, no, rhs in cons:
             res = rhs - sum(map(operator.mul, no, x))
             if s > 0:
@@ -177,7 +159,7 @@ def _dilate_sums(h: HPolytope, verts, m, scan, vi):
             elif s < 0:
                 his.append([(res - a * y) // s for y in inner])
             else:  # parallel to the scan axis: empties the cells it cuts off
-                his.append([hi_box[scan] if a * y >= res else lo_box[scan] - 1 for y in inner])
+                his.append([top if a * y >= res else bottom - 1 for y in inner])
         c0 = sum(map(operator.mul, vo, x))
         for y, lo, hi in zip(inner, map(max, *los), map(min, *his)):
             if lo <= hi:
@@ -195,11 +177,14 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
 
     Per dilate: the point count, the sum and the sum of squares of <u, v>
     over integer points u, and the minimum of <u, v>, which is m times the
-    support minimum.  The three sums are counted on the first min(T, d+4)
-    dilates, T = m_max // r; past those each continues its difference table
-    as a polynomial in m / r of degree d, d+1 or d+2, certified by a zero
-    difference of the next order (else `CertificateError`).  The direction
-    v must be a nonzero integer vector; m_max must be at least 3r.
+    support minimum.  All of it reads the lattice polytope Z = r P with
+    integer vertices z: the dilate m = t r is t Z, whose vertex box is t
+    times that of Z and whose minimum weight is t min <z, v>.  The three
+    sums are counted on the first min(T, d+4) dilates, T = m_max // r; past
+    those each continues its difference table as a polynomial in t of degree
+    d, d+1 or d+2, certified by a zero difference of the next order (else
+    `CertificateError`).  The direction v must be a nonzero integer vector;
+    m_max must be at least 3r.
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
@@ -207,7 +192,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     if any(x.denominator != 1 for x in v):
         raise ValueError("direction must be an integer vector")
     vi = tuple(int(x) for x in v)
-    r = denominator_lcm(p)
+    z, r = _scaled(p.vertices)
     if m_max < 3 * r:
         raise ValueError(f"insufficient series length: m_max must be at least 3r = {3 * r}")
     d = p.ambient_dim
@@ -215,29 +200,26 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     if t_max > MAX_SERIES_ROWS:
         raise ValueError(f"{t_max} rows exceed the limit of {MAX_SERIES_ROWS} rows")
     scanned = min(t_max, d + 4)
+    lo, hi = [min(col) for col in zip(*z)], [max(col) for col in zip(*z)]
     # scan along the axis with the largest vertex-coordinate range
-    ranges = []
-    for k in range(d):
-        vals = [u[k] for u in p.vertices]
-        ranges.append(max(vals) - min(vals))
-    scan = max(range(d), key=lambda k: ranges[k])
-    cells = 0
-    for t in range(1, scanned + 1):
-        lo_box, hi_box = _vertex_box(p.vertices, t * r)
-        cells += math.prod(hi_box[k] - lo_box[k] + 1 for k in range(d) if k != scan)
+    scan = max(range(d), key=lambda k: hi[k] - lo[k])
+    boxes = [[range(t * a, t * b + 1) for a, b in zip(lo, hi)] for t in range(1, scanned + 1)]
+    cells = sum(math.prod(len(x) for k, x in enumerate(box) if k != scan) for box in boxes)
     if cells > MAX_SCAN_CELLS:
         raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")
-    h = facets_from_vertices(p)
-    sums = [_dilate_sums(h, p.vertices, t * r, scan, vi) for t in range(1, scanned + 1)]
+    # a facet of Z = r P holds a lattice vertex and has an integral normal,
+    # so its offset r c is an integer
+    cons = [(tuple(r * x for x in f.normal), int(r * f.offset)) for f in p.facets]
+    sums = [_dilate_sums(box, cons, t * r, scan, vi) for t, box in enumerate(boxes, 1)]
     columns = [
         _polynomial_column(column, degree, t_max, name)
         for column, degree, name in zip(
             zip(*sums), (d, d + 1, d + 2), ("count", "weight_sum", "weight_sq_sum")
         )
     ]
-    lam = support_min(p, v)
+    lam = min(sum(map(operator.mul, u, vi)) for u in z)
     rows = [
-        SeriesRow(t * r, n_pts, w, q, int(t * r * lam))
+        SeriesRow(t * r, n_pts, w, q, t * lam)
         for t, n_pts, w, q in zip(range(1, t_max + 1), *columns)
     ]
     return LatticeSeries(r, tuple(rows))

@@ -3,7 +3,8 @@
 Each simplex of the pulling triangulation (as vertex tuples) contributes its
 volume, its first moment and its raw second moment, each summed as an exact
 rational; the determinant is the `Fraction` elimination of `linalg_oracle`,
-so none of the integer sums in `toricstab.moments` is shared.
+so none of the integer sums in `toricstab.moments` is shared.  The scale
+r of the lattice series is the lcm of the vertex denominators.
 """
 
 import math
@@ -13,6 +14,11 @@ import linalg_oracle
 from linalg_oracle import vadd
 from toricstab.exactgeom import triangulate, vsub
 from toricstab.moments import MomentData
+
+
+def denominator_lcm(p) -> int:
+    """Smallest r >= 1 with r * P a lattice polytope."""
+    return math.lcm(*(x.denominator for u in p.vertices for x in u))
 
 
 def simplex_volume(simplex) -> Q:

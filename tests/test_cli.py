@@ -24,6 +24,11 @@ from toricstab.optimizer import CertificateError
 P2_DOC = {"name": "p2", "rays": [[1, 0], [0, 1], [-1, -1]]}
 P112_DOC = {"name": "p112", "rays": [[1, 0], [0, 1], [-1, -2]]}
 P113_DOC = {"name": "p113", "rays": [[1, 0], [0, 1], [-1, -3]]}
+P2_HALFLINE_DOC = {
+    "name": "p2-halfline",
+    "rays": [[1, 0], [0, 1], [-1, -1]],
+    "coeffs": ["0/1", "0/1", "1/2"],
+}
 TRIANGLE_POINT = {"weights": [[0, 0], [1, 0], [0, 1]]}
 
 
@@ -216,8 +221,15 @@ CLI_STDOUT_SHA256 = {
     ("oracle", "{p112}", "--v", "0,-1", "--mmax", "60"): (
         "ddbee27c430f81e17c6a9afe6c5ce8e56b8286cb4fd123b15027c0192ba00fd3"
     ),
+    ("oracle", "{p2-halfline}", "--v", "1,1", "--mmax", "60"): (
+        "594fdb4c708b5e16e3beb9ac4c0bc80b404e90e5cfd0e30d4c8c1bbe308fbe47"
+    ),
 }
-CLI_DOCS = {"readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]}, "p112": P112_DOC}
+CLI_DOCS = {
+    "readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]},
+    "p112": P112_DOC,
+    "p2-halfline": P2_HALFLINE_DOC,
+}
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_STDOUT_SHA256), ids=" ".join)
@@ -543,6 +555,17 @@ def test_oracle_scan_over_the_cell_limit_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_scan_of_a_rational_cube_counts_the_cells_of_r_p(tmp_path, capsys):
+    # [0, 601/2]^3 has r = 2, so --mmax 6 scans t = 1, 2, 3 of Z = [0, 601]^3:
+    # 602^2 + 1203^2 + 1804^2 prefix cells
+    cube = [[x, y, z] for x in ("0", "601/2") for y in ("0", "601/2") for z in ("0", "601/2")]
+    path = write_doc(tmp_path, "cube.json", {"name": "cube", "moment_polytope": {"vertices": cube}})
+    code, out, err = run(capsys, "oracle", path, "--v", "1,1,1", "--mmax", "6")
+    assert code == 2 and out == ""
+    assert "error: --mmax 6: scan needs 5064029 prefix cells, over the limit of 1000000" in err
+    assert "Traceback" not in err
+
+
 @st.composite
 def fuzz_invocations(draw):
     """A command line and a small document reaching one hull entry: fan rays with
@@ -715,8 +738,8 @@ def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypat
 
     scan = moments_mod._dilate_sums
 
-    def one_point_short(h, verts, m, axis, vi):
-        n, w, q = scan(h, verts, m, axis, vi)
+    def one_point_short(box, cons, m, axis, vi):
+        n, w, q = scan(box, cons, m, axis, vi)
         return (n - 1, w, q) if m == 3 else (n, w, q)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)

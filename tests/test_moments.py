@@ -9,9 +9,9 @@ import pytest
 import linalg_oracle
 import moments_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
+from moments_oracle import denominator_lcm
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
-    denominator_lcm,
     extrapolate,
     is_positive_definite,
     lattice_series,
@@ -327,9 +327,9 @@ def test_series_counts_only_the_first_d_plus_4_dilates(monkeypatch, contexts):
     scan = moments_mod._dilate_sums
     seen = []
 
-    def record(h, verts, m, axis, vi):
+    def record(box, cons, m, axis, vi):
         seen.append(m)
-        return scan(h, verts, m, axis, vi)
+        return scan(box, cons, m, axis, vi)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", record)
     p1112 = contexts["p1112"].vpoly
@@ -348,8 +348,8 @@ def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
 
     scan = moments_mod._dilate_sums
 
-    def one_point_short(h, verts, m, axis, vi):
-        n, w, q = scan(h, verts, m, axis, vi)
+    def one_point_short(box, cons, m, axis, vi):
+        n, w, q = scan(box, cons, m, axis, vi)
         return (n - 1, w, q) if m == 3 else (n, w, q)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
