@@ -55,7 +55,7 @@ def qvec(xs) -> VecQ:
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vsub(u, v):
@@ -89,9 +89,7 @@ def primitive(v) -> IntVec:
     w = qvec(v)
     if is_zero(w):
         raise ValueError("zero vector has no primitive form")
-    (ints,), _ = _scaled([w])
-    g = math.gcd(*ints)
-    return tuple(i // g for i in ints)
+    return _primitive_int(_scaled([w])[0][0])
 
 
 def is_primitive_lattice(v) -> bool:

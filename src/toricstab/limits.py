@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .exactgeom import ConeH, VPolytope, as_direction, dot, normal_cone, vpolytope
+from .exactgeom import ConeH, VPolytope, as_direction, dot, normal_cone, primitive, vpolytope
 
 
 class WeightedPoint(NamedTuple):
@@ -74,7 +74,7 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
 
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:
     """Support of the limit under t -> 0 along v: the argmin of <u_i, v> on the support."""
-    v = as_direction(v, len(w.weights[0]))
+    v = primitive(as_direction(v, len(w.weights[0])))  # the argmin is scale-invariant
     vals = {i: dot(w.weights[i], v) for i in w.support}
     best = min(vals.values())
     return WeightedPoint(w.weights, frozenset(i for i, val in vals.items() if val == best))

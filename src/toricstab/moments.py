@@ -34,12 +34,13 @@ from .exactgeom import (
 
 
 # Bounds on a lattice series, checked before any point is counted: its rows
-# (m_max // r) and the prefix-box cells of its scanned dilates.  The cells
-# bound time: near the limit the 4D box [-4, 5]^4 at m_max 8 takes 2.0 s and
-# the 3D octahedron of radius 40 at m_max 7 takes 1.3 s, at 16 MiB peak
-# RSS, on one core of a 2-vCPU x86-64 host, CPython 3.11.
+# (m_max // r), the prefix cells of its scanned dilates, and those cells
+# times the facets, one column each.  Near the limits the 4D box [-4, 5]^4
+# at m_max 8 (8 facets) takes 2.0-2.4 s at 16 MiB peak RSS, and a 260-facet
+# ball at 3.8 million columns 0.4 s, on one core of a 2-vCPU x86-64 host.
 MAX_SERIES_ROWS = 20_000
 MAX_SCAN_CELLS = 1_000_000
+MAX_SCAN_COLUMNS = 8_000_000
 
 
 class CertificateError(RuntimeError):
@@ -207,6 +208,9 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     cells = sum(math.prod(len(x) for k, x in enumerate(box) if k != scan) for box in boxes)
     if cells > MAX_SCAN_CELLS:
         raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")
+    cols = cells * len(p.facets)  # one column per facet in each prefix cell
+    if cols > MAX_SCAN_COLUMNS:
+        raise ValueError(f"scan needs {cols} facet columns, over the limit of {MAX_SCAN_COLUMNS}")
     # a facet of Z = r P holds a lattice vertex and has an integral normal,
     # so its offset r c is an integer
     cons = [(tuple(r * x for x in f.normal), int(r * f.offset)) for f in p.facets]
@@ -253,25 +257,26 @@ def extrapolate(series: LatticeSeries) -> ExtrapolationResult:
     """Two-point Richardson extrapolation of the normalized series.
 
     F0 is estimated from f_m = w_m / (m N_m) and Q0 from g_m = q_m / (m^2 N_m).
-    Consecutive rows m' < m are r apart, so eliminating the 1/m term of a
-    pair leaves (m f_m - m' f_m') / r = (w_m / N_m - w_m' / N_m') / r, one
-    `Fraction` per pair, and the same with q_m / (m N_m) for Q0.  The last
-    pair gives the estimate, and successive estimate differences are
-    reported as residuals.
+    Consecutive rows i and i+1 are r apart, so eliminating the 1/m term of
+    the pair leaves the estimate A_i / (r N_i N_(i+1)) with the integer
+    A_i = w_(i+1) N_i - w_i N_(i+1); for Q0 the same with q for w and m N
+    for N.  The last pair gives the estimate, and successive estimate
+    differences are the residuals, each the one `Fraction`
+    (A_(i+1) N_i - A_i N_(i+2)) / (r N_i N_(i+1) N_(i+2)).
     """
     rows, r = series.rows, series.r
     if len(rows) < 3:
         raise ValueError("insufficient series length")
-    pairs = list(zip(rows, rows[1:]))
-    ef = [
-        Q(b.weight_sum * a.count - a.weight_sum * b.count, r * a.count * b.count)
-        for a, b in pairs
-    ]
-    eg = [
-        Q(b.weight_sq_sum * a.m * a.count - a.weight_sq_sum * b.m * b.count,
-          r * a.m * a.count * b.m * b.count)
-        for a, b in pairs
-    ]
-    res_f = tuple(y - x for x, y in zip(ef, ef[1:]))
-    res_g = tuple(y - x for x, y in zip(eg, eg[1:]))
-    return ExtrapolationResult(ef[-1], eg[-1], res_f, res_g)
+    f0, res_f = _richardson([x.weight_sum for x in rows], [x.count for x in rows], r)
+    q0, res_q = _richardson([x.weight_sq_sum for x in rows], [x.m * x.count for x in rows], r)
+    return ExtrapolationResult(f0, q0, res_f, res_q)
+
+
+def _richardson(w, n, r):
+    """The last pair estimate of w / n and the residuals, as in `extrapolate`."""
+    a = [w1 * n0 - w0 * n1 for w0, w1, n0, n1 in zip(w, w[1:], n, n[1:])]
+    residuals = tuple(
+        Q(a1 * n0 - a0 * n2, r * n0 * n1 * n2)
+        for a0, a1, n0, n1, n2 in zip(a, a[1:], n, n[1:], n[2:])
+    )
+    return Q(a[-1], r * n[-2] * n[-1]), residuals

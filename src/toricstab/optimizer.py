@@ -7,10 +7,10 @@ with positive denominator, so stage 1 is a minimum over the facet normals,
 each read off its facet's offset.  The cone where that minimum m1 is
 attained is the normal cone of the face of P through c = (1 + 1/m1) b,
 generated by the normals g of the facets tight at c.  Its slice by
-<b, v> = 1 is the polytope conv(g / <b, g>), and stage 2 is the point of
-that slice nearest to 0 in the Cov norm, found by Wolfe's walk on integer
-multiples of those points under an integer multiple of Cov.  Strict
-convexity makes the optimum unique; every certificate below is exact.
+<b, v> = 1 is conv(g / <b, g>), and stage 2 is its point nearest to 0 in
+the Cov norm, found by Wolfe's walk.  b, c, the offsets and Cov are cleared
+of their denominators, so every step and exact certificate (v* checked as
+primitive(v*)) runs on integers; strict convexity makes the optimum unique.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, IntVec, _scaled, dot, normal_cone, primitive, solve_unique, vscale
+from .exactgeom import ConeH, _primitive_int, _scaled, dot, normal_cone, solve_unique, vscale
 from .moments import CertificateError, is_positive_definite
-from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
+from .stability import SEMISTABLE, StabilityContext, StabilityValue, _mu, _scale, verdict
 
 
 class Stage1Result(NamedTuple):
@@ -35,7 +35,7 @@ class SigmaOne(NamedTuple):
 
     cone: ConeH
     m1: Q
-    rays: tuple[IntVec, ...]
+    rays: tuple[tuple[int, ...], ...]
 
 
 class DestabReport(NamedTuple):
@@ -66,8 +66,11 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
     facets = ctx.vpoly.facets
-    pairings = [dot(ctx.moments.barycenter, f.normal) for f in facets]
-    vals = [-bn / (bn - f.offset) for f, bn in zip(facets, pairings)]
+    (bb,), e = _scaled([ctx.moments.barycenter])
+    (offsets,), k = _scaled([[f.offset for f in facets]])
+    # with B = E b and offsets k c on integers: mu1(n) = -<B, n> k / (<B, n> k - E k c)
+    pairings = [k * dot(bb, f.normal) for f in facets]
+    vals = [Q(-bn, bn - e * o) for bn, o in zip(pairings, offsets)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
         through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
@@ -80,7 +83,8 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     if ctx.zero_interior and best <= -1:
         raise CertificateError("stage 1 minimum out of range")
     witnesses = sorted({f.normal for f, val in zip(facets, vals) if val == best})
-    return Stage1Result(best, tuple(witnesses), tuple(sorted(per_cone)))
+    # the vertices are sorted, so per_cone is too
+    return Stage1Result(best, tuple(witnesses), tuple(per_cone))
 
 
 def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
@@ -98,7 +102,10 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
         raise ValueError("stage-1 minimum must be negative")
     c = vscale(1 + 1 / m1, ctx.moments.barycenter)
     cone = normal_cone([c], ctx.vpoly.vertices)
-    slack = [(dot(f.normal, c) - f.offset, f.normal) for f in ctx.vpoly.facets]
+    # each slack <n, c> - offset times the positive k kc, on integers
+    (cc,), kc = _scaled([c])
+    (offsets,), k = _scaled([[f.offset for f in ctx.vpoly.facets]])
+    slack = [(k * dot(f.normal, cc) - kc * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
     rays = tuple(sorted(n for s, n in slack if s == 0))
@@ -114,35 +121,38 @@ def _nearest(gram) -> dict[int, Q]:
     joins the corral, x moves toward the corral's affine minimizer, and a
     point whose weight reaches 0 is dropped.  <x, x> falls with each corral,
     so the walk ends, on the certificate <x, p_j> >= <x, x> for every j.
+    The weights are carried as integers over one positive denominator k.
     """
     n = len(gram)
-    weights = {min(range(n), key=lambda i: gram[i][i]): Q(1)}
+    weights, k = {min(range(n), key=lambda i: gram[i][i]): 1}, 1
     while True:
-        gx = [sum(w * row[i] for i, w in weights.items()) for row in gram]
-        xx = sum(w * gx[i] for i, w in weights.items())
+        gx = [sum(w * row[i] for i, w in weights.items()) for row in gram]  # k <x, p_j>
+        xx = sum(w * gx[i] for i, w in weights.items())  # k^2 <x, x>
         j = min(range(n), key=gx.__getitem__)
-        if gx[j] >= xx:
-            return weights
-        weights[j] = Q(0)
+        if gx[j] * k >= xx:
+            return {i: Q(w, k) for i, w in weights.items()}
+        weights[j] = 0
         while True:
             corral = sorted(weights)
-            k = len(corral)
             # affine minimizer: Gram_S alpha = lambda 1, sum(alpha) = 1
-            rows = [[gram[i][l] for l in corral] + [-1] for i in corral] + [[1] * k + [0]]
-            sol = solve_unique(rows, [0] * k + [1])
+            rows = [[gram[i][l] for l in corral] + [-1] for i in corral] + [[1] * len(corral) + [0]]
+            sol = solve_unique(rows, [0] * len(corral) + [1])
             if sol is None:
                 raise CertificateError("singular corral in stage 2")
-            alpha = dict(zip(corral, sol))
-            if all(a > 0 for a in alpha.values()):
-                weights = alpha
+            (a,), ka = _scaled([sol[:-1]])
+            alpha = dict(zip(corral, a))
+            if min(a) > 0:
+                weights, k = alpha, ka
                 break
-            t = min(weights[i] / (weights[i] - alpha[i]) for i in corral if alpha[i] <= 0)
-            weights = {i: (1 - t) * weights[i] + t * alpha[i] for i in corral}
-            weights = {i: w for i, w in weights.items() if w > 0}
+            # step t to the first weight (1 - t) w + t alpha that reaches 0
+            t = min(Q(w * ka, w * ka - alpha[i] * k) for i, w in weights.items() if alpha[i] <= 0)
+            tn, td = t.as_integer_ratio()
+            step = {i: (td - tn) * ka * w + tn * k * alpha[i] for i, w in weights.items()}
+            weights, k = {i: w for i, w in step.items() if w > 0}, td * k * ka
 
 
 def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
-    """Unique minimizer of v^T Cov v on {v in sigma1 : <b, v> = 1}.
+    """Unique minimizer of v^T Cov v on {v in sigma1 : <b, v> = 1}, and mu there.
 
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
@@ -151,24 +161,33 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
     which leaves the weights of the walk unchanged.
     """
-    cov, b = ctx.moments.covariance, ctx.moments.barycenter
-    if not is_positive_definite(cov):
+    v_star, _, value = _stage2(ctx, sigma1)
+    return v_star, value
+
+
+def _stage2(ctx: StabilityContext, sigma1: SigmaOne):
+    """(v*, primitive(v*), mu(v*)); the certificates run on the integer primitive(v*)."""
+    data = _scale(ctx)
+    _, _, bb, e, c, _ = data
+    if not is_positive_definite(c):
         raise CertificateError("covariance not positive definite")
-    (bb,), e = _scaled([b])
     beta = [dot(bb, g) for g in sigma1.rays]
     if min(beta) <= 0:
         raise CertificateError("a ray of sigma1 pairs non-positively with b")
-    c, lcm = _scaled(cov)[0], math.lcm(*beta)
+    lcm = math.lcm(*beta)
     points = [vscale(lcm // bg, g) for g, bg in zip(sigma1.rays, beta)]
     cov_points = [tuple(dot(row, p) for row in c) for p in points]
     weights = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
-    v_star = tuple(e * sum(w * col[i] for i, w in weights.items()) / lcm for col in zip(*points))
-    if not sigma1.cone.contains(v_star):
+    # v* = E / (L k) x for the weights cleared of their denominator k
+    (ws,), k = _scaled([tuple(weights.values())])
+    x = [sum(w * col[i] for i, w in zip(weights, ws)) for col in zip(*points)]
+    v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
+    if not sigma1.cone.contains(p):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
-    value = mu(ctx, v_star)
+    value = _mu(data, p)
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
-    return v_star, value
+    return v_star, p, value
 
 
 def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
@@ -183,7 +202,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
                 raise CertificateError("witness ray outside sigma1")
         if set(stage1.witness_rays) != set(sigma1.rays):
             raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
-        v_star, value = minimize_mu2_on_cone(ctx, sigma1)
+        v_star, v_primitive, value = _stage2(ctx, sigma1)
         if value.mu2_sign != -1:
             raise CertificateError("optimal direction is not destabilizing")
     except CertificateError as exc:
@@ -195,7 +214,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
         value.mu2_sq,
         stage1.m1 + 1,
         v_star,
-        primitive(v_star),
+        v_primitive,
         sigma1,
         stage1,
     )

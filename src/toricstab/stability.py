@@ -1,10 +1,12 @@
 """Stability invariants of torus-invariant log Fano data.
 
 The context bundles a full-dimensional moment polytope with its exact
-moments and normal fan.  Every invariant is a `Fraction` dot product with
-the barycenter, the covariance or the vertices; the square-root-valued
-second invariant is carried as a sign together with an exact rational
-square so comparisons never round.
+moments and normal fan.  Every invariant is one `Fraction` of the integers
+<B, V>, min <z, V> and V^T C V, with the vertices z = r u, B = E b, C = D Cov
+and V = s v (or primitive(v) where the value is scale-invariant) each cleared
+of its denominators once per call; the square-root-valued second invariant
+is carried as a sign together with an exact rational square so comparisons
+never round.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
+    _scaled,
     as_direction,
     dot,
     dual_polytope,
@@ -25,7 +28,7 @@ from .exactgeom import (
     vertices_from_facets,
     vpolytope,
 )
-from .moments import MomentData, moment_data, support_min
+from .moments import MomentData, moment_data
 
 SEMISTABLE = "semistable"
 UNSTABLE = "unstable"
@@ -123,35 +126,54 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
     return _build(vp, facets_from_vertices(vp), name=name)
 
 
+def _scale(ctx: StabilityContext):
+    """(z, r, B, E, C, D): the vertices z = r u, B = E b and C = D Cov on integers."""
+    z, r = _scaled(ctx.vpoly.vertices)
+    (bb,), e = _scaled([ctx.moments.barycenter])
+    return z, r, bb, e, *_scaled(ctx.moments.covariance)
+
+
+def _pairings(data, v):
+    """<b, v>, min_P <u, v> and v^T Cov v as the integer fractions (<B, V>, E s),
+    (min <z, V>, r s) and (V^T C V, D s^2), with V = s v and data = `_scale(ctx)`."""
+    z, r, bb, e, c, dd = data
+    (vv,), s = _scaled([v])
+    cv = [dot(row, vv) for row in c]
+    return (dot(bb, vv), e * s), (min(dot(u, vv) for u in z), r * s), (dot(vv, cv), dd * s * s)
+
+
 def futaki(ctx: StabilityContext, v) -> Q:
     """Fut(v) = -<b, v> for the barycenter b; linear in v."""
-    return -dot(ctx.moments.barycenter, as_direction(v, ctx.dim))
+    (bn, bd), _, _ = _pairings(_scale(ctx), as_direction(v, ctx.dim))
+    return Q(-bn, bd)
 
 
 def min_norm(ctx: StabilityContext, v) -> Q:
     """||v||_m = <b, v> - min_{u in P} <u, v>; positive for v != 0."""
-    return -futaki(ctx, v) - support_min(ctx.vpoly, v)
+    return log_discrepancy_S(ctx, v)[1]
 
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
-    w = as_direction(v, ctx.dim)
-    return dot(w, [dot(row, w) for row in ctx.moments.covariance])
+    _, _, (qn, qd) = _pairings(_scale(ctx), as_direction(v, ctx.dim))
+    return Q(qn, qd)
+
+
+def _mu(data, p) -> StabilityValue:
+    (bn, bd), (zn, zd), (qn, qd) = _pairings(data, p)
+    sign = (bn < 0) - (bn > 0)
+    return StabilityValue(Q(-bn * zd, bn * zd - zn * bd), sign, Q(bn * bn * qd, bd * bd * qn))
 
 
 def mu(ctx: StabilityContext, v) -> StabilityValue:
     """The invariant pair (Fut/||.||_m, Fut/||.||_2), second entry as signed square."""
-    f = futaki(ctx, v)
-    mn = -f - support_min(ctx.vpoly, v)
-    q = l2_norm_sq(ctx, v)
-    sign = (f > 0) - (f < 0)
-    return StabilityValue(f / mn, sign, f * f / q)
+    return _mu(_scale(ctx), primitive(as_direction(v, ctx.dim)))
 
 
 def log_discrepancy_S(ctx: StabilityContext, v):
     """(A, S) = (-min pairing, minimum norm); A - S = Fut identically."""
-    a = -support_min(ctx.vpoly, v)
-    return a, a - futaki(ctx, v)
+    (bn, bd), (zn, zd), _ = _pairings(_scale(ctx), as_direction(v, ctx.dim))
+    return Q(-zn, zd), Q(bn * zd - zn * bd, bd * zd)
 
 
 def verdict(ctx: StabilityContext) -> str:
@@ -166,9 +188,5 @@ def mu_prime_trunc(ctx: StabilityContext, v) -> StabilityValue:
     under positive rescaling of v.  They are returned as the pair
     (mu1, mu2) = (c0, c1), c1 carried as a signed square.
     """
-    f = futaki(ctx, v)
-    mn = -f - support_min(ctx.vpoly, v)
-    q = l2_norm_sq(ctx, v)
-    c0 = f / mn
-    sign = (f < 0) - (f > 0)
-    return StabilityValue(c0, sign, c0 * c0 * q / (mn * mn))
+    m = mu(ctx, v)  # c1 = -mu1^2 / mu2, as mu2 = mu1 ||v||_m / ||v||_2
+    return StabilityValue(m.mu1, -m.mu2_sign, m.mu1**4 / m.mu2_sq if m.mu2_sign else Q(0))

@@ -4,7 +4,8 @@ Each simplex of the pulling triangulation (as vertex tuples) contributes its
 volume, its first moment and its raw second moment, each summed as an exact
 rational; the determinant is the `Fraction` elimination of `linalg_oracle`,
 so none of the integer sums in `toricstab.moments` is shared.  The scale
-r of the lattice series is the lcm of the vertex denominators.
+r of the lattice series is the lcm of the vertex denominators, and
+`extrapolate` takes the Richardson step with one `Fraction` per row and pair.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction as Q
 import linalg_oracle
 from linalg_oracle import vadd
 from toricstab.exactgeom import triangulate, vsub
-from toricstab.moments import MomentData
+from toricstab.moments import ExtrapolationResult, MomentData
 
 
 def denominator_lcm(p) -> int:
@@ -64,3 +65,17 @@ def moment_data(p, apex_index=None) -> MomentData:
     b = tuple(x / vol for x in first)
     cov = tuple(tuple(second[i][j] / vol - b[i] * b[j] for j in range(d)) for i in range(d))
     return MomentData(vol, b, cov)
+
+
+def extrapolate(series):
+    """Richardson pair estimates as one `Fraction` each, residuals as their differences."""
+    rows, r = series.rows, series.r
+    pairs = list(zip(rows, rows[1:]))
+    ef = [(b.weight_sum / Q(b.count) - a.weight_sum / Q(a.count)) / r for a, b in pairs]
+    eg = [
+        (b.weight_sq_sum / Q(b.m * b.count) - a.weight_sq_sum / Q(a.m * a.count)) / r
+        for a, b in pairs
+    ]
+    res_f = tuple(y - x for x, y in zip(ef, ef[1:]))
+    res_g = tuple(y - x for x, y in zip(eg, eg[1:]))
+    return ExtrapolationResult(ef[-1], eg[-1], res_f, res_g)

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -564,6 +565,20 @@ def test_oracle_scan_of_a_rational_cube_counts_the_cells_of_r_p(tmp_path, capsys
     assert code == 2 and out == ""
     assert "error: --mmax 6: scan needs 5064029 prefix cells, over the limit of 1000000" in err
     assert "Traceback" not in err
+
+
+def test_oracle_scan_of_a_many_faceted_ball_exits_two_quickly(capsys):
+    # ball16x2 is twice the hull of the integer points u with 208 < |u|^2 <= 256:
+    # 342 vertices and 260 facets.  Its 577 031 prefix cells are under the cell
+    # limit, but each costs one column per facet, a scan that ran about 30 s
+    path = Path(__file__).parent / "data" / "ball16x2.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", str(path), "--v", "1,2,3", "--mmax", "7")
+    assert code == 2 and out == ""
+    assert (
+        "error: --mmax 7: scan needs 150028060 facet columns, over the limit of 8000000" in err
+    )
+    assert time.perf_counter() - start < 15
 
 
 @st.composite

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
+import stability_oracle
+from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
 from hull_oracle import cone_relint_contains
 from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import extreme_rays
@@ -126,6 +127,37 @@ def random_weighted_point(rng, d):
     k = rng.randint(1, count)
     support = rng.sample(range(count), k)
     return weighted_point(weights, support)
+
+
+def _tied_direction(rng, w):
+    """A rational direction pairing two weights equally: normal to their difference."""
+    i, j = rng.sample(range(len(w.weights)), 2)
+    e = [a - b for a, b in zip(w.weights[i], w.weights[j])]
+    if len(e) == 2:
+        return (-e[1], e[0])
+    f = [rng.randint(-3, 3) for _ in e]  # e x f is normal to e
+    return (e[1] * f[2] - e[2] * f[1], e[2] * f[0] - e[0] * f[2], e[0] * f[1] - e[1] * f[0])
+
+
+def test_limit_point_matches_fraction_oracle():
+    # integer weights against an integer primitive(v), checked against the
+    # Fraction pairing at rational non-primitive directions, ties included
+    rng = fresh_rng("limit-point-oracle")
+    ties = 0
+    for case in range(60):
+        d = 2 + case % 3
+        w = random_weighted_point(rng, d)
+        dirs = [tuple(rand_rational(rng, 5, 9) for _ in range(d)) for _ in range(4)]
+        if d < 4:
+            dirs.append(_tied_direction(rng, w))
+        for v in dirs:
+            if not any(v):
+                continue
+            for u in (v, tuple(Q(3, 2) * x for x in v), tuple(Q(x, 7) for x in v)):
+                got = limit_point(w, u)
+                assert got == stability_oracle.limit_point(w, u)
+                ties += len(got.support) > 1
+    assert ties >= 20
 
 
 def test_direction_lands_in_exactly_one_open_cone():

@@ -12,6 +12,8 @@ from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from moments_oracle import denominator_lcm
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
+    LatticeSeries,
+    SeriesRow,
     extrapolate,
     is_positive_definite,
     lattice_series,
@@ -453,6 +455,34 @@ def test_extrapolate_centered_square():
     res = extrapolate(lattice_series(centered, (1, 0), 60))
     assert abs(res.F0_est) <= Q(1, 1000)
     assert abs(res.Q0_est - Q(1, 12)) <= Q(1, 1000)
+
+
+def test_extrapolate_matches_pairwise_fractions():
+    # one Fraction per residual from integer pair numerators, against per-row
+    # Fractions, on counted series of rational polytopes and on random rows
+    rng = fresh_rng("extrapolate-oracle")
+    series = []
+    for d in (2, 3):
+        for _ in range(6):
+            pts = [tuple(rand_rational(rng, 3, 4) for _ in range(d)) for _ in range(d + 2)]
+            try:
+                p = vpolytope(pts)
+            except ValueError:
+                continue
+            if p.dim == d:
+                r = denominator_lcm(p)
+                series.append(lattice_series(p, rand_nonzero_ivec(rng, d, 3), 12 * r))
+    assert any(s.r > 1 for s in series)
+    for _ in range(30):
+        rows = [
+            SeriesRow(
+                m, rng.randint(1, 10**6), rng.randint(-(10**9), 10**9), rng.randint(0, 10**12), 0
+            )
+            for m in range(3, 3 * rng.randint(3, 12) + 1, 3)
+        ]
+        series.append(LatticeSeries(3, tuple(rows)))
+    for s in series:
+        assert extrapolate(s) == moments_oracle.extrapolate(s)
 
 
 def test_extrapolate_needs_rows():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_rng, rand_nonzero_ivec, run_quasi_convexity
+import stability_oracle
+from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, run_quasi_convexity
+from moments_oracle import denominator_lcm
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
@@ -230,6 +232,44 @@ def test_direction_length_checked(contexts):
             fn(ctx, (1, 0))
         with pytest.raises(ValueError, match="direction has length 4, expected 3"):
             fn(ctx, (1, 0, 0, 0))
+
+
+def _seeded_rational_contexts(per_dim=6):
+    """Seeded 2-5D polytopes with rational vertices, each with r > 1 and E > 1."""
+    rng = fresh_rng("integer-kernel")
+    out = []
+    for d in range(2, 6):
+        found = 0
+        while found < per_dim:
+            pts = [tuple(rand_rational(rng, 4, 7) for _ in range(d)) for _ in range(d + 2)]
+            try:
+                ctx = context_from_vertices(pts)
+            except ValueError:
+                continue
+            e = max(x.denominator for x in ctx.moments.barycenter)
+            if denominator_lcm(ctx.vpoly) > 1 and e > 1:
+                out.append(ctx)
+                found += 1
+    return out
+
+
+def test_invariants_match_fraction_oracle():
+    # every invariant of the integer pairing step against the plain Fraction
+    # formulas, at rational non-primitive directions and positive multiples
+    rng = fresh_rng("integer-kernel-directions")
+    contexts = _seeded_rational_contexts()
+    assert {ctx.dim for ctx in contexts} == {2, 3, 4, 5}
+    fns = (futaki, min_norm, l2_norm_sq, mu, mu_prime_trunc, log_discrepancy_S)
+    for ctx in contexts:
+        for _ in range(4):
+            v = tuple(rand_rational(rng, 5, 9) for _ in range(ctx.dim))
+            if not any(v):
+                continue
+            for w in (v, tuple(Q(3, 2) * x for x in v), tuple(6 * x for x in v)):
+                for fn in fns:
+                    assert fn(ctx, w) == getattr(stability_oracle, fn.__name__)(ctx, w), fn.__name__
+            assert mu(ctx, tuple(Q(3, 2) * x for x in v)) == mu(ctx, v)
+            assert futaki(ctx, tuple(Q(3, 2) * x for x in v)) == Q(3, 2) * futaki(ctx, v)
 
 
 # ---------------------------------------------------------------------------
