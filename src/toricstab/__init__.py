@@ -34,7 +34,6 @@ from .moments import (
     is_positive_definite,
     lattice_series,
     moment_data,
-    support_min,
 )
 from .optimizer import (
     CertificateError,

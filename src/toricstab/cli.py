@@ -72,9 +72,7 @@ def dec_str(x, digits: int) -> str:
 
 
 def sqrt_dec_str(sign: int, square, digits: int) -> str:
-    """Decimal of sign * sqrt(square) to the requested digits."""
-    if sign == 0:
-        return dec_str(0, digits)
+    """Decimal of sign * sqrt(square) to the requested digits; sign is +-1."""
     sq = Q(square)
     scaled = sq * 10 ** (2 * digits)
     n = math.isqrt(scaled.numerator // scaled.denominator)
@@ -281,7 +279,7 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
         rendered.append(
             {
                 "v": ivec_str(v),
-                "futaki": rat_str(futaki(ctx, v)),
+                "futaki": rat_str(a - s),  # A - S = Fut
                 "min_norm": rat_str(s),
                 "l2_norm_sq": rat_str(l2_norm_sq(ctx, v)),
                 "A": rat_str(a),

@@ -35,9 +35,10 @@ VecQ = tuple[Q, ...]
 IntVec = tuple[int, ...]
 
 MAX_DIM = 8
-# most candidate ray pairs one hull may test, summed over its rows: about 2 s
-# at the 4-5 million pairs per second measured on one core of a 2-vCPU
-# x86-64 host, CPython 3.11
+# most candidate ray pairs one hull may test, summed over its rows, and most
+# facet meets one weight polytope's face lattice may take: about 2 s at the
+# 4-5 million pairs and 6-12 million meets per second measured on one core of
+# a 2-vCPU x86-64 host, CPython 3.11
 HULL_BUDGET = 10_000_000
 # most simplices one pulling triangulation may produce: about 1 s of
 # `moment_data` at the 9 500 7D simplices per second measured on the same host

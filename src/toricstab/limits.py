@@ -9,10 +9,9 @@ lands on it.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .exactgeom import ConeH, VPolytope, as_direction, dot, normal_cone, primitive, vpolytope
+from .exactgeom import HULL_BUDGET, ConeH, VPolytope, as_direction, dot, normal_cone, primitive, vpolytope
 
 
 class WeightedPoint(NamedTuple):
@@ -49,27 +48,24 @@ class WeightPolytope(NamedTuple):
 def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     """Weight polytope and its faces, each face given by its member index set.
 
-    The facets' member sets are the supported indices on each facet of the
-    hull; every other proper face is an intersection of facets.
+    Every face is the meet of the facets through it, so the faces are the
+    whole support closed under meets with each facet in turn, as bitmasks
+    over the positions of the sorted support.  More than `HULL_BUDGET`
+    meets (about 2 s) is a ValueError naming the count.
     """
     sup = sorted(w.support)
     poly = vpolytope([w.weights[i] for i in sup])
-    facet_sets = [
-        frozenset(i for i in sup if dot(f.normal, w.weights[i]) == f.offset) for f in poly.facets
-    ]
-    frontier = set(facet_sets)
-    faces = {frozenset(sup)} | frontier
-    while frontier:
-        nxt = set()
-        for f, g in itertools.product(frontier, facet_sets):
-            meet = f & g
-            if meet and meet not in faces:
-                # intersections of faces with facets stay faces
-                nxt.add(meet)
-        faces |= nxt
-        frontier = nxt
-    ordered = tuple(sorted(faces, key=lambda f: (len(f), sorted(f))))
-    return WeightPolytope(w, poly, ordered)
+    faces, meets = {(1 << len(sup)) - 1}, 0
+    for f in poly.facets:
+        g = sum(1 << k for k, i in enumerate(sup) if dot(f.normal, w.weights[i]) == f.offset)
+        meets += len(faces)
+        if meets > HULL_BUDGET:
+            raise ValueError(
+                f"face lattice needs at least {meets} meets, exceeds budget of {HULL_BUDGET}"
+            )
+        faces |= {m & g for m in faces if m & g}
+    members = [frozenset(i for k, i in enumerate(sup) if m >> k & 1) for m in faces]
+    return WeightPolytope(w, poly, tuple(sorted(members, key=lambda f: (len(f), sorted(f)))))
 
 
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:

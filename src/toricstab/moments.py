@@ -29,7 +29,6 @@ from .exactgeom import (
     _scaled,
     _triangulation,
     as_direction,
-    dot,
 )
 
 
@@ -122,12 +121,6 @@ def is_positive_definite(matrix) -> bool:
             rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = top[k]
     return True
-
-
-def support_min(p: VPolytope, v) -> Q:
-    """min_{u in P} <u, v>, attained at a vertex."""
-    v = as_direction(v, p.ambient_dim)
-    return min(dot(u, v) for u in p.vertices)
 
 
 def _dilate_sums(box, cons, m, scan, vi):

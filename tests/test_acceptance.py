@@ -18,11 +18,12 @@ from conftest import (
     unimodular_matrix,
 )
 from moments_oracle import denominator_lcm
+from stability_oracle import support_min
 from toricstab.cli import main
 from toricstab.corpus import corpus_names
 from toricstab.exactgeom import dot, extreme_rays, primitive
 from toricstab.limits import face_limit, limit_point, normal_cone_of_face, weight_polytope, weighted_point
-from toricstab.moments import extrapolate, lattice_series, support_min
+from toricstab.moments import extrapolate, lattice_series
 from toricstab.optimizer import optimal_destabilizer
 from toricstab.stability import (
     StabilityValue,

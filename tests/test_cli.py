@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricstab
+from hull_oracle import faces_by_subsets
 from toricstab.cli import main
+from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError
 
 P2_DOC = {"name": "p2", "rays": [[1, 0], [0, 1], [-1, -1]]}
@@ -324,6 +326,67 @@ def test_limits_zero_direction(tmp_path, capsys):
     code, _, err = run(capsys, "limits", path, "--v", "0,0")
     assert code == 2 and "zero direction" in err
     assert "error: --v 0,0: zero direction" in err
+
+
+def test_limits_face_lattice_over_budget_exits_two(tmp_path, capsys):
+    # the moment curve (t, t^2, ..., t^8) at t = 0..19 has 2 275 facets and
+    # 43 521 faces; its closure under facet meets passes the budget in about
+    # 2 s, short of the 35-45 s the whole lattice takes
+    weights = [[t**k for k in range(1, 9)] for t in range(20)]
+    path = write_doc(tmp_path, "curve.json", {"weights": weights})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "limits", path, "--v", "1,0,0,0,0,0,0,0")
+    assert code == 2 and out == ""
+    assert "face lattice needs at least 10010188 meets, exceeds budget of 10000000" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 20
+
+
+def _fuzz_weighted_point(rng, d):
+    """A `limits` document: small integer weights with repeats, on a
+    lower-dimensional affine image every third draw, and a random support
+    every other draw."""
+    e = rng.randint(0, d - 1) if rng.random() < 1 / 3 else d
+    basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(e)]
+    base = [rng.randint(-2, 2) for _ in range(d)]
+    weights = []
+    for _ in range(rng.randint(2, 7)):
+        c = [rng.randint(-1, 1) for _ in basis]
+        weights.append([x + sum(ci * b[i] for ci, b in zip(c, basis)) for i, x in enumerate(base)])
+    weights += [list(rng.choice(weights)) for _ in range(rng.randint(0, 2))]
+    doc = {"weights": weights}
+    if rng.random() < 0.5:
+        doc["support"] = sorted(rng.sample(range(len(weights)), rng.randint(1, len(weights))))
+    return doc
+
+
+def test_limits_documents_match_the_library(tmp_path, capsys):
+    rng = random.Random("toricstab:limits-documents")
+    ties = lower = repeats = 0
+    for case in range(30):
+        d = 1 + case % 6
+        doc_in = _fuzz_weighted_point(rng, d)
+        v = [0] * d
+        while not any(v):
+            v = [rng.randint(-2, 2) for _ in range(d)]
+        path = write_doc(tmp_path, f"w{case}.json", doc_in)
+        code, out, err = run(capsys, "limits", path, "--v", ",".join(map(str, v)))
+        assert code == 0, err
+        doc = json.loads(out)
+        weights = doc_in["weights"]
+        q = weight_polytope(weighted_point(weights, doc_in.get("support")))
+        face = face_of_direction(q, v)
+        cone = normal_cone_of_face(q, face)
+        assert doc["faces"] == [sorted(f) for f in q.faces]
+        assert set(q.faces) == faces_by_subsets(weights, q.point.support)
+        assert doc["limit_support"] == sorted(face)
+        assert doc["fixed"] == (face == q.point.support)
+        assert doc["sigma_F"]["normals"] == [",".join(map(str, a)) for a in cone.normals]
+        ties += len(face) > 1
+        lower += q.polytope.dim < d
+        sup = [weights[i] for i in q.point.support]
+        repeats += len({tuple(u) for u in sup}) < len(sup)
+    assert ties >= 5 and lower >= 5 and repeats >= 5, (ties, lower, repeats)
 
 
 # ---------------------------------------------------------------------------

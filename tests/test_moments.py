@@ -10,6 +10,7 @@ import linalg_oracle
 import moments_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from moments_oracle import denominator_lcm
+from stability_oracle import support_min
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.moments import (
     LatticeSeries,
@@ -18,7 +19,6 @@ from toricstab.moments import (
     is_positive_definite,
     lattice_series,
     moment_data,
-    support_min,
 )
 from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
 

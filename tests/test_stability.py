@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, run_quasi_convexity
 from moments_oracle import denominator_lcm
+from stability_oracle import support_min
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
@@ -26,7 +27,6 @@ from toricstab.stability import (
     mu_prime_trunc,
     verdict,
 )
-from toricstab.moments import support_min
 
 P112 = context_from_rays([(1, 0), (0, 1), (-1, -2)], name="p112")
 P2 = context_from_rays([(1, 0), (0, 1), (-1, -1)], name="p2")
