@@ -9,9 +9,19 @@ lands on it.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
-from .exactgeom import HULL_BUDGET, ConeH, VPolytope, as_direction, dot, normal_cone, primitive, vpolytope
+from .exactgeom import (
+    HULL_BUDGET,
+    ConeH,
+    VPolytope,
+    as_direction,
+    dot,
+    normal_cone,
+    primitive,
+    vpolytope,
+)
 
 
 class WeightedPoint(NamedTuple):
@@ -82,8 +92,13 @@ def is_fixed(w: WeightedPoint, v) -> bool:
 
 
 def _require_face(q: WeightPolytope, face) -> frozenset[int]:
+    """The face as a frozenset, found by bisection: q.faces is sorted by size, and
+    the faces of one size by their sorted members."""
     f = frozenset(int(i) for i in face)
-    if f not in q.faces:
+    lo = bisect.bisect_left(q.faces, len(f), key=len)
+    hi = bisect.bisect_right(q.faces, len(f), lo, key=len)
+    i = bisect.bisect_left(q.faces, sorted(f), lo, hi, key=sorted)
+    if i == hi or q.faces[i] != f:
         raise ValueError("not a face")
     return f
 
@@ -103,7 +118,4 @@ def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
 
 def face_of_direction(q: WeightPolytope, v) -> frozenset[int]:
     """Member set of the face where <., v> is minimized; always one of q.faces."""
-    lim = limit_point(q.point, v)
-    if lim.support not in q.faces:
-        raise ValueError("argmin set is not a recorded face")
-    return lim.support
+    return _require_face(q, limit_point(q.point, v).support)

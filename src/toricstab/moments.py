@@ -10,9 +10,10 @@ the dilates t Z of Z = r P, whose box, facet offsets and minimum weight
 are t times those of Z, all integers.  By the weighted Ehrhart theorem the
 sums are polynomials in t of degrees d, d+1 and d+2, so only the first
 d+4 dilates are counted: a walk on Python ints over the box of all axes
-but one, with the last axis summed in closed form.  A zero difference of one order above each degree certifies
-the polynomials, and integer additions along the last diagonal of each
-difference table give every later row.
+but one, with the last axis summed in closed form.  A zero difference of
+one order above each degree certifies the polynomials, and integer
+additions along the last diagonal of each difference table give every
+later row.
 """
 
 from __future__ import annotations

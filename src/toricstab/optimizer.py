@@ -8,9 +8,11 @@ each read off its facet's offset.  The cone where that minimum m1 is
 attained is the normal cone of the face of P through c = (1 + 1/m1) b,
 generated by the normals g of the facets tight at c.  Its slice by
 <b, v> = 1 is conv(g / <b, g>), and stage 2 is its point nearest to 0 in
-the Cov norm, found by Wolfe's walk.  b, c, the offsets and Cov are cleared
-of their denominators, so every step and exact certificate (v* checked as
-primitive(v*)) runs on integers; strict convexity makes the optimum unique.
+the Cov norm, found by Wolfe's walk.  Stage 1 and sigma1 read the lattice
+polytope Z = r P (vertices and facet offsets r c) with B = E b, and stage 2
+C = D Cov, all from one `_scale`, so every step and exact certificate (v*
+checked as primitive(v*)) runs on integers; strict convexity makes the
+optimum unique.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, _primitive_int, _scaled, dot, normal_cone, solve_unique, vscale
+from .exactgeom import ConeH, _primitive_int, _scaled, dot, normal_cone, primitive, solve_unique
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, _mu, _scale, verdict
 
@@ -66,10 +68,9 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
     facets = ctx.vpoly.facets
-    (bb,), e = _scaled([ctx.moments.barycenter])
-    (offsets,), k = _scaled([[f.offset for f in facets]])
-    # with B = E b and offsets k c on integers: mu1(n) = -<B, n> k / (<B, n> k - E k c)
-    pairings = [k * dot(bb, f.normal) for f in facets]
+    _, r, bb, e, _, _, offsets = _scale(ctx)
+    # on Z = r P with B = E b: mu1(n) = -r <B, n> / (r <B, n> - E r c)
+    pairings = [r * dot(bb, f.normal) for f in facets]
     vals = [Q(-bn, bn - e * o) for bn, o in zip(pairings, offsets)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
@@ -100,12 +101,13 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     m1 = Q(m1)
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
-    c = vscale(1 + 1 / m1, ctx.moments.barycenter)
-    cone = normal_cone([c], ctx.vpoly.vertices)
-    # each slack <n, c> - offset times the positive k kc, on integers
-    (cc,), kc = _scaled([c])
-    (offsets,), k = _scaled([[f.offset for f in ctx.vpoly.facets]])
-    slack = [(k * dot(f.normal, cc) - kc * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
+    # with m1 = p / q, p < 0 < q: cc = -p r E c = -(p + q) r B and -p E z are integers
+    p, q = m1.as_integer_ratio()
+    z, r, bb, e, _, _, offsets = _scale(ctx)
+    cc = [-(p + q) * r * x for x in bb]
+    cone = normal_cone([cc], [[-p * e * x for x in u] for u in z])
+    # each slack <n, c> - offset times -p r E > 0, on integers
+    slack = [(dot(f.normal, cc) + p * e * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
     rays = tuple(sorted(n for s, n in slack if s == 0))
@@ -161,33 +163,28 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
     which leaves the weights of the walk unchanged.
     """
-    v_star, _, value = _stage2(ctx, sigma1)
-    return v_star, value
-
-
-def _stage2(ctx: StabilityContext, sigma1: SigmaOne):
-    """(v*, primitive(v*), mu(v*)); the certificates run on the integer primitive(v*)."""
     data = _scale(ctx)
-    _, _, bb, e, c, _ = data
+    _, _, bb, e, c, _, _ = data
     if not is_positive_definite(c):
         raise CertificateError("covariance not positive definite")
     beta = [dot(bb, g) for g in sigma1.rays]
     if min(beta) <= 0:
         raise CertificateError("a ray of sigma1 pairs non-positively with b")
     lcm = math.lcm(*beta)
-    points = [vscale(lcm // bg, g) for g, bg in zip(sigma1.rays, beta)]
+    points = [[lcm // bg * x for x in g] for g, bg in zip(sigma1.rays, beta)]
     cov_points = [tuple(dot(row, p) for row in c) for p in points]
     weights = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
     # v* = E / (L k) x for the weights cleared of their denominator k
     (ws,), k = _scaled([tuple(weights.values())])
     x = [sum(w * col[i] for i, w in zip(weights, ws)) for col in zip(*points)]
+    # the certificates run on the integer primitive(v*)
     v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
     if not sigma1.cone.contains(p):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
     value = _mu(data, p)
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
-    return v_star, p, value
+    return v_star, value
 
 
 def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
@@ -202,7 +199,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
                 raise CertificateError("witness ray outside sigma1")
         if set(stage1.witness_rays) != set(sigma1.rays):
             raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
-        v_star, v_primitive, value = _stage2(ctx, sigma1)
+        v_star, value = minimize_mu2_on_cone(ctx, sigma1)
         if value.mu2_sign != -1:
             raise CertificateError("optimal direction is not destabilizing")
     except CertificateError as exc:
@@ -214,7 +211,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
         value.mu2_sq,
         stage1.m1 + 1,
         v_star,
-        v_primitive,
+        primitive(v_star),
         sigma1,
         stage1,
     )

@@ -89,7 +89,7 @@ class StabilityContext(NamedTuple):
 
     @property
     def zero_interior(self) -> bool:
-        return all(c < 0 for _, c in self.hpoly.constraints)
+        return all(f.offset < 0 for f in self.vpoly.facets)
 
 
 def _build(vp, hp, rays=None, coeffs=None, name=None) -> StabilityContext:
@@ -127,16 +127,18 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
 
 
 def _scale(ctx: StabilityContext):
-    """(z, r, B, E, C, D): the vertices z = r u, B = E b and C = D Cov on integers."""
-    z, r = _scaled(ctx.vpoly.vertices)
+    """(z, r, B, E, C, D, o): z = r u, B = E b, C = D Cov and the facet offsets o = r c
+    of Z = r P on integers.  Each facet of Z has an integral normal and a lattice
+    vertex, so r c is an integer and the offsets leave the lcm r unchanged."""
+    (*z, offsets), r = _scaled([*ctx.vpoly.vertices, [f.offset for f in ctx.vpoly.facets]])
     (bb,), e = _scaled([ctx.moments.barycenter])
-    return z, r, bb, e, *_scaled(ctx.moments.covariance)
+    return z, r, bb, e, *_scaled(ctx.moments.covariance), offsets
 
 
 def _pairings(data, v):
     """<b, v>, min_P <u, v> and v^T Cov v as the integer fractions (<B, V>, E s),
     (min <z, V>, r s) and (V^T C V, D s^2), with V = s v and data = `_scale(ctx)`."""
-    z, r, bb, e, c, dd = data
+    z, r, bb, e, c, dd, _ = data
     (vv,), s = _scaled([v])
     cv = [dot(row, vv) for row in c]
     return (dot(bb, vv), e * s), (min(dot(u, vv) for u in z), r * s), (dot(vv, cv), dd * s * s)

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 import toricstab
 from hull_oracle import faces_by_subsets
+from optimizer_oracle import sigma1_by_vertices
 from toricstab.cli import main
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
-from toricstab.optimizer import CertificateError
+from toricstab.optimizer import CertificateError, optimal_destabilizer
+from toricstab.stability import context_from_vertices
 
 P2_DOC = {"name": "p2", "rays": [[1, 0], [0, 1], [-1, -1]]}
 P112_DOC = {"name": "p112", "rays": [[1, 0], [0, 1], [-1, -2]]}
@@ -155,6 +157,43 @@ def test_destabilize_semistable(tmp_path, capsys):
     assert doc["v_star_rational"] is None
     assert doc["v_star_primitive"] is None
     assert "sigma1" not in doc
+
+
+def _ivecs(vs):
+    return [",".join(map(str, v)) for v in vs]
+
+
+def test_destabilize_documents_match_the_library(tmp_path, capsys):
+    """Seeded rational vertex documents in 2-4D: each exit-0 document is the
+    library's report rendered, and its sigma1 the per-vertex oracle's."""
+    rng = random.Random("toricstab:destabilize-documents")
+    dims = []
+    while len(dims) < 20:
+        d = 2 + len(dims) % 3
+        den = rng.choice([1, 2, 3])
+        pts = [[Q(rng.randint(-5, 5), den) for _ in range(d)] for _ in range(d + rng.randint(2, 4))]
+        try:
+            ctx = context_from_vertices(pts)
+        except ValueError:
+            continue
+        rep = optimal_destabilizer(ctx)
+        if rep.verdict != "unstable":
+            continue
+        name = f"v{len(dims)}"
+        doc_in = {"name": name, "moment_polytope": {"vertices": [[str(x) for x in u] for u in pts]}}
+        path = write_doc(tmp_path, f"{name}.json", doc_in)
+        code, out, err = run(capsys, "destabilize", path)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert Q(doc["M_mu"][0]) == rep.m1
+        assert doc["M_mu"][1]["sign"] == rep.m2_sign == -1
+        assert Q(doc["M_mu"][1]["square"]) == rep.m2_sq
+        assert doc["v_star_primitive"] == ",".join(map(str, rep.v_star_primitive))
+        assert doc["stage1"]["witness_rays"] == _ivecs(rep.stage1.witness_rays)
+        assert doc["sigma1"]["normals"] == _ivecs(rep.sigma1.cone.normals)
+        assert doc["sigma1"]["normals"] == _ivecs(sigma1_by_vertices(ctx, rep.m1).normals)
+        dims.append(d)
+    assert sorted(set(dims)) == [2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

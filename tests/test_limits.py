@@ -121,6 +121,30 @@ def test_face_limit_and_errors():
         normal_cone_of_face(q, {0, 5})
 
 
+def test_face_lookup_agrees_with_membership():
+    """`face_limit` finds faces by bisection in the sorted q.faces: it accepts
+    exactly the members of q.faces, here every face of seeded 3-6D points,
+    random index sets, the empty set and indices past the weights."""
+    rng = fresh_rng("face-lookup")
+    refused = 0
+    for d in (3, 4, 5, 6):
+        n = d + rng.randint(2, 4)
+        w = weighted_point([tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)])
+        q = weight_polytope(w)
+        for f in q.faces:
+            assert face_limit(w, q, f).support == f
+        candidates = [set(), {n}, {0, n + 1}, set(range(n + 1))]
+        candidates += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(40)]
+        for f in candidates:
+            if frozenset(f) in q.faces:
+                assert face_limit(w, q, f).support == f
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="not a face"):
+                    face_limit(w, q, f)
+    assert refused >= 40
+
+
 def random_weighted_point(rng, d):
     count = rng.randint(3, 7)
     weights = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(count)]

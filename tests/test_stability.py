@@ -11,6 +11,7 @@ import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, run_quasi_convexity
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
+from test_moments import LADDER
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
@@ -116,6 +117,24 @@ def test_zero_interior_flag():
     assert P112.zero_interior
     assert P2.zero_interior
     assert not SQUARE.zero_interior
+
+
+def test_zero_interior_reads_the_facets_as_the_constraints(contexts):
+    """Every valid inequality of P has a negative offset when 0 is interior,
+    so the irredundant facets answer as the stored constraints do."""
+    rng = fresh_rng("zero-interior")
+    shifted = []
+    for ctx in _seeded_rational_contexts(per_dim=3):
+        t = [rand_rational(rng, 2, 3) for _ in range(ctx.dim)]
+        pts = [[x + y for x, y in zip(u, t)] for u in ctx.vpoly.vertices]
+        shifted.append(context_from_vertices(pts))
+    built = [context_from_rays(rays, name=name) for name, rays in LADDER.items()]
+    flags = []
+    seeded = [*_seeded_rational_contexts(), *shifted, SQUARE]
+    for ctx in [*contexts.values(), *built, *seeded]:
+        flags.append(all(c < 0 for _, c in ctx.hpoly.constraints))
+        assert ctx.zero_interior == flags[-1], ctx.name
+    assert set(flags) == {True, False}
 
 
 # ---------------------------------------------------------------------------
