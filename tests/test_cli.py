@@ -248,9 +248,9 @@ def test_stratify_corpus_thread_count_is_invisible(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# sha256 of the stdout of each command, as perfbench/refs/cli.json records it,
-# {name} standing for an input document: a change meant to keep every result
-# must keep every byte
+# sha256 of the stdout of each command, as perfbench/refs/cli.json records it
+# for the first five, {name} standing for an input document: a change meant to
+# keep every result must keep every byte
 CLI_STDOUT_SHA256 = {
     ("destabilize", "--corpus"): "7e44eb0c313add4084fc5063d043ee14da224b2093b32e052a667dd35932a83d",
     ("stratify", "--corpus", "--threads", "2"): (
@@ -266,11 +266,26 @@ CLI_STDOUT_SHA256 = {
     ("oracle", "{p2-halfline}", "--v", "1,1", "--mmax", "60"): (
         "594fdb4c708b5e16e3beb9ac4c0bc80b404e90e5cfd0e30d4c8c1bbe308fbe47"
     ),
+    # 3D with r = 2: t_max = 6 lies between the reciprocity dilates k = 3 and
+    # d+4 = 7, and t_max = 20 extends the difference tables
+    ("oracle", "{p1112-moment}", "--v", "1,1,1", "--mmax", "12"): (
+        "ff344fae50e7d40369d22c3f87ed43b3c1302c44e13cce906c1968e1ee2814c0"
+    ),
+    ("oracle", "{p1112-moment}", "--v", "1,1,1", "--mmax", "40"): (
+        "24b94f8061c695c53781269779fdc6a11c0c5c91bfca12c05517154f955c58ce"
+    ),
+}
+P1112_MOMENT_DOC = {
+    "name": "p1112-moment",
+    "moment_polytope": {
+        "vertices": [["-1", "-1", "-1"], ["-1", "-1", "3/2"], ["-1", "4", "-1"], ["4", "-1", "-1"]]
+    },
 }
 CLI_DOCS = {
     "readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]},
     "p112": P112_DOC,
     "p2-halfline": P2_HALFLINE_DOC,
+    "p1112-moment": P1112_MOMENT_DOC,
 }
 
 
@@ -287,6 +302,22 @@ def test_corpus_documents_are_byte_identical(tmp_path, capsys, argv):
 
 # ---------------------------------------------------------------------------
 # oracle
+
+
+# sha256 of the --dump file of the 3D oracle documents in CLI_STDOUT_SHA256
+ORACLE_DUMP_SHA256 = {
+    "12": "45ceb709a0ddb50db7e905175ccfffb2e8a2bd8e8be51e449146fb33887eadea",
+    "40": "12908fe92524ff763a2633ceee7627825c94c40f54e143e57bc5af8efb92e154",
+}
+
+
+@pytest.mark.parametrize("mmax", sorted(ORACLE_DUMP_SHA256))
+def test_oracle_dump_of_a_3d_document_is_byte_identical(tmp_path, capsys, mmax):
+    path = write_doc(tmp_path, "p1112-moment.json", P1112_MOMENT_DOC)
+    dump = tmp_path / "rows.txt"
+    code, _, _ = run(capsys, "oracle", path, "--v", "1,1,1", "--mmax", mmax, "--dump", str(dump))
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == ORACLE_DUMP_SHA256[mmax]
 
 
 def test_oracle_balanced_plane(tmp_path, capsys):
@@ -671,15 +702,15 @@ def test_oracle_scan_of_a_rational_cube_counts_the_cells_of_r_p(tmp_path, capsys
 
 def test_oracle_scan_of_a_many_faceted_ball_exits_two_quickly(capsys):
     # ball16x2 is twice the hull of the integer points u with 208 < |u|^2 <= 256:
-    # 342 vertices and 260 facets.  Its 577 031 prefix cells are under the cell
-    # limit, but each costs one column per facet, a scan that ran about 30 s
+    # 342 vertices and 260 facets in the box [-32, 32]^3.  --mmax 7 scans the
+    # closed dilates t = 1, 2, 3 and their interiors, 2 (65^2 + 129^2 + 193^2) =
+    # 116 230 prefix cells, under the cell limit; but each costs one column per
+    # facet, 116 230 * 260 = 30 219 800 columns, a scan of several seconds
     path = Path(__file__).parent / "data" / "ball16x2.json"
     start = time.perf_counter()
     code, out, err = run(capsys, "oracle", str(path), "--v", "1,2,3", "--mmax", "7")
     assert code == 2 and out == ""
-    assert (
-        "error: --mmax 7: scan needs 150028060 facet columns, over the limit of 8000000" in err
-    )
+    assert "error: --mmax 7: scan needs 30219800 facet columns, over the limit of 8000000" in err
     assert time.perf_counter() - start < 15
 
 
@@ -855,15 +886,35 @@ def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypat
 
     scan = moments_mod._dilate_sums
 
-    def one_point_short(box, cons, m, axis, vi):
-        n, w, q = scan(box, cons, m, axis, vi)
-        return (n - 1, w, q) if m == 3 else (n, w, q)
+    def one_point_short(box, cons, m, axis, vi, interior=False):
+        n, w, q = scan(box, cons, m, axis, vi, interior)
+        return (n - 1, w, q) if m == 3 and not interior else (n, w, q)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
     code, out, err = run(capsys, "oracle", path, "--v", "0,-1", "--mmax", "20")
     assert code == 3 and out == ""
     assert "internal certificate failure: p112: lattice series: differences of order" in err
+    assert "Traceback" not in err
+
+
+def test_lattice_interior_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._dilate_sums
+
+    def one_square_off(box, cons, m, axis, vi, interior=False):
+        n, w, q = scan(box, cons, m, axis, vi, interior)
+        return (n, w, q + 1) if m == 2 and interior else (n, w, q)
+
+    monkeypatch.setattr(moments_mod, "_dilate_sums", one_square_off)
+    path = write_doc(tmp_path, "p112.json", P112_DOC)
+    code, out, err = run(capsys, "oracle", path, "--v", "0,-1", "--mmax", "20")
+    assert code == 3 and out == ""
+    assert (
+        "internal certificate failure: p112: lattice series: "
+        "differences of order 5 of weight_sq_sum are not zero" in err
+    )
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Continuous moments and the discrete lattice-point series they bound."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -243,24 +244,28 @@ def test_support_min_examples():
 # lattice series
 
 
+def brute_points(p, m, interior=False):
+    """Integer points of m * P, or of its interior, by direct box enumeration
+    against the facet description: <n, u> >= ceil(m c), or > m c."""
+    ranges = [range(math.floor(min(x) * m), math.ceil(max(x) * m) + 1) for x in zip(*p.vertices)]
+    bounds = [
+        (n, math.floor(m * c) + 1 if interior else math.ceil(m * c))
+        for n, c in facets_from_vertices(p).constraints
+    ]
+    return [u for u in itertools.product(*ranges) if all(dot(n, u) >= b for n, b in bounds)]
+
+
+def brute_sums(p, v, m, interior=False):
+    vals = [dot(u, v) for u in brute_points(p, m, interior)]
+    return len(vals), sum(vals), sum(x * x for x in vals)
+
+
 def brute_rows(p, v, ms):
     """Direct box enumeration against the facet description."""
-    h = facets_from_vertices(p)
-    d = p.ambient_dim
     out = []
     for m in ms:
-        ranges = []
-        for k in range(d):
-            los = min(u[k] for u in p.vertices) * m
-            his = max(u[k] for u in p.vertices) * m
-            ranges.append(range(int(los.__floor__()), int(his.__ceil__()) + 1))
-        pts = [
-            u
-            for u in itertools.product(*ranges)
-            if all(dot(n, u) >= m * c for n, c in h.constraints)
-        ]
-        vals = [dot(u, v) for u in pts]
-        out.append((m, len(pts), sum(vals), sum(x * x for x in vals), min(vals)))
+        vals = [dot(u, v) for u in brute_points(p, m)]
+        out.append((m, len(vals), sum(vals), sum(x * x for x in vals), min(vals)))
     return out
 
 
@@ -304,9 +309,9 @@ def test_series_matches_brute_force_random():
 
 @pytest.mark.parametrize("d,low,high", [(2, -3, 3), (3, -1, 1), (4, 0, 1)])
 def test_series_rows_past_the_counted_dilates_match_brute_force(d, low, high):
-    # only the first d+4 dilates are counted and every later row comes from
-    # the difference tables, so compare up to (d+8) r; the vertex numerators
-    # stay small because the brute force visits the whole box
+    # only the dilates t <= (d+4)//2 and their interiors are counted and every
+    # later row comes from the difference tables, so compare up to (d+8) r; the
+    # vertex numerators stay small because the brute force visits the whole box
     rng = fresh_rng(f"series-extended-{d}")
     for den in (1, 2, 3):
         while True:
@@ -323,26 +328,87 @@ def test_series_rows_past_the_counted_dilates_match_brute_force(d, low, high):
         assert [tuple(row) for row in s.rows] == brute_rows(p, v, ms), (pts, v)
 
 
-def test_series_counts_only_the_first_d_plus_4_dilates(monkeypatch, contexts):
+def test_series_counts_k_closed_and_k_interior_dilates(monkeypatch, contexts):
     import toricstab.moments as moments_mod
 
     scan = moments_mod._dilate_sums
     seen = []
 
-    def record(box, cons, m, axis, vi):
-        seen.append(m)
-        return scan(box, cons, m, axis, vi)
+    def record(box, cons, m, axis, vi, interior=False):
+        seen.append((m, interior))
+        return scan(box, cons, m, axis, vi, interior)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", record)
     p1112 = contexts["p1112"].vpoly
-    for p, v, m_max, scanned in (
-        (P112, (2, -3), 40, [1, 2, 3, 4, 5, 6]),
-        (P112, (2, -3), 5, [1, 2, 3, 4, 5]),
-        (p1112, (1, 1, 1), 60, [2, 4, 6, 8, 10, 12, 14]),
+    # k = (d+4)//2 closed dilates, and their interiors only when rows past k
+    # are extended
+    for p, v, m_max, closed, interior in (
+        (P112, (2, -3), 40, [1, 2, 3], [1, 2, 3]),
+        (P112, (2, -3), 5, [1, 2, 3], [1, 2, 3]),
+        (P112, (2, -3), 3, [1, 2, 3], []),
+        (p1112, (1, 1, 1), 60, [2, 4, 6], [2, 4, 6]),
     ):
         seen.clear()
         assert len(lattice_series(p, v, m_max).rows) == m_max // denominator_lcm(p)
-        assert seen == scanned
+        assert seen == [(m, False) for m in closed] + [(m, True) for m in interior]
+
+
+def lagrange(xs, ys, x):
+    """Value at x of the polynomial through the points (xs, ys)."""
+    total = Q(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Q(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term *= Q(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "d,low,high,n", [(1, -5, 5, 3), (2, -3, 3, 4), (3, -1, 1, 5), (4, -1, 1, 6), (5, 0, 1, 16)]
+)
+def test_series_reciprocity_matches_brute_force(monkeypatch, d, low, high, n):
+    # Ehrhart-Macdonald reciprocity: the polynomial S_j through the closed sums
+    # at t = 0..d+2 takes at -t the interior sum at t times (-1)^(d+j); the scan's
+    # closed and interior sums at t = 1..k and the rows it certifies from them
+    # are compared with box enumeration, for r up to 3 and weights near 10^12;
+    # n vertices, many in 5D, so that the interiors of small dilates hold points
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._dilate_sums
+    seen = {}
+
+    def record(box, cons, m, axis, vi, interior=False):
+        seen[m, interior] = scan(box, cons, m, axis, vi, interior)
+        return seen[m, interior]
+
+    monkeypatch.setattr(moments_mod, "_dilate_sums", record)
+    rng = fresh_rng(f"series-reciprocity-{d}")
+    k = (d + 4) // 2
+    for den in (1, 2, 3):
+        while True:
+            pts = [tuple(Q(rng.randint(low, high), den) for _ in range(d)) for _ in range(n)]
+            p = vpolytope(pts)
+            if p.dim == d:
+                break
+        r = denominator_lcm(p)
+        v = rand_nonzero_ivec(rng, d, 4)
+        if den == 2:
+            v = tuple(x * 10**12 + rng.randint(-9, 9) for x in v)
+        ts = range(d + 3)
+        closed = [brute_sums(p, v, t * r) for t in ts]
+        assert closed[0] == (1, 0, 0)
+        for t in (1, 2, 3):
+            inner = brute_sums(p, v, t * r, interior=True)
+            for j, column in enumerate(zip(*closed)):
+                assert lagrange(ts, column, -t) == (-1) ** (d + j) * inner[j], (pts, v, t, j)
+        seen.clear()
+        rows = lattice_series(p, v, (d + 2) * r).rows
+        assert [(x.count, x.weight_sum, x.weight_sq_sum) for x in rows] == closed[1:], (pts, v)
+        assert sorted(seen) == [(t * r, i) for t in range(1, k + 1) for i in (False, True)]
+        for (m, interior), sums in seen.items():
+            assert sums == brute_sums(p, v, m, interior), (pts, v, m, interior)
 
 
 def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
@@ -350,18 +416,38 @@ def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
 
     scan = moments_mod._dilate_sums
 
-    def one_point_short(box, cons, m, axis, vi):
-        n, w, q = scan(box, cons, m, axis, vi)
-        return (n - 1, w, q) if m == 3 else (n, w, q)
+    def one_point_short(box, cons, m, axis, vi, interior=False):
+        n, w, q = scan(box, cons, m, axis, vi, interior)
+        return (n - 1, w, q) if m == 3 and not interior else (n, w, q)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
-    # up to d+4 = 6 dilates every row is counted and nothing is extended
-    assert lattice_series(P2, (1, 0), 6).rows[2].count == 54
+    # up to k = (d+4)//2 = 3 dilates every row is counted and nothing is extended
+    assert lattice_series(P2, (1, 0), 3).rows[2].count == 54
     with pytest.raises(
         moments_mod.CertificateError,
         match="^lattice series: differences of order 3 of count are not zero$",
     ):
-        lattice_series(P2, (1, 0), 7)
+        lattice_series(P2, (1, 0), 4)
+
+
+def test_series_corrupt_interior_dilate_fails_the_certificate(monkeypatch):
+    import toricstab.moments as moments_mod
+
+    scan = moments_mod._dilate_sums
+
+    def one_square_off(box, cons, m, axis, vi, interior=False):
+        n, w, q = scan(box, cons, m, axis, vi, interior)
+        return (n, w, q + 1) if m == 2 and interior else (n, w, q)
+
+    monkeypatch.setattr(moments_mod, "_dilate_sums", one_square_off)
+    # up to k dilates no interior is walked, so nothing is corrupted
+    rows = lattice_series(P2, (1, 0), 3).rows
+    assert [tuple(x) for x in rows] == brute_rows(P2, (1, 0), [1, 2, 3])
+    with pytest.raises(
+        moments_mod.CertificateError,
+        match="^lattice series: differences of order 5 of weight_sq_sum are not zero$",
+    ):
+        lattice_series(P2, (1, 0), 4)
 
 
 def test_series_big_direction_uses_exact_integers():
