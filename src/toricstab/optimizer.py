@@ -8,11 +8,11 @@ each read off its facet's offset.  The cone where that minimum m1 is
 attained is the normal cone of the face of P through c = (1 + 1/m1) b,
 generated by the normals g of the facets tight at c.  Its slice by
 <b, v> = 1 is conv(g / <b, g>), and stage 2 is its point nearest to 0 in
-the Cov norm, found by Wolfe's walk.  Stage 1 and sigma1 read the lattice
-polytope Z = r P (vertices and facet offsets r c) with B = E b, and stage 2
-C = D Cov, all from one `_scale`, so every step and exact certificate (v*
-checked as primitive(v*)) runs on integers; strict convexity makes the
-optimum unique.
+the Cov norm, found by Wolfe's walk.  Each stage scales exactly the data
+it reads to integers: b and the facet offsets in stage 1; c, the offsets
+and the vertices for sigma1; b and Cov in stage 2.  So every step and
+exact certificate (v* checked as primitive(v*)) runs on integers; strict
+convexity makes the optimum unique.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .exactgeom import ConeH, _primitive_int, _scaled, dot, normal_cone, primitive, solve_unique
 from .moments import CertificateError, is_positive_definite
-from .stability import SEMISTABLE, StabilityContext, StabilityValue, _mu, _scale, verdict
+from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
 
 class Stage1Result(NamedTuple):
@@ -68,10 +68,9 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
     facets = ctx.vpoly.facets
-    _, r, bb, e, _, _, offsets = _scale(ctx)
-    # on Z = r P with B = E b: mu1(n) = -r <B, n> / (r <B, n> - E r c)
-    pairings = [r * dot(bb, f.normal) for f in facets]
-    vals = [Q(-bn, bn - e * o) for bn, o in zip(pairings, offsets)]
+    # b and the offsets c cleared by one factor s: mu1(n) = -<s b, n> / (<s b, n> - s c)
+    (bb, offsets), _ = _scaled([ctx.moments.barycenter, [f.offset for f in facets]])
+    vals = [Q(-bn, bn - o) for bn, o in zip((dot(bb, f.normal) for f in facets), offsets)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
         through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
@@ -101,13 +100,13 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     m1 = Q(m1)
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
-    # with m1 = p / q, p < 0 < q: cc = -p r E c = -(p + q) r B and -p E z are integers
-    p, q = m1.as_integer_ratio()
-    z, r, bb, e, _, _, offsets = _scale(ctx)
-    cc = [-(p + q) * r * x for x in bb]
-    cone = normal_cone([cc], [[-p * e * x for x in u] for u in z])
-    # each slack <n, c> - offset times -p r E > 0, on integers
-    slack = [(dot(f.normal, cc) + p * e * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
+    facets = ctx.vpoly.facets
+    c = [(1 + 1 / m1) * x for x in ctx.moments.barycenter]
+    # c, the offsets and the vertices cleared by one factor s > 0, so each slack
+    # <n, s c> - s offset has the sign of <n, c> - offset
+    (cc, offsets, *z), _ = _scaled([c, [f.offset for f in facets], *ctx.vpoly.vertices])
+    cone = normal_cone([cc], z)
+    slack = [(dot(f.normal, cc) - o, f.normal) for f, o in zip(facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
     rays = tuple(sorted(n for s, n in slack if s == 0))
@@ -163,8 +162,8 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
     which leaves the weights of the walk unchanged.
     """
-    data = _scale(ctx)
-    _, _, bb, e, c, _, _ = data
+    (bb,), e = _scaled([ctx.moments.barycenter])
+    c, _ = _scaled(ctx.moments.covariance)
     if not is_positive_definite(c):
         raise CertificateError("covariance not positive definite")
     beta = [dot(bb, g) for g in sigma1.rays]
@@ -181,7 +180,7 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
     if not sigma1.cone.contains(p):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
-    value = _mu(data, p)
+    value = mu(ctx, p)
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
     return v_star, value

@@ -1,12 +1,12 @@
 """Stability invariants of torus-invariant log Fano data.
 
 The context bundles a full-dimensional moment polytope with its exact
-moments and normal fan.  Every invariant is one `Fraction` of the integers
-<B, V>, min <z, V> and V^T C V, with the vertices z = r u, B = E b, C = D Cov
-and V = s v (or primitive(v) where the value is scale-invariant) each cleared
-of its denominators once per call; the square-root-valued second invariant
-is carried as a sign together with an exact rational square so comparisons
-never round.
+moments and normal fan.  Every invariant is one `Fraction` of integers:
+each call clears v, the barycenter b and the vertices u of their
+denominators by one factor s and Cov by another, D, so <b, v> and
+min <u, v> are integers over s^2 and v^T Cov v one over D s^2.  The
+square-root-valued second invariant is carried as a sign together with an
+exact rational square so comparisons never round.
 """
 
 from __future__ import annotations
@@ -126,28 +126,21 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
     return _build(vp, facets_from_vertices(vp), name=name)
 
 
-def _scale(ctx: StabilityContext):
-    """(z, r, B, E, C, D, o): z = r u, B = E b, C = D Cov and the facet offsets o = r c
-    of Z = r P on integers.  Each facet of Z has an integral normal and a lattice
-    vertex, so r c is an integer and the offsets leave the lcm r unchanged."""
-    (*z, offsets), r = _scaled([*ctx.vpoly.vertices, [f.offset for f in ctx.vpoly.facets]])
-    (bb,), e = _scaled([ctx.moments.barycenter])
-    return z, r, bb, e, *_scaled(ctx.moments.covariance), offsets
-
-
-def _pairings(data, v):
-    """<b, v>, min_P <u, v> and v^T Cov v as the integer fractions (<B, V>, E s),
-    (min <z, V>, r s) and (V^T C V, D s^2), with V = s v and data = `_scale(ctx)`."""
-    z, r, bb, e, c, dd, _ = data
-    (vv,), s = _scaled([v])
-    cv = [dot(row, vv) for row in c]
-    return (dot(bb, vv), e * s), (min(dot(u, vv) for u in z), r * s), (dot(vv, cv), dd * s * s)
+def _pairings(ctx: StabilityContext, v):
+    """(<B, V>, min <Z, V>, V^T C V, s^2, D) on the integers V = s v, B = s b, Z = s u
+    (one factor s for v, b and the vertices u) and C = D Cov: <b, v> = <B, V> / s^2,
+    min_P <u, v> = min <Z, V> / s^2 and v^T Cov v = V^T C V / (D s^2)."""
+    points = [as_direction(v, ctx.dim), ctx.moments.barycenter, *ctx.vpoly.vertices]
+    (vv, bb, *z), s = _scaled(points)
+    c, dd = _scaled(ctx.moments.covariance)
+    quad = sum(x * dot(row, vv) for x, row in zip(vv, c))
+    return dot(bb, vv), min(dot(u, vv) for u in z), quad, s * s, dd
 
 
 def futaki(ctx: StabilityContext, v) -> Q:
     """Fut(v) = -<b, v> for the barycenter b; linear in v."""
-    (bn, bd), _, _ = _pairings(_scale(ctx), as_direction(v, ctx.dim))
-    return Q(-bn, bd)
+    bv, _, _, s2, _ = _pairings(ctx, v)
+    return Q(-bv, s2)
 
 
 def min_norm(ctx: StabilityContext, v) -> Q:
@@ -157,25 +150,21 @@ def min_norm(ctx: StabilityContext, v) -> Q:
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
-    _, _, (qn, qd) = _pairings(_scale(ctx), as_direction(v, ctx.dim))
-    return Q(qn, qd)
-
-
-def _mu(data, p) -> StabilityValue:
-    (bn, bd), (zn, zd), (qn, qd) = _pairings(data, p)
-    sign = (bn < 0) - (bn > 0)
-    return StabilityValue(Q(-bn * zd, bn * zd - zn * bd), sign, Q(bn * bn * qd, bd * bd * qn))
+    _, _, quad, s2, dd = _pairings(ctx, v)
+    return Q(quad, dd * s2)
 
 
 def mu(ctx: StabilityContext, v) -> StabilityValue:
     """The invariant pair (Fut/||.||_m, Fut/||.||_2), second entry as signed square."""
-    return _mu(_scale(ctx), primitive(as_direction(v, ctx.dim)))
+    bv, zv, quad, s2, dd = _pairings(ctx, v)
+    sign = (bv < 0) - (bv > 0)
+    return StabilityValue(Q(-bv, bv - zv), sign, Q(bv * bv * dd, s2 * quad))
 
 
 def log_discrepancy_S(ctx: StabilityContext, v):
     """(A, S) = (-min pairing, minimum norm); A - S = Fut identically."""
-    (bn, bd), (zn, zd), _ = _pairings(_scale(ctx), as_direction(v, ctx.dim))
-    return Q(-zn, zd), Q(bn * zd - zn * bd, bd * zd)
+    bv, zv, _, s2, _ = _pairings(ctx, v)
+    return Q(-zv, s2), Q(bv - zv, s2)
 
 
 def verdict(ctx: StabilityContext) -> str:

@@ -19,12 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricstab
+import stability_oracle
+from conftest import mat_vec, unimodular_matrix
 from hull_oracle import faces_by_subsets
 from optimizer_oracle import sigma1_by_vertices
-from toricstab.cli import main
+from toricstab.cli import main, rat_str, render_m2, render_value
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError, optimal_destabilizer
-from toricstab.stability import context_from_vertices
+from toricstab.stability import (
+    context_from_constraints,
+    context_from_vertices,
+    futaki,
+    l2_norm_sq,
+    log_discrepancy_S,
+    min_norm,
+    mu,
+)
 
 P2_DOC = {"name": "p2", "rays": [[1, 0], [0, 1], [-1, -1]]}
 P112_DOC = {"name": "p112", "rays": [[1, 0], [0, 1], [-1, -2]]}
@@ -196,6 +206,62 @@ def test_destabilize_documents_match_the_library(tmp_path, capsys):
     assert sorted(set(dims)) == [2, 3, 4]
 
 
+def _seeded_documents(rng, count):
+    """`count` pairs (document, library context) in 2-4D, vertex and constraint
+    documents in turn, with denominators 1 to 3."""
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 3
+        den = rng.choice([1, 2, 3])
+        try:
+            if len(out) % 2 == 0:
+                pts = [[Q(rng.randint(-4, 4), den) for _ in range(d)] for _ in range(d + 2)]
+                ctx = context_from_vertices(pts)
+                body = {"vertices": [[str(x) for x in u] for u in pts]}
+            else:
+                normals = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(d + 2)]
+                cons = [(n, Q(-rng.randint(1, 4), den)) for n in normals if any(n)]
+                ctx = context_from_constraints(cons)
+                body = {"constraints": [{"normal": n, "offset": str(c)} for n, c in cons]}
+        except ValueError:
+            continue
+        name = f"doc{len(out)}"
+        out.append(({"name": name, "moment_polytope": body}, ctx._replace(name=name)))
+    return out
+
+
+def test_report_documents_match_the_library(tmp_path, capsys):
+    """Each direction's entry in a `report` document is the library's invariants
+    rendered, and the plain-Fraction oracle's values."""
+    rng = random.Random("toricstab:report-documents")
+    for doc_in, ctx in _seeded_documents(rng, 24):
+        directions = [
+            [rng.randint(-3, 3) or 1 for _ in range(ctx.dim)] for _ in range(rng.randint(1, 3))
+        ]
+        argv = ["report", write_doc(tmp_path, f"{ctx.name}.json", doc_in)]
+        for v in directions:
+            argv += ["--v", ",".join(map(str, v))]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        rows = json.loads(out)["directions"]
+        assert [row["v"] for row in rows] == [",".join(map(str, v)) for v in directions]
+        for row, v in zip(rows, directions):
+            value, expected = mu(ctx, v), stability_oracle.mu(ctx, v)
+            (a, s), (oa, os_) = log_discrepancy_S(ctx, v), stability_oracle.log_discrepancy_S(ctx, v)
+            fields = {
+                "futaki": (futaki(ctx, v), stability_oracle.futaki(ctx, v)),
+                "min_norm": (min_norm(ctx, v), stability_oracle.min_norm(ctx, v)),
+                "l2_norm_sq": (l2_norm_sq(ctx, v), stability_oracle.l2_norm_sq(ctx, v)),
+                "A": (a, oa),
+                "S": (s, os_),
+                "mu1": (value.mu1, expected.mu1),
+            }
+            for field, (got, ref) in fields.items():
+                assert row[field] == rat_str(got) == rat_str(ref), (ctx.name, v, field)
+            assert value == expected
+            assert row["mu2"] == render_m2(value.mu2_sign, value.mu2_sq, 12)
+
+
 # ---------------------------------------------------------------------------
 # stratify
 
@@ -225,6 +291,35 @@ def test_stratify_groups_equal_values(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["strata"]) == 1
     assert doc["strata"][0]["members"] == ["p112", "p112-relabeled"]
+
+
+def test_stratify_documents_match_the_library(tmp_path, capsys):
+    """Seeded documents and unimodular images of some of them: the strata are the
+    library's optimal values in descending order, each with exactly its members."""
+    rng = random.Random("toricstab:stratify-documents")
+    pairs = _seeded_documents(rng, 12)
+    for doc_in, ctx in pairs[:6]:
+        rows, _ = unimodular_matrix(rng, ctx.dim)
+        pts = [mat_vec(rows, u) for u in ctx.vpoly.vertices]
+        name = f"{ctx.name}-image"
+        body = {"vertices": [[str(x) for x in u] for u in pts]}
+        pairs.append(({"name": name, "moment_polytope": body}, context_from_vertices(pts, name)))
+    paths = [write_doc(tmp_path, f"{ctx.name}.json", doc_in) for doc_in, ctx in pairs]
+    code, out, err = run(capsys, "stratify", *paths)
+    assert code == 0, err
+    doc = json.loads(out)
+    groups = {}
+    for _, ctx in pairs:
+        groups.setdefault(optimal_destabilizer(ctx).m_mu, []).append(ctx.name)
+    assert doc["count"] == len(pairs)
+    assert doc["strata"] == [
+        {"M_mu": render_value(value, 12), "members": sorted(groups[value])}
+        for value in sorted(groups, reverse=True)
+    ]
+    # each image shares its preimage's stratum
+    for stratum in doc["strata"]:
+        for member in stratum["members"]:
+            assert member.removesuffix("-image") in stratum["members"]
 
 
 def test_stratify_single_semistable(tmp_path, capsys):
@@ -350,6 +445,29 @@ def test_oracle_weighted_triangle_converges(tmp_path, capsys):
     assert abs(Q(doc["F0_est"]) - Q(1, 3)) <= Q(1, 1000)
     assert Q(doc["Q0_target"]) == Q(2, 9) + Q(1, 9)
     assert abs(Q(doc["Q0_est"]) - Q(doc["Q0_target"])) <= Q(1, 1000)
+
+
+def test_oracle_targets_match_the_library(tmp_path, capsys):
+    """The targets of each exit-0 `oracle` document are the library's -Fut and
+    ||v||_2^2 + Fut^2; a scan over the cell limit exits 2 and says so."""
+    rng = random.Random("toricstab:oracle-documents")
+    done = 0
+    for doc_in, ctx in _seeded_documents(rng, 10):
+        v = [rng.randint(-3, 3) or 1 for _ in range(ctx.dim)]
+        r = math.lcm(*(x.denominator for u in ctx.vpoly.vertices for x in u))
+        path = write_doc(tmp_path, f"{ctx.name}.json", doc_in)
+        argv = ["oracle", path, "--v", ",".join(map(str, v)), "--mmax", str(3 * r)]
+        code, out, err = run(capsys, *argv)
+        if code == 2:
+            assert "over the limit" in err
+            continue
+        assert code == 0, err
+        done += 1
+        doc = json.loads(out)
+        f = futaki(ctx, v)
+        assert doc["F0_target"] == rat_str(-f)
+        assert doc["Q0_target"] == rat_str(l2_norm_sq(ctx, v) + f * f)
+    assert done >= 6, done
 
 
 def test_oracle_input_validation(tmp_path, capsys):

@@ -25,6 +25,7 @@ from toricstab.optimizer import (
     optimal_destabilizer,
 )
 from toricstab.stability import (
+    context_from_constraints,
     context_from_rays,
     context_from_vertices,
     futaki,
@@ -379,6 +380,30 @@ def _seeded_vertex_contexts(count=40):
     return out
 
 
+def _seeded_rational_contexts(count=24):
+    """Unstable 2-4D contexts off the integer lattice: vertices with denominator 2
+    or 3, then constraints with fractional offsets."""
+    rng = fresh_rng("optimizer-oracle-rational")
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 3
+        den = 2 + len(out) // 3 % 2
+        try:
+            if len(out) < count // 2:
+                k = d + rng.randint(2, 4)
+                pts = [tuple(Q(rng.randint(-3, 3), den) for _ in range(d)) for _ in range(k)]
+                ctx = context_from_vertices(pts, name=f"seeded-v{len(out)}")
+            else:
+                normals = [rand_nonzero_ivec(rng, d, 1) for _ in range(d + rng.randint(1, 2))]
+                cons = [(n, Q(-rng.randint(1, 4), den)) for n in normals]
+                ctx = context_from_constraints(cons, name=f"seeded-h{len(out)}")
+        except ValueError:
+            continue
+        if verdict(ctx) == "unstable":
+            out.append(ctx)
+    return out
+
+
 def _assert_matches_oracle(ctx):
     report = optimal_destabilizer(ctx)
     stage1 = stage1_by_fan(ctx)
@@ -405,7 +430,13 @@ def test_matches_oracle_on_ladder(name):
 def test_matches_oracle_on_seeded_polytopes():
     contexts = _seeded_vertex_contexts()
     assert {ctx.dim for ctx in contexts} == {2, 3, 4}
-    for ctx in contexts:
+    rational = _seeded_rational_contexts()
+    assert {ctx.dim for ctx in rational} == {2, 3, 4}
+    # off the lattice: a vertex of each, and a facet offset of each constraint context
+    assert all(any(x.denominator > 1 for u in c.vpoly.vertices for x in u) for c in rational)
+    by_constraints = [c for c in rational if c.name.startswith("seeded-h")]
+    assert all(any(f.offset.denominator > 1 for f in c.vpoly.facets) for c in by_constraints)
+    for ctx in contexts + rational:
         _assert_matches_oracle(ctx)
 
 
