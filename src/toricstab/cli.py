@@ -54,29 +54,24 @@ INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rat_str(x) -> str:
-    x = Q(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def dec_str(x, digits: int) -> str:
     """Fixed-point decimal of a rational, round half to even."""
-    x = Q(x)
-    sign = "-" if x < 0 else ""
-    scaled = abs(x) * 10**digits
-    n, rem_num = divmod(scaled.numerator, scaled.denominator)
-    rem2 = 2 * rem_num
-    if rem2 > scaled.denominator or (rem2 == scaled.denominator and n % 2 == 1):
+    den = x.denominator
+    n, rem = divmod(abs(x.numerator) * 10**digits, den)
+    if 2 * rem > den or (2 * rem == den and n % 2 == 1):
         n += 1
     s = str(n).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}"
 
 
 def sqrt_dec_str(sign: int, square, digits: int) -> str:
     """Decimal of sign * sqrt(square) to the requested digits; sign is +-1."""
-    sq = Q(square)
-    scaled = sq * 10 ** (2 * digits)
-    n = math.isqrt(scaled.numerator // scaled.denominator)
-    if Q(n * n + (n + 1) * (n + 1), 2) <= scaled:
+    num, den = square.numerator * 10 ** (2 * digits), square.denominator
+    n = math.isqrt(num // den)
+    if (n * n + (n + 1) * (n + 1)) * den <= 2 * num:  # past the mean of n^2 and (n+1)^2
         n += 1
     s = str(n).rjust(digits + 1, "0")
     body = f"{s[:-digits]}.{s[-digits:]}"
@@ -143,14 +138,14 @@ def same_length(rows, field: str) -> list:
     return rows
 
 
-def parse_direction(text: str, field: str = "v"):
+def parse_direction(text: str):
     parts = [p.strip() for p in text.split(",")]
     try:
         if all(INTEGER.fullmatch(p) for p in parts):
             return tuple(int(p) for p in parts)
     except ValueError:
         pass
-    raise ValueError(f"field {field}: expected comma-separated integers")
+    raise ValueError("field v: expected comma-separated integers")
 
 
 def checked_direction(v, dim: int, entry=None):

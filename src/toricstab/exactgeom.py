@@ -6,8 +6,9 @@ mutated, and no floating point is used anywhere.  `vpolytope` and
 `vertices_from_facets` refuse an ambient dimension above `MAX_DIM` (8).
 
 One elimination kernel does the linear algebra: `_reduce` is fraction-free
-Gauss-Jordan elimination (Bareiss) on Python ints, under `solve_unique`,
-`rank` and the hull's chart coordinates.
+Gauss-Jordan elimination (Bareiss) on Python ints, under `rank`, the hull's
+chart coordinates, the simplex volumes of `moments` and the corral solves of
+stage 2.
 
 One enumeration carries the combinatorics: `_cone_rays`, the double
 description method, gives the extreme rays of a cone {x : A x >= 0}, each
@@ -61,10 +62,6 @@ def dot(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
 
 
 def vneg(u):
@@ -135,16 +132,6 @@ def _scaled(points):
     """Integer points: rational or int points times the lcm r of all their denominators, and r."""
     r = math.lcm(*(x.denominator for p in points for x in p))
     return [tuple(x.numerator * (r // x.denominator) for x in p) for p in points], r
-
-
-def solve_unique(a, b):
-    """Solve A x = b exactly; None unless a solution exists and is unique."""
-    n = len(a[0]) if a else 0
-    rows = _scaled([(*row, bi) for row, bi in zip(a, b)])[0]
-    pivots, dd = _reduce(rows, n)
-    if len(pivots) < n or any(row[n] for row in rows[n:]):
-        return None
-    return tuple(Q(row[n], dd) for row in rows[:n])
 
 
 def rank(rows) -> int:

@@ -200,7 +200,9 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     # scan along the axis with the largest vertex-coordinate range
     scan = max(range(d), key=lambda i: hi[i] - lo[i])
     boxes = [[range(t * a, t * b + 1) for a, b in zip(lo, hi)] for t in range(1, k + 1)]
-    cells = sum(math.prod(len(x) for i, x in enumerate(box) if i != scan) for box in boxes)
+    # counted by products: len() of a range fails past sys.maxsize
+    spans = [b - a for i, (a, b) in enumerate(zip(lo, hi)) if i != scan]
+    cells = sum(math.prod(t * s + 1 for s in spans) for t in range(1, k + 1))
     cells *= 2 if t_max > k else 1  # the interiors are walked only to extend
     if cells > MAX_SCAN_CELLS:
         raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, _primitive_int, _scaled, dot, normal_cone, primitive, solve_unique
+from .exactgeom import ConeH, _primitive_int, _reduce, _scaled, dot, normal_cone, primitive
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
@@ -115,14 +115,16 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     return SigmaOne(cone, m1, rays)
 
 
-def _nearest(gram) -> dict[int, Q]:
+def _nearest(gram) -> tuple[dict[int, int], int]:
     """Weights of the point x of conv(p_i) nearest to 0, from gram[i][j] = <p_i, p_j>.
 
     Wolfe's walk (Math. Programming 11, 1976): a point with <x, p_j> < <x, x>
     joins the corral, x moves toward the corral's affine minimizer, and a
     point whose weight reaches 0 is dropped.  <x, x> falls with each corral,
     so the walk ends, on the certificate <x, p_j> >= <x, x> for every j.
-    The weights are carried as integers over one positive denominator k.
+    Each corral's minimizer is solved by fraction-free elimination on the
+    integer Gram matrix; the weights are carried, and returned, as integers
+    over one positive denominator k.
     """
     n = len(gram)
     weights, k = {min(range(n), key=lambda i: gram[i][i]): 1}, 1
@@ -131,18 +133,20 @@ def _nearest(gram) -> dict[int, Q]:
         xx = sum(w * gx[i] for i, w in weights.items())  # k^2 <x, x>
         j = min(range(n), key=gx.__getitem__)
         if gx[j] * k >= xx:
-            return {i: Q(w, k) for i, w in weights.items()}
+            return weights, k
         weights[j] = 0
         while True:
             corral = sorted(weights)
+            c = len(corral)
             # affine minimizer: Gram_S alpha = lambda 1, sum(alpha) = 1
-            rows = [[gram[i][l] for l in corral] + [-1] for i in corral] + [[1] * len(corral) + [0]]
-            sol = solve_unique(rows, [0] * len(corral) + [1])
-            if sol is None:
+            rows = [[gram[i][l] for l in corral] + [-1, 0] for i in corral] + [[1] * c + [0, 1]]
+            pivots, dd = _reduce(rows, c + 1)
+            if len(pivots) <= c:
                 raise CertificateError("singular corral in stage 2")
-            (a,), ka = _scaled([sol[:-1]])
-            alpha = dict(zip(corral, a))
-            if min(a) > 0:
+            # alpha_i = rows[i][-1] / dd, over the least positive denominator ka
+            ka = abs(dd) // math.gcd(dd, *(row[-1] for row in rows[:c]))
+            alpha = {i: row[-1] * ka // dd for i, row in zip(corral, rows)}
+            if min(alpha.values()) > 0:
                 weights, k = alpha, ka
                 break
             # step t to the first weight (1 - t) w + t alpha that reaches 0
@@ -172,10 +176,9 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     lcm = math.lcm(*beta)
     points = [[lcm // bg * x for x in g] for g, bg in zip(sigma1.rays, beta)]
     cov_points = [tuple(dot(row, p) for row in c) for p in points]
-    weights = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
-    # v* = E / (L k) x for the weights cleared of their denominator k
-    (ws,), k = _scaled([tuple(weights.values())])
-    x = [sum(w * col[i] for i, w in zip(weights, ws)) for col in zip(*points)]
+    weights, k = _nearest([[dot(p, cq) for cq in cov_points] for p in points])
+    # v* = E / (L k) x for the integer weights over their denominator k
+    x = [sum(w * col[i] for i, w in weights.items()) for col in zip(*points)]
     # the certificates run on the integer primitive(v*)
     v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
     if not sigma1.cone.contains(p):

@@ -6,9 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from hull_oracle import cone_relint_contains
-from linalg_oracle import vadd
+from linalg_oracle import vadd, vscale
 from toricstab.corpus import corpus_context, corpus_names
-from toricstab.exactgeom import extreme_rays, vscale
+from toricstab.exactgeom import extreme_rays
 from toricstab.stability import StabilityValue, verdict
 
 

@@ -13,6 +13,10 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
+def vscale(c, u):
+    return tuple(c * a for a in u)
+
+
 def solve_unique(a, b):
     """Solve A x = b exactly; None unless a solution exists and is unique."""
     m = len(a)

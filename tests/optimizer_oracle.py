@@ -14,7 +14,7 @@ solve on every linearly independent subset of at most d rays of sigma1.
 import itertools
 from fractions import Fraction as Q
 
-from linalg_oracle import rank, solve_unique
+from linalg_oracle import rank, solve_unique, vscale
 from toricstab.exactgeom import (
     ConeH,
     dot,
@@ -22,7 +22,6 @@ from toricstab.exactgeom import (
     is_zero,
     primitive,
     vneg,
-    vscale,
     vsub,
 )
 from toricstab.moments import is_positive_definite

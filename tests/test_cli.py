@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import toricstab
 import stability_oracle
-from conftest import mat_vec, unimodular_matrix
+from conftest import fresh_rng, mat_vec, unimodular_matrix
 from hull_oracle import faces_by_subsets
 from optimizer_oracle import sigma1_by_vertices
-from toricstab.cli import main, rat_str, render_m2, render_value
+from toricstab.cli import dec_str, main, rat_str, render_m2, render_value, sqrt_dec_str
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError, optimal_destabilizer
 from toricstab.stability import (
@@ -832,6 +832,21 @@ def test_oracle_scan_of_a_many_faceted_ball_exits_two_quickly(capsys):
     assert time.perf_counter() - start < 15
 
 
+def test_oracle_scan_with_axes_past_sys_maxsize_exits_two(tmp_path, capsys):
+    # every axis of [-10^19, 10^19]^2 spans more than sys.maxsize integers; the
+    # prefix axis holds 2 10^19 t + 1 cells for t = 1, 2, 3
+    big = 10**19
+    square = [[x, y] for x in (-big, big) for y in (-big, big)]
+    path = write_doc(tmp_path, "s19.json", {"name": "s19", "moment_polytope": {"vertices": square}})
+    code, out, err = run(capsys, "oracle", path, "--v", "1,0", "--mmax", "3")
+    assert code == 2 and out == ""
+    assert (
+        "error: --mmax 3: scan needs 120000000000000000003 prefix cells, "
+        "over the limit of 1000000" in err
+    )
+    assert "Traceback" not in err
+
+
 @st.composite
 def fuzz_invocations(draw):
     """A command line and a small document reaching one hull entry: fan rays with
@@ -883,6 +898,65 @@ def test_cli_fuzz_exits_zero_or_two(tmp_path_factory, invocation):
         code = main([command, path, *flags])
     assert code in (0, 2), (invocation, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@st.composite
+def wide_invocations(draw, command, kind):
+    """The flags and a document of one kind for one command, in numbers of any size: small
+    integers times one power 10^e, e in 0..40, plus a small shift, over a
+    denominator up to 10^20; dimension at most 3.  Vertex lists and half the
+    other vector lists get the points +-10^e along each axis, so that
+    full-dimensional polytopes and complete fans occur as well as every error.
+    `oracle` runs at --mmax three times the denominator."""
+    d = draw(st.sampled_from([2, 3, 1]))
+    scale = 10 ** (40 - draw(st.integers(0, 40)))  # drawn largest first
+    den = draw(st.integers(1, 10**20) | st.sampled_from([1, 10**20]))
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda cj: cj[0] * scale + cj[1])
+    vector = st.lists(entry, min_size=d, max_size=d)
+    vectors = draw(st.lists(vector, min_size=1, max_size=5))
+    if kind == "vertices" or draw(st.booleans()):
+        vectors += [[x * (i == j) for j in range(d)] for i in range(d) for x in (scale, -scale)]
+    v = ",".join(map(str, draw(vector)))
+    if kind == "weights":
+        doc = {"weights": vectors}
+    elif kind == "rays":
+        doc = {"name": "wide", "rays": vectors}
+    elif kind == "vertices":
+        rows = [[f"{x}/{den}" for x in u] for u in vectors]
+        doc = {"name": "wide", "moment_polytope": {"vertices": rows}}
+    else:
+        offsets = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+        rows = [{"normal": u, "offset": f"{-abs(c)}/{den}"} for u, c in zip(vectors, offsets)]
+        doc = {"name": "wide", "moment_polytope": {"constraints": rows}}
+    flags = {
+        "report": ["--v", v],
+        "oracle": ["--v", v, "--mmax", str(3 * den)],
+        "limits": ["--v", v],
+    }
+    return flags.get(command, []), doc
+
+
+WIDE_CASES = [
+    (command, kind)
+    for command in ["report", "destabilize", "stratify", "oracle"]
+    for kind in ["vertices", "constraints", "rays"]
+] + [("limits", "weights")]
+
+
+@pytest.mark.parametrize("command, kind", WIDE_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_wide_fuzz_exits_zero_or_two(tmp_path_factory, command, kind, data):
+    flags, doc = data.draw(wide_invocations(command, kind))
+    path = write_doc(tmp_path_factory.mktemp("wide"), "doc.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, path, *flags])
+    assert code in (0, 2), (command, flags, doc, err.getvalue())
     if code == 0:
         json.loads(out.getvalue())
     else:
@@ -954,6 +1028,57 @@ def test_digits_upper_bound(tmp_path, capsys):
     code, out, err = run(capsys, "report", path, "--v", "1,0", "--digits", "4001")
     assert code == 2 and out == ""
     assert "--digits must be between 1 and 4000" in err
+
+
+def dec_str_by_fractions(x, digits):
+    """Reference: the decimal rounded half to even on the Fraction |x| 10^digits."""
+    x = Q(x)
+    scaled = abs(x) * 10**digits
+    n, rem = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rem > scaled.denominator or (2 * rem == scaled.denominator and n % 2 == 1):
+        n += 1
+    s = str(n).rjust(digits + 1, "0")
+    return f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}"
+
+
+def sqrt_dec_str_by_fractions(sign, square, digits):
+    """Reference: isqrt of the Fraction square 10^(2 digits), rounded up from
+    the mean of n^2 and (n+1)^2 on."""
+    scaled = Q(square) * 10 ** (2 * digits)
+    n = math.isqrt(scaled.numerator // scaled.denominator)
+    if Q(n * n + (n + 1) * (n + 1), 2) <= scaled:
+        n += 1
+    s = str(n).rjust(digits + 1, "0")
+    return f"{'-' if sign < 0 else ''}{s[:-digits]}.{s[-digits:]}"
+
+
+def test_decimal_renderers_match_their_fraction_forms():
+    rng = fresh_rng("renderers")
+    ties = rounded = 0
+    for digits in (1, 2, 3, 12, 40, 300):
+        for _ in range(200):
+            den = rng.choice([1, 2, 3, 4, 5, 7, 8, 10, 16, 125]) * 10 ** rng.randint(0, digits + 1)
+            bound = 10**40 if rng.random() < 0.2 else 999
+            x = Q(rng.randint(-bound, bound), den)
+            # exact ties: an odd number of half units in the last place
+            tie = Q(2 * rng.randint(-(10**6), 10**6) + 1, 2 * 10**digits)
+            for value in (x, tie, int(x)):
+                expected = dec_str_by_fractions(value, digits)
+                assert dec_str(value, digits) == expected, (value, digits)
+            ties += dec_str(tie, digits) != dec_str(tie - Q(1, 2 * 10**digits), digits)
+            # squares just below, at and just past the rounding threshold of n
+            n = rng.randint(0, 10**6)
+            edge = Q(n * n + (n + 1) * (n + 1), 2 * 10 ** (2 * digits))
+            eps = Q(1, 10 ** (2 * digits + 3))
+            for square in (abs(x), edge - eps, edge, edge + eps, abs(int(x))):
+                for sign in (1, -1):
+                    got = sqrt_dec_str(sign, square, digits)
+                    assert got == sqrt_dec_str_by_fractions(sign, square, digits), (square, digits)
+            rounded += sqrt_dec_str(1, edge, digits) != sqrt_dec_str(1, edge - eps, digits)
+    # half ties round to even, so both ways; the threshold itself rounds up
+    assert 0 < ties < 1200 and rounded == 1200
+    assert [dec_str(Q(k, 4), 1) for k in (1, 3, -1, -3)] == ["0.2", "0.8", "-0.2", "-0.8"]
+    assert sqrt_dec_str(-1, Q(2), 1) == "-1.4" and sqrt_dec_str(1, Q(9, 4), 1) == "1.5"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump"])

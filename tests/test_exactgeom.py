@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
+import toricstab.exactgeom as eg
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
 from hull_oracle import (
     cone_relint_contains,
@@ -34,7 +35,6 @@ from toricstab.exactgeom import (
     normal_fan,
     primitive,
     rank,
-    solve_unique,
     triangulate,
     vertices_from_facets,
     vneg,
@@ -104,6 +104,17 @@ def random_matrix(rng):
     return rows, n
 
 
+def reduce_solution(a, b):
+    """A x = b by `_reduce` on the integer augmented rows, read as stage 2 reads its
+    corral solves: x_i = rows[i][n] / D; None unless the solution exists and is unique."""
+    n = len(a[0]) if a else 0
+    rows, _ = eg._scaled([(*row, bi) for row, bi in zip(a, b)])
+    pivots, dd = eg._reduce(rows, n)
+    if len(pivots) < n or any(row[n] for row in rows[n:]):
+        return None
+    return tuple(Q(row[n], dd) for row in rows[:n])
+
+
 def test_kernel_matches_fraction_oracle():
     rng = fresh_rng("linalg-kernel")
     kinds = set()
@@ -118,7 +129,7 @@ def test_kernel_matches_fraction_oracle():
             b = [sum(Q(u) * v for u, v in zip(row, x)) for row in a]
         else:
             b = [rand_rational(rng) for _ in range(m)]
-        assert solve_unique(a, b) == linalg_oracle.solve_unique(a, b)
+        assert reduce_solution(a, b) == linalg_oracle.solve_unique(a, b)
     # empty, square and rectangular matrices occur, the nonempty ones of deficient rank too
     assert kinds == {(True, True, False), (True, False, False)} | {
         (False, sq, low) for sq in (True, False) for low in (True, False)

@@ -1,6 +1,7 @@
 """Two-stage minimization: ray candidates, minimizer cone, exact QP."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -227,7 +228,7 @@ def test_stage2_rejects_singular_corral(monkeypatch):
     # the optimum of p112 is interior to its two-ray slice, so a corral solve happens
     ctx = corpus_context("p112")
     sigma = build_sigma1(ctx, Q(-1, 4))
-    monkeypatch.setattr(opt, "solve_unique", lambda a, b: None)
+    monkeypatch.setattr(opt, "_reduce", lambda rows, stop=None: ([], 1))
     with pytest.raises(CertificateError, match="singular corral"):
         minimize_mu2_on_cone(ctx, sigma)
 
@@ -259,16 +260,17 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
     # positive definite metrics; Wolfe's walk must agree with brute force, visit
     # corrals of strictly falling norm, and drop points on the way often enough
     # that the minor cycle is exercised
-    real = opt.solve_unique
+    real = opt._reduce
     solves = []
 
-    def recording(a, b):
-        sol = real(a, b)
-        solves.append(sol)
+    def recording(rows, stop=None):
+        pivots, dd = real(rows, stop)
+        # a corral solve: alpha and lambda are rows[i][-1] / dd
+        solves.append(tuple(Q(row[-1], dd) for row in rows[:stop]))
         assert len(solves) <= limit, "walk does not terminate"
-        return sol
+        return pivots, dd
 
-    monkeypatch.setattr(opt, "solve_unique", recording)
+    monkeypatch.setattr(opt, "_reduce", recording)
     rng = fresh_rng("nearest")
     cases = drops = 0
     for d in range(2, 6):
@@ -280,10 +282,15 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
                 tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) + x for x in shift) for _ in range(n)
             ]
             mpts = [[dot(row, p) for row in metric] for p in pts]
+            # the Gram matrix cleared of its denominators: a positive factor
+            # leaves the weights unchanged
             gram = [[dot(p, mq) for mq in mpts] for p in pts]
+            r = math.lcm(*(x.denominator for row in gram for x in row))
+            gram = [[x.numerator * (r // x.denominator) for x in row] for row in gram]
             solves.clear()
             limit = n * 2**n
-            weights = opt._nearest(gram)
+            ws, den = opt._nearest(gram)
+            weights = {i: Q(w, den) for i, w in ws.items()}
             assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
             gx = tuple(sum(w * gram[k][i] for i, w in weights.items()) for k in range(n))
             assert _nearest_by_subsets(gram, d) == {gx}

@@ -1,9 +1,13 @@
 """Source layout checks that the repository keeps without a linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
+from toricstab.exactgeom import extreme_rays
+
 SRC = Path(__file__).parents[1] / "src"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 MAX_LINE = 100
 
 
@@ -28,3 +32,30 @@ def test_no_private_imports_from_stability_or_optimizer():
         if alias.name.startswith("_")
     ]
     assert not private, "\n".join(private)
+
+
+def resolves(module, name) -> bool:
+    """Whether `from module import name` succeeds."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_imports_resolve():
+    # a name the benchmark imports, dropped from the library, would otherwise
+    # show only as a failed benchmark run
+    missing = [
+        f"{path.name}:{node.lineno}: {alias.name} from {node.module}"
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "toricstab"
+        for alias in node.names
+        if not resolves(node.module, alias.name)
+    ]
+    assert not missing, "\n".join(missing)
+    # the benchmark clears the hull cache before every operation and reads its counters
+    assert callable(extreme_rays.cache_clear) and callable(extreme_rays.cache_info)
