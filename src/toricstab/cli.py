@@ -115,15 +115,10 @@ def parse_rational(s, field: str) -> Q:
     raise ValueError(f"field {field}: expected a rational like 'p/q', got {s!r}")
 
 
-def parse_int_vector(xs, field: str):
-    if not isinstance(xs, (list, tuple)) or not xs:
-        raise ValueError(f"field {field}: expected a nonempty list of integers")
-    out = []
-    for x in xs:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"field {field}: expected integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+def parse_int(x, field: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"field {field}: expected integers, got {x!r}")
+    return x
 
 
 def parse_list(xs, field: str) -> list:
@@ -132,24 +127,23 @@ def parse_list(xs, field: str) -> list:
     return xs
 
 
-def same_length(rows, field: str) -> list:
+def parse_vectors(xs, field: str, entry) -> list:
+    """A nonempty list of nonempty vectors of one common length, each entry read by `entry`."""
+    rows = [tuple(entry(x, field) for x in parse_list(r, field)) for r in parse_list(xs, field)]
     if len({len(r) for r in rows}) > 1:
         raise ValueError(f"field {field}: expected vectors of one common length")
     return rows
 
 
-def parse_direction(text: str):
+def parse_direction(text: str, dim: int, entry=None):
+    """--v as an integer direction of length dim; errors name --v and the entry."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        if all(INTEGER.fullmatch(p) for p in parts):
-            return tuple(int(p) for p in parts)
+        if not all(INTEGER.fullmatch(p) for p in parts):
+            raise ValueError
+        v = tuple(int(p) for p in parts)  # int() also fails past the digit limit
     except ValueError:
-        pass
-    raise ValueError("field v: expected comma-separated integers")
-
-
-def checked_direction(v, dim: int, entry=None):
-    """v if it is a direction of length dim, else an error naming --v and the entry."""
+        raise ValueError("field v: expected comma-separated integers") from None
     try:
         as_direction(v, dim)
     except ValueError as exc:
@@ -182,9 +176,7 @@ def context_from_doc(doc) -> StabilityContext:
     if not isinstance(name, str) or not name:
         raise ValueError("field name: required nonempty string")
     if "rays" in doc:
-        rays = same_length(
-            [parse_int_vector(r, "rays") for r in parse_list(doc["rays"], "rays")], "rays"
-        )
+        rays = parse_vectors(doc["rays"], "rays", parse_int)
         coeffs = None
         if doc.get("coeffs") is not None:
             coeffs = [parse_rational(c, "coeffs") for c in parse_list(doc["coeffs"], "coeffs")]
@@ -196,22 +188,18 @@ def context_from_doc(doc) -> StabilityContext:
         if not isinstance(body, dict):
             raise ValueError("field moment_polytope: expected an object")
         if "vertices" in body:
-            pts = [
-                [parse_rational(x, "vertices") for x in parse_list(row, "vertices")]
-                for row in parse_list(body["vertices"], "vertices")
-            ]
-            return context_from_vertices(same_length(pts, "vertices"), name=name)
+            pts = parse_vectors(body["vertices"], "vertices", parse_rational)
+            return context_from_vertices(pts, name=name)
         if "constraints" in body:
-            cons = []
-            for row in parse_list(body["constraints"], "constraints"):
-                if not isinstance(row, dict):
-                    raise ValueError("field constraints: expected objects")
-                normal = parse_int_vector(row.get("normal"), "constraints.normal")
-                if not any(normal):
-                    raise ValueError("field constraints.normal: expected a nonzero vector")
-                cons.append((normal, parse_rational(row.get("offset"), "constraints.offset")))
-            same_length([n for n, _ in cons], "constraints.normal")
-            return context_from_constraints(cons, name=name)
+            rows = parse_list(body["constraints"], "constraints")
+            if not all(isinstance(row, dict) for row in rows):
+                raise ValueError("field constraints: expected objects")
+            normals = [row.get("normal") for row in rows]
+            normals = parse_vectors(normals, "constraints.normal", parse_int)
+            if not all(any(n) for n in normals):
+                raise ValueError("field constraints.normal: expected a nonzero vector")
+            offsets = [parse_rational(row.get("offset"), "constraints.offset") for row in rows]
+            return context_from_constraints(list(zip(normals, offsets)), name=name)
         raise ValueError("field moment_polytope: needs vertices or constraints")
     raise ValueError("field rays or moment_polytope: required")
 
@@ -219,13 +207,10 @@ def context_from_doc(doc) -> StabilityContext:
 def weighted_point_from_doc(doc):
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or not weights:
-        raise ValueError("field weights: expected a nonempty list of lattice vectors")
-    ws = same_length([parse_int_vector(w, "weights") for w in weights], "weights")
+    ws = parse_vectors(doc.get("weights"), "weights", parse_int)
     support = doc.get("support")
     if support is not None:
-        support = parse_int_vector(support, "support")
+        support = [parse_int(i, "support") for i in parse_list(support, "support")]
         if any(not 0 <= i < len(ws) for i in support):
             raise ValueError(f"field support: expected indices in 0..{len(ws) - 1}")
     return weighted_point(ws, support)
@@ -384,7 +369,7 @@ def oracle_dump_text(doc, digits: int) -> str:
                     str(row["count"]),
                     row["f_decimal"],
                     row["g_decimal"],
-                    dec_str(Q(row["lambda_min_over_m"]), digits),
+                    dec_str(Q(row["weight_min"], row["m"]), digits),
                 ]
             )
         )
@@ -428,9 +413,8 @@ def emit(doc, out_path):
 
 def cmd_report(args) -> int:
     contexts = gather_contexts(args)
-    directions = [parse_direction(t) for t in args.v or []]
     docs = [
-        report_doc(ctx, [checked_direction(v, ctx.dim, ctx.name) for v in directions], args.digits)
+        report_doc(ctx, [parse_direction(t, ctx.dim, ctx.name) for t in args.v or []], args.digits)
         for ctx in contexts
     ]
     emit(docs[0] if len(docs) == 1 else {"entries": docs}, args.out)
@@ -457,7 +441,7 @@ def cmd_oracle(args) -> int:
     if len(contexts) != 1:
         raise ValueError("oracle takes exactly one input")
     ctx = contexts[0]
-    v = checked_direction(parse_direction(args.v), ctx.dim, ctx.name)
+    v = parse_direction(args.v, ctx.dim, ctx.name)
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:
         write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
@@ -467,7 +451,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_limits(args) -> int:
     point = weighted_point_from_doc(load_doc(args.input))
-    v = checked_direction(parse_direction(args.v), len(point.weights[0]))
+    v = parse_direction(args.v, len(point.weights[0]))
     emit(limits_doc(point, v), args.out)
     return 0
 

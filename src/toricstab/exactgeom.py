@@ -90,13 +90,6 @@ def primitive(v) -> IntVec:
     return _primitive_int(_scaled([w])[0][0])
 
 
-def is_primitive_lattice(v) -> bool:
-    w = qvec(v)
-    if is_zero(w) or any(x.denominator != 1 for x in w):
-        return False
-    return math.gcd(*(abs(int(x)) for x in w)) == 1
-
-
 def _reduce(rows, stop=None):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
 
@@ -304,20 +297,21 @@ def _cone_rays(rows, n):
 def _point_facets(pts):
     """Affine dimension and facets of distinct rational points, with point incidence.
 
-    The points are projected onto k coordinates that map their affine hull
-    isomorphically onto Q^k and scaled to integers z_j.  The facets are the
+    The points are scaled to integers z_j once and projected onto k
+    coordinates that map their affine hull isomorphically onto Q^k.  The
+    chart and the cone both read z.  The facets are the
     extreme rays (a, b) of the pointed cone {(a, b) : <a, z_j> + b >= 0},
     with the points on each as the rows tight on it.  Normals are lifted back
     with zeros on the other coordinates, so <normal, u> >= offset holds on
     the polytope in ambient coordinates.
     """
     d = len(pts[0])
-    cols = _reduce(_scaled([vsub(p, pts[0]) for p in pts[1:]])[0], d)[0]
+    z, scale = _scaled(pts)
+    cols = _reduce([vsub(u, z[0]) for u in z[1:]], d)[0]
     k = len(cols)
     if k == 0:
         return 0, ()
-    z, scale = _scaled([[p[c] for c in cols] for p in pts])
-    rays, _ = _cone_rays([(*u, 1) for u in z], k + 1)
+    rays, _ = _cone_rays([(*(u[c] for c in cols), 1) for u in z], k + 1)
     facets = []
     for (*a, b), members in rays:
         g = math.gcd(*a)
@@ -459,16 +453,16 @@ def dual_polytope(rays, coeffs=None):
     ambient space; coefficients are rationals in [0, 1).  Returns the
     (HPolytope, VPolytope) pair.
     """
-    rays = [tuple(r) for r in rays]
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
-    for r in rays:
-        if len(r) != d:
+    ints = [tuple(map(int, r)) for r in rays]
+    for r, n in zip(rays, ints):
+        if len(n) != d:
             raise ValueError("dimension mismatch")
-        if not is_primitive_lattice(r):
+        if n != tuple(r) or math.gcd(*n) != 1:
             raise ValueError("ray must be a primitive nonzero lattice vector")
-    if len(set(rays)) != len(rays):
+    if len(set(ints)) != len(ints):
         raise ValueError("duplicate ray")
     if coeffs is None:
         coeffs = [Q(0)] * len(rays)
@@ -480,7 +474,6 @@ def dual_polytope(rays, coeffs=None):
             raise ValueError("coefficient must be >= 0")
         if c >= 1:
             raise ValueError("coefficient must be < 1")
-    ints = [tuple(int(x) for x in r) for r in rays]
     h = HPolytope(tuple(sorted((n, c - 1) for n, c in zip(ints, coeffs))))
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span

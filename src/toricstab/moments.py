@@ -6,14 +6,16 @@ once by the lcm r of their denominators, so r P is a lattice polytope and
 every simplex adds integer sums (its determinant, its vertex sum and its
 second-moment matrix); one `Fraction` per output entry divides at the end.
 The lattice series sums 1, <u, v> and <u, v>^2 over the integer points of
-the dilates t Z of Z = r P, whose box, facet offsets and minimum weight
-are t times those of Z, all integers.  By the weighted Ehrhart theorem the
-sums S_j are polynomials in t of degree d+j, and by Ehrhart-Macdonald
-reciprocity S_j(-t) is (-1)^(d+j) times the sum over the interior of t Z.
-So only t Z and its interior for t <= k = (d+4)//2 are counted, on Python
-ints over the box of all axes but one, the last axis summed in closed form.
-The 2k+1 >= d+4 values at t = -k..k certify each polynomial by a zero
-difference of one order above its degree; running sums extend it.
+the dilates t Z of Z = r P.  The scan reads Z's facets as they are, the
+integer pairs (n, r c), at dilate t: t Z is <n, u> >= t r c, and its box,
+facet offsets and minimum weight are t times those of Z, all integers.  By
+the weighted Ehrhart theorem the sums S_j are polynomials in t of degree
+d+j, and by Ehrhart-Macdonald reciprocity S_j(-t) is (-1)^(d+j) times the
+sum over the interior of t Z.  So only t Z and its interior for
+t <= k = (d+4)//2 are counted, on Python ints over the box of all axes but
+one, the last axis summed in closed form.  The 2k+1 >= d+4 values at
+t = -k..k certify each polynomial by a zero difference of one order above
+its degree; running sums extend it.
 """
 
 from __future__ import annotations
@@ -124,13 +126,13 @@ def is_positive_definite(matrix) -> bool:
     return True
 
 
-def _dilate_sums(box, cons, m, scan, vi, interior=False):
-    """Count, sum and square sum of <u, vi> over the integer points u of m * P.
+def _dilate_sums(box, cons, t, scan, vi, interior=False):
+    """Count, sum and square sum of <u, vi> over the integer points u of t * Z.
 
-    `box` holds the integer range of every axis over m * P, and `cons` each
-    facet <n, u> >= c of P over the common denominator r as the integer pair
-    (r n, r c): m * P is <r n, u> >= m r c, its interior <r n, u> > m r c,
-    or >= m r c + 1 in integers.  The prefix box (every axis but `scan`) is
+    `box` holds the integer range of every axis over t * Z, and `cons` each
+    facet of the lattice polytope Z = r P as it is, the integer pair (n, r c)
+    of <n, u> >= r c: t * Z is <n, u> >= t r c, its interior <n, u> > t r c,
+    or >= t r c + 1 in integers.  The prefix box (every axis but `scan`) is
     walked with its last axis innermost: for each cell of the other axes,
     every constraint gives one column of scan-axis bounds along that axis,
     and the columns' max and min cut each prefix cell's interval [lo, hi] of
@@ -140,7 +142,7 @@ def _dilate_sums(box, cons, m, scan, vi, interior=False):
     ranges = [box[k] for k in axes]
     # in one dimension the prefix is empty: a single inner step at 0
     inner, last = (ranges.pop(), axes.pop()) if axes else (range(1), scan)
-    cons = [(n[scan], n[last], [n[k] for k in axes], m * o + interior) for n, o in cons]
+    cons = [(n[scan], n[last], [n[k] for k in axes], t * o + interior) for n, o in cons]
     bottom, top = box[scan][0], box[scan][-1]
     vs, vl, vo = vi[scan], vi[last], [vi[k] for k in axes]
     count = w = q = 0
@@ -173,8 +175,9 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     Per dilate: the point count, the sum and the sum of squares of <u, v>
     over integer points u, and the minimum of <u, v>, which is m times the
     support minimum.  All of it reads the lattice polytope Z = r P with
-    integer vertices z: the dilate m = t r is t Z, whose vertex box is t
-    times that of Z and whose minimum weight is t min <z, v>.  The three
+    integer vertices z and facets (n, r c): the dilate m = t r is t Z, read
+    as <n, u> >= t r c at dilate t, whose vertex box is t times that of Z
+    and whose minimum weight is t min <z, v>.  The three
     sums are counted on the first k = min(T, (d+4)//2) dilates, T = m_max // r;
     past those each is a polynomial in t of degree d, d+1 or d+2 through the
     closed sums at t = 1..k, (1, 0, 0) at 0 and the interior sums at 1..k,
@@ -209,13 +212,13 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     cols = cells * len(p.facets)  # one column per facet in each prefix cell
     if cols > MAX_SCAN_COLUMNS:
         raise ValueError(f"scan needs {cols} facet columns, over the limit of {MAX_SCAN_COLUMNS}")
-    # a facet of Z = r P holds a lattice vertex and has an integral normal,
-    # so its offset r c is an integer
-    cons = [(tuple(r * x for x in f.normal), int(r * f.offset)) for f in p.facets]
-    sums = [_dilate_sums(box, cons, t * r, scan, vi) for t, box in enumerate(boxes, 1)]
+    # a facet <n, u> >= r c of Z = r P holds a lattice vertex and has an
+    # integral normal, so its offset r c is an integer
+    cons = [(f.normal, int(r * f.offset)) for f in p.facets]
+    sums = [_dilate_sums(box, cons, t, scan, vi) for t, box in enumerate(boxes, 1)]
     if t_max > k:
         # Ehrhart-Macdonald: S_j(0) = (1, 0, 0), S_j(-t) = (-1)^(d+j) S_j(interior of t Z)
-        inner = [_dilate_sums(box, cons, t * r, scan, vi, True) for t, box in enumerate(boxes, 1)]
+        inner = [_dilate_sums(box, cons, t, scan, vi, True) for t, box in enumerate(boxes, 1)]
         negative = [[(-1) ** (d + j) * x for j, x in enumerate(s)] for s in inner[::-1]]
         sums = negative + [(1, 0, 0)] + sums
     columns = [

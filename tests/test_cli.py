@@ -24,6 +24,7 @@ from conftest import fresh_rng, mat_vec, unimodular_matrix
 from hull_oracle import faces_by_subsets
 from optimizer_oracle import sigma1_by_vertices
 from toricstab.cli import dec_str, main, rat_str, render_m2, render_value, sqrt_dec_str
+from toricstab.corpus import CORPUS
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError, optimal_destabilizer
 from toricstab.stability import (
@@ -343,21 +344,16 @@ def test_stratify_corpus_thread_count_is_invisible(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# sha256 of the stdout of each command, as perfbench/refs/cli.json records it
-# for the first five, {name} standing for an input document: a change meant to
-# keep every result must keep every byte
-CLI_STDOUT_SHA256 = {
-    ("destabilize", "--corpus"): "7e44eb0c313add4084fc5063d043ee14da224b2093b32e052a667dd35932a83d",
-    ("stratify", "--corpus", "--threads", "2"): (
-        "fbf9375b59e3b0cd436801584ecbd844bd8a6299360a05a8dcec80dc7506f619"
-    ),
-    ("report", "--corpus"): "b76aa31b6405d69e7180563dcd256879f7aa6a41e305953c3da43d661d95c75a",
-    ("limits", "{readme-point}", "--v", "1,1"): (
-        "47141679989e185348f8e60c1c7da40d1b839bcb959bc319f21fcbd4dc6d4824"
-    ),
-    ("oracle", "{p112}", "--v", "0,-1", "--mmax", "60"): (
-        "ddbee27c430f81e17c6a9afe6c5ce8e56b8286cb4fd123b15027c0192ba00fd3"
-    ),
+# sha256 of the stdout of every command perfbench/refs/cli.json records, each
+# {name} a corpus document built as perfbench/workloads.py builds it and
+# {readme-point} the README weighted point, so that a change failing the
+# benchmark's reference check fails here first; then this file's own pins.  A
+# change meant to keep every result must keep every byte.
+CLI_REFS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "cli.json").read_text()
+)
+CLI_STDOUT_SHA256 = {tuple(key.split()): ref["sha256"] for key, ref in CLI_REFS.items()}
+CLI_STDOUT_SHA256.update({
     ("oracle", "{p2-halfline}", "--v", "1,1", "--mmax", "60"): (
         "594fdb4c708b5e16e3beb9ac4c0bc80b404e90e5cfd0e30d4c8c1bbe308fbe47"
     ),
@@ -369,18 +365,54 @@ CLI_STDOUT_SHA256 = {
     ("oracle", "{p1112-moment}", "--v", "1,1,1", "--mmax", "40"): (
         "24b94f8061c695c53781269779fdc6a11c0c5c91bfca12c05517154f955c58ce"
     ),
-}
+    # the vertex and the constraint reader, the latter with fractional offsets
+    # and a normal that is not primitive
+    ("report", "{p1112-moment}", "--v", "0,0,1", "--v", "1,-1,2"): (
+        "213f370f61a657f185f5bfa95f6a0f537a011442a7adfe8bd71dee2e4131d1fe"
+    ),
+    ("destabilize", "{p1112-moment}"): (
+        "0e13d5aa5aa473c9b8ec0549a51c32ea30bbd6a39acd1021bab26e515ea629be"
+    ),
+    ("report", "{corner-constraints}", "--v", "1,0,0", "--v", "-1,2,1"): (
+        "70d8781ffbcf2134ba5406d61f5d081d6ddcbfb65cbfa2a91566db7af6ab8251"
+    ),
+    ("destabilize", "{corner-constraints}"): (
+        "5662c2c408e23f78e64bb80fd8f8a9ef754cefd37e45cba1dc2b9babb0259168"
+    ),
+})
 P1112_MOMENT_DOC = {
     "name": "p1112-moment",
     "moment_polytope": {
         "vertices": [["-1", "-1", "-1"], ["-1", "-1", "3/2"], ["-1", "4", "-1"], ["4", "-1", "-1"]]
     },
 }
+CORNER_CONSTRAINTS_DOC = {
+    "name": "corner-constraints",
+    "moment_polytope": {
+        "constraints": [
+            {"normal": [2, 0, 0], "offset": "-1"},
+            {"normal": [0, 1, 0], "offset": "-2/3"},
+            {"normal": [0, 0, 1], "offset": "-1"},
+            {"normal": [-1, -1, -1], "offset": "-3/2"},
+            {"normal": [-1, 0, 0], "offset": "-5/4"},
+        ]
+    },
+}
+
+
+def corpus_doc(name):
+    rays, coeffs = CORPUS[name]
+    doc = {"name": name, "rays": [list(r) for r in rays]}
+    if coeffs is not None:
+        doc["coeffs"] = [f"{c.numerator}/{c.denominator}" for c in coeffs]
+    return doc
+
+
 CLI_DOCS = {
+    **{name: corpus_doc(name) for name in CORPUS},
     "readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]},
-    "p112": P112_DOC,
-    "p2-halfline": P2_HALFLINE_DOC,
     "p1112-moment": P1112_MOMENT_DOC,
+    "corner-constraints": CORNER_CONSTRAINTS_DOC,
 }
 
 
@@ -595,9 +627,12 @@ def test_bad_direction_exits_two(tmp_path, capsys):
     assert code == 2 and "field v" in err
 
 
-@pytest.mark.parametrize("v", ["1_0,1", "\u0661,1", "1e2,1"])
+@pytest.mark.parametrize(
+    "v", ["1_0,1", "\u0661,1", "1e2,1", pytest.param("9" * 5000 + ",1", id="5000-digits,1")]
+)
 def test_direction_accepts_only_ascii_integers(tmp_path, capsys, v):
-    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1, and refuses
+    # a literal past CPython's 4300-digit limit with advice that names no flag
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     code, out, err = run(capsys, "report", path, "--v", v)
     assert code == 2 and out == ""
@@ -717,14 +752,31 @@ def test_input_source_conflicts(tmp_path, capsys):
         ("weights", {"weights": [[0, 0], [1, 0, 0]]}),
         ("support", {"weights": [[0, 0], [1, 0], [0, 1]], "support": [0, 5]}),
         ("support", {"weights": [[0, 0], [1, 0], [0, 1]], "support": [-1]}),
+        ("input", '{"name": "bad", "rays": [[1, 0]'),
+        ("moment_polytope", {"moment_polytope": [[0, 0], [1, 0], [0, 1]]}),
+        ("constraints", {"moment_polytope": {"constraints": [{"normal": [1, 0], "offset": 0}, 5]}}),
+        ("moment_polytope", {"moment_polytope": {"rays": [[1, 0], [0, 1], [-1, -1]]}}),
+        ("rays", {"rays": [[1, 0], 5, [-1, -1]]}),
+        ("rays", {"rays": [[1, 0], [0, 1.5], [-1, -1]]}),
+        (
+            "constraints.offset",
+            {"moment_polytope": {"constraints": [{"normal": [1, 0], "offset": "1/0"}]}},
+        ),
     ],
 )
 def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
-    path = write_doc(tmp_path, "bad.json", {"name": "bad", **doc})
+    # a string is written as it is: the one document that is not valid JSON
+    if isinstance(doc, str):
+        path = tmp_path / "bad.json"
+        path.write_text(doc, encoding="utf-8")
+        named = f"input {path} is not valid JSON"
+    else:
+        path = write_doc(tmp_path, "bad.json", {"name": "bad", **doc})
+        named = f"field {field}:"
     argv = ["limits", path, "--v", "1,0"] if "weights" in doc else ["report", path]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *map(str, argv))
     assert code == 2 and out == ""
-    assert f"field {field}:" in err
+    assert named in err
     assert "Traceback" not in err
 
 

@@ -30,7 +30,6 @@ from toricstab.exactgeom import (
     dual_polytope,
     extreme_rays,
     facets_from_vertices,
-    is_primitive_lattice,
     normal_cone,
     normal_fan,
     primitive,
@@ -60,8 +59,6 @@ def test_primitive_examples():
     assert primitive((4, -6)) == (2, -3)
     assert primitive((Q(1, 3), Q(-1, 3))) == (1, -1)
     assert primitive((0, Q(-5, 2))) == (0, -1)
-    assert is_primitive_lattice((2, -3))
-    assert not is_primitive_lattice((4, -6))
     with pytest.raises(ValueError):
         primitive((0, 0))
 
@@ -200,6 +197,22 @@ def test_dual_polytope_rejects_bad_input():
         dual_polytope([(1, 0), (1, 0), (0, 1), (-1, -1)])
     with pytest.raises(ValueError, match="primitive"):
         dual_polytope([(2, 0), (0, 1), (-1, -1)])
+    with pytest.raises(ValueError, match="^degenerate fan$"):
+        dual_polytope([])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        dual_polytope([(1, 0), (0, 1, 0), (-1, -1)])
+    with pytest.raises(ValueError, match="^one coefficient per ray required$"):
+        dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, 0])
+
+
+def test_dual_polytope_reads_integral_fractions_as_integers():
+    ints = dual_polytope([(1, 0), (0, 1), (-2, -3)])
+    fracs = dual_polytope([(Q(1), 0), (0, 1), (Q(-2, 1), Q(-3))])
+    assert fracs == ints and fracs[1].facets == ints[1].facets
+    assert all(type(x) is int for n, _ in fracs[0].constraints for x in n)
+    for bad in [(Q(1, 2), 0), (2, 0), (0, 0)]:
+        with pytest.raises(ValueError, match="^ray must be a primitive nonzero lattice vector$"):
+            dual_polytope([bad, (0, 1), (-1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +256,21 @@ def test_vpolytope_computes_its_facets():
     bare = VPolytope(p.vertices, p.dim)
     assert bare.facets == p.facets and len(bare.facets) == 4
     assert facets_from_vertices(bare) == facets_from_vertices(p)
+
+
+def test_vpolytope_refuses_empty_and_ragged_point_sets():
+    with pytest.raises(ValueError, match="^empty point set$"):
+        vpolytope([])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        vpolytope([(0, 0), (1, 0, 0), (0, 1)])
+
+
+def test_vpolytope_repr_shows_vertices_and_dim():
+    p = vpolytope([(0, 0), (1, 0), (0, 1), (Q(1, 4), Q(1, 4))])
+    assert repr(p) == (
+        "VPolytope(vertices=((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)), "
+        "(Fraction(1, 1), Fraction(0, 1))), dim=2)"
+    )
 
 
 def test_vpolytope_equality_and_hash_ignore_facets():
@@ -594,7 +622,7 @@ def angular_extremes(cone, bound=25):
     members = []
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
-            if (x or y) and is_primitive_lattice((x, y)) and cone.contains((x, y)):
+            if math.gcd(x, y) == 1 and cone.contains((x, y)):
                 members.append((x, y))
     out = set()
     for v in members:

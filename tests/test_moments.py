@@ -334,9 +334,9 @@ def test_series_counts_k_closed_and_k_interior_dilates(monkeypatch, contexts):
     scan = moments_mod._dilate_sums
     seen = []
 
-    def record(box, cons, m, axis, vi, interior=False):
-        seen.append((m, interior))
-        return scan(box, cons, m, axis, vi, interior)
+    def record(box, cons, t, axis, vi, interior=False):
+        seen.append((t, interior))
+        return scan(box, cons, t, axis, vi, interior)
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", record)
     p1112 = contexts["p1112"].vpoly
@@ -346,11 +346,11 @@ def test_series_counts_k_closed_and_k_interior_dilates(monkeypatch, contexts):
         (P112, (2, -3), 40, [1, 2, 3], [1, 2, 3]),
         (P112, (2, -3), 5, [1, 2, 3], [1, 2, 3]),
         (P112, (2, -3), 3, [1, 2, 3], []),
-        (p1112, (1, 1, 1), 60, [2, 4, 6], [2, 4, 6]),
+        (p1112, (1, 1, 1), 60, [1, 2, 3], [1, 2, 3]),
     ):
         seen.clear()
         assert len(lattice_series(p, v, m_max).rows) == m_max // denominator_lcm(p)
-        assert seen == [(m, False) for m in closed] + [(m, True) for m in interior]
+        assert seen == [(t, False) for t in closed] + [(t, True) for t in interior]
 
 
 def lagrange(xs, ys, x):
@@ -379,9 +379,9 @@ def test_series_reciprocity_matches_brute_force(monkeypatch, d, low, high, n):
     scan = moments_mod._dilate_sums
     seen = {}
 
-    def record(box, cons, m, axis, vi, interior=False):
-        seen[m, interior] = scan(box, cons, m, axis, vi, interior)
-        return seen[m, interior]
+    def record(box, cons, t, axis, vi, interior=False):
+        seen[t, interior] = scan(box, cons, t, axis, vi, interior)
+        return seen[t, interior]
 
     monkeypatch.setattr(moments_mod, "_dilate_sums", record)
     rng = fresh_rng(f"series-reciprocity-{d}")
@@ -406,9 +406,9 @@ def test_series_reciprocity_matches_brute_force(monkeypatch, d, low, high, n):
         seen.clear()
         rows = lattice_series(p, v, (d + 2) * r).rows
         assert [(x.count, x.weight_sum, x.weight_sq_sum) for x in rows] == closed[1:], (pts, v)
-        assert sorted(seen) == [(t * r, i) for t in range(1, k + 1) for i in (False, True)]
-        for (m, interior), sums in seen.items():
-            assert sums == brute_sums(p, v, m, interior), (pts, v, m, interior)
+        assert sorted(seen) == [(t, i) for t in range(1, k + 1) for i in (False, True)]
+        for (t, interior), sums in seen.items():
+            assert sums == brute_sums(p, v, t * r, interior), (pts, v, t, interior)
 
 
 def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
