@@ -226,7 +226,7 @@ class Fan(NamedTuple):
 
 def _primitive_int(v) -> IntVec:
     g = math.gcd(*v)
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _cone_rays(rows, n):
@@ -393,17 +393,29 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
 
 
 def normal_cone(face, points) -> ConeH:
-    """Cone {v : <u, v> <= <w, v> for u in face, w in points}, face nonempty.
+    """Cone {v : <u, v> <= <w, v> for u in face, w in points}, points nonempty.
 
-    For a face of the hull of the points it is the face's normal cone.  The
-    points are scaled to integers once; each normal is then an integer
-    difference divided by its gcd.
+    For a face of the hull of the points it is the face's normal cone; an
+    empty face gives the whole space.  The points are scaled to integers once
+    and handed to `_normal_cone`.  The limits layer and sigma1 hold integer
+    points already and call `_normal_cone` on them directly.
     """
     z = _scaled([*face, *points])[0]
-    diffs = {vsub(u, w) for u in z[: len(face)] for w in z[len(face) :]}
-    diffs.discard((0,) * len(z[0]))
-    normals = {_primitive_int(v) for v in diffs}
-    return ConeH(tuple(sorted(normals)), len(z[0]))
+    return _normal_cone(z[: len(face)], z[len(face) :], len(z[0]))
+
+
+def _normal_cone(face, points, d) -> ConeH:
+    """`normal_cone` of integer points in Z^d: each difference u - w divided by its gcd."""
+    normals = set()
+    for u in face:
+        for w in points:
+            v = tuple(map(operator.sub, u, w))
+            g = math.gcd(*v)
+            if g == 1:
+                normals.add(v)
+            elif g:
+                normals.add(tuple(x // g for x in v))
+    return ConeH(tuple(sorted(normals)), d)
 
 
 def normal_fan(p: VPolytope) -> Fan:

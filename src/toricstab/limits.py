@@ -16,10 +16,10 @@ from .exactgeom import (
     HULL_BUDGET,
     ConeH,
     VPolytope,
+    _normal_cone,
+    _scaled,
     as_direction,
     dot,
-    normal_cone,
-    primitive,
     vpolytope,
 )
 
@@ -29,9 +29,27 @@ class WeightedPoint(NamedTuple):
     support: frozenset[int]
 
 
+def _ints(xs, what) -> tuple[int, ...]:
+    """The entries of xs as ints; a ValueError naming `what` and the entry not equal to its int."""
+    out = []
+    for x in xs:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise ValueError(f"{what} {x!r} is not an integer")
+        out.append(n)
+    return tuple(out)
+
+
 def weighted_point(weights, support=None) -> WeightedPoint:
-    """Validated weighted point; support defaults to all indices."""
-    ws = tuple(tuple(int(x) for x in w) for w in weights)
+    """Validated weighted point; support defaults to all indices.
+
+    Every weight entry and support index must equal its int: 2 and
+    Fraction(2, 1) read as 2, while 1.5, Fraction(1, 2) and "3" are refused.
+    """
+    ws = tuple(_ints(w, f"weight {i} entry") for i, w in enumerate(weights))
     if not ws:
         raise ValueError("at least one weight required")
     d = len(ws[0])
@@ -39,7 +57,7 @@ def weighted_point(weights, support=None) -> WeightedPoint:
         raise ValueError("dimension mismatch")
     if support is None:
         support = range(len(ws))
-    sup = frozenset(int(i) for i in support)
+    sup = frozenset(_ints(support, "support index"))
     if not sup:
         raise ValueError("support must be nonempty")
     if any(i < 0 or i >= len(ws) for i in sup):
@@ -80,7 +98,7 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
 
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:
     """Support of the limit under t -> 0 along v: the argmin of <u_i, v> on the support."""
-    v = primitive(as_direction(v, len(w.weights[0])))  # the argmin is scale-invariant
+    (v,), _ = _scaled([as_direction(v, len(w.weights[0]))])  # the argmin is scale-invariant
     vals = {i: dot(w.weights[i], v) for i in w.support}
     best = min(vals.values())
     return WeightedPoint(w.weights, frozenset(i for i, val in vals.items() if val == best))
@@ -107,7 +125,7 @@ def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
     """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope."""
     ws = q.point.weights
     f = _require_face(q, face)
-    return normal_cone([ws[i] for i in sorted(f)], [ws[j] for j in q.point.support])
+    return _normal_cone([ws[i] for i in f], [ws[j] for j in q.point.support], len(ws[0]))
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:

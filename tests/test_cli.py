@@ -379,6 +379,27 @@ CLI_STDOUT_SHA256.update({
     ("destabilize", "{corner-constraints}"): (
         "5662c2c408e23f78e64bb80fd8f8a9ef754cefd37e45cba1dc2b9babb0259168"
     ),
+    # limits on weights spanning a hyperplane, with a repeated weight and an
+    # index left out of the support: directions landing on a vertex, on an
+    # edge through the repeated weight and on the whole polytope
+    ("limits", "{limits-3d}", "--v", "1,1,2"): (
+        "3cea7e4f363cb25576ea1fa1dfff0bcc0f1d6f7339694ea85e26c7dc8583daf3"
+    ),
+    ("limits", "{limits-3d}", "--v", "1,4,3"): (
+        "c619db16c0eb1f81763062823c3a62763b4980658511000fb34ac10b7a3b1da8"
+    ),
+    ("limits", "{limits-3d}", "--v", "1,1,1"): (
+        "dbedc3cea79ac158997764ec5207ceeb269ceeeda89bdc6fabc51ae090944077"
+    ),
+    ("limits", "{limits-4d}", "--v", "1,1,1,2"): (
+        "86f77019b6d00eeeb423900c5ca0db21c48832b2fd145bf048b97fb87d1ae9b9"
+    ),
+    ("limits", "{limits-4d}", "--v", "3,1,3,3"): (
+        "8cecb3ee1c87bf909e7e055666cdd9af193a8e5adb1a0a1c373ab2dc61582c0b"
+    ),
+    ("limits", "{limits-4d}", "--v", "1,1,1,1"): (
+        "83e1c27c9da2450682b4323716858cdcd5d3f0553042ebb86176096480ff9f98"
+    ),
 })
 P1112_MOMENT_DOC = {
     "name": "p1112-moment",
@@ -399,6 +420,20 @@ CORNER_CONSTRAINTS_DOC = {
     },
 }
 
+# weight 3 repeats weight 0 (weight 4 repeats weight 1 in 4D); the last weight
+# is off the support
+LIMITS_3D_DOC = {
+    "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [2, 2, -3], [5, 5, 5]],
+    "support": [0, 1, 2, 3, 4],
+}
+LIMITS_4D_DOC = {
+    "weights": [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, -2],
+        [3, 0, 0, 0],
+    ],
+    "support": [0, 1, 2, 3, 4, 5],
+}
+
 
 def corpus_doc(name):
     rays, coeffs = CORPUS[name]
@@ -413,6 +448,8 @@ CLI_DOCS = {
     "readme-point": {**TRIANGLE_POINT, "support": [0, 1, 2]},
     "p1112-moment": P1112_MOMENT_DOC,
     "corner-constraints": CORNER_CONSTRAINTS_DOC,
+    "limits-3d": LIMITS_3D_DOC,
+    "limits-4d": LIMITS_4D_DOC,
 }
 
 

@@ -589,6 +589,12 @@ def test_normal_cone_matches_primitive_differences(kind):
         cone = normal_cone(face, points)
         assert cone == ConeH(tuple(sorted(expected)), d)
         assert all(type(x) is int for a in cone.normals for x in a)
+        assert normal_cone([], points) == ConeH((), d)
+
+
+def test_primitive_int_returns_a_tuple():
+    assert eg._primitive_int([3, 5]) == (3, 5) and type(eg._primitive_int([3, 5])) is tuple
+    assert eg._primitive_int([4, -6]) == (2, -3)
 
 
 @pytest.mark.parametrize("verts", [P2_VERTS, P112_VERTS, ((0, 0), (1, 0), (0, 1), (1, 1))])

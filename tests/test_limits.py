@@ -1,6 +1,9 @@
 """Degeneration combinatorics of weighted points."""
 
+import hashlib
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +11,9 @@ import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
 from hull_oracle import cone_relint_contains
 from optimizer_oracle import cone_is_trivial
-from toricstab.exactgeom import extreme_rays
+from toricstab.exactgeom import ConeH, extreme_rays, primitive, vsub
 from toricstab.limits import (
+    WeightedPoint,
     face_limit,
     face_of_direction,
     is_fixed,
@@ -31,6 +35,18 @@ def test_weighted_point_validation():
         weighted_point([(0, 0)], support=[])
     with pytest.raises(ValueError, match="out of range"):
         weighted_point([(0, 0)], support=[1])
+    # an entry or index not equal to its int is refused, never truncated
+    for weights, support, named in [
+        ([[1.5, 0], [0, 1], [0, 0]], None, "weight 0 entry 1.5"),
+        ([[0, 0], [Q(1, 2), 1]], None, r"weight 1 entry Fraction\(1, 2\)"),
+        ([[0, "3"]], None, "weight 0 entry '3'"),
+        ([[0, 0], [1, 1]], [1, 0.9], "support index 0.9"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{named} is not an integer$"):
+            weighted_point(weights, support)
+    w = weighted_point([[Q(2, 1), 2.0], [0, 1]], [1.0])
+    assert w == WeightedPoint(((2, 2), (0, 1)), frozenset({1}))
+    assert all(type(x) is int for u in w.weights for x in u) and type(min(w.support)) is int
 
 
 def test_limit_point_triangle():
@@ -256,3 +272,74 @@ def test_two_step_degeneration_sampled():
         assert halfway == face_limit(w, q, g)
         assert limit_point(halfway, v_fine) == face_limit(w, q, f)
         checked += 1
+
+
+def test_normal_cone_of_face_is_the_primitive_differences():
+    """Every face of seeded weighted points in 1-4D with repeated weights and
+    partial supports: the normals are {primitive(u - w)} over u on the face and
+    w in the support, u != w, each an int vector."""
+    rng = fresh_rng("normal-cone-of-face")
+    repeats = 0
+    for case in range(120):
+        d = 1 + case % 4
+        pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+        weights = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+        support = rng.sample(range(len(weights)), rng.randint(1, len(weights)))
+        q = weight_polytope(weighted_point(weights, support))
+        for f in q.faces:
+            want = {
+                primitive(vsub(weights[i], weights[j]))
+                for i in f
+                for j in support
+                if weights[i] != weights[j]
+            }
+            cone = normal_cone_of_face(q, f)
+            assert cone == ConeH(tuple(sorted(want)), d), (weights, support, f)
+            assert all(type(x) is int for a in cone.normals for x in a)
+            repeats += len({weights[i] for i in f}) < len(f)
+    assert repeats >= 50
+
+
+def test_normal_cones_of_faces_build_no_fractions(monkeypatch):
+    rng = fresh_rng("normal-cone-no-fractions")
+    w = weighted_point([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(9)])
+    q = weight_polytope(w)
+    calls = []
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    assert Q(1, 2) == Q(2, 4) and len(calls) == 2  # the count sees every Fraction
+    calls.clear()
+    cones = [normal_cone_of_face(q, f) for f in q.faces]
+    monkeypatch.undo()
+    assert len(cones) == len(q.faces) > 10
+    assert calls == []
+
+
+# the limits-faces references of the benchmark, hashed as
+# perfbench/workloads.py:digest hashes them, so that a change failing the
+# benchmark's check fails here first
+LIMITS_REFS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "limits.json").read_text()
+)
+
+
+def digest(obj) -> str:
+    text = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(LIMITS_REFS["points"]))
+def test_limits_benchmark_references(key):
+    entry = LIMITS_REFS["points"][key]
+    q = weight_polytope(weighted_point(entry["weights"]))
+    assert digest([sorted(f) for f in q.faces]) == entry["faces_sha256"]
+    cones = [normal_cone_of_face(q, f) for f in q.faces]
+    assert digest([[list(a) for a in c.normals] for c in cones]) == entry["cones_sha256"]
+    assert len(entry["directions"]) == 40
+    got = [sorted(face_of_direction(q, v)) for v in entry["directions"]]
+    assert got == entry["face_of_direction"]
