@@ -150,41 +150,19 @@ class Facet(NamedTuple):
     members: int
 
 
-class _VFields(NamedTuple):
-    vertices: tuple[VecQ, ...]
-    dim: int
-    facets: tuple[Facet, ...] = None
-
-
-class VPolytope(_VFields):
+class VPolytope(NamedTuple):
     """Polytope as an irredundant, lexicographically sorted vertex tuple.
 
-    `facets` is the hull incidence from the construction that made the
-    polytope (bit i of `members` stands for vertices[i]), sorted by normal
-    and offset; when it is not given it is computed from the vertices.  A
-    lower-dimensional polytope has the facets of its affine hull, with
-    normals supported on coordinates that chart that hull.  The field takes
-    no part in equality or hashing.
+    `facets` is the hull incidence read off the construction (bit i of
+    `members` stands for vertices[i]), sorted by normal and offset; a
+    lower-dimensional polytope has the facets of its affine hull, with normals
+    supported on coordinates that chart that hull.  Facets are canonical, so
+    they are part of the value.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, vertices, dim, facets=None):
-        if facets is None:
-            facets = _point_facets(list(vertices))[1]
-        return super().__new__(cls, vertices, dim, facets)
-
-    def __eq__(self, other):
-        return isinstance(other, VPolytope) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
-
-    def __repr__(self):
-        return f"VPolytope(vertices={self.vertices!r}, dim={self.dim!r})"
+    vertices: tuple[VecQ, ...]
+    dim: int
+    facets: tuple[Facet, ...]
 
     @property
     def ambient_dim(self) -> int:
@@ -360,12 +338,20 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     C = {0}; a constraint tight on every ray is an implicit equality, so C,
     and with it P, is lower-dimensional.  Otherwise the vertices of P are the
     points x/s, and the constraints tight at each are the rows tight on its
-    ray.
+    ray.  Normals must be primitive nonzero lattice vectors of one length.
     """
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
-    cons = sorted(set(h.constraints))
+    cons = set()
+    for n, c in h.constraints:
+        z = tuple(map(int, n))
+        if len(z) != d:
+            raise ValueError("dimension mismatch")
+        if z != tuple(n) or math.gcd(*z) != 1:
+            raise ValueError(f"normal {tuple(n)!r} is not a primitive nonzero lattice vector")
+        cons.add((z, c))
+    cons = sorted(cons)
     m = len(cons)
     rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
     rays, lines = _cone_rays(rows, d + 1)

@@ -112,7 +112,7 @@ def is_fixed(w: WeightedPoint, v) -> bool:
 def _require_face(q: WeightPolytope, face) -> frozenset[int]:
     """The face as a frozenset, found by bisection: q.faces is sorted by size, and
     the faces of one size by their sorted members."""
-    f = frozenset(int(i) for i in face)
+    f = frozenset(_ints(face, "face index"))
     lo = bisect.bisect_left(q.faces, len(f), key=len)
     hi = bisect.bisect_right(q.faces, len(f), lo, key=len)
     i = bisect.bisect_left(q.faces, sorted(f), lo, hi, key=sorted)
@@ -129,7 +129,9 @@ def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
-    """The degeneration of w with support cut down to the face members."""
+    """The degeneration of w with support cut down to the face members; q is w's polytope."""
+    if q.point != w:
+        raise ValueError("weight polytope is not the polytope of this weighted point")
     f = _require_face(q, face)
     return WeightedPoint(w.weights, f)
 

@@ -251,11 +251,10 @@ def test_vertices_from_facets_rejects_empty_constraints():
         vertices_from_facets(HPolytope(()))
 
 
-def test_vpolytope_computes_its_facets():
+def test_vpolytope_requires_its_facets():
     p = vpolytope([(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)])
-    bare = VPolytope(p.vertices, p.dim)
-    assert bare.facets == p.facets and len(bare.facets) == 4
-    assert facets_from_vertices(bare) == facets_from_vertices(p)
+    with pytest.raises(TypeError):
+        VPolytope(p.vertices, p.dim)
 
 
 def test_vpolytope_refuses_empty_and_ragged_point_sets():
@@ -265,22 +264,76 @@ def test_vpolytope_refuses_empty_and_ragged_point_sets():
         vpolytope([(0, 0), (1, 0, 0), (0, 1)])
 
 
-def test_vpolytope_repr_shows_vertices_and_dim():
-    p = vpolytope([(0, 0), (1, 0), (0, 1), (Q(1, 4), Q(1, 4))])
-    assert repr(p) == (
-        "VPolytope(vertices=((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)), "
-        "(Fraction(1, 1), Fraction(0, 1))), dim=2)"
-    )
-
-
-def test_vpolytope_equality_and_hash_ignore_facets():
+def test_vpolytope_equality_and_hash_include_facets():
     p = vpolytope(P112_VERTS)
     stale = VPolytope(p.vertices, p.dim, p.facets[1:])
-    assert stale == p and not stale != p
-    assert hash(stale) == hash(p) and len({stale, p}) == 1
-    assert p._replace(facets=()) == p
+    assert stale != p and not stale == p
+    assert hash(stale) != hash(p) and len({stale, p}) == 2
+    bare = p._replace(facets=())
+    assert bare != p and hash(bare) != hash(p)
     assert vpolytope(P2_VERTS) != p
-    assert p != tuple(p)
+    assert p == tuple(p) and hash(p) == hash(tuple(p))
+
+
+def _point_set(rng, d):
+    """Seeded rational points in Q^d: a lattice of rank at most k <= d through a
+    random base, scaled by 1/den, with repeated points and their centroid."""
+    k = d if rng.random() < 0.6 else rng.randint(0, d - 1)
+    gens = [rand_nonzero_ivec(rng, d, 3) for _ in range(k)]
+    base = [rng.randint(-3, 3) for _ in range(d)]
+    den = rng.choice((1, 1, 2, 3))
+    pts = []
+    for _ in range(rng.randint(2, d + 5)):
+        cs = [rng.randint(-2, 2) for _ in gens]
+        u = [b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base)]
+        pts.append(tuple(Q(x, den) for x in u))
+    pts += rng.choices(pts, k=rng.randint(1, 3))
+    pts.append(tuple(sum(xs) / len(pts) for xs in zip(*pts)))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_polytope_facets_are_canonical():
+    """Facets are part of a VPolytope's value, so every construction of one
+    body gives the same sorted facets: the hull of its vertices alone, in any
+    order, and for a full-dimensional body the vertices of its facet
+    description.  Seeded 1-5D point sets with repeated points, a centroid that
+    is rarely a vertex, and affine hulls of every dimension up to d."""
+    rng = fresh_rng("facets-canonical")
+    seen = {"lower": 0, "full": 0, "not a vertex": 0}
+    for case in range(200):
+        d = 1 + case % 5
+        pts = _point_set(rng, d)
+        p = vpolytope(pts)
+        seen["not a vertex"] += len(set(pts)) > len(p.vertices)
+        assert vpolytope(p.vertices) == p, pts
+        assert vpolytope(rng.sample(p.vertices, len(p.vertices))) == p, pts
+        if p.dim == d:
+            seen["full"] += 1
+            assert vertices_from_facets(facets_from_vertices(p)) == p, pts
+        else:
+            seen["lower"] += 1
+    assert min(seen.values()) >= 60, seen
+
+
+def test_vertices_from_facets_refuses_ragged_and_non_primitive_normals():
+    ragged = (((1, 0), Q(-1)), ((-1,), Q(-1)), ((0, 1), Q(-1)), ((0, -1), Q(-1)))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        vertices_from_facets(HPolytope(ragged))
+    square = [((1, 0), Q(-1)), ((-1, 0), Q(-1)), ((0, 1), Q(-1)), ((0, -1), Q(-1))]
+    for bad, named in [
+        ((2, 0), r"\(2, 0\)"),
+        ((0, 0), r"\(0, 0\)"),
+        ((Q(1, 2), 0), r"\(Fraction\(1, 2\), 0\)"),
+        ((1.5, 0), r"\(1.5, 0\)"),
+        (("1", 0), r"\('1', 0\)"),
+    ]:
+        message = f"^normal {named} is not a primitive nonzero lattice vector$"
+        with pytest.raises(ValueError, match=message):
+            vertices_from_facets(HPolytope((*square, (bad, Q(-2)))))
+    # normals equal to their ints describe the same square
+    same = vertices_from_facets(HPolytope((((Q(1), 0.0), Q(-1)), *square[1:])))
+    assert same == vertices_from_facets(HPolytope(tuple(square)))
 
 
 def test_facets_from_vertices_square():

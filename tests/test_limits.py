@@ -137,6 +137,27 @@ def test_face_limit_and_errors():
         normal_cone_of_face(q, {0, 5})
 
 
+def test_face_indices_are_refused_not_truncated():
+    q = weight_polytope(TRIANGLE)
+    with pytest.raises(ValueError, match="^face index 0.9 is not an integer$"):
+        face_limit(TRIANGLE, q, [0.9])
+    with pytest.raises(ValueError, match=r"^face index Fraction\(1, 2\) is not an integer$"):
+        normal_cone_of_face(q, [Q(1, 2), 1.7])
+    with pytest.raises(ValueError, match="^face index '0' is not an integer$"):
+        face_limit(TRIANGLE, q, ["0"])
+    assert face_limit(TRIANGLE, q, [Q(2, 1), 2.0]).support == {2}
+    assert normal_cone_of_face(q, [Q(2, 1), 2.0]) == normal_cone_of_face(q, {2})
+
+
+def test_face_limit_refuses_the_polytope_of_another_point():
+    q = weight_polytope(weighted_point([(0, 0), (5, 5), (7, 0), (1, 1)]))
+    w = weighted_point([(0, 0), (1, 0), (0, 1)])
+    message = "^weight polytope is not the polytope of this weighted point$"
+    with pytest.raises(ValueError, match=message):
+        face_limit(w, q, [0, 1, 3])
+    assert face_limit(q.point, q, [0, 1, 3]).support == {0, 1, 3}
+
+
 def test_face_lookup_agrees_with_membership():
     """`face_limit` finds faces by bisection in the sorted q.faces: it accepts
     exactly the members of q.faces, here every face of seeded 3-6D points,

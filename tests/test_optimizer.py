@@ -16,7 +16,7 @@ from optimizer_oracle import (
     stage2_by_ray_subsets,
 )
 from toricstab.corpus import corpus_context
-from toricstab.exactgeom import ConeH, VPolytope, dot, primitive
+from toricstab.exactgeom import ConeH, VPolytope, dot, primitive, vpolytope
 from toricstab.optimizer import (
     CertificateError,
     SigmaOne,
@@ -80,11 +80,13 @@ def test_stage1_rejects_vertex_on_too_few_facets():
         minimize_mu1(broken)
 
 
-def test_polytope_without_stored_facets():
-    # a VPolytope made from vertices alone computes its facets itself
-    ctx = corpus_context("p112")
-    bare = ctx._replace(vpoly=VPolytope(ctx.vpoly.vertices, ctx.vpoly.dim))
-    assert optimal_destabilizer(bare) == optimal_destabilizer(ctx)
+def test_polytope_without_stored_facets(contexts):
+    # the hull of a context's vertices alone is its polytope, facets included
+    for ctx in contexts.values():
+        rebuilt = ctx._replace(vpoly=vpolytope(ctx.vpoly.vertices))
+        assert rebuilt.vpoly == ctx.vpoly, ctx.name
+        assert rebuilt.vpoly.facets == ctx.vpoly.facets, ctx.name
+        assert optimal_destabilizer(rebuilt) == optimal_destabilizer(ctx), ctx.name
 
 
 def test_stage1_rejects_semistable():

@@ -104,7 +104,6 @@ def test_result_records_keep_their_fields():
         StabilityContext: ("vpoly", "hpoly", "moments", "fan", "rays", "coeffs", "name"),
     }
     optional = {
-        g.VPolytope: ("facets",),
         opt.DestabReport: ("v_star_rational", "v_star_primitive", "sigma1", "stage1"),
         StabilityContext: ("rays", "coeffs", "name"),
     }
