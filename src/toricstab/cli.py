@@ -411,32 +411,29 @@ def emit(doc, out_path):
         sys.stdout.write(text)
 
 
-def cmd_report(args) -> int:
-    contexts = gather_contexts(args)
-    docs = [
+def entries(docs):
+    """One document as it is, several under "entries"."""
+    return docs[0] if len(docs) == 1 else {"entries": docs}
+
+
+def cmd_report(args):
+    return entries([
         report_doc(ctx, [parse_direction(t, ctx.dim, ctx.name) for t in args.v or []], args.digits)
-        for ctx in contexts
-    ]
-    emit(docs[0] if len(docs) == 1 else {"entries": docs}, args.out)
-    return 0
+        for ctx in gather_contexts(args)
+    ])
 
 
-def cmd_destabilize(args) -> int:
-    contexts = gather_contexts(args)
-    docs = [destab_doc(ctx, args.digits) for ctx in contexts]
-    emit(docs[0] if len(docs) == 1 else {"entries": docs}, args.out)
-    return 0
+def cmd_destabilize(args):
+    return entries([destab_doc(ctx, args.digits) for ctx in gather_contexts(args)])
 
 
-def cmd_stratify(args) -> int:
-    contexts = gather_contexts(args)
+def cmd_stratify(args):
     # --threads is accepted and ignored: the exact arithmetic is pure Python,
     # so a thread pool gains nothing under the GIL
-    emit(stratum_table(contexts, args.digits), args.out)
-    return 0
+    return stratum_table(gather_contexts(args), args.digits)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     contexts = gather_contexts(args)
     if len(contexts) != 1:
         raise ValueError("oracle takes exactly one input")
@@ -445,15 +442,12 @@ def cmd_oracle(args) -> int:
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:
         write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
-    emit(doc, args.out)
-    return 0
+    return doc
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args):
     point = weighted_point_from_doc(load_doc(args.input))
-    v = parse_direction(args.v, len(point.weights[0]))
-    emit(limits_doc(point, v), args.out)
-    return 0
+    return limits_doc(point, parse_direction(args.v, len(point.weights[0])))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,13 +512,14 @@ def main(argv=None) -> int:
         print(f"error: --digits must be between 1 and {MAX_DIGITS}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        emit(args.func(args), args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,8 +20,11 @@ as x/s, with the constraints tight at each; boundedness, feasibility and
 full dimension are read off the same rays.  `extreme_rays` of a `ConeH`
 are its rays modulo its lineality.  A `VPolytope` carries the vertex-facet
 incidence, off which the H-form, the pulling triangulation, the edges of the
-normal fan and the face lattice of a weight polytope are read.  More than
-`HULL_BUDGET` candidate ray pairs, summed over the rows, is refused.
+normal fan and the face lattice of a weight polytope are read; `_is_face`
+tells a vertex or an edge as a set that the facets through it meet in.  One
+kernel, `normal_cone`, builds every cone (the normal fan's, sigma1 and the
+face cones of `limits`) from integer differences divided by their gcd.  More
+than `HULL_BUDGET` candidate ray pairs, summed over the rows, is refused.
 """
 
 from __future__ import annotations
@@ -51,7 +54,11 @@ SIMPLEX_BUDGET = 10_000
 
 
 def qvec(xs) -> VecQ:
-    return tuple(Q(x) for x in xs)
+    """xs as a tuple of Fractions; a ValueError naming xs when an entry is not a rational."""
+    try:
+        return tuple(map(Q, xs))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{xs!r} is not a vector of rationals") from exc
 
 
 def dot(u, v):
@@ -207,6 +214,20 @@ def _primitive_int(v) -> IntVec:
     return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
+def _lattice(v, d, refusal) -> IntVec:
+    """v as a tuple of d ints; a ValueError for another length, and `refusal` formatted
+    with v unless every entry equals its int and their gcd is 1."""
+    if len(v) != d:
+        raise ValueError("dimension mismatch")
+    try:
+        z = tuple(map(int, v))
+    except (TypeError, ValueError, OverflowError):
+        z = None
+    if z != tuple(v) or math.gcd(*z) != 1:
+        raise ValueError(refusal.format(tuple(v)))
+    return z
+
+
 def _cone_rays(rows, n):
     """Extreme rays and lineality basis of {x in Q^n : <r, x> >= 0 for r in rows}.
 
@@ -300,13 +321,13 @@ def _point_facets(pts):
     return k, tuple(sorted(facets))
 
 
-def _is_vertex(i, facets) -> bool:
-    # the smallest face through point i is the meet of the facets through it
+def _is_face(s, masks) -> bool:
+    """Whether the point set s (a bitmask) is a face: the meet of the masks through s is s."""
     meet = -1
-    for f in facets:
-        if f.members >> i & 1:
-            meet &= f.members
-    return meet == 1 << i
+    for m in masks:
+        if m & s == s:
+            meet &= m
+    return meet == s
 
 
 def _select_bits(mask, keep) -> int:
@@ -324,7 +345,8 @@ def vpolytope(points) -> VPolytope:
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     k, facets = _point_facets(pts)
-    keep = [i for i in range(len(pts)) if _is_vertex(i, facets)] if k else [0]
+    masks = [f.members for f in facets]
+    keep = [i for i in range(len(pts)) if _is_face(1 << i, masks)] if k else [0]
     facets = tuple(f._replace(members=_select_bits(f.members, keep)) for f in facets)
     return VPolytope(tuple(pts[i] for i in keep), k, facets)
 
@@ -343,15 +365,8 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
-    cons = set()
-    for n, c in h.constraints:
-        z = tuple(map(int, n))
-        if len(z) != d:
-            raise ValueError("dimension mismatch")
-        if z != tuple(n) or math.gcd(*z) != 1:
-            raise ValueError(f"normal {tuple(n)!r} is not a primitive nonzero lattice vector")
-        cons.add((z, c))
-    cons = sorted(cons)
+    refusal = "normal {!r} is not a primitive nonzero lattice vector"
+    cons = sorted({(_lattice(n, d, refusal), Q(c)) for n, c in h.constraints})
     m = len(cons)
     rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
     rays, lines = _cone_rays(rows, d + 1)
@@ -378,20 +393,14 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
     return HPolytope(tuple((f.normal, f.offset) for f in p.facets))
 
 
-def normal_cone(face, points) -> ConeH:
-    """Cone {v : <u, v> <= <w, v> for u in face, w in points}, points nonempty.
+def normal_cone(face, points, d) -> ConeH:
+    """Cone {v : <u, v> <= <w, v> for u in face, w in points} of integer points in Z^d.
 
-    For a face of the hull of the points it is the face's normal cone; an
-    empty face gives the whole space.  The points are scaled to integers once
-    and handed to `_normal_cone`.  The limits layer and sigma1 hold integer
-    points already and call `_normal_cone` on them directly.
+    Its normals are the differences u - w, each divided by its gcd.  For a
+    face of the hull of the points it is the face's normal cone; an empty
+    face gives the whole space.  Rational points are scaled to integers
+    first, by one positive factor (`_scaled`), which leaves the cone as it is.
     """
-    z = _scaled([*face, *points])[0]
-    return _normal_cone(z[: len(face)], z[len(face) :], len(z[0]))
-
-
-def _normal_cone(face, points, d) -> ConeH:
-    """`normal_cone` of integer points in Z^d: each difference u - w divided by its gcd."""
     normals = set()
     for u in face:
         for w in points:
@@ -407,23 +416,20 @@ def _normal_cone(face, points, d) -> ConeH:
 def normal_fan(p: VPolytope) -> Fan:
     """Maximal cones sigma_u = {v : <u, v> <= <u', v> for all vertices u'}.
 
-    A face is the meet of the facets through it, so u and w span an edge when
-    the facets through both meet in {u, w}; the primitive edge directions
-    u - w cut out sigma_u, as `normal_cone([u], vertices)` does, irredundantly.
+    sigma_u is cut out, irredundantly, by the edges at u: u and w span an
+    edge when {u, w} is a face, the meet of the facets through both.  Each
+    cone is the `normal_cone` of u over its neighbours.
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
     z, n = _scaled(p.vertices)[0], len(p.vertices)
-    edges = [[] for _ in range(n)]
-    for i in range(n):
-        through = [f.members for f in p.facets if f.members >> i & 1]
-        for j in range(i + 1, n):
-            # the meet of no facets is the whole polytope
-            meet = functools.reduce(operator.and_, [m for m in through if m >> j & 1], (1 << n) - 1)
-            if meet == 1 << i | 1 << j:
-                edges[i].append(_primitive_int(vsub(z[i], z[j])))
-                edges[j].append(vneg(edges[i][-1]))
-    return Fan(tuple((u, ConeH(tuple(sorted(e)), p.dim)) for u, e in zip(p.vertices, edges)))
+    cones = []
+    for i, u in enumerate(p.vertices):
+        # the polytope itself heads the faces through u: in 1D it is the one edge
+        through = [(1 << n) - 1, *(f.members for f in p.facets if f.members >> i & 1)]
+        near = [z[j] for j in range(n) if j != i and _is_face(1 << i | 1 << j, through)]
+        cones.append((u, normal_cone([z[i]], near, p.dim)))
+    return Fan(tuple(cones))
 
 
 @functools.lru_cache(maxsize=256)
@@ -454,17 +460,10 @@ def dual_polytope(rays, coeffs=None):
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
-    ints = [tuple(map(int, r)) for r in rays]
-    for r, n in zip(rays, ints):
-        if len(n) != d:
-            raise ValueError("dimension mismatch")
-        if n != tuple(r) or math.gcd(*n) != 1:
-            raise ValueError("ray must be a primitive nonzero lattice vector")
+    ints = [_lattice(r, d, "ray must be a primitive nonzero lattice vector") for r in rays]
     if len(set(ints)) != len(ints):
         raise ValueError("duplicate ray")
-    if coeffs is None:
-        coeffs = [Q(0)] * len(rays)
-    coeffs = [Q(c) for c in coeffs]
+    coeffs = qvec([0] * len(rays) if coeffs is None else coeffs)
     if len(coeffs) != len(rays):
         raise ValueError("one coefficient per ray required")
     for c in coeffs:

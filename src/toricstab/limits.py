@@ -16,10 +16,10 @@ from .exactgeom import (
     HULL_BUDGET,
     ConeH,
     VPolytope,
-    _normal_cone,
     _scaled,
     as_direction,
     dot,
+    normal_cone,
     vpolytope,
 )
 
@@ -125,7 +125,7 @@ def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
     """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope."""
     ws = q.point.weights
     f = _require_face(q, face)
-    return _normal_cone([ws[i] for i in f], [ws[j] for j in q.point.support], len(ws[0]))
+    return normal_cone([ws[i] for i in f], [ws[j] for j in q.point.support], len(ws[0]))
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:

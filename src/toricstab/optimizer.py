@@ -21,7 +21,7 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, _normal_cone, _primitive_int, _reduce, _scaled, dot, primitive
+from .exactgeom import ConeH, _primitive_int, _reduce, _scaled, dot, normal_cone, primitive
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
@@ -105,7 +105,7 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     # c, the offsets and the vertices cleared by one factor s > 0, so each slack
     # <n, s c> - s offset has the sign of <n, c> - offset
     (cc, offsets, *z), _ = _scaled([c, [f.offset for f in facets], *ctx.vpoly.vertices])
-    cone = _normal_cone([cc], z, len(cc))
+    cone = normal_cone([cc], z, len(cc))
     slack = [(dot(f.normal, cc) - o, f.normal) for f, o in zip(facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")

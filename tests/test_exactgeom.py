@@ -210,9 +210,11 @@ def test_dual_polytope_reads_integral_fractions_as_integers():
     fracs = dual_polytope([(Q(1), 0), (0, 1), (Q(-2, 1), Q(-3))])
     assert fracs == ints and fracs[1].facets == ints[1].facets
     assert all(type(x) is int for n, _ in fracs[0].constraints for x in n)
-    for bad in [(Q(1, 2), 0), (2, 0), (0, 0)]:
+    for bad in [(Q(1, 2), 0), (2, 0), (0, 0), (None, 1), (math.inf, 1), ("x", 1)]:
         with pytest.raises(ValueError, match="^ray must be a primitive nonzero lattice vector$"):
             dual_polytope([bad, (0, 1), (-1, -1)])
+    with pytest.raises(ValueError, match=r"^\[0, None, 0\] is not a vector of rationals$"):
+        dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, None, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,9 @@ def test_vertices_from_facets_refuses_ragged_and_non_primitive_normals():
         ((Q(1, 2), 0), r"\(Fraction\(1, 2\), 0\)"),
         ((1.5, 0), r"\(1.5, 0\)"),
         (("1", 0), r"\('1', 0\)"),
+        (("x", 0), r"\('x', 0\)"),
+        ((None, 0), r"\(None, 0\)"),
+        ((math.inf, 0), r"\(inf, 0\)"),
     ]:
         message = f"^normal {named} is not a primitive nonzero lattice vector$"
         with pytest.raises(ValueError, match=message):
@@ -334,6 +339,9 @@ def test_vertices_from_facets_refuses_ragged_and_non_primitive_normals():
     # normals equal to their ints describe the same square
     same = vertices_from_facets(HPolytope((((Q(1), 0.0), Q(-1)), *square[1:])))
     assert same == vertices_from_facets(HPolytope(tuple(square)))
+    # offsets are read as Fractions, a float exactly
+    floats = vertices_from_facets(HPolytope((((1, 0), -1.0), ((-1, 0), -1), *square[2:])))
+    assert floats == same and all(type(f.offset) is Q for f in floats.facets)
 
 
 def test_facets_from_vertices_square():
@@ -611,8 +619,9 @@ def test_normal_fan_cones_are_cut_by_edges():
         d = p.dim
         facets = facets_by_subsets(p.vertices)
         fan = normal_fan(p)
+        z, _ = eg._scaled(p.vertices)
         assert [u for u, _ in fan.cones] == list(p.vertices)
-        for u, cone in fan.cones:
+        for (u, cone), zu in zip(fan.cones, z):
             edges = set()
             for w in p.vertices:
                 tight = [n for n, c in facets if dot(n, u) == c == dot(n, w)]
@@ -620,7 +629,7 @@ def test_normal_fan_cones_are_cut_by_edges():
                     edges.add(primitive(vsub(u, w)))
             assert cone.dim == d
             assert sorted(cone.normals) == sorted(edges), (pts, u)
-            assert extreme_rays(cone) == extreme_rays(normal_cone([u], p.vertices))
+            assert extreme_rays(cone) == extreme_rays(normal_cone([zu], z, d))
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
@@ -639,10 +648,18 @@ def test_normal_cone_matches_primitive_differences(kind):
         points = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
         face = [rng.choice(points) for _ in range(rng.randint(1, 3))]
         expected = {primitive(vsub(u, w)) for u in face for w in points if u != w}
-        cone = normal_cone(face, points)
+        # one positive factor clears every denominator and leaves the cone as it is
+        z, _ = eg._scaled([*face, *points])
+        cone = normal_cone(z[: len(face)], z[len(face) :], d)
         assert cone == ConeH(tuple(sorted(expected)), d)
         assert all(type(x) is int for a in cone.normals for x in a)
-        assert normal_cone([], points) == ConeH((), d)
+        assert normal_cone([], z[len(face) :], d) == ConeH((), d)
+
+
+def test_normal_fan_of_a_segment_is_its_one_edge():
+    # in 1D no facet holds both vertices: the edge is the polytope itself
+    fan = normal_fan(vpolytope([(3,), (0,), (1,)]))
+    assert fan.cones == ((qtuple(0), ConeH(((-1,),), 1)), (qtuple(3), ConeH(((1,),), 1)))
 
 
 def test_primitive_int_returns_a_tuple():

@@ -59,3 +59,41 @@ def test_benchmark_imports_resolve():
     assert not missing, "\n".join(missing)
     # the benchmark clears the hull cache before every operation and reads its counters
     assert callable(extreme_rays.cache_clear) and callable(extreme_rays.cache_info)
+
+
+def names_read(node, own=None):
+    """Names, attribute names and imported names anywhere under node, except `own`."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            name = n.id
+        elif isinstance(n, ast.Attribute):
+            name = n.attr
+        elif isinstance(n, ast.alias):
+            name = n.name.rpartition(".")[2]
+        else:
+            continue
+        if name != own:
+            yield name
+
+
+def test_every_source_definition_is_read():
+    # a top-level function or class of src/ must be read outside its own body,
+    # in src/ or by the benchmark; a name only the tests read belongs to the tests
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*SRC.rglob("*.py"), *PERFBENCH.glob("*.py")]
+    }
+    read = {
+        name
+        for tree in trees.values()
+        for stmt in tree.body
+        for name in names_read(stmt, getattr(stmt, "name", None))
+    }
+    unread = [
+        f"{path.relative_to(SRC)}:{stmt.lineno}: {stmt.name}"
+        for path, tree in sorted(trees.items())
+        if path.is_relative_to(SRC)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in read
+    ]
+    assert not unread, "\n".join(unread)

@@ -1,5 +1,6 @@
 """Closed-form invariants on torus directions and their exact comparators."""
 
+import math
 from fractions import Fraction as Q
 
 import mpmath
@@ -60,6 +61,17 @@ def test_non_primitive_constraint_keeps_its_half_space():
 def test_constraints_of_mixed_length_are_rejected():
     with pytest.raises(ValueError, match="one common length"):
         context_from_constraints([((1,), Q(0)), ((-1, 0), Q(-1))])
+
+
+def test_context_entries_that_are_not_rational_are_refused_by_value():
+    for bad in (None, math.inf):
+        message = f"^\\(1, {bad}\\) is not a vector of rationals$"
+        with pytest.raises(ValueError, match=message):
+            context_from_vertices([(0, 0), (1, bad), (0, 1)])
+        with pytest.raises(ValueError, match=message):
+            context_from_constraints([((1, bad), Q(0)), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
+    with pytest.raises(ValueError, match="^None is not a vector of rationals$"):
+        context_from_vertices([(0, 0), None, (0, 1)])
 
 
 def test_context_requires_full_dimension():
