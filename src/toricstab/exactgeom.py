@@ -61,6 +61,28 @@ def qvec(xs) -> VecQ:
         raise ValueError(f"{xs!r} is not a vector of rationals") from exc
 
 
+def qval(x, what) -> Q:
+    """x as a Fraction; a ValueError naming `what` and x when it is not a rational."""
+    try:
+        return Q(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} {x!r} is not a rational") from exc
+
+
+def _ints(xs, what) -> tuple[int, ...]:
+    """The entries of xs as ints; a ValueError naming `what` and the entry not equal to its int."""
+    out = []
+    for x in xs:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise ValueError(f"{what} {x!r} is not an integer")
+        out.append(n)
+    return tuple(out)
+
+
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
@@ -366,7 +388,7 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     refusal = "normal {!r} is not a primitive nonzero lattice vector"
-    cons = sorted({(_lattice(n, d, refusal), Q(c)) for n, c in h.constraints})
+    cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
     m = len(cons)
     rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
     rays, lines = _cone_rays(rows, d + 1)
@@ -482,22 +504,24 @@ def dual_polytope(rays, coeffs=None):
         raise ValueError("degenerate fan") from exc
 
 
-def _pull(face, k, apex, facet_sets):
-    """Pulling triangulation of a k-dimensional face (vertex bitmask) from apex.
+def _pull(face, k, facet_sets):
+    """Pulling triangulation of a k-dimensional face (vertex bitmask) from its first vertex.
 
-    The facets of a face K are the maximal proper nonempty sets K & G over
-    the polytope's facets G, so the recursion needs no hull of its own.
-    More than `SIMPLEX_BUDGET` simplices is a ValueError.
+    The apex, the face's lowest bit, is coned over the facets of the face
+    without it, each pulled from its own first vertex.  The facets of a face K
+    are the maximal proper nonempty sets K & G over the polytope's facets G,
+    so the recursion needs no hull of its own.  More than `SIMPLEX_BUDGET`
+    simplices is a ValueError.
     """
     if face.bit_count() == k + 1:
         return [face]
+    apex = face & -face
     cuts = {face & g for g in facet_sets} - {0, face}
     out = []
     for r in sorted(cuts):
-        if r >> apex & 1 or any(r & o == r != o for o in cuts):
+        if r & apex or any(r & o == r != o for o in cuts):
             continue
-        sub_apex = (r & -r).bit_length() - 1
-        out += [s | 1 << apex for s in _pull(r, k - 1, sub_apex, facet_sets)]
+        out += [s | apex for s in _pull(r, k - 1, facet_sets)]
         if len(out) > SIMPLEX_BUDGET:
             raise ValueError(
                 f"triangulation needs at least {len(out)} simplices, "
@@ -506,26 +530,18 @@ def _pull(face, k, apex, facet_sets):
     return out
 
 
-def _triangulation(p: VPolytope, apex_index):
+def _triangulation(p: VPolytope):
     """The simplices of `triangulate` as vertex bitmasks."""
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    n = len(p.vertices)
-    if apex_index is None:
-        apex_index = min(range(n), key=p.vertices.__getitem__)
-    apex_index = range(n)[apex_index]
-    return _pull((1 << n) - 1, p.dim, apex_index, [f.members for f in p.facets])
+    return _pull((1 << len(p.vertices)) - 1, p.dim, [f.members for f in p.facets])
 
 
-def triangulate(p: VPolytope, apex_index=None):
-    """Pulling triangulation coned from the lexicographically smallest vertex.
+def triangulate(p: VPolytope):
+    """Pulling triangulation: every face, the polytope first, is coned from its first vertex.
 
-    Returns a list of d-simplices (vertex tuples) whose interiors are
-    disjoint and whose union is the polytope: the apex is coned over the
-    facets not containing it, each triangulated in turn from its own first
-    vertex.  A different top-level apex may be selected by index; the default
-    is deterministic.
+    Returns d-simplices (vertex tuples) with disjoint interiors whose union is
+    the polytope; its first vertex is the lexicographically smallest.
     """
     verts = p.vertices
-    simplices = _triangulation(p, apex_index)
-    return [tuple(u for i, u in enumerate(verts) if s >> i & 1) for s in simplices]
+    return [tuple(u for i, u in enumerate(verts) if s >> i & 1) for s in _triangulation(p)]

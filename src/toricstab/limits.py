@@ -16,6 +16,7 @@ from .exactgeom import (
     HULL_BUDGET,
     ConeH,
     VPolytope,
+    _ints,
     _scaled,
     as_direction,
     dot,
@@ -27,20 +28,6 @@ from .exactgeom import (
 class WeightedPoint(NamedTuple):
     weights: tuple[tuple[int, ...], ...]
     support: frozenset[int]
-
-
-def _ints(xs, what) -> tuple[int, ...]:
-    """The entries of xs as ints; a ValueError naming `what` and the entry not equal to its int."""
-    out = []
-    for x in xs:
-        try:
-            n = int(x)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != x:
-            raise ValueError(f"{what} {x!r} is not an integer")
-        out.append(n)
-    return tuple(out)
 
 
 def weighted_point(weights, support=None) -> WeightedPoint:

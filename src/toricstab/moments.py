@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .exactgeom import (
     VPolytope,
+    _ints,
     _reduce,
     _scaled,
     _triangulation,
@@ -77,7 +78,7 @@ class ExtrapolationResult(NamedTuple):
     q_residuals: tuple[Q, ...]
 
 
-def moment_data(p: VPolytope, apex_index=None) -> MomentData:
+def moment_data(p: VPolytope) -> MomentData:
     """Volume, barycenter and covariance summed over one pulling triangulation.
 
     With r the lcm of the vertex denominators the scaled vertices z = r u are
@@ -91,7 +92,7 @@ def moment_data(p: VPolytope, apex_index=None) -> MomentData:
     z, r = _scaled(p.vertices)
     vol, first = 0, [0] * d
     second = [[0] * d for _ in range(d)]
-    for mask in _triangulation(p, apex_index):
+    for mask in _triangulation(p):
         simplex = [u for i, u in enumerate(z) if mask >> i & 1]
         base = simplex[0]
         dd = abs(_reduce([[x - y for x, y in zip(u, base)] for u in simplex[1:]])[1])
@@ -183,7 +184,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     closed sums at t = 1..k, (1, 0, 0) at 0 and the interior sums at 1..k,
     signed by reciprocity, at -1..-k, certified by a zero difference of the
     next order (else `CertificateError`).  The direction v must be a nonzero
-    integer vector; m_max must be at least 3r.
+    integer vector; m_max an integer of at least 3r.
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
@@ -191,6 +192,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     if any(x.denominator != 1 for x in v):
         raise ValueError("direction must be an integer vector")
     vi = tuple(int(x) for x in v)
+    (m_max,) = _ints([m_max], "m_max")
     z, r = _scaled(p.vertices)
     if m_max < 3 * r:
         raise ValueError(f"insufficient series length: m_max must be at least 3r = {3 * r}")

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, _primitive_int, _reduce, _scaled, dot, normal_cone, primitive
+from .exactgeom import ConeH, _primitive_int, _reduce, _scaled, dot, normal_cone, primitive, qval
 from .moments import CertificateError, is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
@@ -97,7 +97,7 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     c = (1 + 1/m1) b, the normal cone of the face of P through c when c lies
     on the boundary of P; its rays are the normals of the facets tight at c.
     """
-    m1 = Q(m1)
+    m1 = qval(m1, "m1")
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
     facets = ctx.vpoly.facets

@@ -25,6 +25,7 @@ from .exactgeom import (
     facets_from_vertices,
     normal_fan,
     primitive,
+    qval,
     vertices_from_facets,
     vpolytope,
 )
@@ -114,7 +115,7 @@ def _primitive_constraint(n, c):
     # <n, u> >= c rescaled by the same positive factor that makes n primitive
     p = primitive(n)
     i = next(i for i, x in enumerate(p) if x)
-    return p, Q(c) * p[i] / Q(n[i])
+    return p, qval(c, "offset") * p[i] / Q(n[i])
 
 
 def context_from_constraints(constraints, name=None) -> StabilityContext:

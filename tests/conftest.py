@@ -27,6 +27,19 @@ def semistable_names(contexts):
     return sorted(n for n, c in contexts.items() if verdict(c) == "semistable")
 
 
+def from_apex(p, a):
+    """p with vertex a listed first, the others in their order, and each facet's members remapped.
+
+    Its triangulation is the pulling triangulation of p from vertex a.
+    """
+    order = [a, *(i for i in range(len(p.vertices)) if i != a)]
+    facets = tuple(
+        f._replace(members=sum(1 << j for j, i in enumerate(order) if f.members >> i & 1))
+        for f in p.facets
+    )
+    return p._replace(vertices=tuple(p.vertices[i] for i in order), facets=facets)
+
+
 def rand_nonzero_ivec(rng, d, bound=9):
     while True:
         v = tuple(rng.randint(-bound, bound) for _ in range(d))

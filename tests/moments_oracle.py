@@ -49,13 +49,13 @@ def simplex_raw_moments(simplex):
     return vol, first, second
 
 
-def moment_data(p, apex_index=None) -> MomentData:
+def moment_data(p) -> MomentData:
     """Volume, barycenter and covariance summed over one pulling triangulation."""
     d = p.ambient_dim
     vol = Q(0)
     first = tuple(Q(0) for _ in range(d))
     second = [[Q(0)] * d for _ in range(d)]
-    for simplex in triangulate(p, apex_index):
+    for simplex in triangulate(p):
         sv, sf, ss = simplex_raw_moments(simplex)
         vol += sv
         first = vadd(first, sf)

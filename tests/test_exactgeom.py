@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 import toricstab.exactgeom as eg
-from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
+from conftest import fresh_rng, from_apex, rand_nonzero_ivec, rand_rational
 from hull_oracle import (
     cone_relint_contains,
     extreme_rays_by_subsets,
@@ -342,6 +343,10 @@ def test_vertices_from_facets_refuses_ragged_and_non_primitive_normals():
     # offsets are read as Fractions, a float exactly
     floats = vertices_from_facets(HPolytope((((1, 0), -1.0), ((-1, 0), -1), *square[2:])))
     assert floats == same and all(type(f.offset) is Q for f in floats.facets)
+    for bad in (None, [1], (), math.inf, math.nan, "x", "1/0"):
+        message = f"^offset {re.escape(repr(bad))} is not a rational$"
+        with pytest.raises(ValueError, match=message):
+            vertices_from_facets(HPolytope(((square[0][0], bad), *square[1:])))
 
 
 def test_facets_from_vertices_square():
@@ -870,7 +875,7 @@ def test_triangulate_cube_from_every_apex():
     # pulling a 0/1 cube from any vertex gives d! unimodular simplices
     cube = vpolytope(itertools.product((0, 1), repeat=4))
     for apex in range(len(cube.vertices)):
-        simplices = triangulate(cube, apex_index=apex)
+        simplices = triangulate(from_apex(cube, apex))
         assert len(simplices) == 24
         assert all(simplex_volume(t) == Q(1, 24) for t in simplices)
 
@@ -886,7 +891,7 @@ def test_triangulate_lattice_polytopes_5d():
             continue
         vol = moment_data(p).volume
         for apex in range(len(p.vertices)):
-            simplices = triangulate(p, apex_index=apex)
+            simplices = triangulate(from_apex(p, apex))
             assert all(simplex_volume(t) > 0 for t in simplices)
             assert sum(simplex_volume(t) for t in simplices) == vol
 
@@ -900,7 +905,7 @@ def test_triangulation_volume_additivity(d):
         assert sum(simplex_volume(t) for t in triangulate(p)) == vol
         # every apex gives full-dimensional simplices through it with the same total
         for apex, u in enumerate(p.vertices):
-            simplices = triangulate(p, apex_index=apex)
+            simplices = triangulate(from_apex(p, apex))
             assert all(u in t and simplex_volume(t) > 0 for t in simplices)
             assert sum(simplex_volume(t) for t in simplices) == vol
 

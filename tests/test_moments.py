@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import linalg_oracle
 import moments_oracle
-from conftest import fresh_rng, rand_nonzero_ivec, rand_rational
+from conftest import fresh_rng, from_apex, rand_nonzero_ivec, rand_rational
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
@@ -75,7 +76,7 @@ def test_moments_triangulation_independent():
     for p in (P2, P112, SQUARE):
         base = moment_data(p)
         for apex in range(1, len(p.vertices)):
-            other = moment_data(p, apex_index=apex)
+            other = moment_data(from_apex(p, apex))
             assert other.barycenter == base.barycenter
             assert other.covariance == base.covariance
             assert other.volume == base.volume
@@ -97,7 +98,7 @@ APEX_FANS = {
 def test_moment_data_same_for_every_apex(name):
     ctx = context_from_rays(APEX_FANS[name], name=name)
     for apex in range(len(ctx.vpoly.vertices)):
-        assert moment_data(ctx.vpoly, apex_index=apex) == ctx.moments
+        assert moment_data(from_apex(ctx.vpoly, apex)) == ctx.moments
     # the hull built from the vertices alone gives the same moments
     assert context_from_vertices(ctx.vpoly.vertices).moments == ctx.moments
 
@@ -141,7 +142,8 @@ def test_moment_data_matches_oracle(d, count):
         p = _rational_polytope(rng, d)
         lcms.add(denominator_lcm(p))
         for apex in range(len(p.vertices)):
-            assert moment_data(p, apex_index=apex) == moments_oracle.moment_data(p, apex)
+            q = from_apex(p, apex)
+            assert moment_data(q) == moments_oracle.moment_data(q)
     # the scale r = denominator_lcm takes several values besides 1
     assert len(lcms - {1}) >= 3
 
@@ -162,7 +164,7 @@ def test_redundant_half_space_drops_out():
     assert ctx.moments.volume == 6
     assert ctx.moments.barycenter == (Q(1, 2), 1, Q(3, 2))
     for apex in range(len(ctx.vpoly.vertices)):
-        assert moment_data(ctx.vpoly, apex_index=apex) == ctx.moments
+        assert moment_data(from_apex(ctx.vpoly, apex)) == ctx.moments
 
 
 def test_covariance_positive_definite_on_corpus(contexts):
@@ -479,6 +481,12 @@ def test_series_input_validation():
         lattice_series(P2, (Q(1, 2), Q(0)), 9)
     with pytest.raises(ValueError, match="insufficient series length"):
         lattice_series(P2, (1, 0), 2)
+    for bad in (None, "x", [1], (), math.inf, math.nan, 9.5, Q(19, 2)):
+        with pytest.raises(ValueError, match=f"^m_max {re.escape(repr(bad))} is not an integer$"):
+            lattice_series(P2, (1, 0), bad)
+    # m_max equal to its int reads as that int
+    same = lattice_series(P2, (1, 0), 9)
+    assert lattice_series(P2, (1, 0), 9.0) == lattice_series(P2, (1, 0), Q(9)) == same
 
 
 def test_lambda_min_rows_exact():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -120,8 +121,11 @@ def test_sigma1_weighted_triangle():
 
 
 def test_sigma1_rejects_nonnegative_level():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^stage-1 minimum must be negative$"):
         build_sigma1(corpus_context("p112"), Q(0))
+    for bad in (None, [1], (), -math.inf, "x"):
+        with pytest.raises(ValueError, match=f"^m1 {re.escape(repr(bad))} is not a rational$"):
+            build_sigma1(corpus_context("p112"), bad)
 
 
 def test_sigma1_rejects_inconsistent_level():

@@ -1,6 +1,7 @@
 """Source layout checks that the repository keeps without a linter."""
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -97,3 +98,38 @@ def test_every_source_definition_is_read():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in read
     ]
     assert not unread, "\n".join(unread)
+
+
+def optional_parameters(tree):
+    """(def, index, name) of every positional parameter with a default, nested defs included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            params = [*node.args.posonlyargs, *node.args.args]
+            first = len(params) - len(node.args.defaults)
+            for i, arg in enumerate(params[first:], first):
+                yield node, i, arg.arg
+
+
+def test_every_optional_parameter_is_passed():
+    # an option that no call in src/ or the benchmark passes has one value in
+    # use, so it is a constant; a value only the tests pass belongs to the tests
+    calls = collections.defaultdict(list)
+    for path in [*SRC.rglob("*.py"), *PERFBENCH.glob("*.py")]:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                calls[getattr(n.func, "id", getattr(n.func, "attr", None))].append(n)
+
+    def passes(call, i, name):
+        return (
+            len(call.args) > i
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (name, None) for k in call.keywords)
+        )
+
+    unpassed = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {node.name}({name})"
+        for path in sorted(SRC.glob("toricstab/*.py"))
+        for node, i, name in optional_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(passes(c, i, name) for c in calls[node.name])
+    ]
+    assert not unpassed, "\n".join(unpassed)

@@ -1,6 +1,7 @@
 """Closed-form invariants on torus directions and their exact comparators."""
 
 import math
+import re
 from fractions import Fraction as Q
 
 import mpmath
@@ -72,6 +73,10 @@ def test_context_entries_that_are_not_rational_are_refused_by_value():
             context_from_constraints([((1, bad), Q(0)), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
     with pytest.raises(ValueError, match="^None is not a vector of rationals$"):
         context_from_vertices([(0, 0), None, (0, 1)])
+    for bad in (None, [1], (), math.inf, "x"):
+        message = f"^offset {re.escape(repr(bad))} is not a rational$"
+        with pytest.raises(ValueError, match=message):
+            context_from_constraints([((1, 0), bad), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
 
 
 def test_context_requires_full_dimension():
