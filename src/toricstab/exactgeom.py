@@ -57,7 +57,7 @@ def qvec(xs) -> VecQ:
     """xs as a tuple of Fractions; a ValueError naming xs when an entry is not a rational."""
     try:
         return tuple(map(Q, xs))
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{xs!r} is not a vector of rationals") from exc
 
 

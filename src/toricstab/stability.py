@@ -74,7 +74,7 @@ class StabilityValue(NamedTuple):
 
 
 class StabilityContext(NamedTuple):
-    """Moment polytope with precomputed moments, facets and normal fan."""
+    """Moment polytope, the facets, moments and normal fan derived from it, and its provenance."""
 
     vpoly: VPolytope
     hpoly: HPolytope
@@ -93,22 +93,22 @@ class StabilityContext(NamedTuple):
         return all(f.offset < 0 for f in self.vpoly.facets)
 
 
-def _build(vp, hp, rays=None, coeffs=None, name=None) -> StabilityContext:
+def _build(vp, rays=None, coeffs=None, name=None) -> StabilityContext:
+    hp = facets_from_vertices(vp)
     return StabilityContext(vp, hp, moment_data(vp), normal_fan(vp), rays, coeffs, name)
 
 
 def context_from_rays(rays, coeffs=None, name=None) -> StabilityContext:
     """Context of complete toric log Fano fan data (rays plus boundary coefficients)."""
-    h, v = dual_polytope(rays, coeffs)
+    _, v = dual_polytope(rays, coeffs)
     rr = tuple(tuple(int(x) for x in r) for r in rays)
     cc = tuple(Q(c) for c in coeffs) if coeffs is not None else tuple(Q(0) for _ in rr)
-    return _build(v, h, rr, cc, name)
+    return _build(v, rr, cc, name)
 
 
 def context_from_vertices(points, name=None) -> StabilityContext:
     """Context of a polytope given by (possibly redundant) rational points."""
-    vp = vpolytope(points)
-    return _build(vp, facets_from_vertices(vp), name=name)
+    return _build(vpolytope(points), name=name)
 
 
 def _primitive_constraint(n, c):
@@ -120,11 +120,10 @@ def _primitive_constraint(n, c):
 
 def context_from_constraints(constraints, name=None) -> StabilityContext:
     """Context of a polytope given by half-space constraints (normal, offset)."""
-    cons = tuple(sorted(_primitive_constraint(n, c) for n, c in constraints))
+    cons = tuple(_primitive_constraint(n, c) for n, c in constraints)
     if len({len(n) for n, _ in cons}) != 1:
         raise ValueError("constraint normals need one common length")
-    vp = vertices_from_facets(HPolytope(cons))
-    return _build(vp, facets_from_vertices(vp), name=name)
+    return _build(vertices_from_facets(HPolytope(cons)), name=name)
 
 
 def _pairings(ctx: StabilityContext, v):

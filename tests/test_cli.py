@@ -817,6 +817,13 @@ def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
     assert "Traceback" not in err
 
 
+def test_document_without_a_body_exits_two(tmp_path, capsys):
+    path = write_doc(tmp_path, "bad.json", {"name": "bad", "coeffs": [0]})
+    code, out, err = run(capsys, "destabilize", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: field rays or moment_polytope: required\n"
+
+
 def test_hull_over_budget_exits_two(tmp_path, capsys):
     # 40 random points in 8D have 9433 facets and need about 7e7 ray pairs;
     # the hull refuses at the first row that takes the sum over the budget

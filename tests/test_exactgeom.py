@@ -214,8 +214,10 @@ def test_dual_polytope_reads_integral_fractions_as_integers():
     for bad in [(Q(1, 2), 0), (2, 0), (0, 0), (None, 1), (math.inf, 1), ("x", 1)]:
         with pytest.raises(ValueError, match="^ray must be a primitive nonzero lattice vector$"):
             dual_polytope([bad, (0, 1), (-1, -1)])
-    with pytest.raises(ValueError, match=r"^\[0, None, 0\] is not a vector of rationals$"):
-        dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, None, 0])
+    for bad in (None, "x", "1/0"):
+        message = f"^\\[0, {re.escape(repr(bad))}, 0\\] is not a vector of rationals$"
+        with pytest.raises(ValueError, match=message):
+            dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, bad, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,21 @@ def test_facets_from_vertices_triangle():
 def test_facets_from_vertices_needs_full_dimension():
     with pytest.raises(ValueError, match="not full-dimensional"):
         facets_from_vertices(vpolytope([(0, 0), (1, 1)]))
+
+
+def test_lower_dimensional_polytopes_are_refused_where_full_dimension_is_needed():
+    for pts in ([(0, 0), (1, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)]):
+        p = vpolytope(pts)
+        for reader in (normal_fan, triangulate, moment_data):
+            with pytest.raises(ValueError, match="^not full-dimensional$"):
+                reader(p)
+
+
+def test_cone_contains_refuses_a_vector_of_another_length():
+    cone = ConeH(((1, 0), (0, 1)), 2)
+    assert cone.contains((-1, 0))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        cone.contains((-1, 0, 0))
 
 
 def test_polygon_with_many_edges_round_trips():

@@ -481,6 +481,8 @@ def test_series_input_validation():
         lattice_series(P2, (Q(1, 2), Q(0)), 9)
     with pytest.raises(ValueError, match="insufficient series length"):
         lattice_series(P2, (1, 0), 2)
+    with pytest.raises(ValueError, match="^not full-dimensional$"):
+        lattice_series(vpolytope([(0, 0), (1, 1)]), (1, 0), 9)
     for bad in (None, "x", [1], (), math.inf, math.nan, 9.5, Q(19, 2)):
         with pytest.raises(ValueError, match=f"^m_max {re.escape(repr(bad))} is not an integer$"):
             lattice_series(P2, (1, 0), bad)

@@ -14,6 +14,10 @@ from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, run_quasi_conv
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from test_moments import LADDER
+from toricstab.corpus import CORPUS, corpus_context
+from toricstab.exactgeom import dual_polytope, facets_from_vertices, normal_fan
+from toricstab.moments import moment_data
+from toricstab.optimizer import optimal_destabilizer
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
@@ -49,6 +53,41 @@ def test_context_builders_agree():
     assert by_verts.moments == P112.moments == by_cons.moments
 
 
+# Hirzebruch surfaces F_2 and F_3: weak Fano, the ray (0, 1) gives a redundant constraint
+HIRZEBRUCH = {f"F{a}": [(1, 0), (0, 1), (-1, a), (0, -1)] for a in (2, 3)}
+
+
+def test_every_description_of_a_body_gives_one_context():
+    bodies = {
+        **CORPUS,
+        **{name: (rays, None) for name, rays in {**LADDER, **HIRZEBRUCH}.items()},
+    }
+    assert len(bodies) == 17 + 16 + 2
+    for name, (rays, coeffs) in bodies.items():
+        by_rays = context_from_rays(rays, coeffs, name=name)
+        by_verts = context_from_vertices(by_rays.vpoly.vertices)
+        by_cons = context_from_constraints(dual_polytope(rays, coeffs)[0].constraints)
+        for ctx in (by_rays, by_verts, by_cons):
+            assert ctx.hpoly == facets_from_vertices(ctx.vpoly), name
+        # the provenance fields are the only ones that differ
+        assert by_rays._replace(rays=None, coeffs=None, name=None) == by_verts == by_cons, name
+        report = optimal_destabilizer(by_rays)
+        assert optimal_destabilizer(by_verts) == report == optimal_destabilizer(by_cons), name
+    for name, rays in HIRZEBRUCH.items():
+        assert len(dual_polytope(rays)[0].constraints) == 4
+        assert len(context_from_rays(rays).hpoly.constraints) == 3, name
+
+
+def test_traced_ladder_replay_builds_the_library_context():
+    # the benchmark's ladder replay assembles each context from the public calls
+    for name, rays in LADDER.items():
+        h, v = dual_polytope(rays, None)
+        ints = tuple(tuple(int(x) for x in r) for r in rays)
+        zeros = tuple(Q(0) for _ in ints)
+        replay = StabilityContext(v, h, moment_data(v), normal_fan(v), ints, zeros, name)
+        assert replay == context_from_rays(rays, name=name), name
+
+
 def test_non_primitive_constraint_keeps_its_half_space():
     # (-2, 0) with offset -2 is x <= 1, the same half-space as (-1, 0) with offset -1
     square = [((1, 0), Q(0)), ((0, 1), Q(0)), ((0, -1), Q(-1))]
@@ -71,12 +110,26 @@ def test_context_entries_that_are_not_rational_are_refused_by_value():
             context_from_vertices([(0, 0), (1, bad), (0, 1)])
         with pytest.raises(ValueError, match=message):
             context_from_constraints([((1, bad), Q(0)), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
+    for bad in ("x", "1/0"):
+        message = f"^\\(1, {re.escape(repr(bad))}\\) is not a vector of rationals$"
+        with pytest.raises(ValueError, match=message):
+            context_from_vertices([(0, 0), (1, bad), (0, 1)])
+        with pytest.raises(ValueError, match=message):
+            context_from_constraints([((1, bad), Q(0)), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
+        message = f"^\\[0, {re.escape(repr(bad))}, 0\\] is not a vector of rationals$"
+        with pytest.raises(ValueError, match=message):
+            context_from_rays([(1, 0), (0, 1), (-1, -1)], [0, bad, 0])
     with pytest.raises(ValueError, match="^None is not a vector of rationals$"):
         context_from_vertices([(0, 0), None, (0, 1)])
     for bad in (None, [1], (), math.inf, "x"):
         message = f"^offset {re.escape(repr(bad))} is not a rational$"
         with pytest.raises(ValueError, match=message):
             context_from_constraints([((1, 0), bad), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
+
+
+def test_unknown_corpus_entry_is_refused():
+    with pytest.raises(ValueError, match="^unknown corpus entry: p4$"):
+        corpus_context("p4")
 
 
 def test_context_requires_full_dimension():
