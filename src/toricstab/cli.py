@@ -15,29 +15,14 @@ import math
 import re
 import sys
 from fractions import Fraction as Q
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_mod
-from .exactgeom import as_direction
-from .limits import (
-    face_of_direction,
-    normal_cone_of_face,
-    weight_polytope,
-    weighted_point,
-)
-from .moments import extrapolate, lattice_series
-from .optimizer import CertificateError, optimal_destabilizer
-from .stability import (
-    StabilityContext,
-    StabilityValue,
-    context_from_constraints,
-    context_from_rays,
-    context_from_vertices,
-    futaki,
-    l2_norm_sq,
-    log_discrepancy_S,
-    mu,
-    verdict,
-)
+# each command imports the library modules it runs where it runs them, so a
+# fresh process compiles only those
+from .exactgeom import CertificateError, as_direction
+
+if TYPE_CHECKING:
+    from .stability import StabilityContext, StabilityValue
 
 SCOPE = "torus-equivariant"
 # a decimal of a value below 10^300 then stays under CPython's 4300-digit
@@ -170,6 +155,7 @@ def load_doc(path: str):
 
 
 def context_from_doc(doc) -> StabilityContext:
+    from .stability import context_from_constraints, context_from_rays, context_from_vertices
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     name = doc.get("name")
@@ -205,6 +191,7 @@ def context_from_doc(doc) -> StabilityContext:
 
 
 def weighted_point_from_doc(doc):
+    from .limits import weighted_point
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     ws = parse_vectors(doc.get("weights"), "weights", parse_int)
@@ -220,7 +207,8 @@ def gather_contexts(args) -> list[StabilityContext]:
     if args.corpus and args.inputs:
         raise ValueError("give input files or --corpus, not both")
     if args.corpus:
-        return corpus_mod.corpus_contexts()
+        from .corpus import corpus_contexts
+        return corpus_contexts()
     if not args.inputs:
         raise ValueError("no inputs given (pass files or --corpus)")
     out = []
@@ -240,6 +228,7 @@ def gather_contexts(args) -> list[StabilityContext]:
 
 
 def report_doc(ctx: StabilityContext, directions, digits: int):
+    from .stability import l2_norm_sq, log_discrepancy_S, mu, verdict
     md = ctx.moments
     doc = {
         "name": ctx.name,
@@ -275,6 +264,7 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
 
 
 def destab_doc(ctx: StabilityContext, digits: int):
+    from .optimizer import optimal_destabilizer
     report = optimal_destabilizer(ctx)
     doc = {
         "name": ctx.name,
@@ -304,6 +294,7 @@ def destab_doc(ctx: StabilityContext, digits: int):
 
 
 def stratum_table(contexts, digits: int):
+    from .optimizer import optimal_destabilizer
     groups = {}
     for ctx in contexts:
         groups.setdefault(optimal_destabilizer(ctx).m_mu, []).append(ctx.name)
@@ -315,6 +306,8 @@ def stratum_table(contexts, digits: int):
 
 
 def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
+    from .lattice import extrapolate, lattice_series
+    from .stability import futaki, l2_norm_sq
     try:
         series = lattice_series(ctx.vpoly, v, m_max)
     except ValueError as exc:
@@ -377,6 +370,7 @@ def oracle_dump_text(doc, digits: int) -> str:
 
 
 def limits_doc(point, v):
+    from .limits import face_of_direction, normal_cone_of_face, weight_polytope
     q = weight_polytope(point)
     face = face_of_direction(q, v)
     cone = normal_cone_of_face(q, face)

@@ -49,6 +49,10 @@ HULL_BUDGET = 10_000_000
 SIMPLEX_BUDGET = 10_000
 
 
+class CertificateError(RuntimeError):
+    """An exact internal consistency check failed; results must not be trusted."""
+
+
 # ---------------------------------------------------------------------------
 # vectors and matrices
 
@@ -56,6 +60,8 @@ SIMPLEX_BUDGET = 10_000
 def qvec(xs) -> VecQ:
     """xs as a tuple of Fractions; a ValueError naming xs when an entry is not a rational."""
     try:
+        if isinstance(xs, (str, bytes)):  # not a vector of its characters
+            raise TypeError
         return tuple(map(Q, xs))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{xs!r} is not a vector of rationals") from exc

@@ -21,8 +21,18 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import ConeH, _primitive_int, _reduce, _scaled, dot, normal_cone, primitive, qval
-from .moments import CertificateError, is_positive_definite
+from .exactgeom import (
+    CertificateError,
+    ConeH,
+    _primitive_int,
+    _reduce,
+    _scaled,
+    dot,
+    normal_cone,
+    primitive,
+    qval,
+)
+from .moments import is_positive_definite
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction as Q
 import linalg_oracle
 from linalg_oracle import vadd
 from toricstab.exactgeom import triangulate, vsub
-from toricstab.moments import ExtrapolationResult, MomentData
+from toricstab.lattice import ExtrapolationResult
+from toricstab.moments import MomentData
 
 
 def denominator_lcm(p) -> int:

@@ -23,7 +23,7 @@ from toricstab.cli import main
 from toricstab.corpus import corpus_names
 from toricstab.exactgeom import dot, extreme_rays, primitive
 from toricstab.limits import face_limit, limit_point, normal_cone_of_face, weight_polytope, weighted_point
-from toricstab.moments import extrapolate, lattice_series
+from toricstab.lattice import extrapolate, lattice_series
 from toricstab.optimizer import optimal_destabilizer
 from toricstab.stability import (
     StabilityValue,

@@ -1191,12 +1191,12 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, flag):
 
 
 def test_certificate_failure_exits_three(tmp_path, capsys, monkeypatch):
-    import toricstab.cli as cli_mod
+    import toricstab.optimizer as opt
 
     def boom(ctx):
         raise CertificateError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "optimal_destabilizer", boom)
+    monkeypatch.setattr(opt, "optimal_destabilizer", boom)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
     code, _, err = run(capsys, "destabilize", path)
     assert code == 3
@@ -1221,15 +1221,15 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
 
 
 def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
 
     def one_point_short(box, cons, m, axis, vi, interior=False):
         n, w, q = scan(box, cons, m, axis, vi, interior)
         return (n - 1, w, q) if m == 3 and not interior else (n, w, q)
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", one_point_short)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
     code, out, err = run(capsys, "oracle", path, "--v", "0,-1", "--mmax", "20")
     assert code == 3 and out == ""
@@ -1238,15 +1238,15 @@ def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypat
 
 
 def test_lattice_interior_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
 
     def one_square_off(box, cons, m, axis, vi, interior=False):
         n, w, q = scan(box, cons, m, axis, vi, interior)
         return (n, w, q + 1) if m == 2 and interior else (n, w, q)
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", one_square_off)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", one_square_off)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
     code, out, err = run(capsys, "oracle", path, "--v", "0,-1", "--mmax", "20")
     assert code == 3 and out == ""
@@ -1305,6 +1305,44 @@ assert "dataclasses" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # one fresh `python -m toricstab` per command, so a module loaded by one
+    # command cannot hide behind another; every child compiles what it loads
+    doc = write_doc(tmp_path, "p112.json", P112_DOC)
+    point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
+    src = str(Path(toricstab.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = """
+import contextlib, io, runpy, sys
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("toricstab", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+else:
+    import toricstab
+print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "toricstab.__main__"))
+"""
+    context = ["cli", "exactgeom", "moments", "stability"]
+    expected = {
+        (): [],
+        ("report", doc, "--v", "0,-1"): context,
+        ("report", "--corpus"): [*context, "corpus"],
+        ("destabilize", doc): [*context, "optimizer"],
+        ("stratify", "--corpus"): [*context, "corpus", "optimizer"],
+        ("oracle", doc, "--v", "0,-1", "--mmax", "6"): [*context, "lattice"],
+        ("limits", point, "--v", "1,1"): ["cli", "exactgeom", "limits"],
+    }
+    for argv, modules in expected.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == sorted(f"toricstab.{m}" for m in modules), argv
 
 
 def test_module_entry_point(tmp_path):

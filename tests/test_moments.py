@@ -14,14 +14,8 @@ from conftest import fresh_rng, from_apex, rand_nonzero_ivec, rand_rational
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
-from toricstab.moments import (
-    LatticeSeries,
-    SeriesRow,
-    extrapolate,
-    is_positive_definite,
-    lattice_series,
-    moment_data,
-)
+from toricstab.lattice import LatticeSeries, SeriesRow, extrapolate, lattice_series
+from toricstab.moments import is_positive_definite, moment_data
 from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
 
 SQUARE = vpolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -331,16 +325,16 @@ def test_series_rows_past_the_counted_dilates_match_brute_force(d, low, high):
 
 
 def test_series_counts_k_closed_and_k_interior_dilates(monkeypatch, contexts):
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
     seen = []
 
     def record(box, cons, t, axis, vi, interior=False):
         seen.append((t, interior))
         return scan(box, cons, t, axis, vi, interior)
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", record)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", record)
     p1112 = contexts["p1112"].vpoly
     # k = (d+4)//2 closed dilates, and their interiors only when rows past k
     # are extended
@@ -376,16 +370,16 @@ def test_series_reciprocity_matches_brute_force(monkeypatch, d, low, high, n):
     # closed and interior sums at t = 1..k and the rows it certifies from them
     # are compared with box enumeration, for r up to 3 and weights near 10^12;
     # n vertices, many in 5D, so that the interiors of small dilates hold points
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
     seen = {}
 
     def record(box, cons, t, axis, vi, interior=False):
         seen[t, interior] = scan(box, cons, t, axis, vi, interior)
         return seen[t, interior]
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", record)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", record)
     rng = fresh_rng(f"series-reciprocity-{d}")
     k = (d + 4) // 2
     for den in (1, 2, 3):
@@ -414,39 +408,39 @@ def test_series_reciprocity_matches_brute_force(monkeypatch, d, low, high, n):
 
 
 def test_series_corrupt_dilate_fails_the_certificate(monkeypatch):
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
 
     def one_point_short(box, cons, m, axis, vi, interior=False):
         n, w, q = scan(box, cons, m, axis, vi, interior)
         return (n - 1, w, q) if m == 3 and not interior else (n, w, q)
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", one_point_short)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", one_point_short)
     # up to k = (d+4)//2 = 3 dilates every row is counted and nothing is extended
     assert lattice_series(P2, (1, 0), 3).rows[2].count == 54
     with pytest.raises(
-        moments_mod.CertificateError,
+        lattice_mod.CertificateError,
         match="^lattice series: differences of order 3 of count are not zero$",
     ):
         lattice_series(P2, (1, 0), 4)
 
 
 def test_series_corrupt_interior_dilate_fails_the_certificate(monkeypatch):
-    import toricstab.moments as moments_mod
+    import toricstab.lattice as lattice_mod
 
-    scan = moments_mod._dilate_sums
+    scan = lattice_mod._dilate_sums
 
     def one_square_off(box, cons, m, axis, vi, interior=False):
         n, w, q = scan(box, cons, m, axis, vi, interior)
         return (n, w, q + 1) if m == 2 and interior else (n, w, q)
 
-    monkeypatch.setattr(moments_mod, "_dilate_sums", one_square_off)
+    monkeypatch.setattr(lattice_mod, "_dilate_sums", one_square_off)
     # up to k dilates no interior is walked, so nothing is corrupted
     rows = lattice_series(P2, (1, 0), 3).rows
     assert [tuple(x) for x in rows] == brute_rows(P2, (1, 0), [1, 2, 3])
     with pytest.raises(
-        moments_mod.CertificateError,
+        lattice_mod.CertificateError,
         match="^lattice series: differences of order 5 of weight_sq_sum are not zero$",
     ):
         lattice_series(P2, (1, 0), 4)
@@ -582,8 +576,14 @@ def test_extrapolate_matches_pairwise_fractions():
 
 
 def test_extrapolate_needs_rows():
-    from toricstab.moments import LatticeSeries
-
     full = lattice_series(P2, (1, 0), 4)
     with pytest.raises(ValueError, match="insufficient series length"):
         extrapolate(LatticeSeries(full.r, full.rows[:2]))
+
+
+def test_extrapolate_refuses_what_is_not_a_series():
+    full = lattice_series(P2, (1, 0), 9)
+    for bad in (None, 5, (1, 2), full.rows, tuple(full)):
+        with pytest.raises(ValueError, match=re.escape(f"series {bad!r} is not a LatticeSeries")):
+            extrapolate(bad)
+    assert extrapolate(LatticeSeries(*full)) == extrapolate(full)

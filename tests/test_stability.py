@@ -127,6 +127,21 @@ def test_context_entries_that_are_not_rational_are_refused_by_value():
             context_from_constraints([((1, 0), bad), ((0, 1), Q(0)), ((-1, -1), Q(-1))])
 
 
+def test_a_string_is_not_a_vector_but_may_be_an_entry():
+    # iterated, a str or bytes would read as the vector of its characters
+    for bad in ("01", b"01"):
+        message = f"^{re.escape(repr(bad))} is not a vector of rationals$"
+        with pytest.raises(ValueError, match=message):
+            futaki(P112, bad)
+        with pytest.raises(ValueError, match=message):
+            context_from_vertices([bad, (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=message):
+            context_from_rays([(1, 0), (0, 1), (-1, -1)], bad)
+    halves = context_from_vertices([("0", "0"), ("1/2", "0"), ("0", "1/2")])
+    assert halves == context_from_vertices([(0, 0), (Q(1, 2), 0), (0, Q(1, 2))])
+    assert futaki(P112, ("0", "-1")) == futaki(P112, (0, -1))
+
+
 def test_unknown_corpus_entry_is_refused():
     with pytest.raises(ValueError, match="^unknown corpus entry: p4$"):
         corpus_context("p4")
@@ -150,6 +165,7 @@ def test_context_fields_in_order():
 def test_result_records_keep_their_fields():
     # positional construction relies on these names, this order and these defaults
     import toricstab.exactgeom as g
+    import toricstab.lattice as lat
     import toricstab.limits as lim
     import toricstab.moments as m
     import toricstab.optimizer as opt
@@ -162,8 +178,8 @@ def test_result_records_keep_their_fields():
         lim.WeightedPoint: ("weights", "support"),
         lim.WeightPolytope: ("point", "polytope", "faces"),
         m.MomentData: ("volume", "barycenter", "covariance"),
-        m.LatticeSeries: ("r", "rows"),
-        m.ExtrapolationResult: ("F0_est", "Q0_est", "residuals", "q_residuals"),
+        lat.LatticeSeries: ("r", "rows"),
+        lat.ExtrapolationResult: ("F0_est", "Q0_est", "residuals", "q_residuals"),
         opt.Stage1Result: ("m1", "witness_rays", "per_cone_minima"),
         opt.SigmaOne: ("cone", "m1", "rays"),
         opt.DestabReport: (
