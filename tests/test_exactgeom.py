@@ -220,6 +220,31 @@ def test_dual_polytope_reads_integral_fractions_as_integers():
             dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, bad, 0])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dual_polytope_and_vertices_from_facets_read_one_hull(d):
+    # seeded fans with coefficients of mixed denominators: the offsets c - 1
+    # then have several denominators, and so do the vertices, so the hull's
+    # integer rows (normals and offsets times the lcm of the offset
+    # denominators) and its vertex order (over the lcm of the vertex
+    # denominators) are both exercised away from 1
+    rng = fresh_rng(f"dual-one-hull-{d}")
+    offset_lcms, vertex_lcms = set(), set()
+    for _ in range(10):
+        rays = {tuple(int(i == j) for j in range(d)) for i in range(d)}
+        rays.add(primitive([-rng.randint(1, 3) for _ in range(d)]))
+        while len(rays) < d + 2 + rng.randint(0, 2):
+            rays.add(primitive(rand_nonzero_ivec(rng, d, 2)))
+        rays = sorted(rays)
+        dens = [rng.choice((1, 2, 3, 5)) for _ in rays]
+        coeffs = [Q(rng.randint(0, den - 1), den) for den in dens]
+        h, v = dual_polytope(rays, coeffs)
+        assert (h, v) == (h, vertices_from_facets(h)), (rays, coeffs)
+        assert v == vertices_by_subsets(h), (rays, coeffs)
+        offset_lcms.add(math.lcm(*(c.denominator for _, c in h.constraints)))
+        vertex_lcms.add(math.lcm(*(x.denominator for u in v.vertices for x in u)))
+    assert len(offset_lcms - {1}) >= 2 and len(vertex_lcms - {1}) >= 2
+
+
 # ---------------------------------------------------------------------------
 # vertex / facet enumeration
 

@@ -149,6 +149,47 @@ def test_moment_data_matches_oracle_on_ladder_and_corpus(contexts):
         assert ctx.moments == moments_oracle.moment_data(ctx.vpoly), ctx.name
 
 
+def _leading_difference(column, order):
+    """The first entry of the differences of the given order of column."""
+    for _ in range(order):
+        column = [b - a for a, b in zip(column, column[1:])]
+    return column[0]
+
+
+@pytest.mark.parametrize("d,count,low,high,dens", [
+    (2, 20, -4, 4, (1, 2, 3)),
+    (3, 12, -2, 2, (1, 2, 3)),
+    (4, 8, -1, 1, (1, 2)),
+])
+def test_lattice_series_certifies_moment_data(d, count, low, high, dens):
+    # over t r P the count, weight sum and weight square sum are polynomials in
+    # t of degree d, d+1 and d+2 with leading coefficients r^d vol,
+    # r^(d+1) vol <b, v> and r^(d+2) vol (v^T Cov v + <b, v>^2) (Brion-Vergne);
+    # the difference of a polynomial of its own degree is that degree
+    # factorial times its leading coefficient.  No triangulation is read, so a
+    # simplex lost or doubled in moment_data shows.
+    rng = fresh_rng(f"moments-by-series-{d}")
+    for _ in range(count):
+        while True:
+            pts = [
+                tuple(Q(rng.randint(low, high), rng.choice(dens)) for _ in range(d))
+                for _ in range(d + 1 + rng.randint(0, 2))
+            ]
+            p = vpolytope(pts)
+            if p.dim == d:
+                break
+        v = rand_nonzero_ivec(rng, d, 3)
+        m, r = moment_data(p), denominator_lcm(p)
+        s = lattice_series(p, v, (d + 3) * r)
+        bv = dot(m.barycenter, v)
+        vcv = sum(x * dot(row, v) for x, row in zip(v, m.covariance))
+        columns = zip(*((row.count, row.weight_sum, row.weight_sq_sum) for row in s.rows))
+        expected = (m.volume, m.volume * bv, m.volume * (vcv + bv * bv))
+        for j, (column, lead) in enumerate(zip(columns, expected)):
+            top = _leading_difference(list(column), d + j)
+            assert Q(top, math.factorial(d + j)) == r ** (d + j) * lead, (pts, v, j)
+
+
 def test_redundant_half_space_drops_out():
     # the box [0,1] x [0,2] x [0,3]; x + y >= 0 touches it only on the edge x = y = 0
     box = [(_unit(3, i), 0) for i in range(3)] + [(_unit(3, i, -1), -(i + 1)) for i in range(3)]
