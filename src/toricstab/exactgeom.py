@@ -7,8 +7,7 @@ mutated, and no floating point is used anywhere.  `vpolytope` and
 
 One elimination kernel does the linear algebra: `_reduce` is fraction-free
 Gauss-Jordan elimination (Bareiss) on Python ints, under `rank`, the hull's
-chart coordinates, the simplex volumes of `moments` and the corral solves of
-stage 2.
+chart coordinates and the corral solves of stage 2.
 
 One enumeration carries the combinatorics: `_cone_rays`, the double
 description method, gives the extreme rays of a cone {x : A x >= 0}, each
@@ -44,8 +43,8 @@ MAX_DIM = 8
 # 4-5 million pairs and 6-12 million meets per second measured on one core of
 # a 2-vCPU x86-64 host, CPython 3.11
 HULL_BUDGET = 10_000_000
-# most simplices one pulling triangulation may produce: about 1 s of
-# `moment_data` at the 9 500 7D simplices per second measured on the same host
+# most simplices one pulling triangulation may produce: about 0.7 s of
+# `moment_data` at the 14 800 7D simplices per second measured on the same host
 SIMPLEX_BUDGET = 10_000
 
 
@@ -380,34 +379,40 @@ def vpolytope(points) -> VPolytope:
 
 
 def vertices_from_facets(h: HPolytope) -> VPolytope:
-    """Vertices and facets of a bounded, full-dimensional H-polytope, off one cone.
-
-    P = {u : <n_i, u> >= c_i} is the slice t = 1 of the cone
-    C = {(u, t) : <n_i, u> >= c_i t, t >= 0}.  A line of C, or an extreme
-    ray (x, s) with s = 0, is a direction of recession; no ray at all means
-    C = {0}; a constraint tight on every ray is an implicit equality, so C,
-    and with it P, is lower-dimensional.  Otherwise the vertices of P are the
-    points x/s, and the constraints tight at each are the rows tight on its
-    ray.  Normals must be primitive nonzero lattice vectors of one length.
-    """
+    """Vertices and facets of a bounded, full-dimensional H-polytope with primitive normals."""
     d = h.ambient_dim
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     refusal = "normal {!r} is not a primitive nonzero lattice vector"
     cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
-    m = len(cons)
-    rows = _scaled([(*n, -c) for n, c in cons])[0] + [(0,) * d + (1,)]
-    rays, lines = _cone_rays(rows, d + 1)
+    return _facet_vertices(cons, d)
+
+
+def _facet_vertices(cons, d, unbounded="unbounded polytope") -> VPolytope:
+    """P = {u : <n_i, u> >= c_i} of sorted, checked pairs (n_i, c_i), off one cone.
+
+    P is the slice t = 1 of C = {(u, t) : <n_i, u> >= c_i t, t >= 0}, in the
+    integer rows (r n_i, -r c_i), r the lcm of the offset denominators.  A
+    line of C or an extreme ray (x, s) with s = 0 is a direction of recession
+    (the ValueError `unbounded`); no ray at all means C = {0}; a constraint
+    tight on every ray is an implicit equality, so P is lower-dimensional.
+    Else the vertices are the points x/s, ordered as the integers x L/s for
+    the lcm L of the s, and the constraints tight at each are its ray's.
+    """
+    r = math.lcm(*(c.denominator for _, c in cons))
+    rows = [(*(r * a for a in n), -c.numerator * (r // c.denominator)) for n, c in cons]
+    rays, lines = _cone_rays(rows + [(0,) * d + (1,)], d + 1)
     if lines or any(x[d] == 0 for x, _ in rays):
-        raise ValueError("unbounded polytope")
+        raise ValueError(unbounded)
     if not rays:
         raise ValueError("infeasible")
     if functools.reduce(operator.and_, (t for _, t in rays)):
         raise ValueError("not full-dimensional")
-    incidence = sorted((tuple(Q(a, x[d]) for a in x[:d]), t) for x, t in rays)
-    verts = tuple(u for u, _ in incidence)
+    lcm = math.lcm(*(x[d] for x, _ in rays))
+    rays.sort(key=lambda ray: [a * (lcm // ray[0][d]) for a in ray[0][:d]])
+    verts = tuple(tuple(Q(a, x[d]) for a in x[:d]) for x, _ in rays)
     # a redundant constraint is tight on a proper subset of some facet's vertices
-    tight = [sum(1 << i for i, (_, t) in enumerate(incidence) if t >> j & 1) for j in range(m)]
+    tight = [sum(1 << i for i, (_, t) in enumerate(rays) if t >> j & 1) for j in range(len(cons))]
     facets = tuple(
         Facet(n, c, t) for (n, c), t in zip(cons, tight) if not any(t & o == t != o for o in tight)
     )
@@ -499,15 +504,12 @@ def dual_polytope(rays, coeffs=None):
             raise ValueError("coefficient must be >= 0")
         if c >= 1:
             raise ValueError("coefficient must be < 1")
-    h = HPolytope(tuple(sorted((n, c - 1) for n, c in zip(ints, coeffs))))
+    cons = sorted((n, c - 1) for n, c in zip(ints, coeffs))
+    if d > MAX_DIM:
+        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span
-    try:
-        return h, vertices_from_facets(h)
-    except ValueError as exc:
-        if str(exc) != "unbounded polytope":
-            raise
-        raise ValueError("degenerate fan") from exc
+    return HPolytope(tuple(cons)), _facet_vertices(cons, d, "degenerate fan")
 
 
 def _pull(face, k, facet_sets):

@@ -126,8 +126,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
         raise ValueError(f"insufficient series length: m_max must be at least 3r = {3 * r}")
     d = p.ambient_dim
     t_max = m_max // r
-    if t_max > MAX_SERIES_ROWS:
-        raise ValueError(f"{t_max} rows exceed the limit of {MAX_SERIES_ROWS} rows")
+    _limit(t_max, MAX_SERIES_ROWS, "{} rows exceed the limit of {} rows")
     k = min(t_max, (d + 4) // 2)  # 2k + 1 >= d + 4 values certify every column
     lo, hi = [min(col) for col in zip(*z)], [max(col) for col in zip(*z)]
     # scan along the axis with the largest vertex-coordinate range
@@ -137,11 +136,9 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     spans = [b - a for i, (a, b) in enumerate(zip(lo, hi)) if i != scan]
     cells = sum(math.prod(t * s + 1 for s in spans) for t in range(1, k + 1))
     cells *= 2 if t_max > k else 1  # the interiors are walked only to extend
-    if cells > MAX_SCAN_CELLS:
-        raise ValueError(f"scan needs {cells} prefix cells, over the limit of {MAX_SCAN_CELLS}")
+    _limit(cells, MAX_SCAN_CELLS, "scan needs {} prefix cells, over the limit of {}")
     cols = cells * len(p.facets)  # one column per facet in each prefix cell
-    if cols > MAX_SCAN_COLUMNS:
-        raise ValueError(f"scan needs {cols} facet columns, over the limit of {MAX_SCAN_COLUMNS}")
+    _limit(cols, MAX_SCAN_COLUMNS, "scan needs {} facet columns, over the limit of {}")
     # a facet <n, u> >= r c of Z = r P holds a lattice vertex and has an
     # integral normal, so its offset r c is an integer
     cons = [(f.normal, int(r * f.offset)) for f in p.facets]
@@ -158,6 +155,16 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     lam = min(sum(map(operator.mul, u, vi)) for u in z)
     rows = zip(range(1, t_max + 1), *columns)
     return LatticeSeries(r, tuple(SeriesRow(t * r, n, w, q, t * lam) for t, n, w, q in rows))
+
+
+def _limit(n, limit, message):
+    """ValueError(message.format(n, limit)) if n > limit; "more than 10^k" if str() refuses n."""
+    if n > limit:
+        try:
+            n = str(n)
+        except ValueError:
+            n = f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"  # log10(2) > 0.30102
+        raise ValueError(message.format(n, limit))
 
 
 def _polynomial_column(column, degree, length, name):

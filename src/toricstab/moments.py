@@ -1,11 +1,11 @@
 """Exact continuous moments of a rational polytope.
 
 Volume, barycenter and covariance come from the pulling triangulation and
-closed-form simplex integrals.  The vertices are scaled once by the lcm r
-of their denominators, so r P is a lattice polytope and every simplex adds
-integer sums (its determinant, its vertex sum and its second-moment
-matrix); one `Fraction` per output entry divides at the end.  The
-lattice-point series of the dilates of P is in `toricstab.lattice`.
+closed-form simplex integrals.  The vertices are scaled once by the lcm r of
+their denominators, so r P is a lattice polytope and every simplex adds
+integer sums (its determinant, eliminated from the rows it shares with the
+simplex before, its vertex sum and its second-moment matrix); one `Fraction`
+per output entry divides at the end.  The lattice series is `toricstab.lattice`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 # re-exported: CertificateError is defined in exactgeom
-from .exactgeom import CertificateError, VPolytope, _reduce, _scaled, _triangulation  # noqa: F401
+from .exactgeom import CertificateError, VPolytope, _scaled, _triangulation
 
 
 class MomentData(NamedTuple):
@@ -33,7 +33,10 @@ def moment_data(p: VPolytope) -> MomentData:
     With r the lcm of the vertex denominators the scaled vertices z = r u are
     integers.  A simplex with D = |det| of its edge vectors and vertex sum s
     adds D to vol, D s to first and D (sum of z z^T + s s^T) to the upper
-    triangle of second; then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
+    triangle of second.  D is the last pivot of the edge rows z_i - z_0 reduced
+    one at a time (Bareiss, pivot on the first nonzero entry), keeping the rows
+    of the first vertices shared with the simplex before.  Then the volume is
+    vol / (d! r^d), b = first / ((d+1) r vol) and
     Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
     ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
     """
@@ -41,10 +44,20 @@ def moment_data(p: VPolytope) -> MomentData:
     z, r = _scaled(p.vertices)
     vol, first = 0, [0] * d
     second = [[0] * d for _ in range(d)]
-    for mask in _triangulation(p):
+    masks, reduced = _triangulation(p), []  # reduced: the edge rows as (pivot column, pivot, row)
+    for last, mask in zip([0, *masks], masks):
         simplex = [u for i, u in enumerate(z) if mask >> i & 1]
-        base = simplex[0]
-        dd = abs(_reduce([[x - y for x, y in zip(u, base)] for u in simplex[1:]])[1])
+        low = (last ^ mask) & -(last ^ mask)  # the first vertex in one simplex but not the other
+        del reduced[max((last & (low - 1)).bit_count() - 1, 0):]
+        for u in simplex[len(reduced) + 1:]:
+            x, prev = [a - b for a, b in zip(u, simplex[0])], 1
+            for c, pv, row in reduced:  # x[c] is read from x before the update
+                x, prev = [(pv * a - x[c] * b) // prev for a, b in zip(x, row)], pv
+            c = next((c for c, a in enumerate(x) if a), None)
+            if c is None:
+                raise CertificateError(f"moment_data: simplex {mask:#x} has zero volume")
+            reduced.append((c, x[c], x))
+        dd = abs(reduced[-1][1])
         s = [sum(col) for col in zip(*simplex)]
         vol += dd
         for i in range(d):

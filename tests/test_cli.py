@@ -943,6 +943,19 @@ def test_oracle_scan_with_axes_past_sys_maxsize_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_refusal_names_a_count_past_the_digit_limit(tmp_path, capsys):
+    # [-10^2500, 10^2500]^3 needs (2 10^2500 t + 1)^2 prefix cells for t = 1, 2, 3,
+    # about 5.6 10^5001 in all: more digits than str() converts (4300 by default)
+    big = 10**2500
+    cube = [[x, y, z] for x in (-big, big) for y in (-big, big) for z in (-big, big)]
+    path = write_doc(tmp_path, "c2500.json", {"name": "c", "moment_polytope": {"vertices": cube}})
+    code, out, err = run(capsys, "oracle", path, "--v", "1,0,0", "--mmax", "3")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --mmax 3: scan needs more than 10^5001 prefix cells, over the limit of 1000000\n"
+    )
+
+
 @st.composite
 def fuzz_invocations(draw):
     """A command line and a small document reaching one hull entry: fan rays with

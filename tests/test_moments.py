@@ -526,6 +526,15 @@ def test_series_input_validation():
     assert lattice_series(P2, (1, 0), 9.0) == lattice_series(P2, (1, 0), Q(9)) == same
 
 
+def test_series_refusal_shortens_a_count_str_cannot_convert():
+    # 10^5000 rows: a count below str()'s digit limit is named verbatim, one past it
+    # by a power of ten below it
+    with pytest.raises(ValueError, match="^20001 rows exceed the limit of 20000 rows$"):
+        lattice_series(P2, (1, 0), 20001)
+    with pytest.raises(ValueError, match="^more than 10\\^4999 rows exceed the limit of 20000 rows$"):
+        lattice_series(P2, (1, 0), 10**5000)
+
+
 def test_lambda_min_rows_exact():
     for p, v in ((P112, (0, -1)), (P112, (1, 0)), (P2, (1, 0)), (SQUARE, (2, 1))):
         target = support_min(p, v)
