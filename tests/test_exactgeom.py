@@ -238,8 +238,7 @@ def test_dual_polytope_and_vertices_from_facets_read_one_hull(d):
         dens = [rng.choice((1, 2, 3, 5)) for _ in rays]
         coeffs = [Q(rng.randint(0, den - 1), den) for den in dens]
         h, v = dual_polytope(rays, coeffs)
-        assert (h, v) == (h, vertices_from_facets(h)), (rays, coeffs)
-        assert v == vertices_by_subsets(h), (rays, coeffs)
+        assert v == vertices_from_facets(h) == vertices_by_subsets(h), (rays, coeffs)
         offset_lcms.add(math.lcm(*(c.denominator for _, c in h.constraints)))
         vertex_lcms.add(math.lcm(*(x.denominator for u in v.vertices for x in u)))
     assert len(offset_lcms - {1}) >= 2 and len(vertex_lcms - {1}) >= 2

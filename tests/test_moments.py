@@ -164,10 +164,10 @@ def _leading_difference(column, order):
 def test_lattice_series_certifies_moment_data(d, count, low, high, dens):
     # over t r P the count, weight sum and weight square sum are polynomials in
     # t of degree d, d+1 and d+2 with leading coefficients r^d vol,
-    # r^(d+1) vol <b, v> and r^(d+2) vol (v^T Cov v + <b, v>^2) (Brion-Vergne);
-    # the difference of a polynomial of its own degree is that degree
-    # factorial times its leading coefficient.  No triangulation is read, so a
-    # simplex lost or doubled in moment_data shows.
+    # r^(d+1) vol <b, v> and r^(d+2) vol (v^T Cov v + <b, v>^2) (Brion-Vergne),
+    # and the differences of order k of a polynomial of degree k are k! times
+    # its leading coefficient.  No triangulation is read, so a simplex lost or
+    # doubled in moment_data shows.
     rng = fresh_rng(f"moments-by-series-{d}")
     for _ in range(count):
         while True:
@@ -527,11 +527,12 @@ def test_series_input_validation():
 
 
 def test_series_refusal_shortens_a_count_str_cannot_convert():
-    # 10^5000 rows: a count below str()'s digit limit is named verbatim, one past it
+    # a count that str() converts is named verbatim, a longer one (10^5000 rows)
     # by a power of ten below it
     with pytest.raises(ValueError, match="^20001 rows exceed the limit of 20000 rows$"):
         lattice_series(P2, (1, 0), 20001)
-    with pytest.raises(ValueError, match="^more than 10\\^4999 rows exceed the limit of 20000 rows$"):
+    message = "^more than 10\\^4999 rows exceed the limit of 20000 rows$"
+    with pytest.raises(ValueError, match=message):
         lattice_series(P2, (1, 0), 10**5000)
 
 
