@@ -500,11 +500,11 @@ def dual_polytope(rays, coeffs=None):
     if len(coeffs) != len(rays):
         raise ValueError("one coefficient per ray required")
     for c in coeffs:
-        if c < 0:
+        if c.numerator < 0:
             raise ValueError("coefficient must be >= 0")
-        if c >= 1:
+        if c.numerator >= c.denominator:
             raise ValueError("coefficient must be < 1")
-    cons = sorted((n, c - 1) for n, c in zip(ints, coeffs))
+    cons = sorted((n, Q(c.numerator - c.denominator, c.denominator)) for n, c in zip(ints, coeffs))
     if d > MAX_DIM:
         raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
     # every offset is negative, so the origin is interior: P is nonempty and
