@@ -455,8 +455,11 @@ def normal_fan(p: VPolytope) -> Fan:
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    z, n = _scaled(p.vertices)[0], len(p.vertices)
-    cones = []
+    return _normal_fan(p, _scaled(p.vertices)[0])
+
+
+def _normal_fan(p: VPolytope, z) -> Fan:
+    n, cones = len(p.vertices), []
     for i, u in enumerate(p.vertices):
         # the polytope itself heads the faces through u: in 1D it is the one edge
         through = [(1 << n) - 1, *(f.members for f in p.facets if f.members >> i & 1)]
@@ -496,7 +499,7 @@ def dual_polytope(rays, coeffs=None):
     ints = [_lattice(r, d, "ray must be a primitive nonzero lattice vector") for r in rays]
     if len(set(ints)) != len(ints):
         raise ValueError("duplicate ray")
-    coeffs = qvec([0] * len(rays) if coeffs is None else coeffs)
+    coeffs = (Q(0),) * len(rays) if coeffs is None else qvec(coeffs)
     if len(coeffs) != len(rays):
         raise ValueError("one coefficient per ray required")
     for c in coeffs:

@@ -40,8 +40,11 @@ def moment_data(p: VPolytope) -> MomentData:
     Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
     ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
     """
+    return _moment_data(p, *_scaled(p.vertices))
+
+
+def _moment_data(p: VPolytope, z, r) -> MomentData:
     d = p.ambient_dim
-    z, r = _scaled(p.vertices)
     vol, first = 0, [0] * d
     second = [[0] * d for _ in range(d)]
     masks, reduced = _triangulation(p), []  # reduced: the edge rows as (pivot column, pivot, row)

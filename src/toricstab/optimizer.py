@@ -8,10 +8,11 @@ each read off its facet's offset.  The cone where that minimum m1 is
 attained is the normal cone of the face of P through c = (1 + 1/m1) b,
 generated by the normals g of the facets tight at c.  Its slice by
 <b, v> = 1 is conv(g / <b, g>), and stage 2 is its point nearest to 0 in
-the Cov norm, found by Wolfe's walk.  Each stage scales exactly the data
-it reads to integers: b and the facet offsets in stage 1; c, the offsets
-and the vertices for sigma1; b and Cov in stage 2.  So every step and
-exact certificate (v* checked as primitive(v*)) runs on integers; strict
+the Cov norm, found by Wolfe's walk.  `optimal_destabilizer` clears b,
+the facet offsets and the vertices to integers once, by one factor s, and
+Cov by another, D; the three stages are kernels on that view, wrapped by
+public stages that clear what they read.  So every step and exact
+certificate (v* checked as primitive(v*)) runs on integers; strict
 convexity makes the optimum unique.
 """
 
@@ -29,7 +30,6 @@ from .exactgeom import (
     _scaled,
     dot,
     normal_cone,
-    primitive,
     qval,
 )
 from .moments import is_positive_definite
@@ -66,6 +66,13 @@ class DestabReport(NamedTuple):
         return StabilityValue(self.m1, self.m2_sign, self.m2_sq)
 
 
+def _view(ctx: StabilityContext):
+    """(B, O, Z, s): b, the facet offsets and the vertices cleared by one factor s."""
+    points = [ctx.moments.barycenter, [f.offset for f in ctx.vpoly.facets], *ctx.vpoly.vertices]
+    (bb, offsets, *z), s = _scaled(points)
+    return bb, offsets, z, s
+
+
 def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     """Global minimum of the first invariant over all nonzero one-parameter subgroups.
 
@@ -77,9 +84,12 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     """
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
+    return _stage1(ctx, *_view(ctx)[:2])
+
+
+def _stage1(ctx, bb, offsets) -> Stage1Result:
     facets = ctx.vpoly.facets
-    # b and the offsets c cleared by one factor s: mu1(n) = -<s b, n> / (<s b, n> - s c)
-    (bb, offsets), _ = _scaled([ctx.moments.barycenter, [f.offset for f in facets]])
+    # with B = s b and O = s c for the offsets c: mu1(n) = -<B, n> / (<B, n> - O)
     vals = [Q(-bn, bn - o) for bn, o in zip((dot(bb, f.normal) for f in facets), offsets)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
@@ -110,19 +120,37 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     m1 = qval(m1, "m1")
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
-    facets = ctx.vpoly.facets
-    c = [(1 + 1 / m1) * x for x in ctx.moments.barycenter]
-    # c, the offsets and the vertices cleared by one factor s > 0, so each slack
-    # <n, s c> - s offset has the sign of <n, c> - offset
-    (cc, offsets, *z), _ = _scaled([c, [f.offset for f in facets], *ctx.vpoly.vertices])
-    cone = normal_cone([cc], z, len(cc))
-    slack = [(dot(f.normal, cc) - o, f.normal) for f, o in zip(facets, offsets)]
+    return _sigma1(ctx, m1, *_view(ctx)[:3])
+
+
+def _sigma1(ctx, m1, bb, offsets, z) -> SigmaOne:
+    # c = (1 + 1/m1) b = (p + q) b / p for m1 = p / q, q > 0 > p.  Times -p s > 0,
+    # c is -(p + q) B and the offsets and vertices are -p O and -p Z, so each
+    # slack <n, -p s c> + p O has the sign of <n, c> - offset
+    p, q = m1.as_integer_ratio()
+    cc = [-(p + q) * x for x in bb]
+    cone = normal_cone([cc], [[-p * x for x in u] for u in z], len(cc))
+    slack = [(dot(f.normal, cc) + p * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
     rays = tuple(sorted(n for s, n in slack if s == 0))
     if not rays:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies inside P")
     return SigmaOne(cone, m1, rays)
+
+
+def _corral(gram, corral):
+    """The affine minimizer of the points `corral` as integer weights over one positive
+    denominator, eliminated fraction-free; None when the points are affinely dependent."""
+    c = len(corral)
+    # Gram_S alpha = lambda 1, sum(alpha) = 1
+    rows = [[gram[i][l] for l in corral] + [-1, 0] for i in corral] + [[1] * c + [0, 1]]
+    pivots, dd = _reduce(rows, c + 1)
+    if len(pivots) <= c:
+        return None
+    # alpha_i = rows[i][-1] / dd, over the least positive denominator ka
+    ka = abs(dd) // math.gcd(dd, *(row[-1] for row in rows[:c]))
+    return {i: row[-1] * ka // dd for i, row in zip(corral, rows)}, ka
 
 
 def _nearest(gram) -> tuple[dict[int, int], int]:
@@ -132,12 +160,15 @@ def _nearest(gram) -> tuple[dict[int, int], int]:
     joins the corral, x moves toward the corral's affine minimizer, and a
     point whose weight reaches 0 is dropped.  <x, x> falls with each corral,
     so the walk ends, on the certificate <x, p_j> >= <x, x> for every j.
-    Each corral's minimizer is solved by fraction-free elimination on the
-    integer Gram matrix; the weights are carried, and returned, as integers
-    over one positive denominator k.
+    The walk starts from the whole set when it is a corral, its affine
+    minimizer having positive weights (then that is x), and else from the
+    nearest point.  The weights are carried, and returned, as integers over
+    one positive denominator k.
     """
     n = len(gram)
-    weights, k = {min(range(n), key=lambda i: gram[i][i]): 1}, 1
+    weights, k = _corral(gram, range(n)) or ({0: 0}, 1)  # a zero weight: no start
+    if min(weights.values()) <= 0:
+        weights, k = {min(range(n), key=lambda i: gram[i][i]): 1}, 1
     while True:
         gx = [sum(w * row[i] for i, w in weights.items()) for row in gram]  # k <x, p_j>
         xx = sum(w * gx[i] for i, w in weights.items())  # k^2 <x, x>
@@ -146,16 +177,9 @@ def _nearest(gram) -> tuple[dict[int, int], int]:
             return weights, k
         weights[j] = 0
         while True:
-            corral = sorted(weights)
-            c = len(corral)
-            # affine minimizer: Gram_S alpha = lambda 1, sum(alpha) = 1
-            rows = [[gram[i][l] for l in corral] + [-1, 0] for i in corral] + [[1] * c + [0, 1]]
-            pivots, dd = _reduce(rows, c + 1)
-            if len(pivots) <= c:
+            alpha, ka = _corral(gram, sorted(weights)) or (None, 1)
+            if alpha is None:
                 raise CertificateError("singular corral in stage 2")
-            # alpha_i = rows[i][-1] / dd, over the least positive denominator ka
-            ka = abs(dd) // math.gcd(dd, *(row[-1] for row in rows[:c]))
-            alpha = {i: row[-1] * ka // dd for i, row in zip(corral, rows)}
             if min(alpha.values()) > 0:
                 weights, k = alpha, ka
                 break
@@ -171,12 +195,19 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
 
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
-    in the Cov norm.  With C = D Cov and B = E b integral and L the lcm of
-    the <B, g>, each such point is E / L times the integer p_g = L g / <B, g>;
+    in the Cov norm.  With C = D Cov and B = E b integral, E = s the factor
+    that clears b, the facet offsets and the vertices, and L the lcm of the
+    <B, g>, each such point is E / L times the integer p_g = L g / <B, g>;
     the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
     which leaves the weights of the walk unchanged.
     """
-    (bb,), e = _scaled([ctx.moments.barycenter])
+    bb, _, _, s = _view(ctx)
+    v_star, _, value = _stage2(ctx, sigma1, bb, s)
+    return v_star, value
+
+
+def _stage2(ctx, sigma1, bb, e):
+    """`minimize_mu2_on_cone` on B = E b, with Cov cleared: (v*, primitive(v*), mu there)."""
     c, _ = _scaled(ctx.moments.covariance)
     if not is_positive_definite(c):
         raise CertificateError("covariance not positive definite")
@@ -196,7 +227,7 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     value = mu(ctx, p)
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
-    return v_star, value
+    return v_star, p, value
 
 
 def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
@@ -204,14 +235,15 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
     if verdict(ctx) == SEMISTABLE:
         return DestabReport(SEMISTABLE, Q(0), 0, Q(0), Q(1))
     try:
-        stage1 = minimize_mu1(ctx)
-        sigma1 = build_sigma1(ctx, stage1.m1)
+        bb, offsets, z, s = _view(ctx)
+        stage1 = _stage1(ctx, bb, offsets)
+        sigma1 = _sigma1(ctx, stage1.m1, bb, offsets, z)
         for w in stage1.witness_rays:
             if not sigma1.cone.contains(w):
                 raise CertificateError("witness ray outside sigma1")
         if set(stage1.witness_rays) != set(sigma1.rays):
             raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
-        v_star, value = minimize_mu2_on_cone(ctx, sigma1)
+        v_star, p, value = _stage2(ctx, sigma1, bb, s)
         if value.mu2_sign != -1:
             raise CertificateError("optimal direction is not destabilizing")
     except CertificateError as exc:
@@ -223,7 +255,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
         value.mu2_sq,
         stage1.m1 + 1,
         v_star,
-        primitive(v_star),
+        p,
         sigma1,
         stage1,
     )

@@ -18,18 +18,18 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
+    _normal_fan,
     _scaled,
     as_direction,
     dot,
     dual_polytope,
     facets_from_vertices,
-    normal_fan,
     primitive,
     qval,
     vertices_from_facets,
     vpolytope,
 )
-from .moments import MomentData, moment_data
+from .moments import MomentData, _moment_data
 
 SEMISTABLE = "semistable"
 UNSTABLE = "unstable"
@@ -95,7 +95,8 @@ class StabilityContext(NamedTuple):
 
 def _build(vp, rays=None, coeffs=None, name=None) -> StabilityContext:
     hp = facets_from_vertices(vp)
-    return StabilityContext(vp, hp, moment_data(vp), normal_fan(vp), rays, coeffs, name)
+    z, r = _scaled(vp.vertices)  # the two readers of the vertices share one clearing
+    return StabilityContext(vp, hp, _moment_data(vp, z, r), _normal_fan(vp, z), rays, coeffs, name)
 
 
 def context_from_rays(rays, coeffs=None, name=None) -> StabilityContext:

@@ -1219,13 +1219,13 @@ def test_certificate_failure_exits_three(tmp_path, capsys, monkeypatch):
 def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     import toricstab.optimizer as opt
 
-    real = opt.build_sigma1
+    real = opt._sigma1
 
-    def one_ray_short(ctx, m1):
-        sigma = real(ctx, m1)
+    def one_ray_short(*view):
+        sigma = real(*view)
         return sigma._replace(rays=sigma.rays[1:])
 
-    monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
+    monkeypatch.setattr(opt, "_sigma1", one_ray_short)
     path = write_doc(tmp_path, "p112.json", P112_DOC)
     code, out, err = run(capsys, "destabilize", path)
     assert code == 3 and out == ""

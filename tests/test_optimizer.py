@@ -1,5 +1,6 @@
 """Two-stage minimization: ray candidates, minimizer cone, exact QP."""
 
+import collections
 import itertools
 import math
 import re
@@ -7,7 +8,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+import toricstab.exactgeom as eg
+import toricstab.moments as moments
 import toricstab.optimizer as opt
+import toricstab.stability as stability
 from conftest import fresh_rng, rand_nonzero_ivec, sample_relint_point
 from linalg_oracle import solve_unique as oracle_solve
 from optimizer_oracle import (
@@ -17,9 +21,12 @@ from optimizer_oracle import (
     stage2_by_ray_subsets,
 )
 from toricstab.corpus import corpus_context
-from toricstab.exactgeom import ConeH, VPolytope, dot, primitive, vpolytope
+from test_moments import LADDER as LADDER_FANS
+from toricstab.exactgeom import ConeH, VPolytope, dot, normal_fan, primitive, vpolytope
+from toricstab.moments import moment_data
 from toricstab.optimizer import (
     CertificateError,
+    DestabReport,
     SigmaOne,
     build_sigma1,
     minimize_mu1,
@@ -265,20 +272,25 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
     # random rational points in 2-5D, shifted off the origin, under random
     # positive definite metrics; Wolfe's walk must agree with brute force, visit
     # corrals of strictly falling norm, and drop points on the way often enough
-    # that the minor cycle is exercised
+    # that the minor cycle is exercised.  The whole set is solved first: its
+    # affine minimizer is the start when its weights are positive, and the
+    # walk starts from the nearest point when they are not or when the points
+    # are affinely dependent; each of the three occurs
     real = opt._reduce
-    solves = []
+    solves, full_rank = [], []
 
     def recording(rows, stop=None):
         pivots, dd = real(rows, stop)
         # a corral solve: alpha and lambda are rows[i][-1] / dd
         solves.append(tuple(Q(row[-1], dd) for row in rows[:stop]))
+        full_rank.append(len(pivots) == stop)
         assert len(solves) <= limit, "walk does not terminate"
         return pivots, dd
 
     monkeypatch.setattr(opt, "_reduce", recording)
     rng = fresh_rng("nearest")
     cases = drops = 0
+    starts = collections.Counter()
     for d in range(2, 6):
         for _ in range(20):
             n = rng.randint(2, d + 4)
@@ -294,8 +306,16 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
             r = math.lcm(*(x.denominator for row in gram for x in row))
             gram = [[x.numerator * (r // x.denominator) for x in row] for row in gram]
             solves.clear()
-            limit = n * 2**n
+            full_rank.clear()
+            limit = n * 2**n + 1
             ws, den = opt._nearest(gram)
+            assert len(solves[0]) == n + 1, "the whole set is solved first"
+            if full_rank[0] and all(a > 0 for a in solves[0][:-1]):
+                starts["whole set"] += 1
+                assert len(solves) == 1, "the whole set's minimizer is the nearest point"
+            else:
+                starts["minimizer not interior" if full_rank[0] else "affinely dependent"] += 1
+                del solves[0]  # not a corral of the walk
             weights = {i: Q(w, den) for i, w in ws.items()}
             assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
             gx = tuple(sum(w * gram[k][i] for i, w in weights.items()) for k in range(n))
@@ -308,6 +328,7 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
             drops += any(b <= a for a, b in zip(sizes, sizes[1:]))
             cases += 1
     assert drops >= cases // 10
+    assert set(starts) == {"whole set", "minimizer not interior", "affinely dependent"}
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +362,13 @@ def test_destabilizer_frozen_corpus_values(contexts):
 def test_destabilizer_rejects_witnesses_off_sigma1_rays(monkeypatch):
     import toricstab.optimizer as opt
 
-    real = opt.build_sigma1
+    real = opt._sigma1
 
-    def one_ray_short(ctx, m1):
-        sigma = real(ctx, m1)
+    def one_ray_short(*view):
+        sigma = real(*view)
         return sigma._replace(rays=sigma.rays[1:])
 
-    monkeypatch.setattr(opt, "build_sigma1", one_ray_short)
+    monkeypatch.setattr(opt, "_sigma1", one_ray_short)
     with pytest.raises(CertificateError, match="witness rays differ"):
         optimal_destabilizer(corpus_context("p112"))
 
@@ -451,6 +472,91 @@ def test_matches_oracle_on_seeded_polytopes():
     assert all(any(f.offset.denominator > 1 for f in c.vpoly.facets) for c in by_constraints)
     for ctx in contexts + rational:
         _assert_matches_oracle(ctx)
+
+
+def test_stage2_on_p11112_is_one_corral_solve(monkeypatch):
+    # the affine minimizer of sigma1's four rays has positive weights, so the
+    # walk starts there and its certificate holds at once
+    ctx = context_from_rays(LADDER["p11112"], name="p11112")
+    real, solves = opt._reduce, []
+
+    def counting(rows, stop=None):
+        solves.append(stop)
+        return real(rows, stop)
+
+    monkeypatch.setattr(opt, "_reduce", counting)
+    report = optimal_destabilizer(ctx)
+    assert len(report.sigma1.rays) == 4
+    assert solves == [5]
+
+
+def _public_stages(ctx):
+    """The report of the public stages, chained as the benchmark replays them."""
+    stage1 = minimize_mu1(ctx)
+    sigma1 = build_sigma1(ctx, stage1.m1)
+    v_star, value = minimize_mu2_on_cone(ctx, sigma1)
+    return DestabReport(
+        "unstable",
+        stage1.m1,
+        value.mu2_sign,
+        value.mu2_sq,
+        stage1.m1 + 1,
+        v_star,
+        primitive(v_star),
+        sigma1,
+        stage1,
+    )
+
+
+def _seeded_fan_contexts(d, count=6):
+    """Unstable contexts of seeded d-dimensional fans with coefficients of denominators 1-5."""
+    rng = fresh_rng(f"optimizer-fans-{d}")
+    out = []
+    while len(out) < count:
+        rays = {tuple(int(i == j) for j in range(d)) for i in range(d)}
+        rays.add(primitive([-rng.randint(1, 3) for _ in range(d)]))
+        while len(rays) < d + 2 + rng.randint(0, 2):
+            rays.add(primitive(rand_nonzero_ivec(rng, d, 2)))
+        coeffs = [Q(rng.randint(0, den - 1), den) for den in rng.choices((1, 2, 3, 5), k=len(rays))]
+        ctx = context_from_rays(sorted(rays), coeffs, name=f"fan-{d}-{len(out)}")
+        if verdict(ctx) == "unstable":
+            out.append(ctx)
+    return out
+
+
+def test_one_optimizer_behind_two_entry_points(contexts):
+    # optimal_destabilizer clears the context once and runs the stage kernels;
+    # the public stages each clear what they read.  Both give one report, and
+    # the context's moments and fan are those of their public readers
+    ladder = [context_from_rays(rays, name=name) for name, rays in LADDER_FANS.items()]
+    fans = [ctx for d in (2, 3, 4) for ctx in _seeded_fan_contexts(d)]
+    assert len(ladder) == 16
+    assert any(c.denominator > 1 for ctx in fans for c in ctx.coeffs)
+    unstable = 0
+    for ctx in [*contexts.values(), *ladder, *fans]:
+        assert moment_data(ctx.vpoly) == ctx.moments, ctx.name
+        assert normal_fan(ctx.vpoly) == ctx.fan, ctx.name
+        if verdict(ctx) == "unstable":
+            assert optimal_destabilizer(ctx) == _public_stages(ctx), ctx.name
+            unstable += 1
+    assert unstable >= len(fans) + 10
+
+
+def test_each_destabilizer_call_clears_the_context_once(monkeypatch):
+    # the context build clears the vertices once for the moments and the fan;
+    # the optimizer clears b, the offsets and the vertices once and Cov once;
+    # the positive-definiteness check and the two clearings of the mu
+    # certificate, which reads the data on its own, are the rest
+    real, calls = eg._scaled, collections.Counter()
+    for module in (eg, moments, stability, opt):
+
+        def counting(points, name=module.__name__.rpartition(".")[2]):
+            calls[name] += 1
+            return real(points)
+
+        monkeypatch.setattr(module, "_scaled", counting)
+    optimal_destabilizer(context_from_rays(LADDER["p11112"], name="p11112"))
+    assert dict(calls) == {"stability": 3, "optimizer": 2, "moments": 1}
 
 
 # ---------------------------------------------------------------------------
