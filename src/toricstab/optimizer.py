@@ -11,9 +11,9 @@ generated by the normals g of the facets tight at c.  Its slice by
 the Cov norm, found by Wolfe's walk.  `optimal_destabilizer` clears b,
 the facet offsets and the vertices to integers once, by one factor s, and
 Cov by another, D; the three stages are kernels on that view, wrapped by
-public stages that clear what they read.  So every step and exact
-certificate (v* checked as primitive(v*)) runs on integers; strict
-convexity makes the optimum unique.
+public stages that clear only what their kernel reads.  So every step
+and exact certificate (v* checked as primitive(v*)) runs on integers;
+strict convexity makes the optimum unique.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     """
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
-    return _stage1(ctx, *_view(ctx)[:2])
+    (bb, offsets), _ = _scaled([ctx.moments.barycenter, [f.offset for f in ctx.vpoly.facets]])
+    return _stage1(ctx, bb, offsets)
 
 
 def _stage1(ctx, bb, offsets) -> Stage1Result:
@@ -124,9 +125,8 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
 
 
 def _sigma1(ctx, m1, bb, offsets, z) -> SigmaOne:
-    # c = (1 + 1/m1) b = (p + q) b / p for m1 = p / q, q > 0 > p.  Times -p s > 0,
-    # c is -(p + q) B and the offsets and vertices are -p O and -p Z, so each
-    # slack <n, -p s c> + p O has the sign of <n, c> - offset
+    # c = (1 + 1/m1) b = (p + q) b / p for m1 = p / q < 0; times -p s > 0 it is -(p + q) B,
+    # and with the offsets -p O and vertices -p Z each slack has the sign of <n, c> - offset
     p, q = m1.as_integer_ratio()
     cc = [-(p + q) * x for x in bb]
     cone = normal_cone([cc], [[-p * x for x in u] for u in z], len(cc))
@@ -195,14 +195,15 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
 
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
-    in the Cov norm.  With C = D Cov and B = E b integral, E = s the factor
-    that clears b, the facet offsets and the vertices, and L the lcm of the
-    <B, g>, each such point is E / L times the integer p_g = L g / <B, g>;
-    the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
-    which leaves the weights of the walk unchanged.
+    in the Cov norm.  With C = D Cov and B = E b integral (E is the factor
+    s of `optimal_destabilizer`'s view, or the lcm of b's denominators
+    here) and L the lcm of the <B, g>, each such point is E / L times the
+    integer p_g = L g / <B, g>; the Gram matrix of the p_g under C is the
+    true one times D L^2 / E^2 > 0, which leaves the weights of the walk
+    unchanged.
     """
-    bb, _, _, s = _view(ctx)
-    v_star, _, value = _stage2(ctx, sigma1, bb, s)
+    (bb,), e = _scaled([ctx.moments.barycenter])
+    v_star, _, value = _stage2(ctx, sigma1, bb, e)
     return v_star, value
 
 
