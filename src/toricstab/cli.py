@@ -502,10 +502,9 @@ def _attach_directions(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
-    if not 1 <= args.digits <= MAX_DIGITS:
-        print(f"error: --digits must be between 1 and {MAX_DIGITS}", file=sys.stderr)
-        return 2
     try:
+        if not 1 <= args.digits <= MAX_DIGITS:
+            raise ValueError(f"--digits must be between 1 and {MAX_DIGITS}")
         emit(args.func(args), args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

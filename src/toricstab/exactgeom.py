@@ -2,8 +2,10 @@
 
 Everything in this module is pure and exact: coordinates are
 `fractions.Fraction` (integers inside the hull kernels), inputs are never
-mutated, and no floating point is used anywhere.  `vpolytope` and
-`vertices_from_facets` refuse an ambient dimension above `MAX_DIM` (8).
+mutated, and no floating point is used anywhere.  `vpolytope`,
+`vertices_from_facets` and `dual_polytope` refuse an ambient dimension above
+`MAX_DIM` (8).  Every refusal of work over a bound, here and in `limits` and
+`lattice`, is one `_limit` call.
 
 One elimination kernel does the linear algebra: `_reduce` is fraction-free
 Gauss-Jordan elimination (Bareiss) on Python ints, under `rank`, the hull's
@@ -50,6 +52,16 @@ SIMPLEX_BUDGET = 10_000
 
 class CertificateError(RuntimeError):
     """An exact internal consistency check failed; results must not be trusted."""
+
+
+def _limit(n, limit, message):
+    """ValueError(message.format(n, limit)) if n > limit; "more than 10^k" if str() refuses n."""
+    if n > limit:
+        try:
+            n = str(n)
+        except ValueError:
+            n = f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"  # log10(2) > 0.30102
+        raise ValueError(message.format(n, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +311,7 @@ def _cone_rays(rows, n):
             else:
                 keep.append((ray, t | bit))
         pairs += len(pos) * len(neg)
-        if pairs > HULL_BUDGET:
-            raise ValueError(
-                f"hull needs at least {pairs} ray pairs, exceeds budget of {HULL_BUDGET}"
-            )
+        _limit(pairs, HULL_BUDGET, "hull needs at least {} ray pairs, exceeds budget of {}")
         need = n - len(lines) - 2
         tights = [t for _, t in rays]
         for p, tp, vp in pos:
@@ -369,8 +378,7 @@ def vpolytope(points) -> VPolytope:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("dimension mismatch")
-    if d > MAX_DIM:
-        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
+    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     k, facets = _point_facets(pts)
     masks = [f.members for f in facets]
     keep = [i for i in range(len(pts)) if _is_face(1 << i, masks)] if k else [0]
@@ -381,8 +389,7 @@ def vpolytope(points) -> VPolytope:
 def vertices_from_facets(h: HPolytope) -> VPolytope:
     """Vertices and facets of a bounded, full-dimensional H-polytope with primitive normals."""
     d = h.ambient_dim
-    if d > MAX_DIM:
-        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
+    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     refusal = "normal {!r} is not a primitive nonzero lattice vector"
     cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
     return _facet_vertices(cons, d)
@@ -508,8 +515,7 @@ def dual_polytope(rays, coeffs=None):
         if c.numerator >= c.denominator:
             raise ValueError("coefficient must be < 1")
     cons = sorted((n, Q(c.numerator - c.denominator, c.denominator)) for n, c in zip(ints, coeffs))
-    if d > MAX_DIM:
-        raise ValueError(f"ambient dimension {d} exceeds the limit of {MAX_DIM}")
+    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span
     return HPolytope(tuple(cons)), _facet_vertices(cons, d, "degenerate fan")
@@ -533,11 +539,8 @@ def _pull(face, k, facet_sets):
         if r & apex or any(r & o == r != o for o in cuts):
             continue
         out += [s | apex for s in _pull(r, k - 1, facet_sets)]
-        if len(out) > SIMPLEX_BUDGET:
-            raise ValueError(
-                f"triangulation needs at least {len(out)} simplices, "
-                f"exceeds budget of {SIMPLEX_BUDGET}"
-            )
+        _limit(len(out), SIMPLEX_BUDGET,
+               "triangulation needs at least {} simplices, exceeds budget of {}")
     return out
 
 

@@ -23,7 +23,7 @@ import operator
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .exactgeom import CertificateError, VPolytope, _ints, _scaled, as_direction
+from .exactgeom import CertificateError, VPolytope, _ints, _limit, _scaled, as_direction
 
 # Bounds on a lattice series, checked before any point is counted: its rows
 # (m_max // r), the prefix cells of its walked dilates and interiors, and those
@@ -155,16 +155,6 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     lam = min(sum(map(operator.mul, u, vi)) for u in z)
     rows = zip(range(1, t_max + 1), *columns)
     return LatticeSeries(r, tuple(SeriesRow(t * r, n, w, q, t * lam) for t, n, w, q in rows))
-
-
-def _limit(n, limit, message):
-    """ValueError(message.format(n, limit)) if n > limit; "more than 10^k" if str() refuses n."""
-    if n > limit:
-        try:
-            n = str(n)
-        except ValueError:
-            n = f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"  # log10(2) > 0.30102
-        raise ValueError(message.format(n, limit))
 
 
 def _polynomial_column(column, degree, length, name):

@@ -17,6 +17,7 @@ from .exactgeom import (
     ConeH,
     VPolytope,
     _ints,
+    _limit,
     _scaled,
     as_direction,
     dot,
@@ -74,10 +75,7 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     for f in poly.facets:
         g = sum(1 << k for k, i in enumerate(sup) if dot(f.normal, w.weights[i]) == f.offset)
         meets += len(faces)
-        if meets > HULL_BUDGET:
-            raise ValueError(
-                f"face lattice needs at least {meets} meets, exceeds budget of {HULL_BUDGET}"
-            )
+        _limit(meets, HULL_BUDGET, "face lattice needs at least {} meets, exceeds budget of {}")
         faces |= {m & g for m in faces if m & g}
     members = [frozenset(i for k, i in enumerate(sup) if m >> k & 1) for m in faces]
     return WeightPolytope(w, poly, tuple(sorted(members, key=lambda f: (len(f), sorted(f)))))

@@ -81,7 +81,12 @@ def is_positive_definite(matrix) -> bool:
     Fraction-free elimination of the integer-scaled matrix without row swaps
     has the k-th leading principal minor, up to a positive factor, as pivot k.
     """
-    rows, prev = _scaled(matrix)[0], 1
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix is not square")
+    try:
+        rows, prev = _scaled(matrix)[0], 1
+    except AttributeError:  # an entry with no denominator
+        raise ValueError("matrix entries must be integers or Fractions") from None
     for k, top in enumerate(rows):
         if top[k] <= 0:
             return False

@@ -143,3 +143,37 @@ def test_every_optional_parameter_is_passed():
         if not any(passes(c, i, name) for c in calls[node.name])
     ]
     assert not unpassed, "\n".join(unpassed)
+
+
+BOUNDS = {
+    "HULL_BUDGET", "SIMPLEX_BUDGET", "MAX_DIM", "MAX_SERIES_ROWS", "MAX_SCAN_CELLS",
+    "MAX_SCAN_COLUMNS",
+}
+
+
+def test_every_bound_is_read_by_one_limit_call():
+    # a bound compared by hand refuses in words of its own, and its count past
+    # str()'s digit limit fails in CPython's words; `_limit` is the one refusal
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")}
+    defined = [
+        path.relative_to(SRC).as_posix()
+        for path, tree in sorted(trees.items())
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_limit"
+    ]
+    assert defined == ["toricstab/exactgeom.py"]
+    stray = []
+    for path, tree in sorted(trees.items()):
+        passed = {
+            id(n.args[1])
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_limit"
+        }
+        stray += [
+            f"{path.relative_to(SRC)}:{n.lineno}: {name}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            for name in [getattr(n, "id", getattr(n, "attr", None))]
+            if name in BOUNDS and id(n) not in passed
+        ]
+    assert not stray, "\n".join(stray)
