@@ -83,8 +83,8 @@ def is_seq(x) -> bool:
 
 
 def positions(x, path=()):
-    """Every path into x: x itself, then each entry at any depth."""
-    yield path
+    """(path, entry) for x itself, then for each entry at any depth."""
+    yield path, x
     if is_seq(x):
         for i, y in enumerate(x):
             yield from positions(y, (*path, i))
@@ -97,12 +97,6 @@ def put(x, path, value):
     entries = list(x)
     entries[path[0]] = put(x[path[0]], path[1:], value)
     return type(x)(entries)
-
-
-def at(x, path):
-    for i in path:
-        x = x[i]
-    return x
 
 
 def lacks(value, template) -> bool:
@@ -128,8 +122,7 @@ def label(x) -> str:
 def test_every_value_ends_in_a_result_or_the_contracted_error(shape):
     call, valid, kind, words = SHAPES[shape]
     broken = []
-    for path in positions(valid):
-        template = at(valid, path)
+    for path, template in positions(valid):
         for value in VALUES:
             try:
                 call(put(valid, path, value))
