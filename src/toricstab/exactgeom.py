@@ -7,9 +7,9 @@ mutated, and no floating point is used anywhere.  `vpolytope`,
 `MAX_DIM` (8).  Every refusal of work over a bound, here and in `limits` and
 `lattice`, is one `_limit` call.
 
-One elimination kernel does the linear algebra: `_reduce` is fraction-free
-Gauss-Jordan elimination (Bareiss) on Python ints, under `rank`, the hull's
-chart coordinates and the corral solves of stage 2.
+One elimination kernel does the linear algebra: `_eliminate`, Bareiss's
+fraction-free update of one integer row against reduced rows, under `rank`,
+the hull's chart, the moments, Sylvester's test and the corrals of stage 2.
 
 One enumeration carries the combinatorics: `_cone_rays`, the double
 description method, gives the extreme rays of a cone {x : A x >= 0}, each
@@ -136,35 +136,29 @@ def primitive(v) -> IntVec:
     return _primitive_int(_scaled([w])[0][0])
 
 
-def _reduce(rows, stop=None):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+def _eliminate(x, reduced):
+    """The integer row x reduced against `reduced`, in order, by Bareiss's fraction-free update.
 
-    Columns are scanned left to right up to `stop` (all by default); a pivot
-    is the first nonzero entry at or below the current row, swapped up.  Each
-    step replaces every other row by (pivot * row - entry * pivot row) / the
-    previous pivot.  Every entry is then a minor of the input, so the division
-    is exact and the entries stay integers.  On return rows[i] has the common
-    pivot D in column pivots[i] and zero in the other pivot columns, and the
-    rows past the pivots vanish on the scanned columns.  Returns (pivots, D).
+    `reduced` holds (pivot column c, row) pairs, each row so reduced against the
+    rows before it.  A step sets x to (row[c] x - x[c] row) / the previous pivot
+    (1 at first), clearing x[c]; every entry stays a minor of the input, an integer.
     """
-    m = len(rows)
-    n = (len(rows[0]) if rows else 0) if stop is None else stop
-    pivots, prev = [], 1
-    for c in range(n):
-        r = len(pivots)
-        p = next((i for i in range(r, m) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        pv = top[c]
-        for i in range(m):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
-        pivots.append(c)
-        prev = pv
-    return pivots, prev
+    prev = 1
+    for c, row in reduced:
+        pv, f = row[c], x[c]
+        x, prev = [(pv * a - f * b) // prev for a, b in zip(x, row)], pv
+    return x
+
+
+def _pivots(rows) -> list[int]:
+    """The echelon pivot columns of integer rows, ascending, read off `_eliminate`."""
+    reduced = []
+    for x in rows:
+        x = _eliminate(x, reduced)
+        c = next((c for c, a in enumerate(x) if a), None)
+        if c is not None:
+            reduced.append((c, x))
+    return sorted(c for c, _ in reduced)
 
 
 def _scaled(points):
@@ -174,7 +168,7 @@ def _scaled(points):
 
 
 def rank(rows) -> int:
-    return len(_reduce(_scaled(rows)[0])[0])
+    return len(_pivots(_scaled(rows)[0]))
 
 
 def affine_dim(points) -> int:
@@ -342,7 +336,7 @@ def _point_facets(pts):
     """
     d = len(pts[0])
     z, scale = _scaled(pts)
-    cols = _reduce([vsub(u, z[0]) for u in z[1:]], d)[0]
+    cols = _pivots([vsub(u, z[0]) for u in z[1:]])
     k = len(cols)
     if k == 0:
         return 0, ()

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 # re-exported: CertificateError is defined in exactgeom
-from .exactgeom import CertificateError, VPolytope, _scaled, _triangulation
+from .exactgeom import CertificateError, VPolytope, _eliminate, _scaled, _triangulation
 
 
 class MomentData(NamedTuple):
@@ -33,10 +33,10 @@ def moment_data(p: VPolytope) -> MomentData:
     With r the lcm of the vertex denominators the scaled vertices z = r u are
     integers.  A simplex with D = |det| of its edge vectors and vertex sum s
     adds D to vol, D s to first and D (sum of z z^T + s s^T) to the upper
-    triangle of second.  D is the last pivot of the edge rows z_i - z_0 reduced
-    one at a time (Bareiss, pivot on the first nonzero entry), keeping the rows
-    of the first vertices shared with the simplex before.  Then the volume is
-    vol / (d! r^d), b = first / ((d+1) r vol) and
+    triangle of second.  D is the last pivot of the edge rows z_i - z_0, each
+    reduced by `_eliminate` against those before it (pivot on its first nonzero
+    entry), keeping the rows of the first vertices shared with the simplex
+    before.  Then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
     Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
     ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
     """
@@ -47,20 +47,18 @@ def _moment_data(p: VPolytope, z, r) -> MomentData:
     d = p.ambient_dim
     vol, first = 0, [0] * d
     second = [[0] * d for _ in range(d)]
-    masks, reduced = _triangulation(p), []  # reduced: the edge rows as (pivot column, pivot, row)
+    masks, reduced = _triangulation(p), []  # reduced: the edge rows as (pivot column, row)
     for last, mask in zip([0, *masks], masks):
         simplex = [u for i, u in enumerate(z) if mask >> i & 1]
         low = (last ^ mask) & -(last ^ mask)  # the first vertex in one simplex but not the other
         del reduced[max((last & (low - 1)).bit_count() - 1, 0):]
         for u in simplex[len(reduced) + 1:]:
-            x, prev = [a - b for a, b in zip(u, simplex[0])], 1
-            for c, pv, row in reduced:  # x[c] is read from x before the update
-                x, prev = [(pv * a - x[c] * b) // prev for a, b in zip(x, row)], pv
+            x = _eliminate([a - b for a, b in zip(u, simplex[0])], reduced)
             c = next((c for c, a in enumerate(x) if a), None)
             if c is None:
                 raise CertificateError(f"moment_data: simplex {mask:#x} has zero volume")
-            reduced.append((c, x[c], x))
-        dd = abs(reduced[-1][1])
+            reduced.append((c, x))
+        dd = abs(x[c])  # the last row's pivot: each simplex reduces at least one row
         s = [sum(col) for col in zip(*simplex)]
         vol += dd
         for i in range(d):
@@ -78,20 +76,18 @@ def _moment_data(p: VPolytope, z, r) -> MomentData:
 def is_positive_definite(matrix) -> bool:
     """Sylvester's criterion for a symmetric rational matrix, in one elimination.
 
-    Fraction-free elimination of the integer-scaled matrix without row swaps
-    has the k-th leading principal minor, up to a positive factor, as pivot k.
+    Row k of the integer-scaled matrix reduced by `_eliminate`, with no row
+    swaps, has the k-th leading principal minor, up to a positive factor, as pivot k.
     """
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix is not square")
     try:
-        rows, prev = _scaled(matrix)[0], 1
+        rows, reduced = _scaled(matrix)[0], []
     except AttributeError:  # an entry with no denominator
         raise ValueError("matrix entries must be integers or Fractions") from None
-    for k, top in enumerate(rows):
-        if top[k] <= 0:
+    for k, row in enumerate(rows):
+        x = _eliminate(row, reduced)
+        if x[k] <= 0:
             return False
-        for i in range(k + 1, len(rows)):
-            f = rows[i][k]
-            rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
-        prev = top[k]
+        reduced.append((k, x))
     return True

@@ -25,8 +25,8 @@ from typing import NamedTuple
 from .exactgeom import (
     CertificateError,
     ConeH,
+    _eliminate,
     _primitive_int,
-    _reduce,
     _scaled,
     dot,
     normal_cone,
@@ -141,16 +141,26 @@ def _sigma1(ctx, m1, bb, offsets, z) -> SigmaOne:
 
 def _corral(gram, corral):
     """The affine minimizer of the points `corral` as integer weights over one positive
-    denominator, eliminated fraction-free; None when the points are affinely dependent."""
-    c = len(corral)
-    # Gram_S alpha = lambda 1, sum(alpha) = 1
-    rows = [[gram[i][l] for l in corral] + [-1, 0] for i in corral] + [[1] * c + [0, 1]]
-    pivots, dd = _reduce(rows, c + 1)
-    if len(pivots) <= c:
-        return None
-    # alpha_i = rows[i][-1] / dd, over the least positive denominator ka
-    ka = abs(dd) // math.gcd(dd, *(row[-1] for row in rows[:c]))
-    return {i: row[-1] * ka // dd for i, row in zip(corral, rows)}, ka
+    denominator; None when the points are affinely dependent.
+
+    The Gram rows of the edges p_i - p_0, then of p_0, go through `_eliminate`
+    unpivoted: a Gram matrix's leading minors stay positive until a vector
+    depends on those before it, so an edge pivot <= 0 means dependence.  Else
+    p_0's row ends as det Gram(p_i - p_0) > 0 times the affine minimizer, even at 0.
+    """
+    i0, *rest = corral
+    # <p_i, q> for q = p_l - p_0 (l in rest) and q = p_0, then p_i's coefficients
+    row = {i: [*(gram[i][l] - gram[i][i0] for l in rest), gram[i][i0],
+               *(int(l == i) for l in corral)] for i in corral}
+    reduced = []
+    for c, j in enumerate(rest):
+        x = _eliminate([a - b for a, b in zip(row[j], row[i0])], reduced)
+        if x[c] <= 0:
+            return None
+        reduced.append((c, x))
+    weights = _eliminate(row[i0], reduced)[len(rest) + 1:]
+    g = math.gcd(*weights)  # it divides their sum, det Gram(p_i - p_0): the least denominator
+    return {i: w // g for i, w in zip(corral, weights)}, sum(weights) // g
 
 
 def _nearest(gram) -> tuple[dict[int, int], int]:

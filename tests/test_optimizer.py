@@ -241,7 +241,7 @@ def test_stage2_rejects_singular_corral(monkeypatch):
     # the optimum of p112 is interior to its two-ray slice, so a corral solve happens
     ctx = corpus_context("p112")
     sigma = build_sigma1(ctx, Q(-1, 4))
-    monkeypatch.setattr(opt, "_reduce", lambda rows, stop=None: ([], 1))
+    monkeypatch.setattr(opt, "_corral", lambda gram, corral: None)
     with pytest.raises(CertificateError, match="singular corral"):
         minimize_mu2_on_cone(ctx, sigma)
 
@@ -249,6 +249,47 @@ def test_stage2_rejects_singular_corral(monkeypatch):
 def _random_metric(rng, d):
     a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
     return [[dot(a[i], a[j]) + (i == j) for j in range(d)] for i in range(d)]
+
+
+def test_corral_matches_kkt_oracle():
+    # the affine minimizer's KKT system, Gram_S alpha = lambda 1 and sum(alpha) = 1,
+    # solved on Fractions: `_corral` gives alpha as integer weights over their least
+    # positive denominator, and None exactly when the system has no unique solution,
+    # that is, when the corral is affinely dependent.  lambda = <x, x> is 0 when the
+    # minimizer is the origin; each of the three kinds occurs
+    rng = fresh_rng("corral-kkt")
+    kinds = collections.Counter()
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        metric = _random_metric(rng, d)
+        n = rng.randint(1, d + 2)
+        pts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # move an affine combination of the points to the origin
+            beta = [rng.randint(-2, 2) for _ in range(n - 1)]
+            beta.append(1 - sum(beta))
+            centre = [sum(b * p[j] for b, p in zip(beta, pts)) for j in range(d)]
+            pts = [[x - c for x, c in zip(p, centre)] for p in pts]
+        if n > 1 and rng.random() < 0.15:
+            pts[-1] = pts[0]
+        mpts = [[dot(row, p) for row in metric] for p in pts]
+        gram = [[dot(p, mq) for mq in mpts] for p in pts]
+        corral = sorted(rng.sample(range(n), rng.randint(1, n)))
+        c = len(corral)
+        kkt = [[gram[i][l] for l in corral] + [-1] for i in corral] + [[1] * c + [0]]
+        want = oracle_solve(kkt, [0] * c + [1])
+        got = opt._corral(gram, corral)
+        if want is None:
+            assert got is None, (gram, corral)
+            kinds["dependent"] += 1
+            continue
+        assert got is not None, (gram, corral)
+        ws, den = got
+        assert den > 0 and math.gcd(den, *ws.values()) == 1
+        assert {i: Q(w, den) for i, w in ws.items()} == dict(zip(corral, want))
+        kinds["origin" if want[-1] == 0 else "independent"] += 1
+    assert set(kinds) == {"dependent", "origin", "independent"}
+    assert min(kinds.values()) >= 30, kinds
 
 
 def _nearest_by_subsets(gram, d):
@@ -276,18 +317,22 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
     # affine minimizer is the start when its weights are positive, and the
     # walk starts from the nearest point when they are not or when the points
     # are affinely dependent; each of the three occurs
-    real = opt._reduce
-    solves, full_rank = [], []
+    real = opt._corral
+    solves = []
 
-    def recording(rows, stop=None):
-        pivots, dd = real(rows, stop)
-        # a corral solve: alpha and lambda are rows[i][-1] / dd
-        solves.append(tuple(Q(row[-1], dd) for row in rows[:stop]))
-        full_rank.append(len(pivots) == stop)
+    def recording(gram, corral):
+        # a corral solve: its size, and its weights over their denominator or None
+        solve = real(gram, corral)
+        solves.append((len(corral), solve))
         assert len(solves) <= limit, "walk does not terminate"
-        return pivots, dd
+        return solve
 
-    monkeypatch.setattr(opt, "_reduce", recording)
+    def norm_sq(gram, solve):
+        """<x, x> of the affine minimizer x, from its weights and the Gram matrix."""
+        ws, den = solve
+        return Q(sum(w * v * gram[i][j] for i, w in ws.items() for j, v in ws.items()), den**2)
+
+    monkeypatch.setattr(opt, "_corral", recording)
     rng = fresh_rng("nearest")
     cases = drops = 0
     starts = collections.Counter()
@@ -306,25 +351,25 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
             r = math.lcm(*(x.denominator for row in gram for x in row))
             gram = [[x.numerator * (r // x.denominator) for x in row] for row in gram]
             solves.clear()
-            full_rank.clear()
             limit = n * 2**n + 1
             ws, den = opt._nearest(gram)
-            assert len(solves[0]) == n + 1, "the whole set is solved first"
-            if full_rank[0] and all(a > 0 for a in solves[0][:-1]):
+            size, whole = solves[0]
+            assert size == n, "the whole set is solved first"
+            if whole is not None and all(a > 0 for a in whole[0].values()):
                 starts["whole set"] += 1
                 assert len(solves) == 1, "the whole set's minimizer is the nearest point"
             else:
-                starts["minimizer not interior" if full_rank[0] else "affinely dependent"] += 1
+                starts["minimizer not interior" if whole else "affinely dependent"] += 1
                 del solves[0]  # not a corral of the walk
             weights = {i: Q(w, den) for i, w in ws.items()}
             assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
             gx = tuple(sum(w * gram[k][i] for i, w in weights.items()) for k in range(n))
             assert _nearest_by_subsets(gram, d) == {gx}
             # a solve with all weights positive is the next corral's minimizer
-            norms = [sol[-1] for sol in solves if all(a > 0 for a in sol[:-1])]
+            norms = [norm_sq(gram, sol) for _, sol in solves if all(a > 0 for a in sol[0].values())]
             assert all(b < a for a, b in zip(norms, norms[1:]))
             # without drops each solve has one more point than the one before
-            sizes = [len(sol) for sol in solves]
+            sizes = [size for size, _ in solves]
             drops += any(b <= a for a, b in zip(sizes, sizes[1:]))
             cases += 1
     assert drops >= cases // 10
@@ -478,16 +523,16 @@ def test_stage2_on_p11112_is_one_corral_solve(monkeypatch):
     # the affine minimizer of sigma1's four rays has positive weights, so the
     # walk starts there and its certificate holds at once
     ctx = context_from_rays(LADDER["p11112"], name="p11112")
-    real, solves = opt._reduce, []
+    real, solves = opt._corral, []
 
-    def counting(rows, stop=None):
-        solves.append(stop)
-        return real(rows, stop)
+    def counting(gram, corral):
+        solves.append(len(corral))
+        return real(gram, corral)
 
-    monkeypatch.setattr(opt, "_reduce", counting)
+    monkeypatch.setattr(opt, "_corral", counting)
     report = optimal_destabilizer(ctx)
     assert len(report.sigma1.rays) == 4
-    assert solves == [5]
+    assert solves == [4]
 
 
 def _public_stages(ctx):

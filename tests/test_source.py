@@ -177,3 +177,34 @@ def test_every_bound_is_read_by_one_limit_call():
             if name in BOUNDS and id(n) not in passed
         ]
     assert not stray, "\n".join(stray)
+
+
+def is_bareiss_update(node) -> bool:
+    """Whether node is (a * b - c * d) // name, Bareiss's fraction-free update."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.right, ast.Name)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left.left, node.left.right)
+        )
+    )
+
+
+def test_one_fraction_free_elimination():
+    # rank, the hull's chart, the moments, Sylvester's test and the corral solves
+    # of stage 2 all reduce rows through `exactgeom._eliminate`; an update
+    # written anywhere else is a second elimination kernel
+    holders = sorted(
+        {
+            f"{path.relative_to(SRC).as_posix()}:{stmt.name}"
+            for path in SRC.rglob("*.py")
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            for n in ast.walk(stmt)
+            if is_bareiss_update(n)
+        }
+    )
+    assert holders == ["toricstab/exactgeom.py:_eliminate"], "\n".join(holders)
