@@ -54,14 +54,27 @@ class CertificateError(RuntimeError):
     """An exact internal consistency check failed; results must not be trusted."""
 
 
+def _shown(x) -> str:
+    """repr(x), with an int too long for str(), alone or in a list, tuple or Fraction, as
+    "more than 10^k"."""
+    if type(x) in (list, tuple):
+        inner = ", ".join(map(_shown, x)) + "," * (len(x) == 1 and type(x) is tuple)
+        return f"[{inner}]" if type(x) is list else f"({inner})"
+    try:
+        return repr(x)
+    except ValueError:  # str() refuses an int of more than 4300 digits
+        if isinstance(x, Q):
+            return f"Fraction({_shown(x.numerator)}, {_shown(x.denominator)})"
+        if not isinstance(x, int):
+            raise
+        k = (abs(x).bit_length() - 1) * 30102 // 100000  # log10(2) > 0.30102
+        return f"more than 10^{k}" if x > 0 else f"less than -10^{k}"
+
+
 def _limit(n, limit, message):
-    """ValueError(message.format(n, limit)) if n > limit; "more than 10^k" if str() refuses n."""
+    """ValueError(message.format(n, limit)) if n > limit, with n `_shown`."""
     if n > limit:
-        try:
-            n = str(n)
-        except ValueError:
-            n = f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"  # log10(2) > 0.30102
-        raise ValueError(message.format(n, limit))
+        raise ValueError(message.format(_shown(n), limit))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +88,7 @@ def qvec(xs) -> VecQ:
             raise TypeError
         return tuple(map(Q, xs))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"{xs!r} is not a vector of rationals") from exc
+        raise ValueError(f"{_shown(xs)} is not a vector of rationals") from exc
 
 
 def qval(x, what) -> Q:
@@ -83,7 +96,7 @@ def qval(x, what) -> Q:
     try:
         return Q(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"{what} {x!r} is not a rational") from exc
+        raise ValueError(f"{what} {_shown(x)} is not a rational") from exc
 
 
 def _ints(xs, what) -> tuple[int, ...]:
@@ -95,7 +108,7 @@ def _ints(xs, what) -> tuple[int, ...]:
         except (TypeError, ValueError, OverflowError):
             n = None
         if n is None or n != x:
-            raise ValueError(f"{what} {x!r} is not an integer")
+            raise ValueError(f"{what} {_shown(x)} is not an integer")
         out.append(n)
     return tuple(out)
 
@@ -257,7 +270,7 @@ def _lattice(v, d, refusal) -> IntVec:
     except (TypeError, ValueError, OverflowError):
         z = None
     if z != tuple(v) or math.gcd(*z) != 1:
-        raise ValueError(refusal.format(tuple(v)))
+        raise ValueError(refusal.format(_shown(tuple(v))))
     return z
 
 
@@ -384,7 +397,7 @@ def vertices_from_facets(h: HPolytope) -> VPolytope:
     """Vertices and facets of a bounded, full-dimensional H-polytope with primitive normals."""
     d = h.ambient_dim
     _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
-    refusal = "normal {!r} is not a primitive nonzero lattice vector"
+    refusal = "normal {} is not a primitive nonzero lattice vector"
     cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
     return _facet_vertices(cons, d)
 

@@ -117,11 +117,15 @@ def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
     on it.  Dividing by -m1, that is {v : <u_j - c, v> >= 0} with
     c = (1 + 1/m1) b, the normal cone of the face of P through c when c lies
     on the boundary of P; its rays are the normals of the facets tight at c.
+    An m1 that puts c elsewhere is not the context's minimum: a ValueError.
     """
     m1 = qval(m1, "m1")
     if m1 >= 0:
         raise ValueError("stage-1 minimum must be negative")
-    return _sigma1(ctx, m1, *_view(ctx)[:3])
+    try:
+        return _sigma1(ctx, m1, *_view(ctx)[:3])
+    except CertificateError as exc:  # the caller's m1, not an internal fault
+        raise ValueError(str(exc)) from None
 
 
 def _sigma1(ctx, m1, bb, offsets, z) -> SigmaOne:

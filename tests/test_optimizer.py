@@ -140,9 +140,9 @@ def test_sigma1_rejects_inconsistent_level():
     # level moves c off the boundary
     ctx = corpus_context("p112")
     assert build_sigma1(ctx, Q(-1, 4)).rays == ((-1, -2), (1, 0))
-    with pytest.raises(CertificateError, match="inconsistent M1.*outside P"):
+    with pytest.raises(ValueError, match="inconsistent M1.*outside P"):
         build_sigma1(ctx, Q(-1, 5))
-    with pytest.raises(CertificateError, match="inconsistent M1.*inside P"):
+    with pytest.raises(ValueError, match="inconsistent M1.*inside P"):
         build_sigma1(ctx, Q(-1, 2))
 
 
