@@ -121,6 +121,23 @@ def test_kernel_matches_fraction_oracle():
     }
 
 
+def test_shown_is_repr_until_str_refuses_an_int():
+    # refusals name values through `_shown`: repr, with an int past CPython's
+    # 4300-digit str() limit read as a bound, also inside a list, tuple or Fraction
+    big = 10**5000
+    for x in [(), (2,), (1, 2), [], [(1,), [Q(1, 3)]], Q(-2, 3), "x", None, 10**4000, -7]:
+        assert eg._shown(x) == repr(x)
+    assert eg._shown(big) == "more than 10^4999"
+    assert eg._shown((-big,)) == "(less than -10^4999,)"
+    assert eg._shown([Q(big, 3), 0]) == "[Fraction(more than 10^4999, 3), 0]"
+    # the bound holds and is within a factor 100: 10^k < x < 10^(k + 2)
+    for x in (10**4400, big - 1, 2**20000, 3**10000):
+        shown, _, k = eg._shown(x).rpartition("^")
+        assert shown == "more than 10" and 10 ** int(k) < x < 10 ** (int(k) + 2)
+    with pytest.raises(ValueError):  # no int to name: the interpreter's own refusal stands
+        eg._shown({big})
+
+
 # ---------------------------------------------------------------------------
 # fan input duality
 

@@ -359,7 +359,7 @@ def test_nearest_matches_subset_enumeration(monkeypatch):
                 starts["whole set"] += 1
                 assert len(solves) == 1, "the whole set's minimizer is the nearest point"
             else:
-                starts["minimizer not interior" if whole else "affinely dependent"] += 1
+                starts["minimizer not interior" if whole is not None else "affinely dependent"] += 1
                 del solves[0]  # not a corral of the walk
             weights = {i: Q(w, den) for i, w in ws.items()}
             assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
