@@ -38,8 +38,17 @@ INTEGER = re.compile(r"[+-]?[0-9]+")
 # rendering
 
 
+def int_str(n: int) -> str:
+    """str(n); a ValueError naming the limit when n has more digits than str() may print."""
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"output integer longer than {limit} digits") from None
+
+
 def rat_str(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 def dec_str(x, digits: int) -> str:
@@ -48,7 +57,7 @@ def dec_str(x, digits: int) -> str:
     n, rem = divmod(abs(x.numerator) * 10**digits, den)
     if 2 * rem > den or (2 * rem == den and n % 2 == 1):
         n += 1
-    s = str(n).rjust(digits + 1, "0")
+    s = int_str(n).rjust(digits + 1, "0")
     return f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}"
 
 
@@ -58,7 +67,7 @@ def sqrt_dec_str(sign: int, square, digits: int) -> str:
     n = math.isqrt(num // den)
     if (n * n + (n + 1) * (n + 1)) * den <= 2 * num:  # past the mean of n^2 and (n+1)^2
         n += 1
-    s = str(n).rjust(digits + 1, "0")
+    s = int_str(n).rjust(digits + 1, "0")
     body = f"{s[:-digits]}.{s[-digits:]}"
     return ("-" if sign < 0 else "") + body
 
@@ -68,7 +77,7 @@ def vec_str(v) -> str:
 
 
 def ivec_str(v) -> str:
-    return ",".join(str(int(x)) for x in v)
+    return ",".join(int_str(int(x)) for x in v)
 
 
 def render_m2(sign: int, square, digits: int):

@@ -500,13 +500,19 @@ def extreme_rays(c: ConeH) -> ConeGenerators:
 # Fano dual polytopes and triangulation
 
 
-def dual_polytope(rays, coeffs=None):
+def dual_polytope(rays, coeffs):
     """Polytope {u : <u, ray_i> >= coeff_i - 1} of complete toric log Fano data.
 
     Rays must be primitive nonzero lattice vectors positively spanning the
-    ambient space; coefficients are rationals in [0, 1).  Returns the
-    (HPolytope, VPolytope) pair.
+    ambient space; coefficients are rationals in [0, 1), or None for all 0.
+    Returns the (HPolytope, VPolytope) pair.
     """
+    ints, coeffs, v = _dual(rays, coeffs)
+    return HPolytope(tuple(sorted(zip(ints, (c - 1 for c in coeffs))))), v
+
+
+def _dual(rays, coeffs):
+    """`dual_polytope`'s checked rays as ints, its coefficients as Fractions, and the VPolytope."""
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
@@ -525,7 +531,7 @@ def dual_polytope(rays, coeffs=None):
     _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span
-    return HPolytope(tuple(cons)), _facet_vertices(cons, d, "degenerate fan")
+    return tuple(ints), coeffs, _facet_vertices(cons, d, "degenerate fan")
 
 
 def _pull(face, k, facet_sets):

@@ -45,6 +45,8 @@ def moment_data(p: VPolytope) -> MomentData:
 
 def _moment_data(p: VPolytope, z, r) -> MomentData:
     d = p.ambient_dim
+    if d == 0:  # a point, whose 0-dimensional volume counts it once
+        return MomentData(Q(1), (), ())
     vol, first = 0, [0] * d
     second = [[0] * d for _ in range(d)]
     masks, reduced = _triangulation(p), []  # reduced: the edge rows as (pivot column, row)
@@ -82,9 +84,14 @@ def is_positive_definite(matrix) -> bool:
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix is not square")
     try:
-        rows, reduced = _scaled(matrix)[0], []
+        return _positive_definite(_scaled(matrix)[0])
     except AttributeError:  # an entry with no denominator
         raise ValueError("matrix entries must be integers or Fractions") from None
+
+
+def _positive_definite(rows) -> bool:
+    """`is_positive_definite` of a square symmetric integer matrix, which needs no clearing."""
+    reduced = []
     for k, row in enumerate(rows):
         x = _eliminate(row, reduced)
         if x[k] <= 0:

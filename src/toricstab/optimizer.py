@@ -11,9 +11,11 @@ generated by the normals g of the facets tight at c.  Its slice by
 the Cov norm, found by Wolfe's walk.  `optimal_destabilizer` clears b,
 the facet offsets and the vertices to integers once, by one factor s, and
 Cov by another, D; the three stages are kernels on that view, wrapped by
-public stages that clear only what their kernel reads.  So every step
-and exact certificate (v* checked as primitive(v*)) runs on integers;
-strict convexity makes the optimum unique.
+public stages that clear only what their kernel reads.  Every later step
+reads those integers: stage 1 compares its values as numerators over one
+lcm, and Sylvester's test on D Cov, sigma1's H-form and mu at primitive(v*)
+clear nothing again, so a `Fraction` is formed only for a reported value.
+Strict convexity makes the optimum unique.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .exactgeom import (
     normal_cone,
     qval,
 )
-from .moments import is_positive_definite
-from .stability import SEMISTABLE, StabilityContext, StabilityValue, mu, verdict
+from .moments import _positive_definite
+from .stability import SEMISTABLE, StabilityContext, StabilityValue, verdict
 
 
 class Stage1Result(NamedTuple):
@@ -89,9 +91,13 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
 
 
 def _stage1(ctx, bb, offsets) -> Stage1Result:
+    """`minimize_mu1` on B = s b and the offsets O = s c, compared as integers."""
     facets = ctx.vpoly.facets
-    # with B = s b and O = s c for the offsets c: mu1(n) = -<B, n> / (<B, n> - O)
-    vals = [Q(-bn, bn - o) for bn, o in zip((dot(bb, f.normal) for f in facets), offsets)]
+    # mu1(n) = -<B, n> / (<B, n> - O), each denominator positive (b is interior): the
+    # values compare as their numerators over the lcm L of the denominators
+    bns = [dot(bb, f.normal) for f in facets]
+    lcm = math.lcm(*(bn - o for bn, o in zip(bns, offsets)))
+    vals = [-bn * (lcm // (bn - o)) for bn, o in zip(bns, offsets)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
         through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
@@ -101,11 +107,11 @@ def _stage1(ctx, bb, offsets) -> Stage1Result:
     best = min(vals)
     if best >= 0:
         raise CertificateError("stage 1 found no destabilizing direction")
-    if ctx.zero_interior and best <= -1:
+    if all(o < 0 for o in offsets) and best <= -lcm:  # 0 interior: mu1 > -1
         raise CertificateError("stage 1 minimum out of range")
     witnesses = sorted({f.normal for f, val in zip(facets, vals) if val == best})
     # the vertices are sorted, so per_cone is too
-    return Stage1Result(best, tuple(witnesses), tuple(per_cone))
+    return Stage1Result(Q(best, lcm), tuple(witnesses), tuple((u, Q(v, lcm)) for u, v in per_cone))
 
 
 def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
@@ -210,21 +216,22 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
     in the Cov norm.  With C = D Cov and B = E b integral (E is the factor
-    s of `optimal_destabilizer`'s view, or the lcm of b's denominators
-    here) and L the lcm of the <B, g>, each such point is E / L times the
-    integer p_g = L g / <B, g>; the Gram matrix of the p_g under C is the
-    true one times D L^2 / E^2 > 0, which leaves the weights of the walk
-    unchanged.
+    s of `optimal_destabilizer`'s view, or here the lcm of the denominators
+    of b and the vertices, which mu at the optimum reads too) and L the lcm
+    of the <B, g>, each such point is E / L times the integer
+    p_g = L g / <B, g>; the Gram matrix of the p_g under C is the true one
+    times D L^2 / E^2 > 0, which leaves the weights of the walk unchanged.
     """
-    (bb,), e = _scaled([ctx.moments.barycenter])
-    v_star, _, value = _stage2(ctx, sigma1, bb, e)
+    (bb, *z), e = _scaled([ctx.moments.barycenter, *ctx.vpoly.vertices])
+    v_star, _, value = _stage2(ctx, sigma1, bb, z, e)
     return v_star, value
 
 
-def _stage2(ctx, sigma1, bb, e):
-    """`minimize_mu2_on_cone` on B = E b, with Cov cleared: (v*, primitive(v*), mu there)."""
-    c, _ = _scaled(ctx.moments.covariance)
-    if not is_positive_definite(c):
+def _stage2(ctx, sigma1, bb, z, e):
+    """`minimize_mu2_on_cone` on B = E b and the vertices Z = E u, with C = D Cov cleared
+    once for Sylvester's test, the walk and mu: (v*, primitive(v*), mu there)."""
+    c, dd = _scaled(ctx.moments.covariance)
+    if not _positive_definite(c):
         raise CertificateError("covariance not positive definite")
     beta = [dot(bb, g) for g in sigma1.rays]
     if min(beta) <= 0:
@@ -239,7 +246,10 @@ def _stage2(ctx, sigma1, bb, e):
     v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
     if not sigma1.cone.contains(p):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
-    value = mu(ctx, p)
+    # stability.mu(ctx, p) on the same integers: <b, p> = <B, p> / E, min <u, p> = min <Z, p> / E
+    # and p^T Cov p = p^T C p / D
+    bp, zp, quad = dot(bb, p), min(dot(u, p) for u in z), sum(a * dot(r, p) for a, r in zip(p, c))
+    value = StabilityValue(Q(-bp, bp - zp), (bp < 0) - (bp > 0), Q(bp * bp * dd, e * e * quad))
     if value.mu1 != sigma1.m1:
         raise CertificateError("stage 2 left the stage-1 level set")
     return v_star, p, value
@@ -258,7 +268,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
                 raise CertificateError("witness ray outside sigma1")
         if set(stage1.witness_rays) != set(sigma1.rays):
             raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
-        v_star, p, value = _stage2(ctx, sigma1, bb, s)
+        v_star, p, value = _stage2(ctx, sigma1, bb, z, s)
         if value.mu2_sign != -1:
             raise CertificateError("optimal direction is not destabilizing")
     except CertificateError as exc:

@@ -18,11 +18,11 @@ from .exactgeom import (
     Fan,
     HPolytope,
     VPolytope,
+    _dual,
     _normal_fan,
     _scaled,
     as_direction,
     dot,
-    dual_polytope,
     facets_from_vertices,
     primitive,
     qval,
@@ -101,9 +101,7 @@ def _build(vp, rays=None, coeffs=None, name=None) -> StabilityContext:
 
 def context_from_rays(rays, coeffs=None, name=None) -> StabilityContext:
     """Context of complete toric log Fano fan data (rays plus boundary coefficients)."""
-    _, v = dual_polytope(rays, coeffs)
-    rr = tuple(tuple(int(x) for x in r) for r in rays)
-    cc = tuple(Q(c) for c in coeffs) if coeffs is not None else tuple(Q(0) for _ in rr)
+    rr, cc, v = _dual(rays, coeffs)
     return _build(v, rr, cc, name)
 
 

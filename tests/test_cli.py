@@ -716,6 +716,20 @@ def test_integer_literal_over_the_digit_limit_exits_two(tmp_path, capsys):
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
 
+def test_output_integer_over_the_digit_limit_exits_two(tmp_path, capsys):
+    # the corners (+-10^2500, +-10^2500) give the volume about 4 10^5000, which
+    # str() refuses to print in full; the refusal names the limit, not CPython's advice
+    big = 10**2500
+    corners = [[x, y] for x in (-big, big) for y in (-big, big)]
+    vertices = [[0, 0], [3, 1], [1, 4], [-2, 2], *corners]
+    doc = {"name": "big", "moment_polytope": {"vertices": vertices}}
+    path = write_doc(tmp_path, "big.json", doc)
+    for argv in (["report", path], ["report", path, "--v", "1,0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: output integer longer than 4300 digits\n"
+
+
 def test_rational_decimals_and_fractions_read_alike(tmp_path, capsys):
     outs = []
     for vertices in (

@@ -54,7 +54,7 @@ WP = weight_polytope(W)
 SHAPES = {
     "primitive": (primitive, (1, 2), Q, ()),
     "vpolytope": (vpolytope, [(0, 0), (1, 0), (0, 1)], Q, ()),
-    "dual_polytope.rays": (dual_polytope, RAYS, int, ("ray",)),
+    "dual_polytope.rays": (lambda r: dual_polytope(r, None), RAYS, int, ("ray",)),
     "dual_polytope.coeffs": (lambda c: dual_polytope(RAYS, c), [0, 0, Q(1, 2)], Q, ()),
     "lattice_series.v": (lambda v: lattice_series(P112.vpoly, v, 9), (1, 0), int, ("direction",)),
     "lattice_series.m_max": (lambda m: lattice_series(P112.vpoly, (1, 0), m), 9, int, ("m_max",)),

@@ -175,12 +175,12 @@ def test_unbounded_exactly_when_polar_cone_nontrivial(d):
 
 
 def test_dual_polytope_plane():
-    _, v = dual_polytope([(1, 0), (0, 1), (-1, -1)])
+    _, v = dual_polytope([(1, 0), (0, 1), (-1, -1)], None)
     assert set(v.vertices) == {qtuple(-1, -1), qtuple(2, -1), qtuple(-1, 2)}
 
 
 def test_dual_polytope_weighted():
-    _, v = dual_polytope([(1, 0), (0, 1), (-1, -2)])
+    _, v = dual_polytope([(1, 0), (0, 1), (-1, -2)], None)
     assert set(v.vertices) == {qtuple(-1, -1), qtuple(-1, 1), qtuple(3, -1)}
 
 
@@ -193,31 +193,31 @@ def test_dual_polytope_boundary_coefficients():
 
 def test_dual_polytope_rejects_bad_input():
     with pytest.raises(ValueError, match="degenerate fan"):
-        dual_polytope([(1, 0), (-1, 0)])
+        dual_polytope([(1, 0), (-1, 0)], None)
     with pytest.raises(ValueError, match="coefficient must be < 1"):
         dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, 0, 1])
     with pytest.raises(ValueError, match="coefficient must be >= 0"):
         dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, 0, Q(-1, 2)])
     with pytest.raises(ValueError, match="duplicate ray"):
-        dual_polytope([(1, 0), (1, 0), (0, 1), (-1, -1)])
+        dual_polytope([(1, 0), (1, 0), (0, 1), (-1, -1)], None)
     with pytest.raises(ValueError, match="primitive"):
-        dual_polytope([(2, 0), (0, 1), (-1, -1)])
+        dual_polytope([(2, 0), (0, 1), (-1, -1)], None)
     with pytest.raises(ValueError, match="^degenerate fan$"):
-        dual_polytope([])
+        dual_polytope([], None)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        dual_polytope([(1, 0), (0, 1, 0), (-1, -1)])
+        dual_polytope([(1, 0), (0, 1, 0), (-1, -1)], None)
     with pytest.raises(ValueError, match="^one coefficient per ray required$"):
         dual_polytope([(1, 0), (0, 1), (-1, -1)], [0, 0])
 
 
 def test_dual_polytope_reads_integral_fractions_as_integers():
-    ints = dual_polytope([(1, 0), (0, 1), (-2, -3)])
-    fracs = dual_polytope([(Q(1), 0), (0, 1), (Q(-2, 1), Q(-3))])
+    ints = dual_polytope([(1, 0), (0, 1), (-2, -3)], None)
+    fracs = dual_polytope([(Q(1), 0), (0, 1), (Q(-2, 1), Q(-3))], None)
     assert fracs == ints and fracs[1].facets == ints[1].facets
     assert all(type(x) is int for n, _ in fracs[0].constraints for x in n)
     for bad in [(Q(1, 2), 0), (2, 0), (0, 0), (None, 1), (math.inf, 1), ("x", 1)]:
         with pytest.raises(ValueError, match="^ray must be a primitive nonzero lattice vector$"):
-            dual_polytope([bad, (0, 1), (-1, -1)])
+            dual_polytope([bad, (0, 1), (-1, -1)], None)
     for bad in (None, "x", "1/0"):
         message = f"^\\[0, {re.escape(repr(bad))}, 0\\] is not a vector of rationals$"
         with pytest.raises(ValueError, match=message):
@@ -434,7 +434,7 @@ def test_fan_with_many_rays_builds():
         for r in itertools.product((-1, 0, 1), repeat=4)
         if 1 <= sum(map(abs, r)) <= 2 and r not in ((0, 0, 1, 1), (0, 0, -1, -1))
     ]
-    h, v = dual_polytope(rays)
+    h, v = dual_polytope(rays, None)
     assert len(h.constraints) == 30 and v.dim == 4
     assert facets_from_vertices(vpolytope(v.vertices)).constraints == tuple(
         (f.normal, f.offset) for f in v.facets

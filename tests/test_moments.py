@@ -16,6 +16,7 @@ from stability_oracle import support_min
 from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
 from toricstab.lattice import LatticeSeries, SeriesRow, extrapolate, lattice_series
 from toricstab.moments import is_positive_definite, moment_data
+from toricstab.optimizer import optimal_destabilizer
 from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
 
 SQUARE = vpolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -46,6 +47,15 @@ def test_covariance_interval():
     assert md.covariance == ((Q(1, 12),),)
     raw = md.covariance[0][0] + md.barycenter[0] ** 2
     assert raw == Q(1, 3)
+
+
+def test_a_point_has_the_moments_of_its_counting_measure():
+    # the one polytope of ambient dimension 0 is a point: volume 1, and an
+    # empty barycenter and covariance, which make its context semistable
+    assert moment_data(vpolytope([()])) == (Q(1), (), ())
+    ctx = context_from_vertices([()], name="point")
+    assert ctx.moments == (Q(1), (), ()) and is_positive_definite(ctx.moments.covariance)
+    assert optimal_destabilizer(ctx).verdict == "semistable"
 
 
 def test_covariance_weighted_triangle_exact():

@@ -587,11 +587,26 @@ def test_one_optimizer_behind_two_entry_points(contexts):
     assert unstable >= len(fans) + 10
 
 
+def test_mu_at_the_optimum_is_the_public_mu(contexts):
+    # stage 2 reads mu at primitive(v*) off the integers of its own view; the
+    # public mu, which clears v, b, the vertices and Cov itself, must agree,
+    # and so must the public stage 2, which clears b and the vertices alone
+    ladder = [context_from_rays(rays, name=name) for name, rays in LADDER_FANS.items()]
+    fans = [ctx for d in (2, 3, 4) for ctx in _seeded_fan_contexts(d)]
+    unstable = [c for c in [*contexts.values(), *ladder, *fans] if verdict(c) == "unstable"]
+    assert len(unstable) >= len(fans) + 10
+    for ctx in unstable:
+        report = optimal_destabilizer(ctx)
+        assert report.m_mu == mu(ctx, report.v_star_primitive), ctx.name
+        v_star, value = minimize_mu2_on_cone(ctx, report.sigma1)
+        assert (v_star, value) == (report.v_star_rational, report.m_mu), ctx.name
+        assert tuple(value) == (report.m1, report.m2_sign, report.m2_sq), ctx.name
+
+
 def test_each_destabilizer_call_clears_the_context_once(monkeypatch):
     # the context build clears the vertices once for the moments and the fan;
-    # the optimizer clears b, the offsets and the vertices once and Cov once;
-    # the positive-definiteness check and the two clearings of the mu
-    # certificate, which reads the data on its own, are the rest
+    # the optimizer clears b, the offsets and the vertices once and Cov once,
+    # and its mu certificate and positive-definiteness check read those integers
     real, calls = eg._scaled, collections.Counter()
     for module in (eg, moments, stability, opt):
 
@@ -601,7 +616,7 @@ def test_each_destabilizer_call_clears_the_context_once(monkeypatch):
 
         monkeypatch.setattr(module, "_scaled", counting)
     optimal_destabilizer(context_from_rays(LADDER["p11112"], name="p11112"))
-    assert dict(calls) == {"stability": 3, "optimizer": 2, "moments": 1}
+    assert dict(calls) == {"stability": 1, "optimizer": 2}
 
 
 # ---------------------------------------------------------------------------

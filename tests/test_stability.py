@@ -74,7 +74,7 @@ def test_every_description_of_a_body_gives_one_context():
         report = optimal_destabilizer(by_rays)
         assert optimal_destabilizer(by_verts) == report == optimal_destabilizer(by_cons), name
     for name, rays in HIRZEBRUCH.items():
-        assert len(dual_polytope(rays)[0].constraints) == 4
+        assert len(dual_polytope(rays, None)[0].constraints) == 4
         assert len(context_from_rays(rays).hpoly.constraints) == 3, name
 
 
