@@ -110,8 +110,9 @@ def _stage1(ctx, bb, offsets) -> Stage1Result:
     if all(o < 0 for o in offsets) and best <= -lcm:  # 0 interior: mu1 > -1
         raise CertificateError("stage 1 minimum out of range")
     witnesses = sorted({f.normal for f, val in zip(facets, vals) if val == best})
-    # the vertices are sorted, so per_cone is too
-    return Stage1Result(Q(best, lcm), tuple(witnesses), tuple((u, Q(v, lcm)) for u, v in per_cone))
+    # the vertices are sorted, so per_cone is too; one Fraction per distinct value
+    q = {v: Q(v, lcm) for v in {best, *(v for _, v in per_cone)}}
+    return Stage1Result(q[best], tuple(witnesses), tuple((u, q[v]) for u, v in per_cone))
 
 
 def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
