@@ -8,10 +8,10 @@ import importlib
 
 _EXPORTS = {
     "exactgeom": (
-        "CertificateError", "ConeGenerators", "ConeH", "Fan", "HPolytope", "VPolytope",
-        "dual_polytope", "extreme_rays", "facets_from_vertices", "normal_fan", "primitive",
-        "triangulate", "vertices_from_facets", "vpolytope",
+        "CertificateError", "ConeH", "Fan", "HPolytope", "VPolytope", "dual_polytope",
+        "facets_from_vertices", "primitive",
     ),
+    "invariants": ("futaki", "l2_norm_sq", "log_discrepancy_S", "min_norm", "mu", "mu_prime_trunc"),
     "lattice": ("ExtrapolationResult", "LatticeSeries", "extrapolate", "lattice_series"),
     "limits": (
         "WeightedPoint", "WeightPolytope", "face_limit", "face_of_direction", "is_fixed",
@@ -22,10 +22,13 @@ _EXPORTS = {
         "DestabReport", "SigmaOne", "Stage1Result", "build_sigma1", "minimize_mu1",
         "minimize_mu2_on_cone", "optimal_destabilizer",
     ),
+    "polytopes": (
+        "ConeGenerators", "extreme_rays", "normal_fan", "triangulate", "vertices_from_facets",
+        "vpolytope",
+    ),
     "stability": (
         "SEMISTABLE", "UNSTABLE", "StabilityContext", "StabilityValue",
-        "context_from_constraints", "context_from_rays", "context_from_vertices", "futaki",
-        "l2_norm_sq", "log_discrepancy_S", "min_norm", "mu", "mu_prime_trunc", "verdict",
+        "context_from_constraints", "context_from_rays", "context_from_vertices", "verdict",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

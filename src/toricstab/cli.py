@@ -4,7 +4,8 @@ Commands parse JSON input documents, run the exact library, and emit JSON
 documents whose rational values are "p/q" strings; decimal fields are
 display-only annotations.  Output is deterministic: byte-identical across
 runs and --threads settings.  Exit codes: 0 success, 2 invalid input,
-3 internal certificate failure.
+3 internal certificate failure.  `report`, `oracle` and `limits` live in
+`cli_report`, `cli_oracle` and `cli_limits`, each imported when it runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import re
 import sys
 from fractions import Fraction as Q
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 # each command imports the library modules it runs where it runs them, so a
@@ -199,19 +201,6 @@ def context_from_doc(doc) -> StabilityContext:
     raise ValueError("field rays or moment_polytope: required")
 
 
-def weighted_point_from_doc(doc):
-    from .limits import weighted_point
-    if not isinstance(doc, dict):
-        raise ValueError("input document must be a JSON object")
-    ws = parse_vectors(doc.get("weights"), "weights", parse_int)
-    support = doc.get("support")
-    if support is not None:
-        support = [parse_int(i, "support") for i in parse_list(support, "support")]
-        if any(not 0 <= i < len(ws) for i in support):
-            raise ValueError(f"field support: expected indices in 0..{len(ws) - 1}")
-    return weighted_point(ws, support)
-
-
 def gather_contexts(args) -> list[StabilityContext]:
     if args.corpus and args.inputs:
         raise ValueError("give input files or --corpus, not both")
@@ -227,6 +216,8 @@ def gather_contexts(args) -> list[StabilityContext]:
             out.append(context_from_doc(load_doc(path)))
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
+        except CertificateError as exc:
+            raise CertificateError(f"{path}: {exc}") from exc
     if errors:
         raise ValueError("; ".join(errors))
     return out
@@ -234,42 +225,6 @@ def gather_contexts(args) -> list[StabilityContext]:
 
 # ---------------------------------------------------------------------------
 # documents
-
-
-def report_doc(ctx: StabilityContext, directions, digits: int):
-    from .stability import l2_norm_sq, log_discrepancy_S, mu, verdict
-    md = ctx.moments
-    doc = {
-        "name": ctx.name,
-        "scope": SCOPE,
-        "dim": ctx.dim,
-        "vertices": [vec_str(u) for u in ctx.vpoly.vertices],
-        "volume": rat_str(md.volume),
-        "volume_decimal": dec_str(md.volume, digits),
-        "barycenter": vec_str(md.barycenter),
-        "covariance": [vec_str(row) for row in md.covariance],
-        "verdict": verdict(ctx),
-    }
-    rendered = []
-    for v in directions:
-        value = mu(ctx, v)
-        a, s = log_discrepancy_S(ctx, v)
-        rendered.append(
-            {
-                "v": ivec_str(v),
-                "futaki": rat_str(a - s),  # A - S = Fut
-                "min_norm": rat_str(s),
-                "l2_norm_sq": rat_str(l2_norm_sq(ctx, v)),
-                "A": rat_str(a),
-                "S": rat_str(s),
-                "mu1": rat_str(value.mu1),
-                "mu1_decimal": dec_str(value.mu1, digits),
-                "mu2": render_m2(value.mu2_sign, value.mu2_sq, digits),
-            }
-        )
-    if rendered:
-        doc["directions"] = rendered
-    return doc
 
 
 def destab_doc(ctx: StabilityContext, digits: int):
@@ -314,86 +269,6 @@ def stratum_table(contexts, digits: int):
     return {"scope": SCOPE, "count": len(contexts), "strata": strata}
 
 
-def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
-    from .lattice import extrapolate, lattice_series
-    from .stability import futaki, l2_norm_sq
-    try:
-        series = lattice_series(ctx.vpoly, v, m_max)
-    except ValueError as exc:
-        raise ValueError(f"--mmax {m_max}: {exc}") from None
-    except CertificateError as exc:
-        raise CertificateError(f"{ctx.name}: {exc}") from exc
-    result = extrapolate(series)
-    f0_target = -futaki(ctx, v)
-    q0_target = l2_norm_sq(ctx, v) + f0_target * f0_target
-    rows = []
-    for row in series.rows:
-        f = Q(row.weight_sum, row.m * row.count)
-        g = Q(row.weight_sq_sum, row.m * row.m * row.count)
-        rows.append(
-            {
-                "m": row.m,
-                "count": row.count,
-                "weight_sum": row.weight_sum,
-                "weight_sq_sum": row.weight_sq_sum,
-                "weight_min": row.weight_min,
-                "f": rat_str(f),
-                "f_decimal": dec_str(f, digits),
-                "g": rat_str(g),
-                "g_decimal": dec_str(g, digits),
-                "lambda_min_over_m": rat_str(Q(row.weight_min, row.m)),
-            }
-        )
-    return {
-        "name": ctx.name,
-        "v": ivec_str(v),
-        "r": series.r,
-        "m_max": m_max,
-        "rows": rows,
-        "F0_est": rat_str(result.F0_est),
-        "F0_est_decimal": dec_str(result.F0_est, digits),
-        "F0_target": rat_str(f0_target),
-        "Q0_est": rat_str(result.Q0_est),
-        "Q0_est_decimal": dec_str(result.Q0_est, digits),
-        "Q0_target": rat_str(q0_target),
-        "residuals": [rat_str(x) for x in result.residuals],
-        "q_residuals": [rat_str(x) for x in result.q_residuals],
-    }
-
-
-def oracle_dump_text(doc, digits: int) -> str:
-    lines = ["# m count f g lambda_min_over_m"]
-    for row in doc["rows"]:
-        lines.append(
-            " ".join(
-                [
-                    str(row["m"]),
-                    str(row["count"]),
-                    row["f_decimal"],
-                    row["g_decimal"],
-                    dec_str(Q(row["weight_min"], row["m"]), digits),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def limits_doc(point, v):
-    from .limits import face_of_direction, normal_cone_of_face, weight_polytope
-    q = weight_polytope(point)
-    face = face_of_direction(q, v)
-    cone = normal_cone_of_face(q, face)
-    return {
-        "weights": [ivec_str(w) for w in point.weights],
-        "support": sorted(point.support),
-        "v": ivec_str(v),
-        "fixed": face == point.support,
-        "limit_support": sorted(face),
-        "faces": [sorted(f) for f in q.faces],
-        "sigma_F": {"normals": [ivec_str(a) for a in cone.normals]},
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -419,13 +294,6 @@ def entries(docs):
     return docs[0] if len(docs) == 1 else {"entries": docs}
 
 
-def cmd_report(args):
-    return entries([
-        report_doc(ctx, [parse_direction(t, ctx.dim, ctx.name) for t in args.v or []], args.digits)
-        for ctx in gather_contexts(args)
-    ])
-
-
 def cmd_destabilize(args):
     return entries([destab_doc(ctx, args.digits) for ctx in gather_contexts(args)])
 
@@ -434,23 +302,6 @@ def cmd_stratify(args):
     # --threads is accepted and ignored: the exact arithmetic is pure Python,
     # so a thread pool gains nothing under the GIL
     return stratum_table(gather_contexts(args), args.digits)
-
-
-def cmd_oracle(args):
-    contexts = gather_contexts(args)
-    if len(contexts) != 1:
-        raise ValueError("oracle takes exactly one input")
-    ctx = contexts[0]
-    v = parse_direction(args.v, ctx.dim, ctx.name)
-    doc = oracle_doc(ctx, v, args.mmax, args.digits)
-    if args.dump:
-        write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
-    return doc
-
-
-def cmd_limits(args):
-    point = weighted_point_from_doc(load_doc(args.input))
-    return limits_doc(point, parse_direction(args.v, len(point.weights[0])))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="moments, verdict, invariants at directions")
     common(p)
     p.add_argument("--v", action="append", help="direction a,b,... (repeatable)")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=lambda args: import_module(".cli_report", __package__).cmd_report(args))
 
     p = sub.add_parser("destabilize", help="optimal destabilizing direction")
     common(p)
@@ -486,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="direction a,b,...")
     p.add_argument("--mmax", type=int, required=True, help="largest dilation factor")
     p.add_argument("--dump", help="write a whitespace-separated columnar dump here")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=lambda args: import_module(".cli_oracle", __package__).cmd_oracle(args))
 
     p = sub.add_parser("limits", help="limit support and face data of a weighted point")
     p.add_argument("input", help="weighted point JSON document")
     common(p, multi=False)
     p.add_argument("--v", required=True, help="direction a,b,...")
-    p.set_defaults(func=cmd_limits)
+    p.set_defaults(func=lambda args: import_module(".cli_limits", __package__).cmd_limits(args))
 
     return parser
 

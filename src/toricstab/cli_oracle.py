@@ -1,0 +1,83 @@
+"""The `oracle` command: the lattice-point series of one input and its extrapolation."""
+
+from fractions import Fraction as Q
+
+from .cli import (CertificateError, dec_str, gather_contexts, ivec_str, parse_direction, rat_str,
+                  write_text)
+from .invariants import futaki, l2_norm_sq
+from .lattice import extrapolate, lattice_series
+from .stability import StabilityContext
+
+
+def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
+    try:
+        series = lattice_series(ctx.vpoly, v, m_max)
+    except ValueError as exc:
+        raise ValueError(f"--mmax {m_max}: {exc}") from None
+    except CertificateError as exc:
+        raise CertificateError(f"{ctx.name}: {exc}") from exc
+    result = extrapolate(series)
+    f0_target = -futaki(ctx, v)
+    q0_target = l2_norm_sq(ctx, v) + f0_target * f0_target
+    rows = []
+    for row in series.rows:
+        f = Q(row.weight_sum, row.m * row.count)
+        g = Q(row.weight_sq_sum, row.m * row.m * row.count)
+        rows.append(
+            {
+                "m": row.m,
+                "count": row.count,
+                "weight_sum": row.weight_sum,
+                "weight_sq_sum": row.weight_sq_sum,
+                "weight_min": row.weight_min,
+                "f": rat_str(f),
+                "f_decimal": dec_str(f, digits),
+                "g": rat_str(g),
+                "g_decimal": dec_str(g, digits),
+                "lambda_min_over_m": rat_str(Q(row.weight_min, row.m)),
+            }
+        )
+    return {
+        "name": ctx.name,
+        "v": ivec_str(v),
+        "r": series.r,
+        "m_max": m_max,
+        "rows": rows,
+        "F0_est": rat_str(result.F0_est),
+        "F0_est_decimal": dec_str(result.F0_est, digits),
+        "F0_target": rat_str(f0_target),
+        "Q0_est": rat_str(result.Q0_est),
+        "Q0_est_decimal": dec_str(result.Q0_est, digits),
+        "Q0_target": rat_str(q0_target),
+        "residuals": [rat_str(x) for x in result.residuals],
+        "q_residuals": [rat_str(x) for x in result.q_residuals],
+    }
+
+
+def oracle_dump_text(doc, digits: int) -> str:
+    lines = ["# m count f g lambda_min_over_m"]
+    for row in doc["rows"]:
+        lines.append(
+            " ".join(
+                [
+                    str(row["m"]),
+                    str(row["count"]),
+                    row["f_decimal"],
+                    row["g_decimal"],
+                    dec_str(Q(row["weight_min"], row["m"]), digits),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def cmd_oracle(args):
+    contexts = gather_contexts(args)
+    if len(contexts) != 1:
+        raise ValueError("oracle takes exactly one input")
+    ctx = contexts[0]
+    v = parse_direction(args.v, ctx.dim, ctx.name)
+    doc = oracle_doc(ctx, v, args.mmax, args.digits)
+    if args.dump:
+        write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
+    return doc

@@ -22,8 +22,8 @@ from .exactgeom import (
     as_direction,
     dot,
     normal_cone,
-    vpolytope,
 )
+from .polytopes import vpolytope
 
 
 class WeightedPoint(NamedTuple):

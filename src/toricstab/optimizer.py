@@ -247,7 +247,7 @@ def _stage2(ctx, sigma1, bb, z, e):
     v_star, p = tuple(Q(e * xi, lcm * k) for xi in x), _primitive_int(x)
     if not sigma1.cone.contains(p):
         raise CertificateError("stage 2 optimum outside the H-form of sigma1")
-    # stability.mu(ctx, p) on the same integers: <b, p> = <B, p> / E, min <u, p> = min <Z, p> / E
+    # invariants.mu(ctx, p) on the same integers: <b, p> = <B, p> / E, min <u, p> = min <Z, p> / E
     # and p^T Cov p = p^T C p / D
     bp, zp, quad = dot(bb, p), min(dot(u, p) for u in z), sum(a * dot(r, p) for a, r in zip(p, c))
     value = StabilityValue(Q(-bp, bp - zp), (bp < 0) - (bp > 0), Q(bp * bp * dd, e * e * quad))

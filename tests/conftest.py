@@ -8,7 +8,7 @@ import pytest
 from hull_oracle import cone_relint_contains
 from linalg_oracle import vadd, vscale
 from toricstab.corpus import corpus_context, corpus_names
-from toricstab.exactgeom import extreme_rays
+from toricstab.polytopes import extreme_rays
 from toricstab.stability import StabilityValue, verdict
 
 
@@ -123,7 +123,7 @@ def run_quasi_convexity(ctx, rng, pairs, bound=9):
     neither invariant can exceed the worse endpoint; the second one strictly
     improves for non-parallel endpoints.  Returns the strict-case count."""
     from toricstab.exactgeom import rank as _rank
-    from toricstab.stability import futaki, mu
+    from toricstab.invariants import futaki, mu
 
     def mu2(m):
         return StabilityValue(Q(0), m.mu2_sign, m.mu2_sq)

@@ -17,18 +17,17 @@ from fractions import Fraction as Q
 
 from linalg_oracle import nullspace, rank, solve_unique
 from toricstab.exactgeom import (
-    ConeGenerators,
     ConeH,
     Facet,
     VPolytope,
     dot,
-    extreme_rays,
     is_zero,
     primitive,
     qvec,
     vneg,
     vsub,
 )
+from toricstab.polytopes import ConeGenerators, extreme_rays
 
 
 def in_convex_hull(p, points) -> bool:

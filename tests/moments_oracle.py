@@ -13,7 +13,8 @@ from fractions import Fraction as Q
 
 import linalg_oracle
 from linalg_oracle import vadd
-from toricstab.exactgeom import triangulate, vsub
+from toricstab.exactgeom import vsub
+from toricstab.polytopes import triangulate
 from toricstab.lattice import ExtrapolationResult
 from toricstab.moments import MomentData
 

@@ -18,15 +18,15 @@ from linalg_oracle import rank, solve_unique, vscale
 from toricstab.exactgeom import (
     ConeH,
     dot,
-    extreme_rays,
     is_zero,
     primitive,
     vneg,
     vsub,
 )
+from toricstab.polytopes import extreme_rays
 from toricstab.moments import is_positive_definite
 from toricstab.optimizer import CertificateError, SigmaOne, Stage1Result
-from toricstab.stability import futaki, min_norm, mu
+from toricstab.invariants import futaki, min_norm, mu
 
 
 def cone_is_trivial(c: ConeH) -> bool:

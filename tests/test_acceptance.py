@@ -21,20 +21,23 @@ from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from toricstab.cli import main
 from toricstab.corpus import corpus_names
-from toricstab.exactgeom import dot, extreme_rays, primitive
+from toricstab.exactgeom import dot, primitive
+from toricstab.polytopes import extreme_rays
 from toricstab.limits import face_limit, limit_point, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.lattice import extrapolate, lattice_series
 from toricstab.optimizer import optimal_destabilizer
-from toricstab.stability import (
-    StabilityValue,
-    context_from_constraints,
-    context_from_rays,
-    context_from_vertices,
+from toricstab.invariants import (
     futaki,
     l2_norm_sq,
     log_discrepancy_S,
     mu,
     mu_prime_trunc,
+)
+from toricstab.stability import (
+    StabilityValue,
+    context_from_constraints,
+    context_from_rays,
+    context_from_vertices,
     verdict,
 )
 

@@ -27,15 +27,14 @@ from toricstab.cli import dec_str, main, rat_str, render_m2, render_value, sqrt_
 from toricstab.corpus import CORPUS
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError, optimal_destabilizer
-from toricstab.stability import (
-    context_from_constraints,
-    context_from_vertices,
+from toricstab.invariants import (
     futaki,
     l2_norm_sq,
     log_discrepancy_S,
     min_norm,
     mu,
 )
+from toricstab.stability import context_from_constraints, context_from_vertices
 
 P2_DOC = {"name": "p2", "rays": [[1, 0], [0, 1], [-1, -1]]}
 P112_DOC = {"name": "p112", "rays": [[1, 0], [0, 1], [-1, -2]]}
@@ -1247,6 +1246,27 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_context_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
+    import toricstab.stability as stability
+
+    real, built = stability._moment_data, []
+
+    def second_flat(p, z, r):
+        # the second context's scaled vertices collapse to one point
+        built.append(p)
+        return real(p, [z[0]] * len(z) if len(built) == 2 else z, r)
+
+    monkeypatch.setattr(stability, "_moment_data", second_flat)
+    first = write_doc(tmp_path, "p112.json", P112_DOC)
+    second = write_doc(tmp_path, "p113.json", P113_DOC)
+    code, out, err = run(capsys, "stratify", first, second)
+    assert code == 3 and out == ""
+    assert err == (
+        f"internal certificate failure: {second}: p113: "
+        "moment_data: simplex 0x7 has zero volume\n"
+    )
+
+
 def test_lattice_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     import toricstab.lattice as lattice_mod
 
@@ -1336,7 +1356,9 @@ assert "dataclasses" not in sys.modules
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # one fresh `python -m toricstab` per command, so a module loaded by one
-    # command cannot hide behind another; every child compiles what it loads
+    # command cannot hide behind another; every child compiles what it loads,
+    # so the source lines of those modules, with the package's __init__ and
+    # __main__, are a ceiling that code drifting onto a command's path breaks
     doc = write_doc(tmp_path, "p112.json", P112_DOC)
     point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
     src = str(Path(toricstab.__file__).parents[1])
@@ -1355,21 +1377,31 @@ else:
 print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "toricstab.__main__"))
 """
     context = ["cli", "exactgeom", "moments", "stability"]
+    report = [*context, "cli_report", "invariants"]
     expected = {
-        (): [],
-        ("report", doc, "--v", "0,-1"): context,
-        ("report", "--corpus"): [*context, "corpus"],
-        ("destabilize", doc): [*context, "optimizer"],
-        ("stratify", "--corpus"): [*context, "corpus", "optimizer"],
-        ("oracle", doc, "--v", "0,-1", "--mmax", "6"): [*context, "lattice"],
-        ("limits", point, "--v", "1,1"): ["cli", "exactgeom", "limits"],
+        (): ([], 44),
+        ("report", doc, "--v", "0,-1"): (report, 1252),
+        ("report", "--corpus"): ([*report, "corpus"], 1307),
+        ("destabilize", doc): ([*context, "optimizer"], 1422),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1477),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1477),
+        ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
+            [*context, "cli_oracle", "invariants", "lattice"], 1497
+        ),
+        ("limits", point, "--v", "1,1"): (
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1187
+        ),
     }
-    for argv, modules in expected.items():
+    package = Path(toricstab.__file__).parent
+    for argv, (modules, ceiling) in expected.items():
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == sorted(f"toricstab.{m}" for m in modules), argv
+        files = ["__init__", *modules, *(["__main__"] if argv else [])]
+        lines = sum(len((package / f"{m}.py").read_text().splitlines()) for m in files)
+        assert lines <= ceiling, (argv, lines)
 
 
 def test_module_entry_point(tmp_path):

@@ -29,17 +29,19 @@ from toricstab.exactgeom import (
     affine_dim,
     dot,
     dual_polytope,
-    extreme_rays,
     facets_from_vertices,
     normal_cone,
-    normal_fan,
     primitive,
     rank,
+    vneg,
+    vsub,
+)
+from toricstab.polytopes import (
+    extreme_rays,
+    normal_fan,
     triangulate,
     vertices_from_facets,
-    vneg,
     vpolytope,
-    vsub,
 )
 from toricstab.limits import weight_polytope, weighted_point
 from toricstab.moments import moment_data

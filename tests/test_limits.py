@@ -11,7 +11,8 @@ import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
 from hull_oracle import cone_relint_contains
 from optimizer_oracle import cone_is_trivial
-from toricstab.exactgeom import ConeH, extreme_rays, primitive, vsub
+from toricstab.exactgeom import ConeH, primitive, vsub
+from toricstab.polytopes import extreme_rays
 from toricstab.limits import (
     WeightedPoint,
     face_limit,

@@ -13,7 +13,8 @@ import moments_oracle
 from conftest import fresh_rng, from_apex, rand_nonzero_ivec, rand_rational
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
-from toricstab.exactgeom import dot, facets_from_vertices, vpolytope
+from toricstab.exactgeom import dot, facets_from_vertices
+from toricstab.polytopes import vpolytope
 from toricstab.lattice import LatticeSeries, SeriesRow, extrapolate, lattice_series
 from toricstab.moments import is_positive_definite, moment_data
 from toricstab.optimizer import optimal_destabilizer
@@ -56,6 +57,26 @@ def test_a_point_has_the_moments_of_its_counting_measure():
     ctx = context_from_vertices([()], name="point")
     assert ctx.moments == (Q(1), (), ()) and is_positive_definite(ctx.moments.covariance)
     assert optimal_destabilizer(ctx).verdict == "semistable"
+
+
+def test_moment_data_certifies_each_simplex_volume(monkeypatch):
+    # the scaled vertices collapsed to one point: the first simplex is flat
+    import toricstab.moments as moments_mod
+    import toricstab.stability as stability_mod
+
+    real = moments_mod._moment_data
+
+    def collapsed(p, z, r):
+        return real(p, [z[0]] * len(z), r)
+
+    flat = "moment_data: simplex 0x7 has zero volume"
+    monkeypatch.setattr(moments_mod, "_moment_data", collapsed)
+    with pytest.raises(moments_mod.CertificateError, match=f"^{flat}$"):
+        moment_data(P112)
+    # the context build names the context it was building
+    monkeypatch.setattr(stability_mod, "_moment_data", collapsed)
+    with pytest.raises(moments_mod.CertificateError, match=f"^p112: {flat}$"):
+        context_from_rays([(1, 0), (0, 1), (-1, -2)], name="p112")
 
 
 def test_covariance_weighted_triangle_exact():

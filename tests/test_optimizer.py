@@ -22,7 +22,8 @@ from optimizer_oracle import (
 )
 from toricstab.corpus import corpus_context
 from test_moments import LADDER as LADDER_FANS
-from toricstab.exactgeom import ConeH, VPolytope, dot, normal_fan, primitive, vpolytope
+from toricstab.exactgeom import ConeH, VPolytope, dot, primitive
+from toricstab.polytopes import normal_fan, vpolytope
 from toricstab.moments import moment_data
 from toricstab.optimizer import (
     CertificateError,
@@ -33,14 +34,16 @@ from toricstab.optimizer import (
     minimize_mu2_on_cone,
     optimal_destabilizer,
 )
-from toricstab.stability import (
-    context_from_constraints,
-    context_from_rays,
-    context_from_vertices,
+from toricstab.invariants import (
     futaki,
     log_discrepancy_S,
     min_norm,
     mu,
+)
+from toricstab.stability import (
+    context_from_constraints,
+    context_from_rays,
+    context_from_vertices,
     verdict,
 )
 
@@ -415,6 +418,89 @@ def test_destabilizer_rejects_witnesses_off_sigma1_rays(monkeypatch):
 
     monkeypatch.setattr(opt, "_sigma1", one_ray_short)
     with pytest.raises(CertificateError, match="witness rays differ"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+# each certificate of the destabilizer below is reached by corrupting one
+# intermediate value; a correct run never trips it
+
+
+def test_stage1_certifies_a_destabilizing_direction(monkeypatch):
+    # with b cleared to 0, every facet normal has mu1 = 0
+    real = opt._view
+
+    def no_barycenter(ctx):
+        bb, offsets, z, s = real(ctx)
+        return [0] * len(bb), offsets, z, s
+
+    monkeypatch.setattr(opt, "_view", no_barycenter)
+    with pytest.raises(CertificateError, match="^p112: stage 1 found no destabilizing direction$"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+def test_stage1_certifies_its_minimum_above_minus_one(monkeypatch):
+    # 100 b lies outside P: <100 b, (0, 1)> is below that facet's negative
+    # offset, so mu1 there is below -1 though 0 is interior
+    real = opt._view
+
+    def far_barycenter(ctx):
+        bb, offsets, z, s = real(ctx)
+        return [100 * x for x in bb], offsets, z, s
+
+    monkeypatch.setattr(opt, "_view", far_barycenter)
+    with pytest.raises(CertificateError, match="^p112: stage 1 minimum out of range$"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+def test_stage2_certifies_a_positive_definite_covariance(monkeypatch):
+    # the context is built with -Cov; nothing before stage 2 reads Cov
+    real = stability._moment_data
+
+    def negated(*args):
+        md = real(*args)
+        return md._replace(covariance=tuple(tuple(-x for x in row) for row in md.covariance))
+
+    monkeypatch.setattr(stability, "_moment_data", negated)
+    ctx = context_from_rays(((1, 0), (0, 1), (-1, -2)), name="p112")
+    with pytest.raises(CertificateError, match="^p112: covariance not positive definite$"):
+        optimal_destabilizer(ctx)
+
+
+def test_stage2_certifies_the_stage1_level_set(monkeypatch):
+    # sigma1 carries m1 - 1: its cone and rays pass, and mu1 at v* is m1
+    real = opt._sigma1
+
+    def shifted(ctx, m1, *view):
+        sigma = real(ctx, m1, *view)
+        return sigma._replace(m1=sigma.m1 - 1)
+
+    monkeypatch.setattr(opt, "_sigma1", shifted)
+    with pytest.raises(CertificateError, match="^p112: stage 2 left the stage-1 level set$"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+def test_destabilizer_certifies_the_witnesses_in_sigma1(monkeypatch):
+    # -w is outside the pointed cone sigma1 for every witness w in it
+    real = opt._stage1
+
+    def negated(*args):
+        stage1 = real(*args)
+        return stage1._replace(witness_rays=tuple(eg.vneg(w) for w in stage1.witness_rays))
+
+    monkeypatch.setattr(opt, "_stage1", negated)
+    with pytest.raises(CertificateError, match="^p112: witness ray outside sigma1$"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+def test_destabilizer_certifies_a_destabilizing_optimum(monkeypatch):
+    real = opt._stage2
+
+    def positive(*args):
+        v_star, p, value = real(*args)
+        return v_star, p, value._replace(mu2_sign=1)
+
+    monkeypatch.setattr(opt, "_stage2", positive)
+    with pytest.raises(CertificateError, match="^p112: optimal direction is not destabilizing$"):
         optimal_destabilizer(corpus_context("p112"))
 
 

@@ -5,7 +5,7 @@ import collections
 import importlib
 from pathlib import Path
 
-from toricstab.exactgeom import extreme_rays
+from toricstab.polytopes import extreme_rays
 
 SRC = Path(__file__).parents[1] / "src"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -79,9 +79,11 @@ def names_read(node, own=None):
 
 def test_every_source_definition_is_read():
     # a top-level function or class of src/ must be read outside its own body,
-    # in src/ or by the benchmark; a name only the tests read belongs to the tests.
-    # The package's export table reads each name it lists, and the module
-    # __getattr__ that resolves it is read by the interpreter (PEP 562).
+    # in src/ or by the benchmark, and a method or property of a src/ class must
+    # be read as an attribute there; a name only the tests read belongs to the
+    # tests.  The package's export table reads each name it lists, and the module
+    # __getattr__ that resolves it is read by the interpreter (PEP 562), as it
+    # reads a dunder method.
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in [*SRC.rglob("*.py"), *PERFBENCH.glob("*.py")]
@@ -106,6 +108,23 @@ def test_every_source_definition_is_read():
         if path.is_relative_to(SRC)
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in read
+    ]
+    attributes = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread += [
+        f"{path.relative_to(SRC)}:{node.lineno}: {cls.name}.{node.name}"
+        for path, tree in sorted(trees.items())
+        if path.is_relative_to(SRC)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes
     ]
     assert not unread, "\n".join(unread)
 

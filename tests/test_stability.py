@@ -15,9 +15,18 @@ from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from test_moments import LADDER
 from toricstab.corpus import CORPUS, corpus_context
-from toricstab.exactgeom import dual_polytope, facets_from_vertices, normal_fan
+from toricstab.exactgeom import dual_polytope, facets_from_vertices
+from toricstab.polytopes import normal_fan
 from toricstab.moments import moment_data
 from toricstab.optimizer import optimal_destabilizer
+from toricstab.invariants import (
+    futaki,
+    l2_norm_sq,
+    log_discrepancy_S,
+    min_norm,
+    mu,
+    mu_prime_trunc,
+)
 from toricstab.stability import (
     SEMISTABLE,
     UNSTABLE,
@@ -26,12 +35,6 @@ from toricstab.stability import (
     context_from_constraints,
     context_from_rays,
     context_from_vertices,
-    futaki,
-    l2_norm_sq,
-    log_discrepancy_S,
-    min_norm,
-    mu,
-    mu_prime_trunc,
     verdict,
 )
 
@@ -198,15 +201,26 @@ def test_result_records_keep_their_fields():
         assert cls._field_defaults == dict.fromkeys(optional.get(cls, ())), cls
 
 
+def _zero_interior(ctx):
+    """Whether stage 1 checks mu1 > -1: every facet offset, cleared to an integer, is negative."""
+    from toricstab.optimizer import _view
+
+    return all(o < 0 for o in _view(ctx)[1])
+
+
 def test_zero_interior_flag():
-    assert P112.zero_interior
-    assert P2.zero_interior
-    assert not SQUARE.zero_interior
+    # 0 is interior to P112 and P2, whose minimum stage 1 checks to exceed -1;
+    # 0 is a vertex of the square, whose minimum -1 it lets through unchecked
+    assert _zero_interior(P112) and optimal_destabilizer(P112).m1 == Q(-1, 4)
+    assert _zero_interior(P2) and verdict(P2) == SEMISTABLE
+    assert not _zero_interior(SQUARE) and optimal_destabilizer(SQUARE).m1 == -1
 
 
 def test_zero_interior_reads_the_facets_as_the_constraints(contexts):
     """Every valid inequality of P has a negative offset when 0 is interior,
-    so the irredundant facets answer as the stored constraints do."""
+    so the irredundant facets answer as the stored constraints do.  A facet
+    with offset c >= 0 has mu1 = -<b, n> / (<b, n> - c) <= -1 at its normal,
+    so the stage-1 minimum exceeds -1 exactly when 0 is interior."""
     rng = fresh_rng("zero-interior")
     shifted = []
     for ctx in _seeded_rational_contexts(per_dim=3):
@@ -218,7 +232,9 @@ def test_zero_interior_reads_the_facets_as_the_constraints(contexts):
     seeded = [*_seeded_rational_contexts(), *shifted, SQUARE]
     for ctx in [*contexts.values(), *built, *seeded]:
         flags.append(all(c < 0 for _, c in ctx.hpoly.constraints))
-        assert ctx.zero_interior == flags[-1], ctx.name
+        assert _zero_interior(ctx) == flags[-1], ctx.name
+        if verdict(ctx) == UNSTABLE:
+            assert (optimal_destabilizer(ctx).m1 > -1) == flags[-1], ctx.name
     assert set(flags) == {True, False}
 
 
