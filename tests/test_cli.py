@@ -1380,16 +1380,16 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1252),
-        ("report", "--corpus"): ([*report, "corpus"], 1307),
-        ("destabilize", doc): ([*context, "optimizer"], 1422),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1477),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1477),
+        ("report", doc, "--v", "0,-1"): (report, 1241),
+        ("report", "--corpus"): ([*report, "corpus"], 1296),
+        ("destabilize", doc): ([*context, "optimizer"], 1415),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1470),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1470),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1497
+            [*context, "cli_oracle", "invariants", "lattice"], 1486
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1187
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1177
         ),
     }
     package = Path(toricstab.__file__).parent
