@@ -10,7 +10,6 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 from .exactgeom import (
-    CertificateError,
     Fan,
     HPolytope,
     VPolytope,
@@ -21,7 +20,7 @@ from .exactgeom import (
     primitive,
     qval,
 )
-from .moments import MomentData, _moment_data
+from .moments import CertificateError, MomentData, _moment_data
 
 SEMISTABLE = "semistable"
 UNSTABLE = "unstable"

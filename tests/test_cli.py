@@ -1380,13 +1380,13 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1241),
-        ("report", "--corpus"): ([*report, "corpus"], 1296),
-        ("destabilize", doc): ([*context, "optimizer"], 1415),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1470),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1470),
+        ("report", doc, "--v", "0,-1"): (report, 1240),
+        ("report", "--corpus"): ([*report, "corpus"], 1295),
+        ("destabilize", doc): ([*context, "optimizer"], 1414),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1469),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1469),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1486
+            [*context, "cli_oracle", "invariants", "lattice"], 1485
         ),
         ("limits", point, "--v", "1,1"): (
             ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1177
