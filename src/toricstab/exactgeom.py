@@ -21,7 +21,7 @@ as x/s, with the constraints tight at each; boundedness, feasibility and
 full dimension are read off the same rays.  `extreme_rays` of a `ConeH`
 are its rays modulo its lineality.  A `VPolytope` carries the vertex-facet
 incidence, off which the H-form, the pulling triangulation, the edges of the
-normal fan and the face lattice of a weight polytope are read; `_is_face`
+normal fan and, over all points, a weight polytope's faces are read; `_is_face`
 tells a vertex or an edge as a set that the facets through it meet in.  One
 kernel, `normal_cone`, builds every cone (the normal fan's, sigma1 and the
 face cones of `limits`) from integer differences divided by their gcd.  More
@@ -381,10 +381,8 @@ def facets_from_vertices(p: VPolytope) -> HPolytope:
 def normal_cone(face, points, d) -> ConeH:
     """Cone {v : <u, v> <= <w, v> for u in face, w in points} of integer points in Z^d.
 
-    Its normals are the differences u - w, each divided by its gcd.  For a
-    face of the hull of the points it is the face's normal cone; an empty
-    face gives the whole space.  Rational points are scaled to integers
-    first, by one positive factor (`_scaled`), which leaves the cone as it is.
+    Its normals are the differences u - w, each divided by its gcd.  For a face of the
+    hull of the points it is the face's normal cone; an empty face gives the whole space.
     """
     normals = set()
     for u in face:

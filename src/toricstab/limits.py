@@ -23,7 +23,7 @@ from .exactgeom import (
     dot,
     normal_cone,
 )
-from .polytopes import vpolytope
+from .polytopes import _hull
 
 
 class WeightedPoint(NamedTuple):
@@ -65,19 +65,20 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     """Weight polytope and its faces, each face given by its member index set.
 
     Every face is the meet of the facets through it, so the faces are the
-    whole support closed under meets with each facet in turn, as bitmasks
-    over the positions of the sorted support.  More than `HULL_BUDGET`
-    meets (about 2 s) is a ValueError naming the count.
+    distinct supported weights closed under meets with each facet in turn,
+    as bitmasks of the points on each facet, which the hull returns.  More
+    than `HULL_BUDGET` meets (about 2 s) is a ValueError naming the count.
     """
     sup = sorted(w.support)
-    poly = vpolytope([w.weights[i] for i in sup])
-    faces, meets = {(1 << len(sup)) - 1}, 0
-    for f in poly.facets:
-        g = sum(1 << k for k, i in enumerate(sup) if dot(f.normal, w.weights[i]) == f.offset)
+    pts = sorted({w.weights[i] for i in sup})
+    poly, masks = _hull(pts)
+    faces, meets = {(1 << len(pts)) - 1}, 0
+    for g in masks:
         meets += len(faces)
         _limit(meets, HULL_BUDGET, "face lattice needs at least {} meets, exceeds budget of {}")
         faces |= {m & g for m in faces if m & g}
-    members = [frozenset(i for k, i in enumerate(sup) if m >> k & 1) for m in faces]
+    at = {u: k for k, u in enumerate(pts)}
+    members = [frozenset(i for i in sup if m >> at[w.weights[i]] & 1) for m in faces]
     return WeightPolytope(w, poly, tuple(sorted(members, key=lambda f: (len(f), sorted(f)))))
 
 

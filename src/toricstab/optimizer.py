@@ -10,12 +10,12 @@ generated by the normals g of the facets tight at c.  Its slice by
 <b, v> = 1 is conv(g / <b, g>), and stage 2 is its point nearest to 0 in
 the Cov norm, found by Wolfe's walk.  `optimal_destabilizer` clears b,
 the facet offsets and the vertices to integers once, by one factor s, and
-Cov by another, D; the three stages are kernels on that view, wrapped by
-public stages that clear only what their kernel reads.  Every later step
-reads those integers: stage 1 compares its values as numerators over one
-lcm, and Sylvester's test on D Cov, sigma1's H-form and mu at primitive(v*)
-clear nothing again, so a `Fraction` is formed only for a reported value.
-Strict convexity makes the optimum unique.
+Cov by another, D; the three stages are kernels on that view, which the
+public stages read too.  Every later step reads those integers: stage 1
+compares its values as numerators over one lcm, and Sylvester's test on
+D Cov, sigma1's H-form and mu at primitive(v*) clear nothing again, so a
+`Fraction` is formed only for a reported value.  Strict convexity makes
+the optimum unique.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
     """
     if verdict(ctx) == SEMISTABLE:
         raise ValueError("semistable")
-    (bb, offsets), _ = _scaled([ctx.moments.barycenter, [f.offset for f in ctx.vpoly.facets]])
-    return _stage1(ctx, bb, offsets)
+    return _stage1(ctx, *_view(ctx)[:2])
 
 
 def _stage1(ctx, bb, offsets) -> Stage1Result:
@@ -217,13 +216,12 @@ def minimize_mu2_on_cone(ctx: StabilityContext, sigma1: SigmaOne):
     Every ray g of sigma1 pairs positively with b, so the slice is the
     polytope conv(g / <b, g>) and the minimizer is its point nearest to 0
     in the Cov norm.  With C = D Cov and B = E b integral (E is the factor
-    s of `optimal_destabilizer`'s view, or here the lcm of the denominators
-    of b and the vertices, which mu at the optimum reads too) and L the lcm
-    of the <B, g>, each such point is E / L times the integer
-    p_g = L g / <B, g>; the Gram matrix of the p_g under C is the true one
-    times D L^2 / E^2 > 0, which leaves the weights of the walk unchanged.
+    s of the view, which mu at the optimum reads too) and L the lcm of the
+    <B, g>, each such point is E / L times the integer p_g = L g / <B, g>;
+    the Gram matrix of the p_g under C is the true one times D L^2 / E^2 > 0,
+    which leaves the weights of the walk unchanged.
     """
-    (bb, *z), e = _scaled([ctx.moments.barycenter, *ctx.vpoly.vertices])
+    bb, _, z, e = _view(ctx)
     v_star, _, value = _stage2(ctx, sigma1, bb, z, e)
     return v_star, value
 
@@ -273,7 +271,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
         if value.mu2_sign != -1:
             raise CertificateError("optimal direction is not destabilizing")
     except CertificateError as exc:
-        raise CertificateError(f"{ctx.name}: {exc}") from exc
+        raise CertificateError(str(exc) if ctx.name is None else f"{ctx.name}: {exc}") from exc
     return DestabReport(
         "unstable",
         stage1.m1,

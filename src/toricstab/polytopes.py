@@ -1,6 +1,8 @@
 """The point hull, the H-form reader, and the public cone, fan and triangulation wrappers.
 
-A fan document runs none of them, so a command on one never compiles this module.
+The point hull also returns the mask of the points on each facet, off which
+`limits` reads the faces of a weight polytope.  A fan document runs none of
+them, so a command on one never compiles this module.
 """
 
 import functools
@@ -18,24 +20,29 @@ class ConeGenerators(NamedTuple):
     lineality: tuple[IntVec, ...]
 
 
-def _point_facets(pts):
-    """Affine dimension and facets of distinct rational points, with point incidence.
+def _hull(pts) -> tuple[VPolytope, list[int]]:
+    """`vpolytope` of sorted distinct int or rational points, and each facet's mask over pts.
 
     The points are scaled to integers z_j once and projected onto k
     coordinates that map their affine hull isomorphically onto Q^k.  The
-    chart and the cone both read z.  The facets are the
-    extreme rays (a, b) of the pointed cone {(a, b) : <a, z_j> + b >= 0},
-    with the points on each as the rows tight on it.  Normals are lifted back
-    with zeros on the other coordinates, so <normal, u> >= offset holds on
-    the polytope in ambient coordinates.
+    chart and the cone both read z.  The facets are the extreme rays (a, b)
+    of the pointed cone {(a, b) : <a, z_j> + b >= 0}, with the points on
+    each as the rows tight on it; the vertices are the points that are
+    faces.  Normals are lifted back with zeros on the other coordinates, so
+    <normal, u> >= offset holds on the polytope in ambient coordinates.
+    Only the vertices kept and the offsets become `Fraction`s.
     """
+    if not pts:
+        raise ValueError("empty point set")
     d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise ValueError("dimension mismatch")
+    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     z, scale = _scaled(pts)
     cols = _pivots([vsub(u, z[0]) for u in z[1:]])
-    k = len(cols)
-    if k == 0:
-        return 0, ()
-    rays, _ = _cone_rays([(*(u[c] for c in cols), 1) for u in z], k + 1)
+    if not cols:
+        return VPolytope((tuple(map(Q, pts[0])),), 0, ()), []
+    rays, _ = _cone_rays([(*(u[c] for c in cols), 1) for u in z], len(cols) + 1)
     facets = []
     for (*a, b), members in rays:
         g = math.gcd(*a)
@@ -43,27 +50,17 @@ def _point_facets(pts):
         for col, x in zip(cols, a):
             lift[col] = x // g
         facets.append(Facet(tuple(lift), Q(-b, g * scale), members))
-    return k, tuple(sorted(facets))
-
-
-def _select_bits(mask, keep) -> int:
-    return sum(1 << j for j, i in enumerate(keep) if mask >> i & 1)
+    facets.sort()
+    masks = [f.members for f in facets]
+    keep = [i for i in range(len(pts)) if _is_face(1 << i, masks)]
+    facets = [f._replace(members=sum(1 << j for j, i in enumerate(keep) if f.members >> i & 1))
+              for f in facets]
+    return VPolytope(tuple(tuple(map(Q, pts[i])) for i in keep), len(cols), tuple(facets)), masks
 
 
 def vpolytope(points) -> VPolytope:
     """Convex hull of a finite rational point set, reduced to its extreme points."""
-    pts = sorted({qvec(p) for p in points})
-    if not pts:
-        raise ValueError("empty point set")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise ValueError("dimension mismatch")
-    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
-    k, facets = _point_facets(pts)
-    masks = [f.members for f in facets]
-    keep = [i for i in range(len(pts)) if _is_face(1 << i, masks)] if k else [0]
-    facets = tuple(f._replace(members=_select_bits(f.members, keep)) for f in facets)
-    return VPolytope(tuple(pts[i] for i in keep), k, facets)
+    return _hull(sorted({qvec(p) for p in points}))[0]
 
 
 def vertices_from_facets(h: HPolytope) -> VPolytope:

@@ -86,7 +86,7 @@ def _build(vp, rays=None, coeffs=None, name=None) -> StabilityContext:
     try:
         md = _moment_data(vp, z, r)
     except CertificateError as exc:
-        raise CertificateError(f"{name}: {exc}") from exc
+        raise CertificateError(str(exc) if name is None else f"{name}: {exc}") from exc
     return StabilityContext(vp, hp, md, _normal_fan(vp, z), rays, coeffs, name)
 
 

@@ -3,7 +3,9 @@
 `in_convex_hull` is Caratheodory's test, one exact solve for each subset of
 at most d+1 points; `facets_by_subsets` tries every d-subset of vertices as
 a facet hyperplane; `faces_by_subsets` builds a weight polytope's face
-lattice from the two in exact coordinates on the affine hull;
+lattice from the two in exact coordinates on the affine hull, and
+`weight_polytope_by_offsets` the whole record by comparing each supported
+weight with each facet's offset;
 `vertices_by_subsets` solves every d-subset of constraints and keeps the
 feasible solutions, boundedness asked of the recession cone's extreme rays;
 `extreme_rays_by_subsets` finds those rays on the quotient by the lineality
@@ -27,7 +29,8 @@ from toricstab.exactgeom import (
     vneg,
     vsub,
 )
-from toricstab.polytopes import ConeGenerators, extreme_rays
+from toricstab.limits import WeightPolytope
+from toricstab.polytopes import ConeGenerators, extreme_rays, vpolytope
 
 
 def in_convex_hull(p, points) -> bool:
@@ -110,6 +113,19 @@ def faces_by_subsets(weights, support):
         facet = frozenset(i for i in sup if dot(n, coords[i]) == c)
         faces |= {g & facet for g in faces}
     return faces - {frozenset()}
+
+
+def weight_polytope_by_offsets(w):
+    """`weight_polytope` with each facet's members found as the supported weights u
+    with <normal, u> = offset, one `Fraction` comparison per facet and weight."""
+    sup = sorted(w.support)
+    poly = vpolytope([w.weights[i] for i in sup])
+    faces = {(1 << len(sup)) - 1}
+    for f in poly.facets:
+        g = sum(1 << k for k, i in enumerate(sup) if dot(f.normal, w.weights[i]) == f.offset)
+        faces |= {m & g for m in faces if m & g}
+    members = [frozenset(i for k, i in enumerate(sup) if m >> k & 1) for m in faces]
+    return WeightPolytope(w, poly, tuple(sorted(members, key=lambda f: (len(f), sorted(f)))))
 
 
 def vertices_by_subsets(h):

@@ -1380,16 +1380,16 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1240),
-        ("report", "--corpus"): ([*report, "corpus"], 1295),
-        ("destabilize", doc): ([*context, "optimizer"], 1414),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1469),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1469),
+        ("report", doc, "--v", "0,-1"): (report, 1238),
+        ("report", "--corpus"): ([*report, "corpus"], 1293),
+        ("destabilize", doc): ([*context, "optimizer"], 1410),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1465),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1465),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1485
+            [*context, "cli_oracle", "invariants", "lattice"], 1483
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1177
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1173
         ),
     }
     package = Path(toricstab.__file__).parent

@@ -9,7 +9,7 @@ import pytest
 
 import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
-from hull_oracle import cone_relint_contains
+from hull_oracle import cone_relint_contains, weight_polytope_by_offsets
 from optimizer_oracle import cone_is_trivial
 from toricstab.exactgeom import ConeH, primitive, vsub
 from toricstab.polytopes import extreme_rays
@@ -101,6 +101,63 @@ def test_weight_polytope_lower_dimensional():
     full_cone = normal_cone_of_face(q, {0, 1, 2})
     assert cone_relint_contains(full_cone, (1, -1))
     assert is_fixed(face_limit(w, q, {0, 1, 2}), (1, -1))
+
+
+def fractions_built(monkeypatch, fn, *args):
+    """fn(*args) and the arguments of every Fraction it built."""
+    calls = []
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    assert Q(1, 2) == Q(2, 4) and len(calls) == 2  # the count sees every Fraction
+    calls.clear()
+    try:
+        return fn(*args), calls
+    finally:
+        monkeypatch.undo()
+
+
+def test_weight_polytope_matches_the_facet_offset_reference():
+    """Seeded 1-5D weights: the faces read off the hull's own incidence give the same
+    record, repr included, as comparing every supported weight with every facet offset;
+    lower-dimensional hulls, repeated weights and partial supports all occur."""
+    rng = fresh_rng("weight-polytope-offsets")
+    lower = repeated = partial = 0
+    for case in range(400):
+        d = 1 + case % 5
+        if case % 3:
+            pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 7))]
+        else:  # on a line or plane through a lattice point
+            base = [rng.randint(-3, 3) for _ in range(d)]
+            span = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(0, 2))]
+            pool = [
+                tuple(x + sum(rng.randint(-2, 2) * v[j] for v in span) for j, x in enumerate(base))
+                for _ in range(rng.randint(1, 7))
+            ]
+        weights = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+        support = rng.sample(range(len(weights)), rng.randint(1, len(weights)))
+        w = weighted_point(weights, support)
+        got, want = weight_polytope(w), weight_polytope_by_offsets(w)
+        assert got == want and repr(got) == repr(want), (weights, support)
+        lower += got.polytope.dim < d
+        repeated += len({weights[i] for i in support}) < len(support)
+        partial += len(support) < len(weights)
+    assert min(lower, repeated, partial) >= 100, (lower, repeated, partial)
+
+
+def test_weight_polytope_builds_fractions_only_for_vertices_and_offsets(monkeypatch):
+    # the cube [0, 2]^3 with its centre, a facet centre and repeated weights: only the
+    # eight vertices' coordinates and the six facet offsets become Fractions
+    cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    w = weighted_point([*cube, (1, 1, 1), (1, 1, 0), (1, 1, 1), cube[3], (2, 2, 2)])
+    q, calls = fractions_built(monkeypatch, weight_polytope, w)
+    assert q.polytope.vertices == tuple(tuple(map(Q, u)) for u in cube)
+    assert len(q.polytope.facets) == 6 and len(q.faces) == 27
+    assert len(calls) == 8 * 3 + 6
 
 
 def test_normal_cone_edge():
@@ -326,18 +383,9 @@ def test_normal_cones_of_faces_build_no_fractions(monkeypatch):
     rng = fresh_rng("normal-cone-no-fractions")
     w = weighted_point([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(9)])
     q = weight_polytope(w)
-    calls = []
-    new = Q.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        calls.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
-    assert Q(1, 2) == Q(2, 4) and len(calls) == 2  # the count sees every Fraction
-    calls.clear()
-    cones = [normal_cone_of_face(q, f) for f in q.faces]
-    monkeypatch.undo()
+    cones, calls = fractions_built(
+        monkeypatch, lambda: [normal_cone_of_face(q, f) for f in q.faces]
+    )
     assert len(cones) == len(q.faces) > 10
     assert calls == []
 

@@ -77,6 +77,9 @@ def test_moment_data_certifies_each_simplex_volume(monkeypatch):
     monkeypatch.setattr(stability_mod, "_moment_data", collapsed)
     with pytest.raises(moments_mod.CertificateError, match=f"^p112: {flat}$"):
         context_from_rays([(1, 0), (0, 1), (-1, -2)], name="p112")
+    # and an unnamed one no name, not "None"
+    with pytest.raises(moments_mod.CertificateError, match=f"^{flat}$"):
+        context_from_rays([(1, 0), (0, 1), (-1, -2)])
 
 
 def test_covariance_weighted_triangle_exact():

@@ -502,6 +502,9 @@ def test_destabilizer_certifies_a_destabilizing_optimum(monkeypatch):
     monkeypatch.setattr(opt, "_stage2", positive)
     with pytest.raises(CertificateError, match="^p112: optimal direction is not destabilizing$"):
         optimal_destabilizer(corpus_context("p112"))
+    # an unnamed context's failure carries no name, not "None"
+    with pytest.raises(CertificateError, match="^optimal direction is not destabilizing$"):
+        optimal_destabilizer(context_from_rays([(1, 0), (0, 1), (-1, -2)]))
 
 
 def test_destabilizer_witnesses_live_in_sigma1(unstable_names, contexts):
