@@ -69,7 +69,7 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     as bitmasks of the points on each facet, which the hull returns.  More
     than `HULL_BUDGET` meets (about 2 s) is a ValueError naming the count.
     """
-    sup = sorted(w.support)
+    sup = sorted(w.support)  # each face's members are added, and so print, in index order
     pts = sorted({w.weights[i] for i in sup})
     poly, masks = _hull(pts)
     faces, meets = {(1 << len(pts)) - 1}, 0

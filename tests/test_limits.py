@@ -131,7 +131,7 @@ def test_weight_polytope_matches_the_facet_offset_reference():
         d = 1 + case % 5
         if case % 3:
             pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 7))]
-        else:  # on a line or plane through a lattice point
+        else:  # a point, line or plane through a lattice point
             base = [rng.randint(-3, 3) for _ in range(d)]
             span = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(0, 2))]
             pool = [
