@@ -53,25 +53,25 @@ def rat_str(x) -> str:
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
+def _half_even(negative: bool, n: int, above: int, half: int, digits: int) -> str:
+    """n / 10^digits, signed, one unit up when the rest (`above`) passes `half` or ties at odd n."""
+    n += above > half or (above == half and n % 2 == 1)
+    s = int_str(n).rjust(digits + 1, "0")
+    return f"{'-' if negative else ''}{s[:-digits]}.{s[-digits:]}"
+
+
 def dec_str(x, digits: int) -> str:
     """Fixed-point decimal of a rational, round half to even."""
-    den = x.denominator
-    n, rem = divmod(abs(x.numerator) * 10**digits, den)
-    if 2 * rem > den or (2 * rem == den and n % 2 == 1):
-        n += 1
-    s = int_str(n).rjust(digits + 1, "0")
-    return f"{'-' if x < 0 else ''}{s[:-digits]}.{s[-digits:]}"
+    n, rem = divmod(abs(x.numerator) * 10**digits, x.denominator)
+    return _half_even(x < 0, n, 2 * rem, x.denominator, digits)
 
 
 def sqrt_dec_str(sign: int, square, digits: int) -> str:
-    """Decimal of sign * sqrt(square) to the requested digits; sign is +-1."""
+    """Decimal of sign * sqrt(square), round half to even; sign is +-1."""
     num, den = square.numerator * 10 ** (2 * digits), square.denominator
     n = math.isqrt(num // den)
-    if (n * n + (n + 1) * (n + 1)) * den <= 2 * num:  # past the mean of n^2 and (n+1)^2
-        n += 1
-    s = int_str(n).rjust(digits + 1, "0")
-    body = f"{s[:-digits]}.{s[-digits:]}"
-    return ("-" if sign < 0 else "") + body
+    # the root passes n + 1/2 when num / den passes (n + 1/2)^2
+    return _half_even(sign < 0, n, 4 * num, (2 * n + 1) ** 2 * den, digits)
 
 
 def vec_str(v) -> str:

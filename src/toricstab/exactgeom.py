@@ -8,8 +8,10 @@ refusal of work over a bound, here and in `polytopes`, `limits` and
 `lattice`, is one `_limit` call.
 
 One elimination kernel does the linear algebra: `_eliminate`, Bareiss's
-fraction-free update of one integer row against reduced rows, under `rank`,
-the hull's chart, the moments, Sylvester's test and the corrals of stage 2.
+fraction-free update of one integer row against reduced rows.  `_reduce` drives
+it pivoting on each row's first nonzero entry, for `affine_dim`, the hull's
+chart and the simplex volumes; `moments._sylvester` drives it unpivoted, for
+Sylvester's test and the corrals of stage 2.
 
 One enumeration carries the combinatorics: `_cone_rays`, the double
 description method, gives the extreme rays of a cone {x : A x >= 0}, each
@@ -163,15 +165,15 @@ def _eliminate(x, reduced):
     return x
 
 
-def _pivots(rows) -> list[int]:
-    """The echelon pivot columns of integer rows, ascending, read off `_eliminate`."""
-    reduced = []
+def _reduce(rows, reduced):
+    """`reduced` extended by the integer rows, each put through `_eliminate` against those
+    before it and kept, as (pivot column, row) on its first nonzero entry, unless it is zero."""
     for x in rows:
         x = _eliminate(x, reduced)
         c = next((c for c, a in enumerate(x) if a), None)
         if c is not None:
             reduced.append((c, x))
-    return sorted(c for c, _ in reduced)
+    return reduced
 
 
 def _scaled(points):
@@ -180,15 +182,9 @@ def _scaled(points):
     return [tuple(x.numerator * (r // x.denominator) for x in p) for p in points], r
 
 
-def rank(rows) -> int:
-    return len(_pivots(_scaled(rows)[0]))
-
-
 def affine_dim(points) -> int:
-    pts = [qvec(p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    return rank([vsub(p, pts[0]) for p in pts[1:]])
+    z = _scaled([qvec(p) for p in points])[0]
+    return len(_reduce([vsub(u, z[0]) for u in z[1:]], []))
 
 
 # ---------------------------------------------------------------------------

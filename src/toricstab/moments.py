@@ -5,7 +5,8 @@ closed-form simplex integrals.  The vertices are scaled once by the lcm r of
 their denominators, so r P is a lattice polytope and every simplex adds
 integer sums (its determinant, eliminated from the rows it shares with the
 simplex before, its vertex sum and its second-moment matrix); one `Fraction`
-per output entry divides at the end.  The lattice series is `toricstab.lattice`.
+per output entry divides at the end.  `_sylvester`, the unpivoted elimination,
+tests positive definiteness.  The lattice series is `toricstab.lattice`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 # re-exported: CertificateError is defined in exactgeom
-from .exactgeom import CertificateError, VPolytope, _eliminate, _scaled, _triangulation
+from .exactgeom import (CertificateError, VPolytope, _eliminate, _reduce, _scaled,
+                        _triangulation, vsub)
 
 
 class MomentData(NamedTuple):
@@ -33,9 +35,8 @@ def moment_data(p: VPolytope) -> MomentData:
     With r the lcm of the vertex denominators the scaled vertices z = r u are
     integers.  A simplex with D = |det| of its edge vectors and vertex sum s
     adds D to vol, D s to first and D (sum of z z^T + s s^T) to the upper
-    triangle of second.  D is the last pivot of the edge rows z_i - z_0, each
-    reduced by `_eliminate` against those before it (pivot on its first nonzero
-    entry), keeping the rows of the first vertices shared with the simplex
+    triangle of second.  D is the last pivot of the edge rows z_i - z_0 under
+    `_reduce`, keeping those of the first vertices shared with the simplex
     before.  Then the volume is vol / (d! r^d), b = first / ((d+1) r vol) and
     Cov = second / ((d+1)(d+2) r^2 vol) - b b^T, each entry one `Fraction`
     ((d+1) vol second - (d+2) first first^T) / ((d+1)^2 (d+2) r^2 vol^2).
@@ -54,13 +55,11 @@ def _moment_data(p: VPolytope, z, r) -> MomentData:
         simplex = [u for i, u in enumerate(z) if mask >> i & 1]
         low = (last ^ mask) & -(last ^ mask)  # the first vertex in one simplex but not the other
         del reduced[max((last & (low - 1)).bit_count() - 1, 0):]
-        for u in simplex[len(reduced) + 1:]:
-            x = _eliminate([a - b for a, b in zip(u, simplex[0])], reduced)
-            c = next((c for c, a in enumerate(x) if a), None)
-            if c is None:
-                raise CertificateError(f"moment_data: simplex {mask:#x} has zero volume")
-            reduced.append((c, x))
-        dd = abs(x[c])  # the last row's pivot: each simplex reduces at least one row
+        _reduce([vsub(u, simplex[0]) for u in simplex[len(reduced) + 1:]], reduced)
+        if len(reduced) < d:  # an edge row reduced to zero
+            raise CertificateError(f"moment_data: simplex {mask:#x} has zero volume")
+        c, x = reduced[-1]
+        dd = abs(x[c])
         s = [sum(col) for col in zip(*simplex)]
         vol += dd
         for i in range(d):
@@ -76,25 +75,23 @@ def _moment_data(p: VPolytope, z, r) -> MomentData:
 
 
 def is_positive_definite(matrix) -> bool:
-    """Sylvester's criterion for a symmetric rational matrix, in one elimination.
-
-    Row k of the integer-scaled matrix reduced by `_eliminate`, with no row
-    swaps, has the k-th leading principal minor, up to a positive factor, as pivot k.
-    """
+    """Sylvester's criterion on a symmetric rational matrix: `_sylvester` of its integer scaling."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix is not square")
     try:
-        return _positive_definite(_scaled(matrix)[0])
+        return _sylvester(_scaled(matrix)[0]) is not None
     except AttributeError:  # an entry with no denominator
         raise ValueError("matrix entries must be integers or Fractions") from None
 
 
-def _positive_definite(rows) -> bool:
-    """`is_positive_definite` of a square symmetric integer matrix, which needs no clearing."""
+def _sylvester(rows):
+    """The integer rows reduced in order by `_eliminate`, row k on column k, as (k, row)
+    pairs; None at the first pivot <= 0.  With no swaps, pivot k is the leading principal
+    minor of order k + 1, so a symmetric matrix's rows come back just when it is definite."""
     reduced = []
     for k, row in enumerate(rows):
         x = _eliminate(row, reduced)
         if x[k] <= 0:
-            return False
+            return None
         reduced.append((k, x))
-    return True
+    return reduced

@@ -34,7 +34,7 @@ from .exactgeom import (
     normal_cone,
     qval,
 )
-from .moments import _positive_definite
+from .moments import _sylvester
 from .stability import SEMISTABLE, StabilityContext, StabilityValue, verdict
 
 
@@ -153,21 +153,18 @@ def _corral(gram, corral):
     """The affine minimizer of the points `corral` as integer weights over one positive
     denominator; None when the points are affinely dependent.
 
-    The Gram rows of the edges p_i - p_0, then of p_0, go through `_eliminate`
-    unpivoted: a Gram matrix's leading minors stay positive until a vector
-    depends on those before it, so an edge pivot <= 0 means dependence.  Else
-    p_0's row ends as det Gram(p_i - p_0) > 0 times the affine minimizer, even at 0.
+    Wolfe's test of affine independence is Sylvester's criterion: the edges
+    p_i - p_0 are independent just when their Gram matrix is positive definite,
+    so `_sylvester` of their Gram rows, then p_0's row reduced against them,
+    ends as det Gram(p_i - p_0) > 0 times the affine minimizer, even at 0.
     """
     i0, *rest = corral
     # <p_i, q> for q = p_l - p_0 (l in rest) and q = p_0, then p_i's coefficients
     row = {i: [*(gram[i][l] - gram[i][i0] for l in rest), gram[i][i0],
                *(int(l == i) for l in corral)] for i in corral}
-    reduced = []
-    for c, j in enumerate(rest):
-        x = _eliminate([a - b for a, b in zip(row[j], row[i0])], reduced)
-        if x[c] <= 0:
-            return None
-        reduced.append((c, x))
+    reduced = _sylvester([[a - b for a, b in zip(row[j], row[i0])] for j in rest])
+    if reduced is None:
+        return None
     weights = _eliminate(row[i0], reduced)[len(rest) + 1:]
     g = math.gcd(*weights)  # it divides their sum, det Gram(p_i - p_0): the least denominator
     return {i: w // g for i, w in zip(corral, weights)}, sum(weights) // g
@@ -230,7 +227,7 @@ def _stage2(ctx, sigma1, bb, z, e):
     """`minimize_mu2_on_cone` on B = E b and the vertices Z = E u, with C = D Cov cleared
     once for Sylvester's test, the walk and mu: (v*, primitive(v*), mu there)."""
     c, dd = _scaled(ctx.moments.covariance)
-    if not _positive_definite(c):
+    if _sylvester(c) is None:
         raise CertificateError("covariance not positive definite")
     beta = [dot(bb, g) for g in sigma1.rays]
     if min(beta) <= 0:

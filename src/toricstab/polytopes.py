@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 from .exactgeom import (MAX_DIM, ConeH, Facet, Fan, HPolytope, IntVec, VPolytope, _cone_rays,
-                        _facet_vertices, _is_face, _lattice, _limit, _normal_fan, _pivots,
+                        _facet_vertices, _is_face, _lattice, _limit, _normal_fan, _reduce,
                         _scaled, _triangulation, qval, qvec, vneg, vsub)
 
 
@@ -39,7 +39,7 @@ def _hull(pts) -> tuple[VPolytope, list[int]]:
         raise ValueError("dimension mismatch")
     _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     z, scale = _scaled(pts)
-    cols = _pivots([vsub(u, z[0]) for u in z[1:]])
+    cols = sorted(c for c, _ in _reduce([vsub(u, z[0]) for u in z[1:]], []))
     if not cols:
         return VPolytope((tuple(map(Q, pts[0])),), 0, ()), []
     rays, _ = _cone_rays([(*(u[c] for c in cols), 1) for u in z], len(cols) + 1)

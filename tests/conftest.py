@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hull_oracle import cone_relint_contains
-from linalg_oracle import vadd, vscale
+from linalg_oracle import rank, vadd, vscale
 from toricstab.corpus import corpus_context, corpus_names
 from toricstab.polytopes import extreme_rays
 from toricstab.stability import StabilityValue, verdict
@@ -122,7 +122,6 @@ def run_quasi_convexity(ctx, rng, pairs, bound=9):
     """Blend directions with equal negative first invariant and check that
     neither invariant can exceed the worse endpoint; the second one strictly
     improves for non-parallel endpoints.  Returns the strict-case count."""
-    from toricstab.exactgeom import rank as _rank
     from toricstab.invariants import futaki, mu
 
     def mu2(m):
@@ -145,7 +144,7 @@ def run_quasi_convexity(ctx, rng, pairs, bound=9):
         assert mz.mu1 <= max(mv.mu1, mw.mu1)
         worse = max(mu2(mv), mu2(mw))
         assert mu2(mz) <= worse
-        if _rank([list(vn), list(wn)]) == 2:
+        if rank([list(vn), list(wn)]) == 2:
             assert mu2(mz) < worse
             strict_seen += 1
     return strict_seen

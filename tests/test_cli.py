@@ -1164,11 +1164,12 @@ def dec_str_by_fractions(x, digits):
 
 
 def sqrt_dec_str_by_fractions(sign, square, digits):
-    """Reference: isqrt of the Fraction square 10^(2 digits), rounded up from
-    the mean of n^2 and (n+1)^2 on."""
+    """Reference: isqrt n of the Fraction square 10^(2 digits), rounded half to even
+    at the root's midpoint n + 1/2, whose square is (n + 1/2)^2."""
     scaled = Q(square) * 10 ** (2 * digits)
     n = math.isqrt(scaled.numerator // scaled.denominator)
-    if Q(n * n + (n + 1) * (n + 1), 2) <= scaled:
+    midpoint = Q(2 * n + 1, 2) ** 2
+    if scaled > midpoint or (scaled == midpoint and n % 2 == 1):
         n += 1
     s = str(n).rjust(digits + 1, "0")
     return f"{'-' if sign < 0 else ''}{s[:-digits]}.{s[-digits:]}"
@@ -1176,7 +1177,7 @@ def sqrt_dec_str_by_fractions(sign, square, digits):
 
 def test_decimal_renderers_match_their_fraction_forms():
     rng = fresh_rng("renderers")
-    ties = rounded = 0
+    ties = root_ties = rounded = 0
     for digits in (1, 2, 3, 12, 40, 300):
         for _ in range(200):
             den = rng.choice([1, 2, 3, 4, 5, 7, 8, 10, 16, 125]) * 10 ** rng.randint(0, digits + 1)
@@ -1188,19 +1189,24 @@ def test_decimal_renderers_match_their_fraction_forms():
                 expected = dec_str_by_fractions(value, digits)
                 assert dec_str(value, digits) == expected, (value, digits)
             ties += dec_str(tie, digits) != dec_str(tie - Q(1, 2 * 10**digits), digits)
-            # squares just below, at and just past the rounding threshold of n
+            # squares just below, at and just past the rounding threshold of n, the
+            # square of the root's midpoint n + 1/2
             n = rng.randint(0, 10**6)
-            edge = Q(n * n + (n + 1) * (n + 1), 2 * 10 ** (2 * digits))
+            edge = Q((2 * n + 1) ** 2, 4 * 10 ** (2 * digits))
             eps = Q(1, 10 ** (2 * digits + 3))
             for square in (abs(x), edge - eps, edge, edge + eps, abs(int(x))):
                 for sign in (1, -1):
                     got = sqrt_dec_str(sign, square, digits)
                     assert got == sqrt_dec_str_by_fractions(sign, square, digits), (square, digits)
-            rounded += sqrt_dec_str(1, edge, digits) != sqrt_dec_str(1, edge - eps, digits)
-    # half ties round to even, so both ways; the threshold itself rounds up
-    assert 0 < ties < 1200 and rounded == 1200
+            root_ties += sqrt_dec_str(1, edge, digits) != sqrt_dec_str(1, edge - eps, digits)
+            rounded += sqrt_dec_str(1, edge + eps, digits) != sqrt_dec_str(1, edge - eps, digits)
+    # half ties round to even, so both ways, roots too; past the threshold a root rounds up
+    assert 0 < ties < 1200 and 0 < root_ties < 1200 and rounded == 1200
     assert [dec_str(Q(k, 4), 1) for k in (1, 3, -1, -3)] == ["0.2", "0.8", "-0.2", "-0.8"]
     assert sqrt_dec_str(-1, Q(2), 1) == "-1.4" and sqrt_dec_str(1, Q(9, 4), 1) == "1.5"
+    # a tie at odd n rounds up, as `dec_str` does; sqrt(1/375) = 0.0516 is past 0.05
+    assert sqrt_dec_str(1, Q(9, 400), 1) == dec_str(Q(3, 20), 1) == "0.2"
+    assert sqrt_dec_str(1, Q(1, 375), 1) == "0.1" and sqrt_dec_str(1, Q(1, 400), 1) == "0.0"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump"])
@@ -1380,16 +1386,16 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1238),
-        ("report", "--corpus"): ([*report, "corpus"], 1293),
-        ("destabilize", doc): ([*context, "optimizer"], 1410),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1465),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1465),
+        ("report", doc, "--v", "0,-1"): (report, 1231),
+        ("report", "--corpus"): ([*report, "corpus"], 1286),
+        ("destabilize", doc): ([*context, "optimizer"], 1400),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1455),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1455),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1483
+            [*context, "cli_oracle", "invariants", "lattice"], 1476
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1173
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1169
         ),
     }
     package = Path(toricstab.__file__).parent

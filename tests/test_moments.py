@@ -16,6 +16,7 @@ from stability_oracle import support_min
 from toricstab.exactgeom import dot, facets_from_vertices
 from toricstab.polytopes import vpolytope
 from toricstab.lattice import LatticeSeries, SeriesRow, extrapolate, lattice_series
+from toricstab import moments
 from toricstab.moments import is_positive_definite, moment_data
 from toricstab.optimizer import optimal_destabilizer
 from toricstab.stability import context_from_constraints, context_from_rays, context_from_vertices
@@ -302,6 +303,33 @@ def test_positive_definite_matches_sylvester(kind):
         assert is_positive_definite(m) == expected, m
         answers.add(expected)
     assert answers == ({True, False} if kind == "symmetric" else {kind == "definite"})
+
+
+def test_sylvester_pivots_are_the_leading_minors():
+    # seeded symmetric integer 1-6D matrices: A^T D A with D > 0 diagonal, singular when A
+    # has fewer than n rows, or random symmetric entries, half diagonally dominant.  With
+    # no row swaps pivot k is the leading principal minor of order k + 1, so `_sylvester`
+    # returns rows pivoting on those minors when all are positive, and None when one is not
+    rng = fresh_rng("sylvester-pivots")
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.4:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            m = _congruent(a, [rng.randint(1, 4) for _ in a]) if a else [[0] * n] * n
+        else:
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if rng.random() < 0.5:
+                m = [[x + (i == j) * 4 * n for j, x in enumerate(row)] for i, row in enumerate(m)]
+        minors = [linalg_oracle.det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        reduced = moments._sylvester(m)
+        if min(minors) > 0:
+            assert [(k, x[k]) for k, x in reduced] == list(enumerate(minors)), m
+        else:
+            assert reduced is None, m
+        seen.add((min(minors) > 0) - (min(minors) < 0))  # the sign of the least minor
+    assert seen == {1, 0, -1}
 
 
 def test_support_min_examples():

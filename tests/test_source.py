@@ -213,17 +213,48 @@ def is_bareiss_update(node) -> bool:
     )
 
 
+def reads_of(stmt, name):
+    """The nodes in stmt that read `name`, bare or as an attribute."""
+    return [
+        n
+        for n in ast.walk(stmt)
+        if (n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)) == name
+    ]
+
+
 def test_one_fraction_free_elimination():
-    # rank, the hull's chart, the moments, Sylvester's test and the corral solves
-    # of stage 2 all reduce rows through `exactgeom._eliminate`; an update
-    # written anywhere else is a second elimination kernel
+    # every row update is `exactgeom._eliminate`, and two loops drive it, one per
+    # pivot rule: `_reduce` pivots on each row's first nonzero entry (affine_dim,
+    # the hull's chart, the simplex volumes) and `moments._sylvester` pivots row k
+    # on column k (Sylvester's test, the corrals of stage 2); `_corral` reads its
+    # weights with one call outside any loop.  An update written anywhere else is
+    # a second elimination kernel, and another caller a third loop
+    trees = {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.rglob("*.py")
+    }
     holders = sorted(
         {
-            f"{path.relative_to(SRC).as_posix()}:{stmt.name}"
-            for path in SRC.rglob("*.py")
-            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            f"{path}:{stmt.name}"
+            for path, tree in trees.items()
+            for stmt in tree.body
             for n in ast.walk(stmt)
             if is_bareiss_update(n)
         }
     )
     assert holders == ["toricstab/exactgeom.py:_eliminate"], "\n".join(holders)
+    callers = {
+        f"{path}:{getattr(stmt, 'name', stmt.lineno)}": (stmt, reads)
+        for path, tree in trees.items()
+        for stmt in tree.body
+        if (reads := reads_of(stmt, "_eliminate"))
+    }
+    assert sorted(callers) == [
+        "toricstab/exactgeom.py:_reduce",
+        "toricstab/moments.py:_sylvester",
+        "toricstab/optimizer.py:_corral",
+    ], "\n".join(sorted(callers))
+    corral, reads = callers["toricstab/optimizer.py:_corral"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = {id(n) for loop in ast.walk(corral) if isinstance(loop, loops) for n in ast.walk(loop)}
+    assert len(reads) == 1 and id(reads[0]) not in looped
