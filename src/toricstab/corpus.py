@@ -1,7 +1,5 @@
 """Bundled toric log Fano inputs used by tests and the batch commands."""
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 
 from .stability import StabilityContext, context_from_rays

@@ -20,17 +20,14 @@ conv(p_j) are the rays (a, b) of {<a, p_j> + b >= 0} in coordinates of the
 affine hull, their members the points on them.  The vertices of
 {<n_i, u> >= c_i} are the rays (x, s) of {<n_i, x> >= c_i s, s >= 0}, read
 as x/s, with the constraints tight at each; boundedness, feasibility and
-full dimension are read off the same rays.  `extreme_rays` of a `ConeH`
-are its rays modulo its lineality.  A `VPolytope` carries the vertex-facet
-incidence, off which the H-form, the pulling triangulation, the edges of the
-normal fan and, over all points, a weight polytope's faces are read; `_is_face`
-tells a vertex or an edge as a set that the facets through it meet in.  One
-kernel, `normal_cone`, builds every cone (the normal fan's, sigma1 and the
-face cones of `limits`) from integer differences divided by their gcd.  More
-than `HULL_BUDGET` candidate ray pairs, summed over the rows, is refused.
+full dimension are read off the same rays.  A `VPolytope` carries the
+vertex-facet incidence, off which the H-form, the pulling triangulation, the
+edges of the normal fan and, over all points, a weight polytope's faces are
+read; `_is_face` tells a vertex or an edge as a set that the facets through
+it meet in.  One kernel, `normal_cone`, builds every cone (the normal fan's,
+sigma1 and the face cones of `limits`) from integer differences divided by
+their gcd.  More than `HULL_BUDGET` candidate ray pairs in all is refused.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -184,6 +181,8 @@ def _scaled(points):
 
 def affine_dim(points) -> int:
     z = _scaled([qvec(p) for p in points])[0]
+    if any(len(u) != len(z[0]) for u in z):
+        raise ValueError("dimension mismatch")
     return len(_reduce([vsub(u, z[0]) for u in z[1:]], []))
 
 
@@ -203,7 +202,7 @@ class VPolytope(NamedTuple):
     """Polytope as an irredundant, lexicographically sorted vertex tuple.
 
     `facets` is the hull incidence read off the construction (bit i of
-    `members` stands for vertices[i]), sorted by normal and offset; a
+    `members` stands for vertices[i]), one facet per normal, sorted by normal; a
     lower-dimensional polytope has the facets of its affine hull, with normals
     supported on coordinates that chart that hull.  Facets are canonical, so
     they are part of the value.
@@ -413,12 +412,13 @@ def dual_polytope(rays, coeffs):
     ambient space; coefficients are rationals in [0, 1), or None for all 0.
     Returns the (HPolytope, VPolytope) pair.
     """
-    ints, coeffs, v = _dual(rays, coeffs)
-    return HPolytope(tuple(sorted(zip(ints, (c - 1 for c in coeffs))))), v
+    _, _, v, cons = _dual(rays, coeffs)
+    return HPolytope(tuple(cons)), v
 
 
 def _dual(rays, coeffs):
-    """`dual_polytope`'s checked rays as ints, its coefficients as Fractions, and the VPolytope."""
+    """`dual_polytope`'s checked rays as ints, its coefficients as Fractions, the VPolytope,
+    and the constraints (ray, coefficient - 1) sorted by ray."""
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
@@ -437,7 +437,7 @@ def _dual(rays, coeffs):
     _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span
-    return tuple(ints), coeffs, _facet_vertices(cons, d, "degenerate fan")
+    return tuple(ints), coeffs, _facet_vertices(cons, d, "degenerate fan"), cons
 
 
 def _pull(face, k, facet_sets):

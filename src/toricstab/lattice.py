@@ -15,8 +15,6 @@ its degree; running sums extend it.  `extrapolate` estimates the leading
 moments from the last rows by Richardson extrapolation.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

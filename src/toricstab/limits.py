@@ -7,8 +7,6 @@ lying on them, and each face carries the cone of directions whose limit
 lands on it.
 """
 
-from __future__ import annotations
-
 import bisect
 from typing import NamedTuple
 

@@ -9,8 +9,6 @@ per output entry divides at the end.  `_sylvester`, the unpivoted elimination,
 tests positive definiteness.  The lattice series is `toricstab.lattice`.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction as Q
@@ -79,9 +77,12 @@ def is_positive_definite(matrix) -> bool:
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix is not square")
     try:
-        return _sylvester(_scaled(matrix)[0]) is not None
+        rows = _scaled(matrix)[0]
     except AttributeError:  # an entry with no denominator
         raise ValueError("matrix entries must be integers or Fractions") from None
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    return _sylvester(rows) is not None
 
 
 def _sylvester(rows):

@@ -18,8 +18,6 @@ D Cov, sigma1's H-form and mu at primitive(v*) clear nothing again, so a
 the optimum unique.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction as Q
 from typing import NamedTuple
@@ -108,10 +106,10 @@ def _stage1(ctx, bb, offsets) -> Stage1Result:
         raise CertificateError("stage 1 found no destabilizing direction")
     if all(o < 0 for o in offsets) and best <= -lcm:  # 0 interior: mu1 > -1
         raise CertificateError("stage 1 minimum out of range")
-    witnesses = sorted({f.normal for f, val in zip(facets, vals) if val == best})
+    witnesses = tuple(f.normal for f, val in zip(facets, vals) if val == best)
     # the vertices are sorted, so per_cone is too; one Fraction per distinct value
     q = {v: Q(v, lcm) for v in {best, *(v for _, v in per_cone)}}
-    return Stage1Result(q[best], tuple(witnesses), tuple((u, q[v]) for u, v in per_cone))
+    return Stage1Result(q[best], witnesses, tuple((u, q[v]) for u, v in per_cone))
 
 
 def build_sigma1(ctx: StabilityContext, m1: Q) -> SigmaOne:
@@ -143,7 +141,7 @@ def _sigma1(ctx, m1, bb, offsets, z) -> SigmaOne:
     slack = [(dot(f.normal, cc) + p * o, f.normal) for f, o in zip(ctx.vpoly.facets, offsets)]
     if min(s for s, _ in slack) < 0:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies outside P")
-    rays = tuple(sorted(n for s, n in slack if s == 0))
+    rays = tuple(n for s, n in slack if s == 0)
     if not rays:
         raise CertificateError("inconsistent M1: (1 + 1/m1) b lies inside P")
     return SigmaOne(cone, m1, rays)
@@ -262,7 +260,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
         for w in stage1.witness_rays:
             if not sigma1.cone.contains(w):
                 raise CertificateError("witness ray outside sigma1")
-        if set(stage1.witness_rays) != set(sigma1.rays):
+        if stage1.witness_rays != sigma1.rays:
             raise CertificateError("stage-1 witness rays differ from the rays of sigma1")
         v_star, p, value = _stage2(ctx, sigma1, bb, z, s)
         if value.mu2_sign != -1:

@@ -1,8 +1,8 @@
 """The point hull, the H-form reader, and the public cone, fan and triangulation wrappers.
 
 The point hull also returns the mask of the points on each facet, off which
-`limits` reads the faces of a weight polytope.  A fan document runs none of
-them, so a command on one never compiles this module.
+`limits` reads the faces of a weight polytope.  `extreme_rays` of a `ConeH`
+are its rays modulo its lineality.  No command on a fan document compiles it.
 """
 
 import functools

@@ -4,8 +4,6 @@ A context bundles a full-dimensional moment polytope with its exact moments
 and normal fan; the invariants at a direction are `toricstab.invariants`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Q
 from typing import NamedTuple
 
@@ -92,7 +90,7 @@ def _build(vp, rays=None, coeffs=None, name=None) -> StabilityContext:
 
 def context_from_rays(rays, coeffs=None, name=None) -> StabilityContext:
     """Context of complete toric log Fano fan data (rays plus boundary coefficients)."""
-    rr, cc, v = _dual(rays, coeffs)
+    rr, cc, v, _ = _dual(rays, coeffs)
     return _build(v, rr, cc, name)
 
 

@@ -1386,16 +1386,16 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1231),
-        ("report", "--corpus"): ([*report, "corpus"], 1286),
-        ("destabilize", doc): ([*context, "optimizer"], 1400),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1455),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1455),
+        ("report", doc, "--v", "0,-1"): (report, 1230),
+        ("report", "--corpus"): ([*report, "corpus"], 1283),
+        ("destabilize", doc): ([*context, "optimizer"], 1397),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1476
+            [*context, "cli_oracle", "invariants", "lattice"], 1473
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1169
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1167
         ),
     }
     package = Path(toricstab.__file__).parent

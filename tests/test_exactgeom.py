@@ -44,6 +44,11 @@ from toricstab.polytopes import (
 )
 from toricstab.limits import weight_polytope, weighted_point
 from toricstab.moments import moment_data
+from toricstab.stability import (
+    context_from_constraints,
+    context_from_rays,
+    context_from_vertices,
+)
 
 P2_VERTS = ((-1, -1), (-1, 2), (2, -1))
 P112_VERTS = ((-1, -1), (-1, 1), (3, -1))
@@ -299,6 +304,13 @@ def test_vpolytope_refuses_empty_and_ragged_point_sets():
         vpolytope([(0, 0), (1, 0, 0), (0, 1)])
 
 
+def test_affine_dim_refuses_ragged_point_sets():
+    for pts in ([(0,), (1, 5), (2, 7)], [(0, 0), (1,)]):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            affine_dim(pts)
+    assert affine_dim([(0, 0), (1, 5), (2, 10)]) == 1
+
+
 def test_vpolytope_equality_and_hash_include_facets():
     p = vpolytope(P112_VERTS)
     stale = VPolytope(p.vertices, p.dim, p.facets[1:])
@@ -349,6 +361,50 @@ def test_polytope_facets_are_canonical():
         else:
             seen["lower"] += 1
     assert min(seen.values()) >= 60, seen
+
+
+def _increasing(normals) -> bool:
+    return all(a < b for a, b in zip(normals, normals[1:]))
+
+
+def test_every_hull_returns_its_facet_normals_strictly_increasing():
+    """One facet per normal, sorted by normal, through every hull entry point:
+    stage 1 and sigma1 take the facet normals in this order as their rays.
+    Seeded 1-5D fans with mixed coefficient denominators, shuffled constraint
+    lists with looser duplicates of a normal, point sets of every affine
+    dimension and weighted points."""
+    rng = fresh_rng("facet-order")
+    seen = {"lower": 0, "looser duplicate": 0}
+    for case in range(150):
+        d = 1 + case % 5
+        rays = {tuple(int(i == j) for j in range(d)) for i in range(d)}
+        rays.add(primitive([-rng.randint(1, 3) for _ in range(d)]))
+        while len(rays) < d + 1 + rng.randint(0, 3) * (d > 1):  # 1D has two rays
+            rays.add(primitive(rand_nonzero_ivec(rng, d, 2)))
+        rays = rng.sample(sorted(rays), len(rays))
+        coeffs = [Q(rng.randint(0, den - 1), den) for den in rng.choices((1, 2, 3), k=len(rays))]
+        h, v = dual_polytope(rays, coeffs)
+        ctx = context_from_rays(rays, coeffs)
+        cons = [(f.normal, f.offset) for f in v.facets]
+        looser = [(n, c - rng.randint(1, 3)) for n, c in rng.sample(cons, rng.randint(0, 2))]
+        seen["looser duplicate"] += bool(looser)
+        shuffled = HPolytope(tuple(rng.sample(cons + looser, len(cons + looser))))
+        hull = vpolytope(_point_set(rng, d))
+        seen["lower"] += hull.dim < d
+        weights = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)]
+        polytopes = [
+            v,
+            vertices_from_facets(shuffled),
+            hull,
+            weight_polytope(weighted_point(weights)).polytope,
+            ctx.vpoly,
+            context_from_vertices(v.vertices).vpoly,
+            context_from_constraints(shuffled.constraints).vpoly,
+        ]
+        assert _increasing([n for n, _ in h.constraints]), rays
+        for p in polytopes:
+            assert _increasing([f.normal for f in p.facets]), (rays, hull, weights)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_vertices_from_facets_refuses_ragged_and_non_primitive_normals():

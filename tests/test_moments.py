@@ -305,6 +305,15 @@ def test_positive_definite_matches_sylvester(kind):
     assert answers == ({True, False} if kind == "symmetric" else {kind == "definite"})
 
 
+def test_positive_definite_refuses_a_non_symmetric_matrix():
+    # Sylvester's criterion holds only for symmetric matrices: both leading minors
+    # of [[1, 4], [0, 1]] are 1, yet x = (1, -1) gives x^T A x = -2
+    for m in ([[1, 4], [0, 1]], [[2, Q(1, 2)], [Q(1, 3), 2]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]]):
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            is_positive_definite(m)
+    assert is_positive_definite([[1, Q(1, 2)], [Q(1, 2), 1]])
+
+
 def test_sylvester_pivots_are_the_leading_minors():
     # seeded symmetric integer 1-6D matrices: A^T D A with D > 0 diagonal, singular when A
     # has fewer than n rows, or random symmetric entries, half diagonally dominant.  With

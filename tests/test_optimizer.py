@@ -421,6 +421,20 @@ def test_destabilizer_rejects_witnesses_off_sigma1_rays(monkeypatch):
         optimal_destabilizer(corpus_context("p112"))
 
 
+def test_destabilizer_rejects_witnesses_out_of_facet_order(monkeypatch):
+    # stage 1 and sigma1 both take the facet normals in facet order, so the
+    # same rays in another order are a fault too
+    real = opt._stage1
+
+    def reversed_witnesses(*view):
+        stage1 = real(*view)
+        return stage1._replace(witness_rays=stage1.witness_rays[::-1])
+
+    monkeypatch.setattr(opt, "_stage1", reversed_witnesses)
+    with pytest.raises(CertificateError, match="^p112: stage-1 witness rays differ"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
 # each certificate of the destabilizer below is reached by corrupting one
 # intermediate value; a correct run never trips it
 
@@ -582,7 +596,7 @@ def _assert_matches_oracle(ctx):
     assert report.v_star_rational == v_star, ctx.name
     assert report.m_mu == value, ctx.name
     assert stage2_by_ray_subsets(ctx, report.sigma1) == (v_star, value), ctx.name
-    assert set(report.stage1.witness_rays) == set(report.sigma1.rays), ctx.name
+    assert report.stage1.witness_rays == report.sigma1.rays, ctx.name
 
 
 def test_matches_oracle_on_corpus(unstable_names, contexts):
@@ -674,6 +688,7 @@ def test_one_optimizer_behind_two_entry_points(contexts):
         if verdict(ctx) == "unstable":
             report = optimal_destabilizer(ctx)
             assert report == _public_stages(ctx), ctx.name
+            assert report.stage1.witness_rays == report.sigma1.rays, ctx.name
             assert report.m_mu == mu(ctx, report.v_star_primitive), ctx.name
             unstable += 1
     assert unstable >= len(fans) + 10
