@@ -291,10 +291,10 @@ def _cone_rays(rows, n):
             a, line = vals.pop(j), lines.pop(j)
             if a < 0:
                 a, line = -a, vneg(line)
-            lines = [_primitive_int([a * x - v * y for x, y in zip(l, line)])
-                     for l, v in zip(lines, vals)]
-            rays = [(_primitive_int([a * x - v * y for x, y in zip(ray, line)]), t | bit)
-                    for ray, t in rays for v in [sum(map(operator.mul, r, ray))]]
+            lines = [_primitive_int([a * x - v * y for x, y in zip(l, line)]) if v else l
+                     for l, v in zip(lines, vals)]  # primitive already when v = 0
+            rays = [(_primitive_int([a * x - v * y for x, y in zip(ray, line)]) if v else ray,
+                     t | bit) for ray, t in rays for v in [sum(map(operator.mul, r, ray))]]
             rays.append((line, bit - 1))  # tight on every earlier row, as lines are
             continue
         pos, neg, keep = [], [], []

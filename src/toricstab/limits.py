@@ -2,12 +2,11 @@
 
 A weighted point is a list of lattice weights with a nonempty support; only
 the support matters for limits.  Its weight polytope is the hull of the
-supported weights; faces are identified by the index sets of the weights
-lying on them, and each face carries the cone of directions whose limit
-lands on it.
+supported weights; faces are the index sets of the weights on them, each
+with the cone of directions whose limit lands on it, whose normals a
+one-slot memo keeps, point by point, for the last polytope asked.
 """
 
-import bisect
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -22,6 +21,8 @@ from .exactgeom import (
     normal_cone,
 )
 from .polytopes import _hull
+
+_last = None, frozenset(), {}  # the last polytope asked, its faces, its points' normals
 
 
 class WeightedPoint(NamedTuple):
@@ -41,9 +42,7 @@ def weighted_point(weights, support=None) -> WeightedPoint:
     d = len(ws[0])
     if any(len(w) != d for w in ws):
         raise ValueError("dimension mismatch")
-    if support is None:
-        support = range(len(ws))
-    sup = frozenset(_ints(support, "support index"))
+    sup = frozenset(range(len(ws)) if support is None else _ints(support, "support index"))
     if not sup:
         raise ValueError("support must be nonempty")
     if any(i < 0 or i >= len(ws) for i in sup):
@@ -93,33 +92,33 @@ def is_fixed(w: WeightedPoint, v) -> bool:
     return limit_point(w, v).support == w.support
 
 
-def _require_face(q: WeightPolytope, face) -> frozenset[int]:
-    """The face as a frozenset, found by bisection: q.faces is sorted by size, and
-    the faces of one size by their sorted members."""
-    f = frozenset(_ints(face, "face index"))
-    lo = bisect.bisect_left(q.faces, len(f), key=len)
-    hi = bisect.bisect_right(q.faces, len(f), lo, key=len)
-    i = bisect.bisect_left(q.faces, sorted(f), lo, hi, key=sorted)
-    if i == hi or q.faces[i] != f:
+def _require_face(q: WeightPolytope, face) -> tuple[frozenset[int], dict]:
+    """The face as a frozenset, and q's normals by point so far: the slot is read once,
+    so that threads cannot mix polytopes, and matches q by identity."""
+    global _last
+    if (last := _last)[0] is not q:
+        _last = last = q, frozenset(q.faces), {}
+    if (f := frozenset(_ints(face, "face index"))) not in last[1]:
         raise ValueError("not a face")
-    return f
+    return f, last[2]
 
 
 def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
-    """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope."""
-    ws = q.point.weights
-    f = _require_face(q, face)
-    return normal_cone([ws[i] for i in f], [ws[j] for j in q.point.support], len(ws[0]))
+    """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope;
+    its normals are the union of its members' normals, computed once per polytope object."""
+    (ws, sup), (f, rows) = q.point, _require_face(q, face)
+    for i in f - rows.keys():  # point i's normals prim(u_i - u_j) over the support
+        rows[i] = normal_cone([ws[i]], [ws[j] for j in sup], len(ws[0])).normals
+    return ConeH(tuple(sorted(set().union(*map(rows.get, f)))), len(ws[0]))
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
     """The degeneration of w with support cut down to the face members; q is w's polytope."""
     if q.point != w:
         raise ValueError("weight polytope is not the polytope of this weighted point")
-    f = _require_face(q, face)
-    return WeightedPoint(w.weights, f)
+    return WeightedPoint(w.weights, _require_face(q, face)[0])
 
 
 def face_of_direction(q: WeightPolytope, v) -> frozenset[int]:
     """Member set of the face where <., v> is minimized; always one of q.faces."""
-    return _require_face(q, limit_point(q.point, v).support)
+    return _require_face(q, limit_point(q.point, v).support)[0]

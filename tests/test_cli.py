@@ -1395,7 +1395,7 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
             [*context, "cli_oracle", "invariants", "lattice"], 1473
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1167
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1166
         ),
     }
     package = Path(toricstab.__file__).parent

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
 from hull_oracle import cone_relint_contains, weight_polytope_by_offsets
 from optimizer_oracle import cone_is_trivial
-from toricstab.exactgeom import ConeH, primitive, vsub
+from toricstab import limits
+from toricstab.exactgeom import ConeH, normal_cone, primitive, vsub
 from toricstab.polytopes import extreme_rays
 from toricstab.limits import (
     WeightedPoint,
@@ -217,8 +220,8 @@ def test_face_limit_refuses_the_polytope_of_another_point():
 
 
 def test_face_lookup_agrees_with_membership():
-    """`face_limit` finds faces by bisection in the sorted q.faces: it accepts
-    exactly the members of q.faces, here every face of seeded 3-6D points,
+    """`face_limit` finds faces in a set of q.faces kept for the last polytope
+    asked: it accepts exactly the members of q.faces, here every face of seeded 3-6D points,
     random index sets, the empty set and indices past the weights."""
     rng = fresh_rng("face-lookup")
     refused = 0
@@ -388,6 +391,93 @@ def test_normal_cones_of_faces_build_no_fractions(monkeypatch):
     )
     assert len(cones) == len(q.faces) > 10
     assert calls == []
+
+
+def kernel_cone(q, f):
+    """The face cone from one kernel call over the face members and the support."""
+    ws = q.point.weights
+    return normal_cone([ws[i] for i in f], [ws[j] for j in q.point.support], len(ws[0]))
+
+
+def test_face_cones_match_the_kernel_in_any_order():
+    """Every face cone of seeded 2-6D points with repeated weights and partial
+    supports equals one kernel call over the face and the support, whichever
+    face of a fresh polytope object is asked first: a repeated weight gives a
+    zero difference, and a support index can name a weight on the face."""
+    rng = fresh_rng("face-cones-any-order")
+    repeats = 0
+    for case in range(100):
+        d = 2 + case % 5
+        pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(2, 8))]
+        weights = [rng.choice(pool) for _ in range(rng.randint(2, 10))]
+        w = weighted_point(weights, rng.sample(range(len(weights)), rng.randint(1, len(weights))))
+        want = {f: kernel_cone(weight_polytope(w), f) for f in weight_polytope(w).faces}
+        q = weight_polytope(w)
+        faces = rng.sample(q.faces, len(q.faces))
+        assert [normal_cone_of_face(q, f) for f in faces] == [want[f] for f in faces]
+        assert [normal_cone_of_face(q, f) for f in q.faces] == [want[f] for f in q.faces]
+        repeats += len(set(weights)) < len(weights) and len(w.support) < len(weights)
+    assert repeats >= 30
+
+
+def test_face_cones_compute_each_points_normals_once_per_polytope_object(monkeypatch):
+    """Interleaved over two polytopes and an equal but distinct copy of the first,
+    each face cone equals the kernel's; one pass over a polytope's faces computes
+    each supported point's normals once, and the copy computes its own."""
+    rng = fresh_rng("face-cones-once")
+    a, b = ([tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(9)] for d in (3, 4))
+    q1, q2, copy = (weight_polytope(weighted_point(ws)) for ws in (a, b, a))
+    assert copy == q1 and copy is not q1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normal_cone(*args)
+
+    monkeypatch.setattr(limits, "normal_cone", counted)
+    for k in range(max(len(q.faces) for q in (q1, q2, copy))):
+        for q in (q1, q2, copy):
+            if k < len(q.faces):
+                assert normal_cone_of_face(q, q.faces[k]) == kernel_cone(q, q.faces[k])
+    for q, fresh in [(q1, True), (q1, False), (copy, True), (copy, False), (q2, True), (q1, True)]:
+        calls.clear()
+        assert [normal_cone_of_face(q, f) for f in q.faces] == [kernel_cone(q, f) for f in q.faces]
+        assert len(calls) == (len(q.point.support) if fresh else 0)
+    # a face of q2 alone is refused for q1, whichever was asked last
+    only = [f for f in q2.faces if f not in q1.faces]
+    assert only
+    for f in only:
+        assert face_limit(q2.point, q2, f).support == f
+        with pytest.raises(ValueError, match="not a face"):
+            face_limit(q1.point, q1, f)
+
+
+def test_face_cones_from_threads():
+    """Four threads, each on its own polytope, with a short switch interval:
+    every face cone equals the kernel's on every pass."""
+    rng = fresh_rng("face-cones-threads")
+    points = [[tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(7)] for d in (3, 4, 3, 4)]
+    qs = [weight_polytope(weighted_point(ws)) for ws in points]
+    wrong = []
+
+    def passes(q):
+        want = [kernel_cone(q, f) for f in q.faces]
+        for _ in range(200):
+            if [normal_cone_of_face(q, f) for f in q.faces] != want:
+                wrong.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=passes, args=(q,)) for q in qs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # the limits-faces references of the benchmark, hashed as
