@@ -221,8 +221,9 @@ def test_face_limit_refuses_the_polytope_of_another_point():
 
 def test_face_lookup_agrees_with_membership():
     """`face_limit` finds faces in a set of q.faces kept for the last polytope
-    asked: it accepts exactly the members of q.faces, here every face of seeded 3-6D points,
-    random index sets, the empty set and indices past the weights."""
+    asked: it accepts exactly the members of q.faces, here every face of
+    seeded 3-6D points, random index sets, the empty set and indices past the
+    weights."""
     rng = fresh_rng("face-lookup")
     refused = 0
     for d in (3, 4, 5, 6):
@@ -411,8 +412,8 @@ def test_face_cones_match_the_kernel_in_any_order():
         pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(2, 8))]
         weights = [rng.choice(pool) for _ in range(rng.randint(2, 10))]
         w = weighted_point(weights, rng.sample(range(len(weights)), rng.randint(1, len(weights))))
-        want = {f: kernel_cone(weight_polytope(w), f) for f in weight_polytope(w).faces}
         q = weight_polytope(w)
+        want = {f: kernel_cone(q, f) for f in q.faces}  # reads q.point only, not the memo
         faces = rng.sample(q.faces, len(q.faces))
         assert [normal_cone_of_face(q, f) for f in faces] == [want[f] for f in faces]
         assert [normal_cone_of_face(q, f) for f in q.faces] == [want[f] for f in q.faces]
@@ -454,17 +455,18 @@ def test_face_cones_compute_each_points_normals_once_per_polytope_object(monkeyp
 
 def test_face_cones_from_threads():
     """Four threads, each on its own polytope, with a short switch interval:
-    every face cone equals the kernel's on every pass."""
+    every face cone equals the kernel's on every pass, and every thread ends."""
     rng = fresh_rng("face-cones-threads")
     points = [[tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(7)] for d in (3, 4, 3, 4)]
     qs = [weight_polytope(weighted_point(ws)) for ws in points]
-    wrong = []
+    wrong, finished = [], []
 
     def passes(q):
         want = [kernel_cone(q, f) for f in q.faces]
         for _ in range(200):
             if [normal_cone_of_face(q, f) for f in q.faces] != want:
                 wrong.append(q)
+        finished.append(q)  # an exception in a thread would not fail the test by itself
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -477,7 +479,7 @@ def test_face_cones_from_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+    assert wrong == [] and len(finished) == len(qs)
 
 
 # the limits-faces references of the benchmark, hashed as
