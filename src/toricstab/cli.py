@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("oracle", help="lattice-point series and extrapolation")
-    common(p)
+    p.add_argument("input", help="input JSON document")
+    common(p, multi=False)
     p.add_argument("--v", required=True, help="direction a,b,...")
     p.add_argument("--mmax", type=int, required=True, help="largest dilation factor")
     p.add_argument("--dump", help="write a whitespace-separated columnar dump here")
@@ -360,8 +361,7 @@ def _attach_directions(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
     try:
         if not 1 <= args.digits <= MAX_DIGITS:
             raise ValueError(f"--digits must be between 1 and {MAX_DIGITS}")

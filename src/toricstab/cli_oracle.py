@@ -1,10 +1,11 @@
 """The `oracle` command: the lattice-point series of one input and its extrapolation."""
 
+from argparse import Namespace
 from fractions import Fraction as Q
 
 from .cli import (CertificateError, dec_str, gather_contexts, ivec_str, parse_direction, rat_str,
                   write_text)
-from .invariants import futaki, l2_norm_sq
+from .exactgeom import dot
 from .lattice import extrapolate, lattice_series
 from .stability import StabilityContext
 
@@ -17,8 +18,9 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
     except CertificateError as exc:
         raise CertificateError(f"{ctx.name}: {exc}") from exc
     result = extrapolate(series)
-    f0_target = -futaki(ctx, v)
-    q0_target = l2_norm_sq(ctx, v) + f0_target * f0_target
+    # the moments the series estimates: <b, v> and v^T Cov v + <b, v>^2
+    f0_target = dot(ctx.moments.barycenter, v)
+    q0_target = dot(v, [dot(row, v) for row in ctx.moments.covariance]) + f0_target * f0_target
     rows = []
     for row in series.rows:
         f = Q(row.weight_sum, row.m * row.count)
@@ -72,10 +74,7 @@ def oracle_dump_text(doc, digits: int) -> str:
 
 
 def cmd_oracle(args):
-    contexts = gather_contexts(args)
-    if len(contexts) != 1:
-        raise ValueError("oracle takes exactly one input")
-    ctx = contexts[0]
+    [ctx] = gather_contexts(Namespace(inputs=[args.input], corpus=False))
     v = parse_direction(args.v, ctx.dim, ctx.name)
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:

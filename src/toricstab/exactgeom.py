@@ -183,7 +183,7 @@ def affine_dim(points) -> int:
     z = _scaled([qvec(p) for p in points])[0]
     if any(len(u) != len(z[0]) for u in z):
         raise ValueError("dimension mismatch")
-    return len(_reduce([vsub(u, z[0]) for u in z[1:]], []))
+    return len(_reduce([vsub(u, z[0]) for u in z[1:]], [])) if z else -1
 
 
 # ---------------------------------------------------------------------------

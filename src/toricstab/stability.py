@@ -111,7 +111,7 @@ def context_from_constraints(constraints, name=None) -> StabilityContext:
     """Context of a polytope given by half-space constraints (normal, offset)."""
     from .polytopes import vertices_from_facets
     cons = tuple(_primitive_constraint(n, c) for n, c in constraints)
-    if len({len(n) for n, _ in cons}) != 1:
+    if len({len(n) for n, _ in cons}) > 1:
         raise ValueError("constraint normals need one common length")
     return _build(vertices_from_facets(HPolytope(cons)), name=name)
 

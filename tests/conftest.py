@@ -5,10 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hull_oracle import cone_relint_contains
+from hull_oracle import cone_relint_contains, extreme_rays_by_subsets
 from linalg_oracle import rank, vadd, vscale
 from toricstab.corpus import corpus_context, corpus_names
-from toricstab.polytopes import extreme_rays
 from toricstab.stability import StabilityValue, verdict
 
 
@@ -53,7 +52,7 @@ def rand_rational(rng, den_max=6, num_max=8):
 
 def sample_relint_point(cone, rng, tries=50):
     """Rational point in the relative interior of the cone, or None when it is {0}."""
-    gens = extreme_rays(cone)
+    gens = extreme_rays_by_subsets(cone)
     dirs = list(gens.rays) + list(gens.lineality)
     if not dirs:
         return None

@@ -11,9 +11,10 @@ feasible solutions, boundedness asked of the recession cone's extreme rays;
 `extreme_rays_by_subsets` finds those rays on the quotient by the lineality
 space, one kernel per (k-1)-subset of normals.  `cone_relint_contains` tests
 relative-interior membership against the implicit equalities, which it
-reads off the cone's `extreme_rays`.
+reads off `extreme_rays_by_subsets`.
 """
 
+import functools
 import itertools
 from fractions import Fraction as Q
 
@@ -30,7 +31,7 @@ from toricstab.exactgeom import (
     vsub,
 )
 from toricstab.limits import WeightPolytope
-from toricstab.polytopes import ConeGenerators, extreme_rays, vpolytope
+from toricstab.polytopes import ConeGenerators, vpolytope
 
 
 def in_convex_hull(p, points) -> bool:
@@ -53,7 +54,7 @@ def cone_relint_contains(c: ConeH, v) -> bool:
     """Exact membership of v in the relative interior of the cone."""
     if not c.contains(v):
         return False
-    gens = extreme_rays(c)
+    gens = extreme_rays_by_subsets(c)
     pts = list(gens.rays) + [g for l in gens.lineality for g in (l, vneg(l))]
     for a in c.normals:
         implicit = all(dot(a, g) == 0 for g in pts)
@@ -156,6 +157,8 @@ def vertices_by_subsets(h):
     return VPolytope(verts, dim, facets)
 
 
+# cached: `cone_relint_contains` asks again for every point it tests
+@functools.lru_cache(maxsize=4096)
 def extreme_rays_by_subsets(c: ConeH) -> ConeGenerators:
     """Primitive extreme rays and a lineality basis of {v : <a, v> <= 0}.
 
@@ -181,7 +184,8 @@ def extreme_rays_by_subsets(c: ConeH) -> ConeGenerators:
         ns = nullspace(list(subset), len(comp))
         if len(ns) != 1:
             continue
-        for cand in (ns[0], vneg(ns[0])):
+        ray = primitive(ns[0])  # integers, so the checks below add no fractions
+        for cand in (ray, vneg(ray)):
             if all(dot(row, cand) <= 0 for row in reduced):
                 lift = [Q(0)] * d
                 for j, x in zip(comp, cand):

@@ -8,12 +8,15 @@ together with the slice <b, v> = 1, one exact KKT solve each.  All three
 are slow and independent of the facet incidence the library reads.
 `stage2_by_ray_subsets` is the library's former stage 2: one exact KKT
 solve on every linearly independent subset of at most d rays of sigma1.
-`cone_is_trivial` asks the extreme rays of a cone whether it is {0}.
+`cone_is_trivial` asks the extreme rays of a cone whether it is {0}.  The
+extreme rays come from `hull_oracle.extreme_rays_by_subsets`, not from the
+double description that the library's hull and optimizer run.
 """
 
 import itertools
 from fractions import Fraction as Q
 
+from hull_oracle import extreme_rays_by_subsets
 from linalg_oracle import rank, solve_unique, vscale
 from toricstab.exactgeom import (
     ConeH,
@@ -23,14 +26,13 @@ from toricstab.exactgeom import (
     vneg,
     vsub,
 )
-from toricstab.polytopes import extreme_rays
 from toricstab.moments import is_positive_definite
 from toricstab.optimizer import CertificateError, SigmaOne, Stage1Result
 from toricstab.invariants import futaki, min_norm, mu
 
 
 def cone_is_trivial(c: ConeH) -> bool:
-    gens = extreme_rays(c)
+    gens = extreme_rays_by_subsets(c)
     return not gens.rays and not gens.lineality
 
 
@@ -39,7 +41,7 @@ def stage1_by_fan(ctx) -> Stage1Result:
     best = None
     witnesses = set()
     for vertex, cone in ctx.fan.cones:
-        gens = extreme_rays(cone)
+        gens = extreme_rays_by_subsets(cone)
         dirs = list(gens.rays)
         for l in gens.lineality:
             dirs.extend((l, vneg(l)))

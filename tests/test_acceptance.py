@@ -17,12 +17,12 @@ from conftest import (
     sample_relint_point,
     unimodular_matrix,
 )
+from hull_oracle import extreme_rays_by_subsets
 from moments_oracle import denominator_lcm
 from stability_oracle import support_min
 from toricstab.cli import main
 from toricstab.corpus import corpus_names
 from toricstab.exactgeom import dot, primitive
-from toricstab.polytopes import extreme_rays
 from toricstab.limits import face_limit, limit_point, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.lattice import extrapolate, lattice_series
 from toricstab.optimizer import optimal_destabilizer
@@ -197,7 +197,7 @@ def test_truncated_invariant_equivalence(contexts, unstable_names):
         assert t_star.mu2_sq == report.m1**4 * l2_norm_sq(ctx, report.v_star_rational), name
         candidates = set()
         for _, cone in ctx.fan.cones:
-            candidates.update(extreme_rays(cone).rays)
+            candidates.update(extreme_rays_by_subsets(cone).rays)
         rng = fresh_rng(f"accept-trunc-{name}")
         bound = 40 if ctx.dim == 2 else 12
         for _ in range(2000):

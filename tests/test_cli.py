@@ -547,8 +547,28 @@ def test_oracle_input_validation(tmp_path, capsys):
     assert code == 2 and "insufficient series length" in err
     assert "error: --mmax 2: insufficient series length: m_max must be at least 3r = 3" in err
     other = write_doc(tmp_path, "other.json", P112_DOC)
-    code, _, err = run(capsys, "oracle", path, other, "--v", "1,0", "--mmax", "9")
-    assert code == 2 and "exactly one input" in err
+    with pytest.raises(SystemExit) as exit_:
+        run(capsys, "oracle", path, other, "--v", "1,0", "--mmax", "9")
+    assert exit_.value.code == 2
+    assert f"error: unrecognized arguments: {other}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["missing.json"], ["--corpus"]])
+def test_oracle_refuses_a_second_document_or_corpus_before_reading(
+    tmp_path, capsys, monkeypatch, extra
+):
+    """argparse names the extra argument, and no document is read: the second
+    path does not exist, no "cannot read input" is reported, and loading the
+    first would fail the test."""
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    monkeypatch.setattr(toricstab.cli, "load_doc", lambda _: pytest.fail("a document was read"))
+    extra = [str(tmp_path / x) if x.endswith(".json") else x for x in extra]
+    with pytest.raises(SystemExit) as exit_:
+        main(["oracle", path, *extra, "--v", "1,0", "--mmax", "9"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert f"error: unrecognized arguments: {extra[0]}" in err
+    assert "cannot read input" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -1392,7 +1412,7 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
         ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
         ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "invariants", "lattice"], 1473
+            [*context, "cli_oracle", "lattice"], 1407
         ),
         ("limits", point, "--v", "1,1"): (
             ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1166

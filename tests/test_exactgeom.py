@@ -311,6 +311,12 @@ def test_affine_dim_refuses_ragged_point_sets():
     assert affine_dim([(0, 0), (1, 5), (2, 10)]) == 1
 
 
+def test_affine_dim_of_no_points_is_minus_one():
+    # the empty set's affine dimension, below a single point's 0
+    assert affine_dim([]) == -1
+    assert affine_dim([(3, 4)]) == 0
+
+
 def test_vpolytope_equality_and_hash_include_facets():
     p = vpolytope(P112_VERTS)
     stale = VPolytope(p.vertices, p.dim, p.facets[1:])

@@ -11,11 +11,10 @@ import pytest
 
 import stability_oracle
 from conftest import fresh_rng, rand_nonzero_ivec, rand_rational, sample_relint_point
-from hull_oracle import cone_relint_contains, weight_polytope_by_offsets
+from hull_oracle import cone_relint_contains, extreme_rays_by_subsets, weight_polytope_by_offsets
 from optimizer_oracle import cone_is_trivial
 from toricstab import limits
 from toricstab.exactgeom import ConeH, normal_cone, primitive, vsub
-from toricstab.polytopes import extreme_rays
 from toricstab.limits import (
     WeightedPoint,
     face_limit,
@@ -169,7 +168,7 @@ def test_normal_cone_edge():
     assert cone.contains((0, 1))
     assert not cone.contains((1, 1))
     assert not cone.contains((0, -1))
-    gens = extreme_rays(cone)
+    gens = extreme_rays_by_subsets(cone)
     assert gens.rays == ((0, 1),)
     assert gens.lineality == ()
 
@@ -303,7 +302,7 @@ def test_fixed_on_span_of_face_cone():
         w = random_weighted_point(rng, 2 if case % 2 else 3)
         q = weight_polytope(w)
         for face in q.faces:
-            gens = extreme_rays(normal_cone_of_face(q, face))
+            gens = extreme_rays_by_subsets(normal_cone_of_face(q, face))
             span = list(gens.rays) + list(gens.lineality)
             if not span:
                 continue

@@ -106,6 +106,11 @@ def test_constraints_of_mixed_length_are_rejected():
         context_from_constraints([((1,), Q(0)), ((-1, 0), Q(-1))])
 
 
+def test_an_empty_constraint_list_is_rejected_as_empty():
+    with pytest.raises(ValueError, match="^empty constraint list: a polytope needs at least one"):
+        context_from_constraints([])
+
+
 def test_context_entries_that_are_not_rational_are_refused_by_value():
     for bad in (None, math.inf):
         message = f"^\\(1, {bad}\\) is not a vector of rationals$"
