@@ -553,7 +553,7 @@ def test_oracle_input_validation(tmp_path, capsys):
     assert f"error: unrecognized arguments: {other}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [["missing.json"], ["--corpus"]])
+@pytest.mark.parametrize("extra", ["missing.json", "--corpus"])
 def test_oracle_refuses_a_second_document_or_corpus_before_reading(
     tmp_path, capsys, monkeypatch, extra
 ):
@@ -562,12 +562,13 @@ def test_oracle_refuses_a_second_document_or_corpus_before_reading(
     first would fail the test."""
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     monkeypatch.setattr(toricstab.cli, "load_doc", lambda _: pytest.fail("a document was read"))
-    extra = [str(tmp_path / x) if x.endswith(".json") else x for x in extra]
+    if extra.endswith(".json"):
+        extra = str(tmp_path / extra)
     with pytest.raises(SystemExit) as exit_:
-        main(["oracle", path, *extra, "--v", "1,0", "--mmax", "9"])
+        main(["oracle", path, extra, "--v", "1,0", "--mmax", "9"])
     out, err = capsys.readouterr()
     assert exit_.value.code == 2 and out == ""
-    assert f"error: unrecognized arguments: {extra[0]}" in err
+    assert f"error: unrecognized arguments: {extra}" in err
     assert "cannot read input" not in err
 
 
