@@ -8,8 +8,6 @@ runs and --threads settings.  Exit codes: 0 success, 2 invalid input,
 `cli_report`, `cli_oracle` and `cli_limits`, each imported when it runs.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -17,14 +15,10 @@ import re
 import sys
 from fractions import Fraction as Q
 from importlib import import_module
-from typing import TYPE_CHECKING
 
 # each command imports the library modules it runs where it runs them, so a
 # fresh process compiles only those
 from .exactgeom import CertificateError, as_direction
-
-if TYPE_CHECKING:
-    from .stability import StabilityContext, StabilityValue
 
 SCOPE = "torus-equivariant"
 # a decimal of a value below 10^300 then stays under CPython's 4300-digit
@@ -92,7 +86,7 @@ def render_m2(sign: int, square, digits: int):
     }
 
 
-def render_value(value: StabilityValue, digits: int):
+def render_value(value, digits: int):
     return [rat_str(value.mu1), render_m2(value.mu2_sign, value.mu2_sq, digits)]
 
 
@@ -165,7 +159,7 @@ def load_doc(path: str):
         raise ValueError(f"input {path} is not valid JSON: {exc}") from exc
 
 
-def context_from_doc(doc) -> StabilityContext:
+def context_from_doc(doc):
     from .stability import context_from_constraints, context_from_rays, context_from_vertices
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
@@ -201,17 +195,17 @@ def context_from_doc(doc) -> StabilityContext:
     raise ValueError("field rays or moment_polytope: required")
 
 
-def gather_contexts(args) -> list[StabilityContext]:
-    if args.corpus and args.inputs:
+def gather_contexts(paths, corpus):
+    if corpus and paths:
         raise ValueError("give input files or --corpus, not both")
-    if args.corpus:
+    if corpus:
         from .corpus import corpus_contexts
         return corpus_contexts()
-    if not args.inputs:
+    if not paths:
         raise ValueError("no inputs given (pass files or --corpus)")
     out = []
     errors = []
-    for path in args.inputs:
+    for path in paths:
         try:
             out.append(context_from_doc(load_doc(path)))
         except ValueError as exc:
@@ -227,8 +221,9 @@ def gather_contexts(args) -> list[StabilityContext]:
 # documents
 
 
-def destab_doc(ctx: StabilityContext, digits: int):
+def destab_doc(ctx, digits: int):
     from .optimizer import optimal_destabilizer
+    from .stability import UNSTABLE
     report = optimal_destabilizer(ctx)
     doc = {
         "name": ctx.name,
@@ -240,7 +235,7 @@ def destab_doc(ctx: StabilityContext, digits: int):
         "v_star_rational": None,
         "v_star_primitive": None,
     }
-    if report.verdict == "unstable":
+    if report.verdict == UNSTABLE:
         doc["v_star_rational"] = vec_str(report.v_star_rational)
         doc["v_star_primitive"] = ivec_str(report.v_star_primitive)
         doc["sigma1"] = {
@@ -295,13 +290,14 @@ def entries(docs):
 
 
 def cmd_destabilize(args):
-    return entries([destab_doc(ctx, args.digits) for ctx in gather_contexts(args)])
+    contexts = gather_contexts(args.inputs, args.corpus)
+    return entries([destab_doc(ctx, args.digits) for ctx in contexts])
 
 
 def cmd_stratify(args):
     # --threads is accepted and ignored: the exact arithmetic is pure Python,
     # so a thread pool gains nothing under the GIL
-    return stratum_table(gather_contexts(args), args.digits)
+    return stratum_table(gather_contexts(args.inputs, args.corpus), args.digits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="limit support and face data of a weighted point")
     p.add_argument("input", help="weighted point JSON document")
-    common(p, multi=False)
+    p.add_argument("--out", help="write the output document to this path")
     p.add_argument("--v", required=True, help="direction a,b,...")
     p.set_defaults(func=lambda args: import_module(".cli_limits", __package__).cmd_limits(args))
 
@@ -363,7 +359,7 @@ def _attach_directions(argv):
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
     try:
-        if not 1 <= args.digits <= MAX_DIGITS:
+        if "digits" in args and not 1 <= args.digits <= MAX_DIGITS:
             raise ValueError(f"--digits must be between 1 and {MAX_DIGITS}")
         emit(args.func(args), args.out)
     except ValueError as exc:

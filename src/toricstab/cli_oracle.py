@@ -1,6 +1,5 @@
 """The `oracle` command: the lattice-point series of one input and its extrapolation."""
 
-from argparse import Namespace
 from fractions import Fraction as Q
 
 from .cli import (CertificateError, dec_str, gather_contexts, ivec_str, parse_direction, rat_str,
@@ -74,7 +73,7 @@ def oracle_dump_text(doc, digits: int) -> str:
 
 
 def cmd_oracle(args):
-    [ctx] = gather_contexts(Namespace(inputs=[args.input], corpus=False))
+    [ctx] = gather_contexts([args.input], False)
     v = parse_direction(args.v, ctx.dim, ctx.name)
     doc = oracle_doc(ctx, v, args.mmax, args.digits)
     if args.dump:

@@ -2,7 +2,6 @@
 
 from .cli import (SCOPE, dec_str, entries, gather_contexts, ivec_str, parse_direction, rat_str,
                   render_m2, vec_str)
-from .invariants import l2_norm_sq, log_discrepancy_S, mu
 from .stability import StabilityContext, verdict
 
 
@@ -21,6 +20,7 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
     }
     rendered = []
     for v in directions:
+        from .invariants import l2_norm_sq, log_discrepancy_S, mu
         value = mu(ctx, v)
         a, s = log_discrepancy_S(ctx, v)
         rendered.append(
@@ -44,5 +44,5 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
 def cmd_report(args):
     return entries([
         report_doc(ctx, [parse_direction(t, ctx.dim, ctx.name) for t in args.v or []], args.digits)
-        for ctx in gather_contexts(args)
+        for ctx in gather_contexts(args.inputs, args.corpus)
     ])

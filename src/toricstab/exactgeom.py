@@ -2,8 +2,8 @@
 
 Everything in this module is pure and exact: coordinates are
 `fractions.Fraction` (integers inside the hull kernels), inputs are never
-mutated, and no floating point is used anywhere.  `dual_polytope` and the
-hulls of `polytopes` refuse an ambient dimension above `MAX_DIM` (8).  Every
+mutated, and no floating point is used anywhere.  Every hull, of facets or
+of points, refuses an ambient dimension above `MAX_DIM` (8).  Every
 refusal of work over a bound, here and in `polytopes`, `limits` and
 `lattice`, is one `_limit` call.
 
@@ -346,6 +346,7 @@ def _facet_vertices(cons, d, unbounded="unbounded polytope") -> VPolytope:
     Else the vertices are the points x/s, ordered as the integers x L/s for
     the lcm L of the s, and the constraints tight at each are its ray's.
     """
+    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     r = math.lcm(*(c.denominator for _, c in cons))
     rows = [(*(r * a for a in n), -c.numerator * (r // c.denominator)) for n, c in cons]
     rays, lines = _cone_rays(rows + [(0,) * d + (1,)], d + 1)
@@ -434,7 +435,6 @@ def _dual(rays, coeffs):
         if c.numerator >= c.denominator:
             raise ValueError("coefficient must be < 1")
     cons = sorted((n, Q(c.numerator - c.denominator, c.denominator)) for n, c in zip(ints, coeffs))
-    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     # every offset is negative, so the origin is interior: P is nonempty and
     # full-dimensional, and unbounded exactly when the rays do not positively span
     return tuple(ints), coeffs, _facet_vertices(cons, d, "degenerate fan"), cons

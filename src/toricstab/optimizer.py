@@ -33,7 +33,7 @@ from .exactgeom import (
     qval,
 )
 from .moments import _sylvester
-from .stability import SEMISTABLE, StabilityContext, StabilityValue, verdict
+from .stability import SEMISTABLE, UNSTABLE, StabilityContext, StabilityValue, verdict
 
 
 class Stage1Result(NamedTuple):
@@ -268,7 +268,7 @@ def optimal_destabilizer(ctx: StabilityContext) -> DestabReport:
     except CertificateError as exc:
         raise CertificateError(str(exc) if ctx.name is None else f"{ctx.name}: {exc}") from exc
     return DestabReport(
-        "unstable",
+        UNSTABLE,
         stage1.m1,
         value.mu2_sign,
         value.mu2_sq,

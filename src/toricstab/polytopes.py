@@ -1,8 +1,8 @@
 """The point hull, the H-form reader, and the public cone, fan and triangulation wrappers.
 
-The point hull also returns the mask of the points on each facet, off which
-`limits` reads the faces of a weight polytope.  `extreme_rays` of a `ConeH`
-are its rays modulo its lineality.  No command on a fan document compiles it.
+The point hull also returns the mask of the points on each facet, off which `limits`
+reads the faces of a weight polytope.  `extreme_rays` of a `ConeH` are its rays modulo
+its lineality.  No command on a fan or constraint document compiles it.
 """
 
 import functools
@@ -66,7 +66,6 @@ def vpolytope(points) -> VPolytope:
 def vertices_from_facets(h: HPolytope) -> VPolytope:
     """Vertices and facets of a bounded, full-dimensional H-polytope with primitive normals."""
     d = h.ambient_dim
-    _limit(d, MAX_DIM, "ambient dimension {} exceeds the limit of {}")
     refusal = "normal {} is not a primitive nonzero lattice vector"
     cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
     return _facet_vertices(cons, d)

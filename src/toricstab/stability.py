@@ -12,6 +12,7 @@ from .exactgeom import (
     HPolytope,
     VPolytope,
     _dual,
+    _facet_vertices,
     _normal_fan,
     _scaled,
     facets_from_vertices,
@@ -109,11 +110,10 @@ def _primitive_constraint(n, c):
 
 def context_from_constraints(constraints, name=None) -> StabilityContext:
     """Context of a polytope given by half-space constraints (normal, offset)."""
-    from .polytopes import vertices_from_facets
-    cons = tuple(_primitive_constraint(n, c) for n, c in constraints)
+    cons = sorted({_primitive_constraint(n, c) for n, c in constraints})
     if len({len(n) for n, _ in cons}) > 1:
         raise ValueError("constraint normals need one common length")
-    return _build(vertices_from_facets(HPolytope(cons)), name=name)
+    return _build(_facet_vertices(cons, HPolytope(cons).ambient_dim), name=name)
 
 
 def verdict(ctx: StabilityContext) -> str:

@@ -605,6 +605,30 @@ def test_limits_zero_direction(tmp_path, capsys):
     assert "error: --v 0,0: zero direction" in err
 
 
+def test_limits_document_errors_name_the_path_once(tmp_path, capsys):
+    path = write_doc(tmp_path, "bad.json", {"weights": [[0, "x"], [1, 0]]})
+    code, out, err = run(capsys, "limits", path, "--v", "1,1")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: field weights: expected integers, got 'x'\n"
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "limits", missing, "--v", "1,1")
+    assert code == 2 and out == ""
+    # load_doc's refusal names the path itself, so no prefix repeats it
+    assert err.startswith(f"error: cannot read input {missing}: ")
+
+
+def test_limits_refuses_digits_before_reading(tmp_path, capsys):
+    # limits prints no decimal, so it declares no --digits; argparse refuses
+    # the option before the missing document is read
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exit_:
+        main(["limits", missing, "--v", "1,1", "--digits", "3"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert "error: unrecognized arguments: --digits 3" in err
+    assert "cannot read input" not in err
+
+
 def test_limits_face_lattice_over_budget_exits_two(tmp_path, capsys):
     # the moment curve (t, t^2, ..., t^8) at t = 0..19 has 2 275 facets and
     # 43 521 faces; its closure under facet meets passes the budget in about
@@ -1173,6 +1197,16 @@ def test_digits_upper_bound(tmp_path, capsys):
     assert "--digits must be between 1 and 4000" in err
 
 
+@pytest.mark.parametrize("command", ["report", "destabilize", "stratify", "oracle"])
+@pytest.mark.parametrize("digits", ["0", "4001"])
+def test_every_decimal_command_range_checks_digits(tmp_path, capsys, command, digits):
+    path = write_doc(tmp_path, "p2.json", P2_DOC)
+    extra = ["--v", "1,0", "--mmax", "6"] if command == "oracle" else []
+    code, out, err = run(capsys, command, path, *extra, "--digits", digits)
+    assert code == 2 and out == ""
+    assert err == "error: --digits must be between 1 and 4000\n"
+
+
 def dec_str_by_fractions(x, digits):
     """Reference: the decimal rounded half to even on the Fraction |x| 10^digits."""
     x = Q(x)
@@ -1388,6 +1422,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # __main__, are a ceiling that code drifting onto a command's path breaks
     doc = write_doc(tmp_path, "p112.json", P112_DOC)
     point = write_doc(tmp_path, "point.json", TRIANGLE_POINT)
+    # a constraint document's hull is exactgeom's; a vertex document's is polytopes'
+    corner = write_doc(tmp_path, "corner.json", CORNER_CONSTRAINTS_DOC)
+    moment = write_doc(tmp_path, "moment.json", P1112_MOMENT_DOC)
     src = str(Path(toricstab.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -1407,16 +1444,20 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1230),
-        ("report", "--corpus"): ([*report, "corpus"], 1283),
-        ("destabilize", doc): ([*context, "optimizer"], 1397),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1450),
+        ("report", doc, "--v", "0,-1"): (report, 1226),
+        ("report", corner, "--v", "1,1,1"): (report, 1226),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1333),
+        # without --v, report evaluates no invariants
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1214),
+        ("destabilize", doc): ([*context, "optimizer"], 1393),
+        ("destabilize", corner): ([*context, "optimizer"], 1393),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "lattice"], 1407
+            [*context, "cli_oracle", "lattice"], 1402
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1166
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1165
         ),
     }
     package = Path(toricstab.__file__).parent

@@ -16,7 +16,7 @@ from stability_oracle import support_min
 from test_moments import LADDER
 from toricstab.corpus import CORPUS, corpus_context
 from toricstab.exactgeom import dual_polytope, facets_from_vertices
-from toricstab.polytopes import normal_fan
+from toricstab.polytopes import normal_fan, vertices_from_facets
 from toricstab.moments import moment_data
 from toricstab.optimizer import optimal_destabilizer
 from toricstab.invariants import (
@@ -99,6 +99,19 @@ def test_non_primitive_constraint_keeps_its_half_space():
     assert scaled.vpoly == plain.vpoly == SQUARE.vpoly
     assert scaled.moments == plain.moments == SQUARE.moments
     assert scaled.hpoly == plain.hpoly
+    # each corpus constraint rescaled by seeded positive rationals, some of it
+    # repeated: the normals turn non-primitive or rational, the hull stays the
+    # one of the primitive form
+    rng = fresh_rng("non-primitive-constraints")
+    for name, (rays, coeffs) in sorted(CORPUS.items()):
+        h = dual_polytope(rays, coeffs)[0]
+        cons = [
+            (tuple(k * x for x in n), k * c)
+            for n, c in h.constraints
+            for k in (Q(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 2)))
+        ]
+        rng.shuffle(cons)
+        assert context_from_constraints(cons).vpoly == vertices_from_facets(h), name
 
 
 def test_constraints_of_mixed_length_are_rejected():
