@@ -37,4 +37,4 @@ def cmd_limits(args):
         point = weighted_point_from_doc(doc)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
-    return limits_doc(point, parse_direction(args.v, len(point.weights[0])))
+    return limits_doc(point, parse_direction(args.v, len(point.weights[0]), args.input))

@@ -1,12 +1,15 @@
 """Limit combinatorics of weighted points under one-parameter degenerations.
 
-A weighted point is a list of lattice weights with a nonempty support; only
-the support matters for limits.  Its weight polytope is the hull of the
-supported weights; faces are the index sets of the weights on them, each
-with the cone of directions whose limit lands on it, whose normals a
-one-slot memo keeps, point by point, for the last polytope asked.
+A weighted point is a list of lattice weights with a nonempty support; only the support
+matters for limits.  Its weight polytope is the hull of the supported weights; faces are
+the index sets of the weights on them.  Each face's cone of the directions whose limit
+lands on it is read off one table, kept by a one-slot memo for the last polytope asked:
+the sorted union of the points' normals and each point's as a bitmask over that order.
 """
 
+from functools import reduce
+from itertools import compress
+from operator import mul, or_
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -17,12 +20,12 @@ from .exactgeom import (
     _limit,
     _scaled,
     as_direction,
-    dot,
     normal_cone,
 )
 from .polytopes import _hull
 
-_last = None, frozenset(), {}  # the last polytope asked, its faces, its points' normals
+_last = None, {}, [], {}  # the last polytope asked, its faces, its normals, masks by point
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as compress selectors
 
 
 class WeightedPoint(NamedTuple):
@@ -79,46 +82,57 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     return WeightPolytope(w, poly, tuple(sorted(members, key=lambda f: (len(f), sorted(f)))))
 
 
+def _argmin(w: WeightedPoint, v) -> frozenset[int]:
+    """The support indices where <u_i, v> is least; v is scaled to ints if need be."""
+    d = len(w.weights[0])
+    if not (type(v) is tuple and len(v) == d and all(type(x) is int for x in v) and any(v)):
+        (v,), _ = _scaled([as_direction(v, d)])
+    vals = {i: sum(map(mul, w.weights[i], v)) for i in w.support}
+    best = min(vals.values())
+    return frozenset(i for i, val in vals.items() if val == best)
+
+
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:
     """Support of the limit under t -> 0 along v: the argmin of <u_i, v> on the support."""
-    (v,), _ = _scaled([as_direction(v, len(w.weights[0]))])  # the argmin is scale-invariant
-    vals = {i: dot(w.weights[i], v) for i in w.support}
-    best = min(vals.values())
-    return WeightedPoint(w.weights, frozenset(i for i, val in vals.items() if val == best))
+    return WeightedPoint(w.weights, _argmin(w, v))
 
 
 def is_fixed(w: WeightedPoint, v) -> bool:
     """True when the pairing is constant on the support: every index attains the minimum."""
-    return limit_point(w, v).support == w.support
+    return _argmin(w, v) == w.support
 
 
-def _require_face(q: WeightPolytope, face) -> tuple[frozenset[int], dict]:
-    """The face as a frozenset, and q's normals by point so far: the slot is read once,
-    so that threads cannot mix polytopes, and matches q by identity."""
+def _face(q: WeightPolytope, face) -> tuple[frozenset[int], tuple]:
+    """The member of q.faces equal to face, and q's slot, matched by identity, read once and
+    filled by one assignment, so that a thread never sees half a table or two polytopes'."""
     global _last
     if (last := _last)[0] is not q:
-        _last = last = q, frozenset(q.faces), {}
-    if (f := frozenset(_ints(face, "face index"))) not in last[1]:
+        (ws, sup), d = q.point, len(q.point.weights[0])
+        rows = {i: normal_cone([ws[i]], [ws[j] for j in sup], d).normals for i in sup}
+        bit = {a: 1 << k for k, a in enumerate(sorted(set().union(*rows.values())))}
+        masks = {i: sum(map(bit.get, row)) for i, row in rows.items()}
+        _last = last = q, {f: f for f in q.faces}, list(bit), masks
+    f = last[1].get(face) if type(face) is frozenset else None
+    if f is None and (f := last[1].get(frozenset(_ints(face, "face index")))) is None:
         raise ValueError("not a face")
-    return f, last[2]
+    return f, last
 
 
 def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
-    """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope;
-    its normals are the union of its members' normals, computed once per polytope object."""
-    (ws, sup), (f, rows) = q.point, _require_face(q, face)
-    for i in f - rows.keys():  # point i's normals prim(u_i - u_j) over the support
-        rows[i] = normal_cone([ws[i]], [ws[j] for j in sup], len(ws[0])).normals
-    return ConeH(tuple(sorted(set().union(*map(rows.get, f)))), len(ws[0]))
+    """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope: the
+    union of its members' normals prim(u_i - u_j), the OR of their masks in q's table."""
+    f, (_, _, names, masks) = _face(q, face)
+    bits = bin(reduce(or_, map(masks.get, f)))[:1:-1].encode().translate(_BITS)  # low bit first
+    return ConeH(tuple(compress(names, bits)), len(q.point.weights[0]))
 
 
 def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
     """The degeneration of w with support cut down to the face members; q is w's polytope."""
     if q.point != w:
         raise ValueError("weight polytope is not the polytope of this weighted point")
-    return WeightedPoint(w.weights, _require_face(q, face)[0])
+    return WeightedPoint(w.weights, _face(q, face)[0])
 
 
 def face_of_direction(q: WeightPolytope, v) -> frozenset[int]:
     """Member set of the face where <., v> is minimized; always one of q.faces."""
-    return _require_face(q, limit_point(q.point, v).support)[0]
+    return _face(q, _argmin(q.point, v))[0]

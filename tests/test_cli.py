@@ -600,9 +600,19 @@ def test_limits_fixed_point(tmp_path, capsys):
 
 def test_limits_zero_direction(tmp_path, capsys):
     path = write_doc(tmp_path, "w.json", TRIANGLE_POINT)
-    code, _, err = run(capsys, "limits", path, "--v", "0,0")
-    assert code == 2 and "zero direction" in err
-    assert "error: --v 0,0: zero direction" in err
+    code, out, err = run(capsys, "limits", path, "--v", "0,0")
+    assert code == 2 and out == ""
+    assert err == f"error: --v 0,0 on {path}: zero direction\n"
+
+
+def test_limits_direction_errors_name_the_input(tmp_path, capsys, monkeypatch):
+    # a weighted point has no name, so the direction error names the file,
+    # as report and oracle name the document's entry
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, "pt.json", TRIANGLE_POINT)
+    code, out, err = run(capsys, "limits", "pt.json", "--v", "1,1,1")
+    assert code == 2 and out == ""
+    assert err == "error: --v 1,1,1 on pt.json: direction has length 3, expected 2\n"
 
 
 def test_limits_document_errors_name_the_path_once(tmp_path, capsys):
@@ -1457,7 +1467,7 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
             [*context, "cli_oracle", "lattice"], 1402
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1165
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1179
         ),
     }
     package = Path(toricstab.__file__).parent

@@ -481,6 +481,79 @@ def test_face_cones_from_threads():
     assert wrong == [] and len(finished) == len(qs)
 
 
+def test_face_cones_from_threads_on_one_polytope():
+    """Six threads ask for every face cone of one fresh polytope object at once, with
+    a short switch interval, over many fresh objects: each object's table is built
+    by whichever thread comes first, and no thread may read it half built."""
+    rng = fresh_rng("face-cones-one-polytope")
+    w = weighted_point([tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(9)])
+    first = weight_polytope(w)
+    want = [kernel_cone(first, f) for f in first.faces]
+    wrong, finished = [], []
+
+    def cones(q, start):
+        try:
+            start.wait(timeout=60)
+            if [normal_cone_of_face(q, f) for f in q.faces] != want:
+                wrong.append(q)
+        except Exception as exc:  # an exception in a thread would not fail the test by itself
+            wrong.append(exc)
+        finished.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            q, start = weight_polytope(w), threading.Barrier(6)
+            threads = [threading.Thread(target=cones, args=(q, start)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [] and len(finished) == 40 * 6
+
+
+def brute_argmin(w, v):
+    """The support indices minimizing the Fraction pairing <u_i, v>."""
+    vals = {i: sum(Q(a) * b for a, b in zip(w.weights[i], v)) for i in w.support}
+    return frozenset(i for i, x in vals.items() if x == min(vals.values()))
+
+
+def test_face_cones_and_directions_with_masks_hundreds_of_bits_long():
+    """Seeded 3D and 4D points with 40-48 weights, repeated weights and a partial
+    support, whose table holds hundreds of normals: every face cone equals the
+    kernel's, `face_of_direction` equals the brute-force argmin on 50 directions
+    (random ones, facet normals and sums of two), and each polytope's record,
+    repr included, is the facet-offset reference's."""
+    rng = fresh_rng("face-cones-long-masks")
+    several = spread = 0
+    for d in (3, 3, 4, 4):
+        pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(30)]
+        weights = [rng.choice(pool) for _ in range(rng.randint(40, 48))]
+        support = rng.sample(range(len(weights)), len(weights) - rng.randint(3, 8))
+        w = weighted_point(weights, support)
+        assert len({weights[i] for i in support}) < len(support)
+        q = weight_polytope(w)
+        assert q == weight_polytope_by_offsets(w)
+        assert repr(q) == repr(weight_polytope_by_offsets(w))
+        cones = [normal_cone_of_face(q, f) for f in q.faces]
+        assert cones == [kernel_cone(q, f) for f in q.faces]
+        assert len(normal_cone_of_face(q, frozenset(support)).normals) >= 200
+        normals = [f.normal for f in q.polytope.facets]
+        dirs = [rand_nonzero_ivec(rng, d, 6) for _ in range(20)] + rng.sample(normals, 15)
+        dirs += [tuple(map(sum, zip(*rng.sample(normals, 2)))) for _ in range(15)]
+        for v in dirs:
+            if any(v):
+                face = face_of_direction(q, v)
+                assert face == brute_argmin(w, v), (weights, support, v)
+                several += len(face) > 1
+                spread += len({weights[i] for i in face}) > 1
+    assert several >= 100 and spread >= 50, (several, spread)
+
+
 # the limits-faces references of the benchmark, hashed as
 # perfbench/workloads.py:digest hashes them, so that a change failing the
 # benchmark's check fails here first

@@ -9,7 +9,8 @@ and the file written by --dump are compared.  The calls cover the bundled
 corpus (each document through `report` with two directions, `destabilize` and
 `oracle --mmax 12 --dump`), the `--corpus` commands, the pinned vertex,
 constraint and weighted-point documents, and refusals: a missing file, a bad
-field, --digits 0 and 4001, and a 9D input in each of its four forms.
+field, a `limits` direction of the wrong length, --digits 0 and 4001, and a 9D
+input in each of its four forms.
 
 Prints one line per call that differs and a count; exits 1 when any differs.
 """
@@ -72,6 +73,13 @@ FIXED_DOCS = {
                     [1, 1, 1, -2], [3, 0, 0, 0]],
         "support": [0, 1, 2, 3, 4, 5],
     },
+    # ten supported weights, one repeated, and two left out of the support
+    "limits-4d-wide": {
+        "weights": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1],
+                    [1, 1, 0, 0], [0, 1, 1, 0], [2, -1, 0, 1], [0, 1, 0, 0], [1, -2, 1, 0],
+                    [3, 3, 3, 3], [0, 0, 2, -1]],
+        "support": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    },
     "bad-rays": {"name": "bad", "rays": [[1, "x"], [0, 1], [-1, -1]]},
     "bad-offset": {"name": "bad", "moment_polytope": {"constraints": [
         {"normal": [1, 0], "offset": "x"}, {"normal": [0, 1], "offset": 0}]}},
@@ -107,6 +115,9 @@ def calls(corpus):
     out += [["limits", "{readme-point}", "--v", "1,1"]]
     out += [["limits", "{limits-3d}", "--v", v] for v in ("1,1,2", "1,4,3", "1,1,1")]
     out += [["limits", "{limits-4d}", "--v", v] for v in ("1,1,1,2", "3,1,3,3", "1,1,1,1")]
+    wide = ("0,-1,0,0", "0,0,-1,0", "-2,1,-1,-1")  # faces of 4, 3 and 1 members
+    out += [["limits", "{limits-4d-wide}", "--v", v] for v in wide]
+    out += [["limits", "{readme-point}", "--v", "1,1,1"]]
     first = f"{{{min(corpus)}}}"
     flags = {"oracle": ["--v", "1,1", "--mmax", "12"], "limits": ["--v", "1,1"]}
     for command in ("report", "destabilize", "stratify", "oracle", "limits"):
