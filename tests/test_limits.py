@@ -516,16 +516,10 @@ def test_face_cones_from_threads_on_one_polytope():
     assert wrong == [] and len(finished) == 40 * 6
 
 
-def brute_argmin(w, v):
-    """The support indices minimizing the Fraction pairing <u_i, v>."""
-    vals = {i: sum(Q(a) * b for a, b in zip(w.weights[i], v)) for i in w.support}
-    return frozenset(i for i, x in vals.items() if x == min(vals.values()))
-
-
 def test_face_cones_and_directions_with_masks_hundreds_of_bits_long():
     """Seeded 3D and 4D points with 40-48 weights, repeated weights and a partial
     support, whose table holds hundreds of normals: every face cone equals the
-    kernel's, `face_of_direction` equals the brute-force argmin on 50 directions
+    kernel's, `face_of_direction` equals the Fraction argmin on 50 directions
     (random ones, facet normals and sums of two), and each polytope's record,
     repr included, is the facet-offset reference's."""
     rng = fresh_rng("face-cones-long-masks")
@@ -536,9 +530,8 @@ def test_face_cones_and_directions_with_masks_hundreds_of_bits_long():
         support = rng.sample(range(len(weights)), len(weights) - rng.randint(3, 8))
         w = weighted_point(weights, support)
         assert len({weights[i] for i in support}) < len(support)
-        q = weight_polytope(w)
-        assert q == weight_polytope_by_offsets(w)
-        assert repr(q) == repr(weight_polytope_by_offsets(w))
+        q, want = weight_polytope(w), weight_polytope_by_offsets(w)
+        assert q == want and repr(q) == repr(want)
         cones = [normal_cone_of_face(q, f) for f in q.faces]
         assert cones == [kernel_cone(q, f) for f in q.faces]
         assert len(normal_cone_of_face(q, frozenset(support)).normals) >= 200
@@ -548,7 +541,7 @@ def test_face_cones_and_directions_with_masks_hundreds_of_bits_long():
         for v in dirs:
             if any(v):
                 face = face_of_direction(q, v)
-                assert face == brute_argmin(w, v), (weights, support, v)
+                assert face == stability_oracle.limit_point(w, v).support, (weights, v)
                 several += len(face) > 1
                 spread += len({weights[i] for i in face}) > 1
     assert several >= 100 and spread >= 50, (several, spread)
