@@ -125,7 +125,7 @@ def parse_vectors(xs, field: str, entry) -> list:
     return rows
 
 
-def parse_direction(text: str, dim: int, entry=None):
+def parse_direction(text: str, dim: int, entry: str):
     """--v as an integer direction of length dim; errors name --v and the entry."""
     parts = [p.strip() for p in text.split(",")]
     try:
@@ -137,8 +137,7 @@ def parse_direction(text: str, dim: int, entry=None):
     try:
         as_direction(v, dim)
     except ValueError as exc:
-        where = f" on {entry}" if entry else ""
-        raise ValueError(f"--v {ivec_str(v)}{where}: {exc}") from None
+        raise ValueError(f"--v {ivec_str(v)} on {entry}: {exc}") from None
     return v
 
 
@@ -148,15 +147,15 @@ def load_doc(path: str):
             return int(text)
         except ValueError:  # past the interpreter's limit on int-to-str digits
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"input {path}: integer literal longer than {limit} digits") from None
+            raise ValueError(f"integer literal longer than {limit} digits") from None
 
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=integer)
     except OSError as exc:
-        raise ValueError(f"cannot read input {path}: {exc}") from exc
+        raise ValueError(f"cannot read input: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"input {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"not valid JSON: {exc}") from exc
 
 
 def context_from_doc(doc):

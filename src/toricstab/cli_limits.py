@@ -32,9 +32,8 @@ def limits_doc(point, v):
 
 
 def cmd_limits(args):
-    doc = load_doc(args.input)  # its refusals name the path already
     try:
-        point = weighted_point_from_doc(doc)
+        point = weighted_point_from_doc(load_doc(args.input))
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
     return limits_doc(point, parse_direction(args.v, len(point.weights[0]), args.input))

@@ -1,4 +1,5 @@
-"""The `oracle` command: the lattice-point series of one input and its extrapolation."""
+"""The `oracle` command: the lattice-point series of one input and its extrapolation; one pass
+renders each row's f, g and lambda = weight_min / m into its document row and `--dump` line."""
 
 from fractions import Fraction as Q
 
@@ -10,6 +11,7 @@ from .stability import StabilityContext
 
 
 def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
+    """The oracle document of ctx along v, and the text of its columnar dump."""
     try:
         series = lattice_series(ctx.vpoly, v, m_max)
     except ValueError as exc:
@@ -20,10 +22,12 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
     # the moments the series estimates: <b, v> and v^T Cov v + <b, v>^2
     f0_target = dot(ctx.moments.barycenter, v)
     q0_target = dot(v, [dot(row, v) for row in ctx.moments.covariance]) + f0_target * f0_target
-    rows = []
+    rows, lines = [], ["# m count f g lambda_min_over_m"]
     for row in series.rows:
         f = Q(row.weight_sum, row.m * row.count)
         g = Q(row.weight_sq_sum, row.m * row.m * row.count)
+        lam = Q(row.weight_min, row.m)
+        f_dec, g_dec = dec_str(f, digits), dec_str(g, digits)
         rows.append(
             {
                 "m": row.m,
@@ -32,12 +36,13 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
                 "weight_sq_sum": row.weight_sq_sum,
                 "weight_min": row.weight_min,
                 "f": rat_str(f),
-                "f_decimal": dec_str(f, digits),
+                "f_decimal": f_dec,
                 "g": rat_str(g),
-                "g_decimal": dec_str(g, digits),
-                "lambda_min_over_m": rat_str(Q(row.weight_min, row.m)),
+                "g_decimal": g_dec,
+                "lambda_min_over_m": rat_str(lam),
             }
         )
+        lines.append(f"{row.m} {row.count} {f_dec} {g_dec} {dec_str(lam, digits)}")
     return {
         "name": ctx.name,
         "v": ivec_str(v),
@@ -52,30 +57,12 @@ def oracle_doc(ctx: StabilityContext, v, m_max: int, digits: int):
         "Q0_target": rat_str(q0_target),
         "residuals": [rat_str(x) for x in result.residuals],
         "q_residuals": [rat_str(x) for x in result.q_residuals],
-    }
-
-
-def oracle_dump_text(doc, digits: int) -> str:
-    lines = ["# m count f g lambda_min_over_m"]
-    for row in doc["rows"]:
-        lines.append(
-            " ".join(
-                [
-                    str(row["m"]),
-                    str(row["count"]),
-                    row["f_decimal"],
-                    row["g_decimal"],
-                    dec_str(Q(row["weight_min"], row["m"]), digits),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    }, "\n".join(lines) + "\n"
 
 
 def cmd_oracle(args):
     [ctx] = gather_contexts([args.input], False)
-    v = parse_direction(args.v, ctx.dim, ctx.name)
-    doc = oracle_doc(ctx, v, args.mmax, args.digits)
+    doc, dump = oracle_doc(ctx, parse_direction(args.v, ctx.dim, ctx.name), args.mmax, args.digits)
     if args.dump:
-        write_text(args.dump, oracle_dump_text(doc, args.digits), "--dump")
+        write_text(args.dump, dump, "--dump")
     return doc

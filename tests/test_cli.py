@@ -483,6 +483,30 @@ def test_oracle_dump_of_a_3d_document_is_byte_identical(tmp_path, capsys, mmax):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == ORACLE_DUMP_SHA256[mmax]
 
 
+@pytest.mark.parametrize("digits", ["7", "12"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_oracle_dump_agrees_with_the_document_row_by_row(tmp_path, capsys, name, digits):
+    """Each dump line is `m count f g lambda` of its document row, at --mmax 3r and 60."""
+    path = write_doc(tmp_path, f"{name}.json", corpus_doc(name))
+    ones = ",".join(["1"] * len(CORPUS[name][0][0]))
+    dump = tmp_path / "dump.txt"
+
+    def check(mmax):
+        argv = ["oracle", path, "--v", ones, "--mmax", mmax, "--digits", digits, "--dump", dump]
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 0, err
+        doc = json.loads(out)
+        header, *lines = dump.read_text(encoding="utf-8").splitlines()
+        assert header == "# m count f g lambda_min_over_m"
+        assert len(lines) == len(doc["rows"]) == mmax // doc["r"]
+        for line, row in zip(lines, doc["rows"]):
+            lam = dec_str_by_fractions(Q(row["lambda_min_over_m"]), int(digits))
+            assert line == f"{row['m']} {row['count']} {row['f_decimal']} {row['g_decimal']} {lam}"
+        return doc["r"]
+
+    check(3 * check(60))
+
+
 def test_oracle_balanced_plane(tmp_path, capsys):
     path = write_doc(tmp_path, "p2.json", P2_DOC)
     dump = tmp_path / "dump.txt"
@@ -623,8 +647,18 @@ def test_limits_document_errors_name_the_path_once(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, "limits", missing, "--v", "1,1")
     assert code == 2 and out == ""
-    # load_doc's refusal names the path itself, so no prefix repeats it
-    assert err.startswith(f"error: cannot read input {missing}: ")
+    # load_doc's refusal leaves the path to the prefix, so it is named once
+    assert err == f"error: {missing}: cannot read input: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["report", "destabilize", "stratify", "oracle"])
+def test_unreadable_document_names_its_path_once(tmp_path, capsys, command):
+    # limits is checked by the test above
+    missing = str(tmp_path / "missing.json")
+    flags = ["--v", "1,1", "--mmax", "12"] if command == "oracle" else []
+    code, out, err = run(capsys, command, missing, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {missing}: cannot read input: No such file or directory\n"
 
 
 def test_limits_refuses_digits_before_reading(tmp_path, capsys):
@@ -766,7 +800,7 @@ def test_integer_literal_over_the_digit_limit_exits_two(tmp_path, capsys):
     for argv in (["report", str(path)], ["limits", str(path), "--v", "1,1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"input {path}: integer literal longer than 4300 digits" in err
+        assert err == f"error: {path}: integer literal longer than 4300 digits\n"
         assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
 
@@ -870,18 +904,21 @@ def test_input_source_conflicts(tmp_path, capsys):
     ],
 )
 def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
-    # a string is written as it is: the one document that is not valid JSON
+    # a string is written as it is: the one document that is not valid JSON,
+    # refused with the path and then the decoder's own message
     if isinstance(doc, str):
         path = tmp_path / "bad.json"
         path.write_text(doc, encoding="utf-8")
-        named = f"input {path} is not valid JSON"
+        with pytest.raises(json.JSONDecodeError) as bad:
+            json.loads(doc)
+        whole = f"error: {path}: not valid JSON: {bad.value}\n"
     else:
         path = write_doc(tmp_path, "bad.json", {"name": "bad", **doc})
-        named = f"field {field}:"
+        whole = None
     argv = ["limits", path, "--v", "1,0"] if "weights" in doc else ["report", path]
     code, out, err = run(capsys, *map(str, argv))
     assert code == 2 and out == ""
-    assert named in err
+    assert err == whole if whole else f"field {field}:" in err
     assert "Traceback" not in err
 
 
@@ -1454,20 +1491,20 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1226),
-        ("report", corner, "--v", "1,1,1"): (report, 1226),
-        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1333),
+        ("report", doc, "--v", "0,-1"): (report, 1225),
+        ("report", corner, "--v", "1,1,1"): (report, 1225),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1332),
         # without --v, report evaluates no invariants
-        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1214),
-        ("destabilize", doc): ([*context, "optimizer"], 1393),
-        ("destabilize", corner): ([*context, "optimizer"], 1393),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1213),
+        ("destabilize", doc): ([*context, "optimizer"], 1392),
+        ("destabilize", corner): ([*context, "optimizer"], 1392),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1445),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1445),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "lattice"], 1402
+            [*context, "cli_oracle", "lattice"], 1387
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1179
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1177
         ),
     }
     package = Path(toricstab.__file__).parent

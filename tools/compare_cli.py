@@ -7,10 +7,11 @@ checkout's src/, in one shared temporary directory that holds the input
 documents, so messages that name a path agree.  Stdout, stderr, the exit code
 and the file written by --dump are compared.  The calls cover the bundled
 corpus (each document through `report` with two directions, `destabilize` and
-`oracle --mmax 12 --dump`), the `--corpus` commands, the pinned vertex,
-constraint and weighted-point documents, and refusals: a missing file, a bad
-field, a `limits` direction of the wrong length, --digits 0 and 4001, and a 9D
-input in each of its four forms.
+`oracle --mmax 12 --dump`, and each 2D one through `oracle --mmax 60 --digits 5
+--dump`), the `--corpus` commands, the pinned vertex, constraint and
+weighted-point documents, and refusals: a missing file, a bad field, a `limits`
+direction of the wrong length, --digits 0 and 4001, and a 9D input in each of
+its four forms.
 
 Prints one line per call that differs and a count; exits 1 when any differs.
 """
@@ -104,6 +105,9 @@ def calls(corpus):
             ["destabilize", f"{{{name}}}"],
             ["oracle", f"{{{name}}}", "--v", ones, "--mmax", "12", "--dump", "{dump}"],
         ]
+        if d == 2:
+            out.append(["oracle", f"{{{name}}}", "--v", ones, "--mmax", "60", "--digits", "5",
+                        "--dump", "{dump}"])
     out += [["report", "--corpus"], ["destabilize", "--corpus"], ["stratify", "--corpus"],
             ["stratify", "--corpus", "--threads", "2"]]
     for name in ("p1112-moment", "corner-constraints"):
