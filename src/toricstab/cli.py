@@ -151,17 +151,18 @@ def load_doc(path: str):
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=integer)
+            doc = json.load(fh, parse_int=integer)
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("input document must be a JSON object")
+    return doc
 
 
 def context_from_doc(doc):
     from .stability import context_from_constraints, context_from_rays, context_from_vertices
-    if not isinstance(doc, dict):
-        raise ValueError("input document must be a JSON object")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("field name: required nonempty string")

@@ -5,8 +5,6 @@ from .limits import face_of_direction, normal_cone_of_face, weight_polytope, wei
 
 
 def weighted_point_from_doc(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("input document must be a JSON object")
     ws = parse_vectors(doc.get("weights"), "weights", parse_int)
     support = doc.get("support")
     if support is not None:

@@ -250,17 +250,14 @@ def _primitive_int(v) -> IntVec:
     return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
-def _lattice(v, d, refusal) -> IntVec:
-    """v as a tuple of d ints; a ValueError for another length, and `refusal` formatted
-    with v unless every entry equals its int and their gcd is 1."""
+def _lattice(v, d, what) -> IntVec:
+    """v as a tuple of d ints; a ValueError for another length, an entry `_ints` refuses,
+    or a gcd other than 1, naming `what`."""
     if len(v) != d:
         raise ValueError("dimension mismatch")
-    try:
-        z = tuple(map(int, v))
-    except (TypeError, ValueError, OverflowError):
-        z = None
-    if z != tuple(v) or math.gcd(*z) != 1:
-        raise ValueError(refusal.format(_shown(tuple(v))))
+    z = _ints(v, f"{what} entry")
+    if math.gcd(*z) != 1:
+        raise ValueError(f"{what} {_shown(z)} is not a primitive nonzero lattice vector")
     return z
 
 
@@ -423,7 +420,7 @@ def _dual(rays, coeffs):
     if not rays:
         raise ValueError("degenerate fan")
     d = len(rays[0])
-    ints = [_lattice(r, d, "ray must be a primitive nonzero lattice vector") for r in rays]
+    ints = [_lattice(r, d, "ray") for r in rays]
     if len(set(ints)) != len(ints):
         raise ValueError("duplicate ray")
     coeffs = (Q(0),) * len(rays) if coeffs is None else qvec(coeffs)

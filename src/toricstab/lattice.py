@@ -114,9 +114,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    (vi,), t = _scaled([as_direction(v, p.ambient_dim)])
-    if t != 1:
-        raise ValueError("direction must be an integer vector")
+    vi = _ints(as_direction(v, p.ambient_dim), "direction entry")
     (m_max,) = _ints([m_max], "m_max")
     z, r = _scaled(p.vertices)
     if m_max < 3 * r:

@@ -90,11 +90,14 @@ def minimize_mu1(ctx: StabilityContext) -> Stage1Result:
 def _stage1(ctx, bb, offsets) -> Stage1Result:
     """`minimize_mu1` on B = s b and the offsets O = s c, compared as integers."""
     facets = ctx.vpoly.facets
-    # mu1(n) = -<B, n> / (<B, n> - O), each denominator positive (b is interior): the
-    # values compare as their numerators over the lcm L of the denominators
+    # mu1(n) = -<B, n> / (<B, n> - O), each denominator positive just when b is interior:
+    # the values compare as their numerators over the lcm L of the denominators
     bns = [dot(bb, f.normal) for f in facets]
-    lcm = math.lcm(*(bn - o for bn, o in zip(bns, offsets)))
-    vals = [-bn * (lcm // (bn - o)) for bn, o in zip(bns, offsets)]
+    dens = [bn - o for bn, o in zip(bns, offsets)]
+    if min(dens) <= 0:
+        raise CertificateError("barycenter not interior to P")
+    lcm = math.lcm(*dens)
+    vals = [-bn * (lcm // den) for bn, den in zip(bns, dens)]
     per_cone = []
     for i, vertex in enumerate(ctx.vpoly.vertices):
         through = [val for f, val in zip(facets, vals) if f.members >> i & 1]
@@ -104,8 +107,6 @@ def _stage1(ctx, bb, offsets) -> Stage1Result:
     best = min(vals)
     if best >= 0:
         raise CertificateError("stage 1 found no destabilizing direction")
-    if all(o < 0 for o in offsets) and best <= -lcm:  # 0 interior: mu1 > -1
-        raise CertificateError("stage 1 minimum out of range")
     witnesses = tuple(f.normal for f, val in zip(facets, vals) if val == best)
     # the vertices are sorted, so per_cone is too; one Fraction per distinct value
     q = {v: Q(v, lcm) for v in {best, *(v for _, v in per_cone)}}

@@ -66,8 +66,7 @@ def vpolytope(points) -> VPolytope:
 def vertices_from_facets(h: HPolytope) -> VPolytope:
     """Vertices and facets of a bounded, full-dimensional H-polytope with primitive normals."""
     d = h.ambient_dim
-    refusal = "normal {} is not a primitive nonzero lattice vector"
-    cons = sorted({(_lattice(n, d, refusal), qval(c, "offset")) for n, c in h.constraints})
+    cons = sorted({(_lattice(n, d, "normal"), qval(c, "offset")) for n, c in h.constraints})
     return _facet_vertices(cons, d)
 
 

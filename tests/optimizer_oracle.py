@@ -10,14 +10,16 @@ are slow and independent of the facet incidence the library reads.
 solve on every linearly independent subset of at most d rays of sigma1.
 `cone_is_trivial` asks the extreme rays of a cone whether it is {0}.  The
 extreme rays come from `hull_oracle.extreme_rays_by_subsets`, not from the
-double description that the library's hull and optimizer run.
+double description that the library's hull and optimizer run; the invariants
+from `stability_oracle`, and Sylvester's criterion from `linalg_oracle.det`.
 """
 
 import itertools
 from fractions import Fraction as Q
 
 from hull_oracle import extreme_rays_by_subsets
-from linalg_oracle import rank, solve_unique, vscale
+from linalg_oracle import det, rank, solve_unique, vscale
+from stability_oracle import futaki, min_norm, mu
 from toricstab.exactgeom import (
     ConeH,
     dot,
@@ -26,9 +28,12 @@ from toricstab.exactgeom import (
     vneg,
     vsub,
 )
-from toricstab.moments import is_positive_definite
 from toricstab.optimizer import CertificateError, SigmaOne, Stage1Result
-from toricstab.invariants import futaki, min_norm, mu
+
+
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 def cone_is_trivial(c: ConeH) -> bool:
@@ -116,7 +121,7 @@ def stage2_by_ray_subsets(ctx, sigma1: SigmaOne):
     program.  All candidates found must agree.
     """
     cov = ctx.moments.covariance
-    if not is_positive_definite(cov):
+    if not _positive_definite(cov):
         raise CertificateError("covariance not positive definite")
     b = ctx.moments.barycenter
     d = ctx.dim

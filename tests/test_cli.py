@@ -922,6 +922,22 @@ def test_malformed_shape_exits_two(tmp_path, capsys, field, doc):
     assert "Traceback" not in err
 
 
+def test_non_primitive_ray_is_named(tmp_path, capsys):
+    path = write_doc(tmp_path, "np.json", {"name": "np", "rays": [[2, 0], [0, 1], [-1, -1]]})
+    code, out, err = run(capsys, "destabilize", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: ray (2, 0) is not a primitive nonzero lattice vector\n"
+
+
+@pytest.mark.parametrize("argv", [["report"], ["limits", "--v", "1,1"]])
+def test_document_that_is_not_an_object_exits_two(tmp_path, capsys, argv):
+    # load_doc refuses it, before the command's own reader
+    path = write_doc(tmp_path, "array.json", [[0, 0], [1, 0], [0, 1]])
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: input document must be a JSON object\n"
+
+
 def test_document_without_a_body_exits_two(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json", {"name": "bad", "coeffs": [0]})
     code, out, err = run(capsys, "destabilize", path)
@@ -1354,6 +1370,23 @@ def test_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_barycenter_on_a_facet_exits_three(tmp_path, capsys, monkeypatch):
+    import toricstab.optimizer as opt
+
+    real = opt._view
+
+    def on_facet(ctx):
+        bb, offsets, z, s = real(ctx)
+        facet = ctx.vpoly.facets[0]
+        return next(u for i, u in enumerate(z) if facet.members >> i & 1), offsets, z, s
+
+    monkeypatch.setattr(opt, "_view", on_facet)
+    path = write_doc(tmp_path, "p112.json", P112_DOC)
+    code, out, err = run(capsys, "destabilize", path)
+    assert code == 3 and out == ""
+    assert err == "internal certificate failure: p112: barycenter not interior to P\n"
+
+
 def test_context_certificate_failure_names_the_input(tmp_path, capsys, monkeypatch):
     import toricstab.stability as stability
 
@@ -1491,20 +1524,20 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1225),
-        ("report", corner, "--v", "1,1,1"): (report, 1225),
-        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1332),
+        ("report", doc, "--v", "0,-1"): (report, 1223),
+        ("report", corner, "--v", "1,1,1"): (report, 1223),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1329),
         # without --v, report evaluates no invariants
-        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1213),
-        ("destabilize", doc): ([*context, "optimizer"], 1392),
-        ("destabilize", corner): ([*context, "optimizer"], 1392),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1445),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1445),
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1211),
+        ("destabilize", doc): ([*context, "optimizer"], 1391),
+        ("destabilize", corner): ([*context, "optimizer"], 1391),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "lattice"], 1387
+            [*context, "cli_oracle", "lattice"], 1383
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1177
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1172
         ),
     }
     package = Path(toricstab.__file__).parent

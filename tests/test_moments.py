@@ -83,6 +83,19 @@ def test_moment_data_certifies_each_simplex_volume(monkeypatch):
         context_from_rays([(1, 0), (0, 1), (-1, -2)])
 
 
+def test_moment_data_certifies_a_simplex_of_rank_d_minus_one(monkeypatch):
+    # a facet's four coplanar vertices, put first as one simplex of the cube: its
+    # edges have rank d - 1, the boundary of the check
+    real = moments._triangulation
+    cube = vpolytope(itertools.product((0, 1), repeat=3))
+    facet = cube.facets[0].members
+    assert facet.bit_count() == 4
+    monkeypatch.setattr(moments, "_triangulation", lambda p: [facet, *real(p)])
+    flat = f"moment_data: simplex {facet:#x} has zero volume"
+    with pytest.raises(moments.CertificateError, match=f"^{flat}$"):
+        moment_data(cube)
+
+
 def test_covariance_weighted_triangle_exact():
     assert moment_data(P112).covariance == ((Q(8, 9), Q(-2, 9)), (Q(-2, 9), Q(2, 9)))
 
@@ -583,7 +596,7 @@ def test_series_rows_at_denominator_multiples(contexts):
 def test_series_input_validation():
     with pytest.raises(ValueError, match="zero direction"):
         lattice_series(P2, (0, 0), 9)
-    with pytest.raises(ValueError, match="integer vector"):
+    with pytest.raises(ValueError, match=r"^direction entry Fraction\(1, 2\) is not an integer$"):
         lattice_series(P2, (Q(1, 2), Q(0)), 9)
     with pytest.raises(ValueError, match="insufficient series length"):
         lattice_series(P2, (1, 0), 2)

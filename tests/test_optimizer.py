@@ -240,6 +240,16 @@ def test_stage2_rejects_ray_pairing_nonpositively_with_b():
         minimize_mu2_on_cone(ctx, sigma._replace(rays=((0, 1),)))
 
 
+def test_stage2_rejects_a_ray_orthogonal_to_b():
+    # <b, (1, 1)> = 0 for b = (1/3, -1/3): the boundary of the check, which must end
+    # in the certificate and not in a division by zero
+    ctx = corpus_context("p112")
+    assert ctx.moments.barycenter == (Q(1, 3), Q(-1, 3))
+    sigma = build_sigma1(ctx, Q(-1, 4))
+    with pytest.raises(CertificateError, match="^a ray of sigma1 pairs non-positively with b$"):
+        minimize_mu2_on_cone(ctx, sigma._replace(rays=((1, 1),)))
+
+
 def test_stage2_rejects_singular_corral(monkeypatch):
     # the optimum of p112 is interior to its two-ray slice, so a corral solve happens
     ctx = corpus_context("p112")
@@ -452,9 +462,9 @@ def test_stage1_certifies_a_destabilizing_direction(monkeypatch):
         optimal_destabilizer(corpus_context("p112"))
 
 
-def test_stage1_certifies_its_minimum_above_minus_one(monkeypatch):
+def test_stage1_certifies_the_barycenter_interior_to_p(monkeypatch):
     # 100 b lies outside P: <100 b, (0, 1)> is below that facet's negative
-    # offset, so mu1 there is below -1 though 0 is interior
+    # offset, so ||(0, 1)||_m, the denominator of mu1 there, is negative
     real = opt._view
 
     def far_barycenter(ctx):
@@ -462,7 +472,24 @@ def test_stage1_certifies_its_minimum_above_minus_one(monkeypatch):
         return [100 * x for x in bb], offsets, z, s
 
     monkeypatch.setattr(opt, "_view", far_barycenter)
-    with pytest.raises(CertificateError, match="^p112: stage 1 minimum out of range$"):
+    with pytest.raises(CertificateError, match="^p112: barycenter not interior to P$"):
+        optimal_destabilizer(corpus_context("p112"))
+
+
+def test_stage1_certifies_a_barycenter_on_a_facet(monkeypatch):
+    # B moved onto a vertex of facet 0 makes that facet's ||n||_m zero: the boundary
+    # of the check, which must end in the certificate and not in a division by zero
+    real = opt._view
+
+    def on_facet(ctx):
+        bb, offsets, z, s = real(ctx)
+        facet = ctx.vpoly.facets[0]
+        u = next(u for i, u in enumerate(z) if facet.members >> i & 1)
+        assert dot(u, facet.normal) == offsets[0]
+        return list(u), offsets, z, s
+
+    monkeypatch.setattr(opt, "_view", on_facet)
+    with pytest.raises(CertificateError, match="^p112: barycenter not interior to P$"):
         optimal_destabilizer(corpus_context("p112"))
 
 

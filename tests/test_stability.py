@@ -220,15 +220,13 @@ def test_result_records_keep_their_fields():
 
 
 def _zero_interior(ctx):
-    """Whether stage 1 checks mu1 > -1: every facet offset, cleared to an integer, is negative."""
-    from toricstab.optimizer import _view
-
-    return all(o < 0 for o in _view(ctx)[1])
+    """Whether 0 is interior to P: every facet offset is negative."""
+    return all(f.offset < 0 for f in ctx.vpoly.facets)
 
 
 def test_zero_interior_flag():
-    # 0 is interior to P112 and P2, whose minimum stage 1 checks to exceed -1;
-    # 0 is a vertex of the square, whose minimum -1 it lets through unchecked
+    # 0 is interior to P112 and P2, so a stage-1 minimum exceeds -1 there;
+    # 0 is a vertex of the square, whose minimum is -1
     assert _zero_interior(P112) and optimal_destabilizer(P112).m1 == Q(-1, 4)
     assert _zero_interior(P2) and verdict(P2) == SEMISTABLE
     assert not _zero_interior(SQUARE) and optimal_destabilizer(SQUARE).m1 == -1

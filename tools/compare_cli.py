@@ -9,9 +9,9 @@ and the file written by --dump are compared.  The calls cover the bundled
 corpus (each document through `report` with two directions, `destabilize` and
 `oracle --mmax 12 --dump`, and each 2D one through `oracle --mmax 60 --digits 5
 --dump`), the `--corpus` commands, the pinned vertex, constraint and
-weighted-point documents, and refusals: a missing file, a bad field, a `limits`
-direction of the wrong length, --digits 0 and 4001, and a 9D input in each of
-its four forms.
+weighted-point documents, and refusals: a missing file, a bad field, a ray that
+is not primitive, a document that is a JSON array, a `limits` direction of the
+wrong length, --digits 0 and 4001, and a 9D input in each of its four forms.
 
 Prints one line per call that differs and a count; exits 1 when any differs.
 """
@@ -85,6 +85,8 @@ FIXED_DOCS = {
     "bad-offset": {"name": "bad", "moment_polytope": {"constraints": [
         {"normal": [1, 0], "offset": "x"}, {"normal": [0, 1], "offset": 0}]}},
     "bad-weights": {"weights": [[0, "x"], [1, 0]]},
+    "non-primitive-rays": {"name": "np", "rays": [[2, 0], [0, 1], [-1, -1]]},
+    "json-array": [[0, 0], [1, 0], [0, 1]],
     "x9-vertices": {"name": "x9", "moment_polytope": {"vertices": cross_polytope(9)}},
     "x9-constraints": {"name": "x9", "moment_polytope": {"constraints": [
         {"normal": list(n), "offset": -1} for n in itertools.product((1, -1), repeat=9)]}},
@@ -130,7 +132,8 @@ def calls(corpus):
             doc = "{readme-point}" if command == "limits" else first
             out.append([command, doc, *flags.get(command, []), "--digits", digits])
     out += [["report", "{bad-rays}"], ["destabilize", "{bad-offset}"],
-            ["limits", "{bad-weights}", "--v", "1,1"]]
+            ["limits", "{bad-weights}", "--v", "1,1"], ["destabilize", "{non-primitive-rays}"],
+            ["report", "{json-array}"], ["limits", "{json-array}", "--v", "1,1"]]
     out += [["report", f"{{{n}}}"] for n in ("x9-vertices", "x9-constraints", "p9-rays")]
     out += [["limits", "{x9-weights}", "--v", ",".join(["1"] * 9)]]
     return out
