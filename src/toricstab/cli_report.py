@@ -20,15 +20,14 @@ def report_doc(ctx: StabilityContext, directions, digits: int):
     }
     rendered = []
     for v in directions:
-        from .invariants import l2_norm_sq, log_discrepancy_S, mu
-        value = mu(ctx, v)
-        a, s = log_discrepancy_S(ctx, v)
+        from .invariants import _invariants
+        a, s, l2, value = _invariants(ctx, v)
         rendered.append(
             {
                 "v": ivec_str(v),
                 "futaki": rat_str(a - s),  # A - S = Fut
                 "min_norm": rat_str(s),
-                "l2_norm_sq": rat_str(l2_norm_sq(ctx, v)),
+                "l2_norm_sq": rat_str(l2),
                 "A": rat_str(a),
                 "S": rat_str(s),
                 "mu1": rat_str(value.mu1),

@@ -1,10 +1,10 @@
 """Stability invariants of a context at a direction v, which the optimizer never calls.
 
-Every invariant is one `Fraction` of integers: each call clears v, the
-barycenter b and the vertices u of their denominators by one factor s and Cov
-by another, D, so <b, v> and min <u, v> are integers over s^2 and v^T Cov v
-one over D s^2.  The square-root-valued second invariant is carried as a sign
-together with an exact rational square so comparisons never round.
+One evaluation serves every invariant, and `report` reads it once per direction:
+it clears v, the barycenter b and the vertices u of their denominators by one
+factor s and Cov by another, D, so each invariant is one `Fraction` of integers.
+The square-root-valued second invariant is carried as a sign together with an
+exact rational square so comparisons never round.
 """
 
 from fractions import Fraction as Q
@@ -13,45 +13,43 @@ from .exactgeom import _scaled, as_direction, dot
 from .stability import StabilityContext, StabilityValue
 
 
-def _pairings(ctx: StabilityContext, v):
-    """(<B, V>, min <Z, V>, V^T C V, s^2, D) on the integers V = s v, B = s b, Z = s u
-    (one factor s for v, b and the vertices u) and C = D Cov: <b, v> = <B, V> / s^2,
+def _invariants(ctx: StabilityContext, v):
+    """(A, S, v^T Cov v, mu) from the integers V = s v, B = s b, Z = s u (one factor s
+    for v, b and the vertices u) and C = D Cov: <b, v> = <B, V> / s^2,
     min_P <u, v> = min <Z, V> / s^2 and v^T Cov v = V^T C V / (D s^2)."""
     points = [as_direction(v, ctx.dim), ctx.moments.barycenter, *ctx.vpoly.vertices]
     (vv, bb, *z), s = _scaled(points)
     c, dd = _scaled(ctx.moments.covariance)
     quad = sum(x * dot(row, vv) for x, row in zip(vv, c))
-    return dot(bb, vv), min(dot(u, vv) for u in z), quad, s * s, dd
+    bv, zv, s2 = dot(bb, vv), min(dot(u, vv) for u in z), s * s
+    value = StabilityValue(Q(-bv, bv - zv), (bv < 0) - (bv > 0), Q(bv * bv * dd, s2 * quad))
+    return Q(-zv, s2), Q(bv - zv, s2), Q(quad, dd * s2), value
 
 
 def futaki(ctx: StabilityContext, v) -> Q:
-    """Fut(v) = -<b, v> for the barycenter b; linear in v."""
-    bv, _, _, s2, _ = _pairings(ctx, v)
-    return Q(-bv, s2)
+    """Fut(v) = -<b, v> = A - S for the barycenter b; linear in v."""
+    a, s, _, _ = _invariants(ctx, v)
+    return a - s
 
 
 def min_norm(ctx: StabilityContext, v) -> Q:
     """||v||_m = <b, v> - min_{u in P} <u, v>; positive for v != 0."""
-    return log_discrepancy_S(ctx, v)[1]
+    return _invariants(ctx, v)[1]
 
 
 def l2_norm_sq(ctx: StabilityContext, v) -> Q:
     """||v||_2^2 = v^T Cov(P) v; positive definite for full-dimensional P."""
-    _, _, quad, s2, dd = _pairings(ctx, v)
-    return Q(quad, dd * s2)
+    return _invariants(ctx, v)[2]
 
 
 def mu(ctx: StabilityContext, v) -> StabilityValue:
     """The invariant pair (Fut/||.||_m, Fut/||.||_2), second entry as signed square."""
-    bv, zv, quad, s2, dd = _pairings(ctx, v)
-    sign = (bv < 0) - (bv > 0)
-    return StabilityValue(Q(-bv, bv - zv), sign, Q(bv * bv * dd, s2 * quad))
+    return _invariants(ctx, v)[3]
 
 
 def log_discrepancy_S(ctx: StabilityContext, v):
     """(A, S) = (-min pairing, minimum norm); A - S = Fut identically."""
-    bv, zv, _, s2, _ = _pairings(ctx, v)
-    return Q(-zv, s2), Q(bv - zv, s2)
+    return _invariants(ctx, v)[:2]
 
 
 def mu_prime_trunc(ctx: StabilityContext, v) -> StabilityValue:

@@ -1524,11 +1524,11 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1223),
-        ("report", corner, "--v", "1,1,1"): (report, 1223),
-        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1329),
+        ("report", doc, "--v", "0,-1"): (report, 1220),
+        ("report", corner, "--v", "1,1,1"): (report, 1220),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1326),
         # without --v, report evaluates no invariants
-        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1211),
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1210),
         ("destabilize", doc): ([*context, "optimizer"], 1391),
         ("destabilize", corner): ([*context, "optimizer"], 1391),
         ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1444),

@@ -737,6 +737,20 @@ def test_each_destabilizer_call_clears_the_context_once(monkeypatch):
     assert dict(calls) == {"stability": 1, "optimizer": 2}
 
 
+def test_each_report_direction_clears_the_context_once(monkeypatch):
+    # one evaluation per direction serves every invariant report prints: it
+    # clears v, b and the vertices once and Cov once
+    import toricstab.cli_report as cli_report
+    import toricstab.invariants as invariants
+
+    real, calls = invariants._scaled, []
+    monkeypatch.setattr(invariants, "_scaled", lambda points: calls.append(1) or real(points))
+    directions = [(1, 1, 1), (0, 0, -1), (1, -2, 0)]
+    doc = cli_report.report_doc(corpus_context("p1112"), directions, 6)
+    assert len(doc["directions"]) == 3
+    assert len(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # a pyramid over a lattice ball: sigma1 is the normal cone at the apex, with
 # one ray per facet of the ball, which once cost sum_{k <= 4} C(#rays, k) solves

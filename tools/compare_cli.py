@@ -8,10 +8,11 @@ documents, so messages that name a path agree.  Stdout, stderr, the exit code
 and the file written by --dump are compared.  The calls cover the bundled
 corpus (each document through `report` with two directions, `destabilize` and
 `oracle --mmax 12 --dump`, and each 2D one through `oracle --mmax 60 --digits 5
---dump`), the `--corpus` commands, the pinned vertex, constraint and
-weighted-point documents, and refusals: a missing file, a bad field, a ray that
-is not primitive, a document that is a JSON array, a `limits` direction of the
-wrong length, --digits 0 and 4001, and a 9D input in each of its four forms.
+--dump`), a three-direction `report` on p112, the `--corpus` commands, the
+pinned vertex, constraint and weighted-point documents, and refusals: a missing
+file, a bad field, a ray that is not primitive, a document that is a JSON array,
+a `limits` direction of the wrong length, --digits 0 and 4001, and a 9D input in
+each of its four forms.
 
 Prints one line per call that differs and a count; exits 1 when any differs.
 """
@@ -110,6 +111,8 @@ def calls(corpus):
         if d == 2:
             out.append(["oracle", f"{{{name}}}", "--v", ones, "--mmax", "60", "--digits", "5",
                         "--dump", "{dump}"])
+    # three directions in one call; (1, 1) is orthogonal to p112's b, so Fut = 0 there
+    out += [["report", "{p112}", "--v", "1,1", "--v", "0,-1", "--v", "-2,1"]]
     out += [["report", "--corpus"], ["destabilize", "--corpus"], ["stratify", "--corpus"],
             ["stratify", "--corpus", "--threads", "2"]]
     for name in ("p1112-moment", "corner-constraints"):
