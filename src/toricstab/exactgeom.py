@@ -166,10 +166,10 @@ def _reduce(rows, reduced):
     """`reduced` extended by the integer rows, each put through `_eliminate` against those
     before it and kept, as (pivot column, row) on its first nonzero entry, unless it is zero."""
     for x in rows:
-        x = _eliminate(x, reduced)
-        c = next((c for c, a in enumerate(x) if a), None)
-        if c is not None:
-            reduced.append((c, x))
+        if len(reduced) == len(x):  # a pivot in every column: every further row reduces to zero
+            break
+        if any(x := _eliminate(x, reduced)):
+            reduced.append((next(c for c, a in enumerate(x) if a), x))
     return reduced
 
 

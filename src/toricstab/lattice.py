@@ -114,7 +114,7 @@ def lattice_series(p: VPolytope, v, m_max: int) -> LatticeSeries:
     """
     if p.dim != p.ambient_dim:
         raise ValueError("not full-dimensional")
-    vi = _ints(as_direction(v, p.ambient_dim), "direction entry")
+    vi = tuple(map(int, as_direction(_ints(v, "direction entry"), p.ambient_dim)))  # named as given
     (m_max,) = _ints([m_max], "m_max")
     z, r = _scaled(p.vertices)
     if m_max < 3 * r:

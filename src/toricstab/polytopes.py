@@ -54,7 +54,7 @@ def _hull(pts) -> tuple[VPolytope, list[int]]:
     masks = [f.members for f in facets]
     keep = [i for i in range(len(pts)) if _is_face(1 << i, masks)]
     facets = [f._replace(members=sum(1 << j for j, i in enumerate(keep) if f.members >> i & 1))
-              for f in facets]
+              for f in facets] if len(keep) < len(pts) else facets  # re-masked if a point went
     return VPolytope(tuple(tuple(map(Q, pts[i])) for i in keep), len(cols), tuple(facets)), masks
 
 

@@ -1537,7 +1537,7 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
             [*context, "cli_oracle", "lattice"], 1383
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1172
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1178
         ),
     }
     package = Path(toricstab.__file__).parent

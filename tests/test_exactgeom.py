@@ -128,6 +128,21 @@ def test_kernel_matches_fraction_oracle():
     }
 
 
+def test_reduce_stops_once_every_column_has_a_pivot(monkeypatch):
+    # the 3-cube's chart reduces its seven edge rows from the first vertex; the fourth
+    # gives the third pivot, so the last three rows are never eliminated
+    rows, eliminate = [], eg._eliminate
+
+    def counted(x, reduced):
+        rows.append(x)
+        return eliminate(x, reduced)
+
+    monkeypatch.setattr(eg, "_eliminate", counted)
+    cube = vpolytope(itertools.product((0, 1), repeat=3))
+    assert len(cube.vertices) == 8 and cube.dim == 3
+    assert rows == [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+
+
 def test_shown_is_repr_until_str_refuses_an_int():
     # refusals name values through `_shown`: repr, with an int past CPython's
     # 4300-digit str() limit read as a bound, also inside a list, tuple or Fraction

@@ -162,6 +162,44 @@ def test_weight_polytope_builds_fractions_only_for_vertices_and_offsets(monkeypa
     assert len(calls) == 8 * 3 + 6
 
 
+# a weight repeated at indices 1 and 9, supported points inside the hull (2, 7 and 10,
+# which repeats 2) and on its edges (4 and 8), and an unsupported weight (5)
+MIXED = [(0, 0), (4, 0), (1, 1), (0, 4), (2, 0), (7, 7), (3, 3), (2, 1), (0, 2), (4, 0), (1, 1)]
+MIXED_SUPPORT = [i for i in range(len(MIXED)) if i != 5]
+
+
+def test_weight_polytope_faces_keep_their_order_and_repr():
+    """The faces, their order and their repr, in which a set's insertion order shows
+    ({0, 8, 3}), are those the earlier per-index decode gave, and directions, a rational
+    one too, land on the same face objects."""
+    q = weight_polytope(weighted_point(MIXED, MIXED_SUPPORT))
+    assert repr(q.faces) == (
+        "(frozenset({0}), frozenset({3}), frozenset({6}), frozenset({1, 9}), frozenset({3, 6}), "
+        "frozenset({0, 8, 3}), frozenset({1, 6, 9}), frozenset({0, 1, 4, 9}), "
+        "frozenset({0, 1, 2, 3, 4, 6, 7, 8, 9, 10}))"
+    )
+    landed = {
+        (1, 0): 5, (0, 1): 7, (-1, 0): 3, (0, -1): 1, (1, 1): 0, (-1, -1): 2, (-1, 1): 3,
+        (1, -1): 1, (Q(1, 2), 0): 5,
+    }
+    for v, k in landed.items():
+        assert face_of_direction(q, v) is q.faces[k], v
+
+
+def test_face_cone_table_calls_the_kernel_once_per_distinct_weight(monkeypatch):
+    # ten supported indices carry eight distinct weights
+    q = weight_polytope(weighted_point(MIXED, MIXED_SUPPORT))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normal_cone(*args)
+
+    monkeypatch.setattr(limits, "normal_cone", counted)
+    assert [normal_cone_of_face(q, f) for f in q.faces] == [kernel_cone(q, f) for f in q.faces]
+    assert len(calls) == len({MIXED[i] for i in MIXED_SUPPORT}) == 8
+
+
 def test_normal_cone_edge():
     q = weight_polytope(TRIANGLE)
     cone = normal_cone_of_face(q, {0, 1})

@@ -610,6 +610,14 @@ def test_series_input_validation():
     assert lattice_series(P2, (1, 0), 9.0) == lattice_series(P2, (1, 0), Q(9)) == same
 
 
+def test_series_names_a_direction_entry_as_given():
+    # the entries are checked as integers before they become Fractions
+    for v, named in [((0.5, 0), "0.5"), ((0, "x"), "'x'"), ((1, 2.5, 0), "2.5")]:
+        with pytest.raises(ValueError, match=f"^direction entry {named} is not an integer$"):
+            lattice_series(P2, v, 9)
+    assert lattice_series(P2, (2.0, Q(-1)), 9) == lattice_series(P2, (2, -1), 9)
+
+
 def test_series_refusal_shortens_a_count_str_cannot_convert():
     # a count that str() converts is named verbatim, a longer one (10^5000 rows)
     # by a power of ten below it

@@ -9,7 +9,9 @@ and the file written by --dump are compared.  The calls cover the bundled
 corpus (each document through `report` with two directions, `destabilize` and
 `oracle --mmax 12 --dump`, and each 2D one through `oracle --mmax 60 --digits 5
 --dump`), a three-direction `report` on p112, the `--corpus` commands, the
-pinned vertex, constraint and weighted-point documents, and refusals: a missing
+pinned vertex, constraint and weighted-point documents, `report` and
+`destabilize` on a vertex document with an interior point and a repeated
+vertex (the point hull drops a point there), and refusals: a missing
 file, a bad field, a ray that is not primitive, a document that is a JSON array,
 a `limits` direction of the wrong length, --digits 0 and 4001, and a 9D input in
 each of its four forms.
@@ -54,6 +56,13 @@ FIXED_DOCS = {
         "name": "p1112-moment",
         "moment_polytope": {"vertices": [["-1", "-1", "-1"], ["-1", "-1", "3/2"],
                                          ["-1", "4", "-1"], ["4", "-1", "-1"]]},
+    },
+    # p1112-moment's vertices with the origin inside and one vertex given twice
+    "p1112-interior": {
+        "name": "p1112-interior",
+        "moment_polytope": {"vertices": [["-1", "-1", "-1"], ["-1", "-1", "3/2"],
+                                         ["0", "0", "0"], ["-1", "4", "-1"], ["4", "-1", "-1"],
+                                         ["-1", "-1", "3/2"]]},
     },
     "corner-constraints": {
         "name": "corner-constraints",
@@ -121,6 +130,8 @@ def calls(corpus):
             ["destabilize", f"{{{name}}}"],
             ["oracle", f"{{{name}}}", "--v", "1,1,1", "--mmax", "12", "--dump", "{dump}"],
         ]
+    out += [["report", "{p1112-interior}", "--v", "0,0,1", "--v", "1,-1,2"],
+            ["destabilize", "{p1112-interior}"]]
     out += [["limits", "{readme-point}", "--v", "1,1"]]
     out += [["limits", "{limits-3d}", "--v", v] for v in ("1,1,2", "1,4,3", "1,1,1")]
     out += [["limits", "{limits-4d}", "--v", v] for v in ("1,1,1,2", "3,1,3,3", "1,1,1,1")]
