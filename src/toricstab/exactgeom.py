@@ -100,6 +100,8 @@ def qval(x, what) -> Q:
 
 def _ints(xs, what) -> tuple[int, ...]:
     """The entries of xs as ints; a ValueError naming `what` and the entry not equal to its int."""
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):  # no vector, as qvec says
+        raise ValueError(f"{_shown(xs)} is not a vector of rationals")
     out = []
     for x in xs:
         try:

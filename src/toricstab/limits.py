@@ -2,13 +2,13 @@
 
 A weighted point is a list of lattice weights with a nonempty support; only the support
 matters for limits.  Its weight polytope is the hull of the supported weights; faces are
-the index sets of the weights on them.  A one-slot memo keeps, for the last polytope asked,
-one list of support indices per distinct weight, on which directions pair, and one table
-for the face cones: the sorted union of the normals, and each index's bitmask over them.
+the index sets of the weights on them.  Each face's cone of the directions whose limit
+lands on it is read off one table, kept by a one-slot memo for the last polytope asked:
+the sorted union of the points' normals and each point's as a bitmask over that order.
 """
 
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import mul, or_
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ from .exactgeom import (
 )
 from .polytopes import _hull
 
-_last = (None,)  # the last polytope asked, its faces, normals, masks by index, weights, indices
+_last = None, {}, [], {}  # the last polytope asked, its faces, its normals, masks by point
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as compress selectors
 
 
@@ -83,40 +83,36 @@ def weight_polytope(w: WeightedPoint) -> WeightPolytope:
     return WeightPolytope(w, poly, tuple([frozenset(f) for _, f in rows]))
 
 
-def _argmin(pts, v) -> list[bool]:
-    """Whether <u, v> is least at each point u; v is scaled to ints if need be."""
-    d = len(pts[0])
+def _argmin(w: WeightedPoint, v) -> frozenset[int]:
+    """The support indices where <u_i, v> is least; v is scaled to ints if need be."""
+    d = len(w.weights[0])
     if not (type(v) is tuple and len(v) == d and all(type(x) is int for x in v) and any(v)):
         (v,), _ = _scaled([as_direction(v, d)])
-    vals = [sum(map(mul, u, v)) for u in pts]
-    best = min(vals)
-    return [x == best for x in vals]
+    vals = {i: sum(map(mul, w.weights[i], v)) for i in w.support}
+    best = min(vals.values())
+    return frozenset(i for i, val in vals.items() if val == best)
 
 
 def limit_point(w: WeightedPoint, v) -> WeightedPoint:
     """Support of the limit under t -> 0 along v: the argmin of <u_i, v> on the support."""
-    least = _argmin([w.weights[i] for i in w.support], v)
-    return WeightedPoint(w.weights, frozenset(compress(w.support, least)))
+    return WeightedPoint(w.weights, _argmin(w, v))
 
 
 def is_fixed(w: WeightedPoint, v) -> bool:
     """True when the pairing is constant on the support: every index attains the minimum."""
-    return all(_argmin([w.weights[i] for i in w.support], v))
+    return _argmin(w, v) == w.support
 
 
 def _face(q: WeightPolytope, face) -> tuple[frozenset[int], tuple]:
-    """The member of q.faces equal to face, and q's slot (see `_last`): matched by identity,
-    read once and filled by one assignment, so no thread sees half a table or two polytopes'."""
+    """The member of q.faces equal to face, and q's slot, matched by identity, read once and
+    filled by one assignment, so that a thread never sees half a table or two polytopes'."""
     global _last
     if (last := _last)[0] is not q:
-        by = {}
-        for i in sorted(q.point.support):
-            by.setdefault(q.point.weights[i], []).append(i)
-        pts, groups = zip(*sorted(by.items()))  # sorted distinct weights, their indices in order
-        rows = [normal_cone([u], pts, len(u)).normals for u in pts]
-        bit = {a: 1 << k for k, a in enumerate(sorted(set().union(*rows)))}
-        masks = {i: sum(map(bit.get, row)) for g, row in zip(groups, rows) for i in g}
-        _last = last = q, {f: f for f in q.faces}, list(bit), masks, pts, groups
+        (ws, sup), d = q.point, len(q.point.weights[0])
+        rows = {i: normal_cone([ws[i]], [ws[j] for j in sup], d).normals for i in sup}
+        bit = {a: 1 << k for k, a in enumerate(sorted(set().union(*rows.values())))}
+        masks = {i: sum(map(bit.get, row)) for i, row in rows.items()}
+        _last = last = q, {f: f for f in q.faces}, list(bit), masks
     f = last[1].get(face) if type(face) is frozenset else None
     if f is None and (f := last[1].get(frozenset(_ints(face, "face index")))) is None:
         raise ValueError("not a face")
@@ -126,7 +122,7 @@ def _face(q: WeightPolytope, face) -> tuple[frozenset[int], tuple]:
 def normal_cone_of_face(q: WeightPolytope, face) -> ConeH:
     """Cone of directions v with <u, v> <= <u', v> for u on the face, u' in the polytope: the
     union of its members' normals prim(u_i - u_j), the OR of their masks in q's table."""
-    f, (_, _, names, masks, _, _) = _face(q, face)
+    f, (_, _, names, masks) = _face(q, face)
     bits = bin(reduce(or_, map(masks.get, f)))[:1:-1].encode().translate(_BITS)  # low bit first
     return ConeH(tuple(compress(names, bits)), len(q.point.weights[0]))
 
@@ -140,5 +136,4 @@ def face_limit(w: WeightedPoint, q: WeightPolytope, face) -> WeightedPoint:
 
 def face_of_direction(q: WeightPolytope, v) -> frozenset[int]:
     """Member set of the face where <., v> is minimized; always one of q.faces."""
-    _, (_, faces, _, _, pts, groups) = _face(q, q.point.support)  # the polytope is a face
-    return faces[frozenset(chain(*compress(groups, _argmin(pts, v))))]
+    return _face(q, _argmin(q.point, v))[0]

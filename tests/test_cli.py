@@ -1524,20 +1524,20 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1220),
-        ("report", corner, "--v", "1,1,1"): (report, 1220),
-        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1326),
+        ("report", doc, "--v", "0,-1"): (report, 1222),
+        ("report", corner, "--v", "1,1,1"): (report, 1222),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1328),
         # without --v, report evaluates no invariants
-        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1210),
-        ("destabilize", doc): ([*context, "optimizer"], 1391),
-        ("destabilize", corner): ([*context, "optimizer"], 1391),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1212),
+        ("destabilize", doc): ([*context, "optimizer"], 1393),
+        ("destabilize", corner): ([*context, "optimizer"], 1393),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "lattice"], 1383
+            [*context, "cli_oracle", "lattice"], 1385
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1178
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1175
         ),
     }
     package = Path(toricstab.__file__).parent

@@ -47,6 +47,14 @@ def test_weighted_point_validation():
     ]:
         with pytest.raises(ValueError, match=f"^{named} is not an integer$"):
             weighted_point(weights, support)
+    # a weight or support given as bytes or a str is no vector of its bytes or characters
+    for weights, support, named in [
+        ([b"\x01\x00", (0, 1)], None, r"b'\\x01\\x00'"),
+        ([(1, 0), (0, 1)], b"\x00", r"b'\\x00'"),
+        ([(1, 0), (0, 1)], "01", "'01'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{named} is not a vector of rationals$"):
+            weighted_point(weights, support)
     w = weighted_point([[Q(2, 1), 2.0], [0, 1]], [1.0])
     assert w == WeightedPoint(((2, 2), (0, 1)), frozenset({1}))
     assert all(type(x) is int for u in w.weights for x in u) and type(min(w.support)) is int
@@ -184,20 +192,6 @@ def test_weight_polytope_faces_keep_their_order_and_repr():
     }
     for v, k in landed.items():
         assert face_of_direction(q, v) is q.faces[k], v
-
-
-def test_face_cone_table_calls_the_kernel_once_per_distinct_weight(monkeypatch):
-    # ten supported indices carry eight distinct weights
-    q = weight_polytope(weighted_point(MIXED, MIXED_SUPPORT))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return normal_cone(*args)
-
-    monkeypatch.setattr(limits, "normal_cone", counted)
-    assert [normal_cone_of_face(q, f) for f in q.faces] == [kernel_cone(q, f) for f in q.faces]
-    assert len(calls) == len({MIXED[i] for i in MIXED_SUPPORT}) == 8
 
 
 def test_normal_cone_edge():

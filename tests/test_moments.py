@@ -616,6 +616,10 @@ def test_series_names_a_direction_entry_as_given():
         with pytest.raises(ValueError, match=f"^direction entry {named} is not an integer$"):
             lattice_series(P2, v, 9)
     assert lattice_series(P2, (2.0, Q(-1)), 9) == lattice_series(P2, (2, -1), 9)
+    # a str, bytes or int is no vector, not one of its characters, bytes or digits
+    for v in (b"\x01\x00", "10", 10):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(v))} is not a vector of rationals$"):
+            lattice_series(P2, v, 9)
 
 
 def test_series_refusal_shortens_a_count_str_cannot_convert():
