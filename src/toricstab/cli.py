@@ -13,20 +13,16 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction as Q
 from importlib import import_module
 
 # each command imports the library modules it runs where it runs them, so a
 # fresh process compiles only those
-from .exactgeom import CertificateError, as_direction
+from .exactgeom import CertificateError, as_direction, qval
 
 SCOPE = "torus-equivariant"
 # a decimal of a value below 10^300 then stays under CPython's 4300-digit
 # limit on int-to-str conversion
 MAX_DIGITS = 4000
-# ASCII digits only: Fraction and int also read exponents, underscores and
-# non-ASCII digits, and an exponent like 1e100000000 takes unbounded time
-RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -34,13 +30,18 @@ INTEGER = re.compile(r"[+-]?[0-9]+")
 # rendering
 
 
-def int_str(n: int) -> str:
-    """str(n); a ValueError naming the limit when n has more digits than str() may print."""
+def digit_limited(convert, x, what: str):
+    """convert(x), an int to or from str; a ValueError naming `what` and the limit when the
+    interpreter refuses it for its digits."""
     try:
-        return str(n)
+        return convert(x)
     except ValueError:  # past the interpreter's limit on int-to-str digits
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"output integer longer than {limit} digits") from None
+        raise ValueError(f"{what} longer than {limit} digits") from None
+
+
+def int_str(n: int) -> str:
+    return digit_limited(str, n, "output integer")
 
 
 def rat_str(x) -> str:
@@ -94,14 +95,12 @@ def render_value(value, digits: int):
 # parsing
 
 
-def parse_rational(s, field: str) -> Q:
-    try:
-        if isinstance(s, int) and not isinstance(s, bool):
-            return Q(s)
-        if isinstance(s, str) and RATIONAL.fullmatch(s.strip()):
-            return Q(s)
-    except (ValueError, ZeroDivisionError):
-        pass
+def parse_rational(s, field: str):
+    if isinstance(s, (int, str)) and not isinstance(s, bool):
+        try:
+            return qval(s, field)
+        except ValueError:
+            pass
     raise ValueError(f"field {field}: expected a rational like 'p/q', got {s!r}")
 
 
@@ -142,16 +141,9 @@ def parse_direction(text: str, dim: int, entry: str):
 
 
 def load_doc(path: str):
-    def integer(text):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's limit on int-to-str digits
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"integer literal longer than {limit} digits") from None
-
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=integer)
+            doc = json.load(fh, parse_int=lambda text: digit_limited(int, text, "integer literal"))
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:

@@ -32,6 +32,7 @@ their gcd.  More than `HULL_BUDGET` candidate ray pairs in all is refused.
 import functools
 import math
 import operator
+import re
 from fractions import Fraction as Q
 from typing import NamedTuple
 
@@ -47,6 +48,9 @@ HULL_BUDGET = 10_000_000
 # most simplices one pulling triangulation may produce: about 0.7 s of
 # `moment_data` at the 14 800 7D simplices per second measured on the same host
 SIMPLEX_BUDGET = 10_000
+# a str is read as a rational only in ASCII digits: Fraction also reads exponents,
+# underscores and non-ASCII digits, and an exponent like 1e100000000 takes unbounded time
+RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 class CertificateError(RuntimeError):
@@ -85,14 +89,16 @@ def qvec(xs) -> VecQ:
     try:
         if isinstance(xs, (str, bytes)):  # not a vector of its characters
             raise TypeError
-        return tuple(map(Q, xs))
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        return tuple(qval(x, "entry") for x in xs)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{_shown(xs)} is not a vector of rationals") from exc
 
 
 def qval(x, what) -> Q:
-    """x as a Fraction; a ValueError naming `what` and x when it is not a rational."""
+    """x as a Fraction, a str by `RATIONAL`; a ValueError naming `what` and x when it is not."""
     try:
+        if isinstance(x, str) and not RATIONAL.fullmatch(x.strip()):
+            raise ValueError
         return Q(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} {_shown(x)} is not a rational") from exc

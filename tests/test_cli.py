@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -23,8 +24,17 @@ import stability_oracle
 from conftest import fresh_rng, mat_vec, unimodular_matrix
 from hull_oracle import faces_by_subsets
 from optimizer_oracle import sigma1_by_vertices
-from toricstab.cli import dec_str, main, rat_str, render_m2, render_value, sqrt_dec_str
+from toricstab.cli import (
+    dec_str,
+    main,
+    parse_rational,
+    rat_str,
+    render_m2,
+    render_value,
+    sqrt_dec_str,
+)
 from toricstab.corpus import CORPUS
+from toricstab.exactgeom import qval
 from toricstab.limits import face_of_direction, normal_cone_of_face, weight_polytope, weighted_point
 from toricstab.optimizer import CertificateError, optimal_destabilizer
 from toricstab.invariants import (
@@ -784,6 +794,23 @@ def test_rational_accepts_only_ascii_fractions_and_decimals(tmp_path, capsys, fi
     assert f"field {field}: expected a rational like 'p/q', got {text!r}" in err
 
 
+@pytest.mark.parametrize("text", ["0", "-3", "+2", "1/2", " 1/2 ", "1.25"])
+def test_library_and_cli_accept_the_same_rational_strings(text):
+    assert parse_rational(text, "f") == qval(text, "f") == Q(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e5", "1e100000000", "1_0", "\u0661", ".5", "1/2/3", "1/0", "x"]
+)
+def test_library_and_cli_refuse_the_same_rational_strings(text):
+    # one grammar reads a string entry in the library as on the command line;
+    # Fraction alone reads "1e5", "1_0" and ".5", and expands 1e100000000 for minutes
+    with pytest.raises(ValueError, match="^field f: expected a rational like 'p/q', got "):
+        parse_rational(text, "f")
+    with pytest.raises(ValueError, match=f"^f {re.escape(repr(text))} is not a rational$"):
+        qval(text, "f")
+
+
 @pytest.mark.parametrize("field", sorted(RATIONAL_DOCS))
 def test_rational_refuses_json_booleans(tmp_path, capsys, field):
     # bool is a subclass of int, so true would otherwise read as 1
@@ -1524,20 +1551,20 @@ print(*sorted(m for m in sys.modules if m.startswith("toricstab.") and m != "tor
     report = [*context, "cli_report", "invariants"]
     expected = {
         (): ([], 44),
-        ("report", doc, "--v", "0,-1"): (report, 1222),
-        ("report", corner, "--v", "1,1,1"): (report, 1222),
-        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1328),
+        ("report", doc, "--v", "0,-1"): (report, 1220),
+        ("report", corner, "--v", "1,1,1"): (report, 1220),
+        ("report", moment, "--v", "1,1,1"): ([*report, "polytopes"], 1326),
         # without --v, report evaluates no invariants
-        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1212),
-        ("destabilize", doc): ([*context, "optimizer"], 1393),
-        ("destabilize", corner): ([*context, "optimizer"], 1393),
-        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
-        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1446),
+        ("report", "--corpus"): ([*context, "cli_report", "corpus"], 1210),
+        ("destabilize", doc): ([*context, "optimizer"], 1391),
+        ("destabilize", corner): ([*context, "optimizer"], 1391),
+        ("destabilize", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
+        ("stratify", "--corpus"): ([*context, "corpus", "optimizer"], 1444),
         ("oracle", doc, "--v", "0,-1", "--mmax", "6"): (
-            [*context, "cli_oracle", "lattice"], 1385
+            [*context, "cli_oracle", "lattice"], 1383
         ),
         ("limits", point, "--v", "1,1"): (
-            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1175
+            ["cli", "cli_limits", "exactgeom", "limits", "polytopes"], 1173
         ),
     }
     package = Path(toricstab.__file__).parent

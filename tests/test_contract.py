@@ -6,7 +6,8 @@ sequence is required; a record argument (a context, polytope, weighted point,
 weight polytope, series or stage result) is not validated.  Each table row is
 one call with one plain argument: every position in a valid value of it, the
 value itself and each entry at any depth, takes each of the values below in
-turn.
+turn.  A str reads as a rational only by the library's grammar, so "1e5" and
+"1_0", which Fraction alone would read, must be refused like "x".
 """
 
 import math
@@ -40,9 +41,10 @@ from toricstab import (
     weight_polytope,
     weighted_point,
 )
+from toricstab.exactgeom import RATIONAL
 
 BIG = 10**5000
-VALUES = (None, math.inf, math.nan, "x", 1.5, True, [1], (), BIG, -BIG, Q(1, 3))
+VALUES = (None, math.inf, math.nan, "x", "1e5", "1_0", 1.5, True, [1], (), BIG, -BIG, Q(1, 3))
 
 P112 = context_from_rays([(1, 0), (0, 1), (-1, -2)])
 RAYS = [(1, 0), (0, 1), (-1, -1)]
@@ -113,6 +115,9 @@ def lacks(value, template) -> bool:
 
 
 def readable(x, kind) -> bool:
+    """Whether x reads as a value of kind: a str only by the library's rational grammar."""
+    if isinstance(x, str) and not RATIONAL.fullmatch(x.strip()):
+        return False
     try:
         q = Q(x)
     except (TypeError, ValueError, OverflowError):

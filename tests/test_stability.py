@@ -161,6 +161,7 @@ def test_a_string_is_not_a_vector_but_may_be_an_entry():
     halves = context_from_vertices([("0", "0"), ("1/2", "0"), ("0", "1/2")])
     assert halves == context_from_vertices([(0, 0), (Q(1, 2), 0), (0, Q(1, 2))])
     assert futaki(P112, ("0", "-1")) == futaki(P112, (0, -1))
+    assert futaki(P112, (" 2 ", "1.25")) == futaki(P112, (2, Q(5, 4)))
 
 
 def test_unknown_corpus_entry_is_refused():

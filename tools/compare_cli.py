@@ -13,8 +13,10 @@ pinned vertex, constraint and weighted-point documents, `report` and
 `destabilize` on a vertex document with an interior point and a repeated
 vertex (the point hull drops a point there), and refusals: a missing
 file, a bad field, a ray that is not primitive, a document that is a JSON array,
-a `limits` direction of the wrong length, --digits 0 and 4001, and a 9D input in
-each of its four forms.
+a `limits` direction of the wrong length, --digits 0 and 4001, a 9D input in
+each of its four forms, a coefficient written with an exponent ("1e5"), and
+both digit-limit guards: a 4400-digit integer literal in the input and a
+vertex document at +-10^2500, whose volume has more digits than str() prints.
 
 Prints one line per call that differs and a count; exits 1 when any differs.
 """
@@ -50,6 +52,9 @@ def corpus_docs(root: Path):
 def cross_polytope(d):
     return [[s * (j == i) for j in range(d)] for i in range(d) for s in (1, -1)]
 
+
+# a vertex coordinate whose polytope's volume, about 4 10^5000, str() refuses to print
+BIG = 10**2500
 
 FIXED_DOCS = {
     "p1112-moment": {
@@ -103,6 +108,12 @@ FIXED_DOCS = {
     "p9-rays": {"name": "p9", "rays": [[int(j == i) for j in range(9)] for i in range(9)]
                 + [[-1] * 9]},
     "x9-weights": {"weights": cross_polytope(9)},
+    "exponent-coeffs": {"name": "e", "rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": ["1e5", 0, 0]},
+    # raw text: json.dumps cannot write an integer past the digit limit
+    "long-literal": '{"name": "x", "rays": [[1, 0], [0, 1], [-1, -1]], "coeffs": ['
+    + "1" * 4400 + ", 0, 0]}",
+    "big-vertices": {"name": "big", "moment_polytope": {"vertices": [
+        [0, 0], [3, 1], [1, 4], [-2, 2], *([x, y] for x in (-BIG, BIG) for y in (-BIG, BIG))]}},
 }
 
 
@@ -150,6 +161,7 @@ def calls(corpus):
             ["report", "{json-array}"], ["limits", "{json-array}", "--v", "1,1"]]
     out += [["report", f"{{{n}}}"] for n in ("x9-vertices", "x9-constraints", "p9-rays")]
     out += [["limits", "{x9-weights}", "--v", ",".join(["1"] * 9)]]
+    out += [["report", f"{{{n}}}"] for n in ("exponent-coeffs", "long-literal", "big-vertices")]
     return out
 
 
@@ -179,7 +191,8 @@ def main(argv=None) -> int:
         paths = {"missing": str(workdir / "missing.json"), "dump": str(workdir / "dump.txt")}
         for name, doc in {**corpus, **FIXED_DOCS}.items():
             paths[name] = str(workdir / f"{name}.json")
-            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+            Path(paths[name]).write_text(text, encoding="utf-8")
         todo = calls(corpus)
         for template in todo:
             argv = [paths[a[1:-1]] if a.startswith("{") else a for a in template]
